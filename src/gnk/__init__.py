@@ -33,6 +33,7 @@ from gnk.discrete import (
     conjugate_periodic,
     nullity,
     operator_identity_residuals,
+    weighted_kernels,
 )
 from gnk.errors import (
     CenterNotInHole,
@@ -51,7 +52,6 @@ from gnk.geometry import (
     ParamGrid,
     Region,
     circle,
-    curve_jet,
     ellipse,
     load_region,
     perturbed_circle,
@@ -60,10 +60,9 @@ from gnk.geometry import (
 )
 from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
 from gnk.mobius import (
-    MappedBoundary,
     index_shift,
     kernel_invariance_check,
-    map_region,
+    map_jet,
     mapped_index_of,
     transform_solution,
 )

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,25 +20,14 @@ import numpy as np
 from gnk import dirichlet, discrete, mobius, rhp
 from gnk.coefficient import One, index_of, load_coefficient
 from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem
-from gnk.geometry import ParamGrid, _turns_about_points, load_region, validate_region
+from gnk.geometry import (ParamGrid, _require_finite, _turns_about_points, load_region,
+                          validate_region)
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass
-class RunConfig:
-    region_path: str
-    coeff_path: str | None = None
-    data_path: str | None = None
-    n: int = 128
-    out_dir: str = "gnk_out"
-    tol_solve: float = 1e-10
-    tol_identity: float = 1e-8
-    tol_invariance: float = 1e-12
-    tol_jump: float = 1e-13
-    strict: bool = False
-    field_grid: str | None = None
-    threads: int = 1
+# Mobius kernel differences are roundoff in entries as large as
+# max(1, max|M + iN|), so this bound applies relative to that scale.
+TOL_INVARIANCE = 1e-12
+TOL_JUMP = 1e-13
 
 
 def _fmt(x: float) -> str:
@@ -48,9 +35,10 @@ def _fmt(x: float) -> str:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as f:
-        f.write(json.dumps(payload, sort_keys=True, indent=2))
+        f.write(text)
         f.write("\n")
 
 
@@ -71,19 +59,19 @@ def _read_json(path: str):
     return json.loads(Path(path).read_text())
 
 
-def _load_inputs(cfg: RunConfig, *, need_data: bool):
-    region = load_region(_read_json(cfg.region_path))
-    grid = ParamGrid(cfg.n)
+def _load_inputs(args, *, need_data: bool):
+    region = load_region(_read_json(args.region))
+    grid = ParamGrid(args.n)
     report = validate_region(region, grid)
     if not report.ok:
         failures = "; ".join(f"{c.name} ({c.detail})" for c in report.failures())
         raise ValueError(f"region validation failed: {failures}")
-    coeff = load_coefficient(_read_json(cfg.coeff_path)) if cfg.coeff_path else One()
+    coeff = load_coefficient(_read_json(args.coeff)) if args.coeff else One()
     gamma = None
     if need_data:
-        if cfg.data_path is None:
+        if args.data is None:
             raise ValueError("this subcommand requires --data")
-        gamma = rhp.load_boundary_data(_read_json(cfg.data_path), region, coeff, grid)
+        gamma = rhp.load_boundary_data(_read_json(args.data), region, coeff, grid)
     return region, grid, coeff, gamma
 
 
@@ -105,15 +93,15 @@ def _boundary_rows(region, grid, gamma, mu, h, f_values):
     return rows
 
 
-def run_solve(cfg: RunConfig, mode: str) -> int:
-    region, grid, coeff, gamma = _load_inputs(cfg, need_data=True)
-    out = Path(cfg.out_dir)
+def run_solve(args, mode: str) -> int:
+    region, grid, coeff, gamma = _load_inputs(args, need_data=True)
+    out = Path(args.out)
     if mode == "dirichlet":
         if not isinstance(coeff, One):
             raise ValueError("solve-dirichlet requires the coefficient one")
         ops = discrete.assemble_N(region, coeff, grid)
         solution = dirichlet.solve_modified_dirichlet(
-            region, grid, gamma, ops=ops, tol_solve=cfg.tol_solve)
+            region, grid, gamma, ops=ops, tol_solve=args.tol_solve)
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h_raw,
                               solution.f_boundary)
         diagnostics = {
@@ -129,7 +117,7 @@ def run_solve(cfg: RunConfig, mode: str) -> int:
         }
     else:
         ops = discrete.assemble_N(region, coeff, grid)
-        solution = rhp.solve_rhp(ops, gamma, tol_solve=cfg.tol_solve)
+        solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
         index = index_of(coeff, region, grid)
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h,
                               solution.f_plus)
@@ -162,8 +150,25 @@ def _band_limited_samples(rng, m: int, n: int, band: int) -> np.ndarray:
     return phi
 
 
-def run_verify(cfg: RunConfig) -> int:
-    region, grid, coeff, _ = _load_inputs(cfg, need_data=False)
+def _mobius_section(ops, index) -> dict:
+    """Kernel invariance on the assembled operators plus the index shift law."""
+    invariance = mobius.kernel_invariance_check(ops)
+    hat_direct = mobius.mapped_index_of(ops.region, ops.coeff)
+    hat_shift = mobius.index_shift(index)
+    return {
+        "max_diff_N": invariance.max_diff_N,
+        "max_diff_M1": invariance.max_diff_M1,
+        "scale": invariance.scale,
+        "tolerance": TOL_INVARIANCE,
+        "index_shift": list(hat_shift[0]) + [hat_shift[1]],
+        "index_direct": list(hat_direct[0]) + [hat_direct[1]],
+        "ok": (invariance.max_diff <= TOL_INVARIANCE * invariance.scale
+               and hat_direct == hat_shift),
+    }
+
+
+def run_verify(args) -> int:
+    region, grid, coeff, _ = _load_inputs(args, need_data=False)
     ops = discrete.assemble_N(region, coeff, grid)
     index = index_of(coeff, region, grid)
     rng = np.random.default_rng(0)
@@ -174,29 +179,24 @@ def run_verify(cfg: RunConfig) -> int:
         phi = _band_limited_samples(rng, region.m, grid.n, band)
         r1, r2 = discrete.operator_identity_residuals(ops, phi)
         r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
-    identity_ok = r1_max <= cfg.tol_identity and r2_max <= cfg.tol_identity
+    identity_ok = r1_max <= args.tol_identity and r2_max <= args.tol_identity
 
     plus = ops.nullity_I_plus_N()
     minus = ops.nullity_I_minus_N()
     null_ok = (plus.nullity == index.dim_null_I_plus_N
                and minus.nullity == index.dim_null_I_minus_N)
 
-    invariance = mobius.kernel_invariance_check(region, coeff, grid)
-    hat_direct = mobius.mapped_index_of(region, coeff)
-    hat_shift = mobius.index_shift(index)
-    mobius_ok = invariance.max_diff <= cfg.tol_invariance and hat_direct == hat_shift
-
     gamma = _band_limited_samples(rng, region.m, grid.n, band)
     mu = _band_limited_samples(rng, region.m, grid.n, band)
     jump = (rhp.plemelj_boundary(ops, gamma, mu, +1)
             - rhp.plemelj_boundary(ops, gamma, mu, -1)) - (gamma + 1j * mu)
     jump_residual = float(np.abs(jump).max())
-    jump_ok = jump_residual <= cfg.tol_jump
+    jump_ok = jump_residual <= TOL_JUMP
 
     report = {
         "n": grid.n,
         "identity": {"r1_max": r1_max, "r2_max": r2_max,
-                     "tolerance": cfg.tol_identity, "ok": identity_ok},
+                     "tolerance": args.tol_identity, "ok": identity_ok},
         "nullity": {
             "I_plus_N": {"measured": plus.nullity,
                          "predicted": index.dim_null_I_plus_N,
@@ -206,19 +206,13 @@ def run_verify(cfg: RunConfig) -> int:
                           "smallest_singular_values": list(minus.smallest)},
             "ok": null_ok,
         },
-        "mobius": {"max_diff_N": invariance.max_diff_N,
-                   "max_diff_M1": invariance.max_diff_M1,
-                   "tolerance": cfg.tol_invariance,
-                   "index_shift": list(hat_shift[0]) + [hat_shift[1]],
-                   "index_direct": list(hat_direct[0]) + [hat_direct[1]],
-                   "ok": mobius_ok},
-        "jump": {"residual": jump_residual, "tolerance": cfg.tol_jump,
-                 "ok": jump_ok},
+        "mobius": _mobius_section(ops, index),
+        "jump": {"residual": jump_residual, "tolerance": TOL_JUMP, "ok": jump_ok},
         "kappa_per_curve": list(index.kappa_per_curve),
         "kappa": index.kappa,
     }
-    report["ok"] = identity_ok and null_ok and mobius_ok and jump_ok
-    _write_json(Path(cfg.out_dir) / "verify.json", report)
+    report["ok"] = identity_ok and null_ok and report["mobius"]["ok"] and jump_ok
+    _write_json(Path(args.out) / "verify.json", report)
 
     for name in ("identity", "nullity", "mobius", "jump"):
         status = "ok " if report[name]["ok"] else "FAIL"
@@ -226,8 +220,8 @@ def run_verify(cfg: RunConfig) -> int:
     return 0 if report["ok"] else 2
 
 
-def run_index_report(cfg: RunConfig) -> int:
-    region, grid, coeff, _ = _load_inputs(cfg, need_data=False)
+def run_index_report(args) -> int:
+    region, grid, coeff, _ = _load_inputs(args, need_data=False)
     index = index_of(coeff, region, grid)
     payload = {
         "kappa_per_curve": list(index.kappa_per_curve),
@@ -239,36 +233,26 @@ def run_index_report(cfg: RunConfig) -> int:
         "dim_S_plus_bounds": list(index.dim_S_plus_bounds),
         "codim_R_plus_bounds": list(index.codim_R_plus_bounds),
     }
-    _write_json(Path(cfg.out_dir) / "index.json", payload)
+    _write_json(Path(args.out) / "index.json", payload)
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0
 
 
-def run_mobius_check(cfg: RunConfig) -> int:
-    region, grid, coeff, _ = _load_inputs(cfg, need_data=False)
-    index = index_of(coeff, region, grid)
-    invariance = mobius.kernel_invariance_check(region, coeff, grid)
-    hat_direct = mobius.mapped_index_of(region, coeff)
-    hat_shift = mobius.index_shift(index)
-    ok = invariance.max_diff <= cfg.tol_invariance and hat_direct == hat_shift
-    payload = {
-        "max_diff_N": invariance.max_diff_N,
-        "max_diff_M1": invariance.max_diff_M1,
-        "tolerance": cfg.tol_invariance,
-        "index_shift": list(hat_shift[0]) + [hat_shift[1]],
-        "index_direct": list(hat_direct[0]) + [hat_direct[1]],
-        "ok": ok,
-    }
-    _write_json(Path(cfg.out_dir) / "mobius.json", payload)
+def run_mobius_check(args) -> int:
+    region, grid, coeff, _ = _load_inputs(args, need_data=False)
+    ops = discrete.assemble_N(region, coeff, grid)
+    payload = _mobius_section(ops, index_of(coeff, region, grid))
+    _write_json(Path(args.out) / "mobius.json", payload)
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return 0 if ok else 2
+    return 0 if payload["ok"] else 2
 
 
 def _parse_field_grid(text: str):
     parts = text.split(",")
     if len(parts) != 6:
         raise ValueError("--field-grid expects x0,x1,nx,y0,y1,ny")
-    x0, x1, y0, y1 = float(parts[0]), float(parts[1]), float(parts[3]), float(parts[4])
+    x0, x1, y0, y1 = _require_finite([float(parts[i]) for i in (0, 1, 3, 4)],
+                                     "--field-grid bounds")
     nx, ny = int(parts[2]), int(parts[5])
     if nx < 1 or ny < 1:
         raise ValueError("field grid needs at least one point per axis")
@@ -286,21 +270,21 @@ def _hole_mask(region, points: np.ndarray, n: int = 512) -> np.ndarray:
     return inside
 
 
-def run_field(cfg: RunConfig) -> int:
-    region, grid, coeff, gamma = _load_inputs(cfg, need_data=True)
-    if cfg.field_grid is None:
+def run_field(args) -> int:
+    region, grid, coeff, gamma = _load_inputs(args, need_data=True)
+    if args.field_grid is None:
         raise ValueError("eval-field requires --field-grid x0,x1,nx,y0,y1,ny")
-    xs, ys = _parse_field_grid(cfg.field_grid)
+    xs, ys = _parse_field_grid(args.field_grid)
     ops = discrete.assemble_N(region, coeff, grid)
-    solution = rhp.solve_rhp(ops, gamma, tol_solve=cfg.tol_solve)
+    solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
 
     grid_x, grid_y = np.meshgrid(xs, ys)  # row-major by y then x
     points = (grid_x + 1j * grid_y).ravel()
     holes = _hole_mask(region, points)
-    band_width = rhp.near_boundary_band(region, grid)
-    dist = rhp.boundary_distance(region, grid, points)
+    band_width = rhp.near_boundary_band(ops.jet)
+    dist = rhp.boundary_distance(ops.jet, points)
     in_band = (dist < band_width) & ~holes
-    if cfg.strict and in_band.any():
+    if args.strict and in_band.any():
         raise ValueError(
             f"{int(in_band.sum())} probe points inside the near-boundary band "
             f"(width {band_width:.3e}) with --strict set")
@@ -321,7 +305,7 @@ def run_field(cfg: RunConfig) -> int:
         else:
             flag, u_text = "ok", _fmt(u[idx])
         rows.append([_fmt(points[idx].real), _fmt(points[idx].imag), u_text, flag])
-    _write_csv(Path(cfg.out_dir) / "field.csv", ["x", "y", "u", "in_band_flag"], rows)
+    _write_csv(Path(args.out) / "field.csv", ["x", "y", "u", "in_band_flag"], rows)
     return 0
 
 
@@ -349,45 +333,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    threads = os.environ.get("GNK_THREADS", "1")
-    try:
-        threads = max(1, int(threads))
-    except ValueError as exc:
-        raise ValueError(f"GNK_THREADS must be an integer, got {threads!r}") from exc
-    return RunConfig(
-        region_path=args.region,
-        coeff_path=args.coeff,
-        data_path=args.data,
-        n=args.n,
-        out_dir=args.out,
-        tol_solve=args.tol_solve,
-        tol_identity=args.tol_identity,
-        strict=args.strict,
-        field_grid=getattr(args, "field_grid", None),
-        threads=threads,
-    )
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        cfg = _config_from_args(args)
         if args.command == "solve-rhp":
-            return run_solve(cfg, "rhp")
+            return run_solve(args, "rhp")
         if args.command == "solve-dirichlet":
-            return run_solve(cfg, "dirichlet")
+            return run_solve(args, "dirichlet")
         if args.command == "verify":
-            return run_verify(cfg)
+            return run_verify(args)
         if args.command == "index-report":
-            return run_index_report(cfg)
+            return run_index_report(args)
         if args.command == "mobius-check":
-            return run_mobius_check(cfg)
+            return run_mobius_check(args)
         if args.command == "eval-field":
-            return run_field(cfg)
+            return run_field(args)
         raise ValueError(f"unknown command {args.command!r}")
     except (InconsistentSystem, ConstancyViolation) as exc:
         _fail(exc)

@@ -15,7 +15,8 @@ from typing import Union
 import numpy as np
 
 from gnk.errors import ZeroCoefficient
-from gnk.geometry import ParamGrid, Region, _parse_json_source, winding_number
+from gnk.geometry import (ParamGrid, Region, _parse_json_source, _require_finite,
+                          winding_number)
 
 MIN_MODULUS = 1e-12
 
@@ -167,12 +168,14 @@ def load_coefficient(source) -> Coefficient:
         return One()
     if kind == "shifted_power":
         x, y = obj["z0"]
-        return ShiftedPower(z0=complex(float(x), float(y)), power=int(obj["power"]))
+        z0 = _require_finite(complex(float(x), float(y)), "coefficient z0")
+        return ShiftedPower(z0=z0, power=int(obj["power"]))
     if kind == "trig":
         per_curve = []
         for rows in obj["per_curve"]:
             powers = [int(r[0]) for r in rows]
             coeffs = [complex(float(r[1]), float(r[2])) for r in rows]
+            _require_finite(coeffs, "coefficient values")
             per_curve.append((np.asarray(powers), np.asarray(coeffs)))
         return TrigCoefficient(tuple(per_curve))
     raise ValueError(f"unknown coefficient type {kind!r}")

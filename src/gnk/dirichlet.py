@@ -92,7 +92,7 @@ def solve_modified_dirichlet(
     scale = max(1.0, float(np.abs(gamma).max()))
     allowed = max(constancy_factor * solution.diagnostics.ie_residual,
                   constancy_floor * scale)
-    if deviation.max() > allowed:
+    if not deviation.max() <= allowed:
         raise ConstancyViolation(
             f"h deviates from per-curve constancy by {deviation.max():.3e} "
             f"(allowed {allowed:.3e}); refine the grid or check the region")

@@ -119,21 +119,27 @@ class DiscreteOperators:
         return self._nullity_cache[key]
 
 
-def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
-    """Assemble the weighted Neumann matrix (and the smooth companion part).
+def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted Nystrom matrices (w N, w M_smooth) of one sampled boundary.
 
     Both real matrices fall out of one complex kernel evaluation over the
     grid, so the companion's smooth part is kept rather than recomputed.
     """
-    jet = BoundaryJet.from_region(region, coeff, grid)
     complex_matrix = kernels.complex_kernel_matrix(jet)
-    w = grid.weight
-    n_matrix = np.ascontiguousarray(complex_matrix.imag) * w
-    m_smooth = np.ascontiguousarray(complex_matrix.real) * w
-    add = kernels._cot_addition(grid.n) * w
+    w = jet.weight
+    n_matrix = complex_matrix.imag * w
+    m_smooth = complex_matrix.real * w
+    add = kernels._cot_addition(jet.n) * w
     for k in range(jet.m):
-        block = slice(k * grid.n, (k + 1) * grid.n)
+        block = slice(k * jet.n, (k + 1) * jet.n)
         m_smooth[block, block] += add
+    return n_matrix, m_smooth
+
+
+def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
+    """Assemble the weighted Neumann matrix (and the smooth companion part)."""
+    jet = BoundaryJet.from_region(region, coeff, grid)
+    n_matrix, m_smooth = weighted_kernels(jet)
     return DiscreteOperators(
         region=region,
         coeff=coeff,
@@ -198,36 +204,3 @@ def nullity(matrix: np.ndarray, tol: float = DEFAULT_NULLITY_TOL) -> NullityRepo
     count = int(np.count_nonzero(svals < tol * largest))
     bottom = tuple(float(v) for v in svals[-5:][::-1])
     return NullityReport(nullity=count, smallest=bottom, largest=largest, tol=tol)
-
-
-def dump_matrix(path, matrix: np.ndarray, m: int, n: int) -> None:
-    """Debug dump: int64 header (m, n), then row-major float64 entries."""
-    with open(path, "wb") as f:
-        np.asarray([m, n], dtype=np.int64).tofile(f)
-        np.ascontiguousarray(matrix, dtype=np.float64).tofile(f)
-
-
-def load_matrix(path):
-    """Read a :func:`dump_matrix` file back as (m, n, matrix)."""
-    with open(path, "rb") as f:
-        header = np.fromfile(f, dtype=np.int64, count=2)
-        data = np.fromfile(f, dtype=np.float64)
-    m, n = int(header[0]), int(header[1])
-    size = m * n
-    return m, n, data.reshape(size, size)
-
-
-def spectral_pairing_report(ops: DiscreteOperators, *, rim_gap: float = 0.05):
-    """Diagnostic: how nearly the spectrum of N pairs as +-lambda away from +-1.
-
-    Eigenfunctions of the homogeneous problems sit at eigenvalues +-1, which
-    have no mirror partners; eigenvalues with ||lambda| - 1| < rim_gap are
-    therefore excluded.  The discrete pairing is only approximate, so the
-    worst matching distance is reported rather than asserted.
-    """
-    eigs = np.linalg.eigvals(ops.N)
-    inner = eigs[np.abs(np.abs(eigs) - 1.0) > rim_gap]
-    if inner.size == 0:
-        return 0.0, eigs
-    mismatch = max(float(np.abs(inner + lam).min()) for lam in inner)
-    return mismatch, eigs

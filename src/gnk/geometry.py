@@ -26,6 +26,13 @@ from gnk.errors import NonConvergent, OddGridSize, PointTooClose
 TWO_PI = 2.0 * math.pi
 
 
+def _require_finite(values, what: str):
+    """Return values unchanged; raise ValueError if any entry is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
+
+
 @dataclass(frozen=True)
 class Curve:
     """A closed curve given by complex Fourier coefficients.
@@ -46,6 +53,7 @@ class Curve:
             raise ValueError("powers and coeffs must have equal length")
         if len(np.unique(powers)) != len(powers):
             raise ValueError("duplicate Fourier powers")
+        _require_finite(coeffs, "curve coefficients")
         object.__setattr__(self, "powers", powers)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -66,11 +74,6 @@ class Curve:
         if s_arr.ndim == 0:
             return complex(eta), complex(eta_d), complex(eta_dd)
         return eta, eta_d, eta_dd
-
-
-def curve_jet(curve: Curve, s):
-    """Exact (eta, eta', eta'') of the trigonometric polynomial at s."""
-    return curve.jet(s)
 
 
 def circle(center: complex, radius: float, label: int = 0) -> Curve:
@@ -162,6 +165,7 @@ class Region:
             hole_points = tuple(complex(z) for z in hole_points)
         if len(hole_points) != len(curves):
             raise ValueError("need exactly one hole point per curve")
+        _require_finite(hole_points, "hole points")
         if mobius_center_index is None:
             mobius_center_index = len(curves) - 1
         if not 0 <= mobius_center_index < len(curves):

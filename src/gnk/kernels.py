@@ -38,9 +38,9 @@ class BoundaryJet:
     """Sampled boundary data consumed by the kernel and operator builders.
 
     Holds flat curve-major arrays of length m * n: the parametrization with
-    two derivatives and the coefficient with one.  The Mobius module builds
-    the same structure from the mapped boundary, which is what makes the
-    kernel invariance check a one-liner.
+    two derivatives and the coefficient with one.  Assembly, field
+    evaluation and the Mobius check all read one instance; the Mobius module
+    maps it to the image boundary without resampling the region.
     """
 
     eta: np.ndarray
@@ -60,6 +60,11 @@ class BoundaryJet:
     @property
     def size(self) -> int:
         return self.m * self.n
+
+    @property
+    def weight(self) -> float:
+        """Trapezoidal weight 2 pi / n."""
+        return TWO_PI / self.n
 
 
 def _wrapped_gap(s: float, t: float) -> float:
@@ -141,18 +146,3 @@ def _cot_addition(n: int) -> np.ndarray:
     cot = np.cos(half) / np.sin(half)
     np.fill_diagonal(cot, 0.0)
     return cot / TWO_PI
-
-
-def neumann_kernel_matrix(jet: BoundaryJet) -> np.ndarray:
-    """N(s_i, t_j) on the full grid, diagonal handled in closed form."""
-    return complex_kernel_matrix(jet).imag.copy()
-
-
-def companion_smooth_matrix(jet: BoundaryJet) -> np.ndarray:
-    """Smooth companion values: M1 on same-curve blocks, M on cross blocks."""
-    matrix = complex_kernel_matrix(jet).real.copy()
-    add = _cot_addition(jet.n)
-    for k in range(jet.m):
-        block = slice(k * jet.n, (k + 1) * jet.n)
-        matrix[block, block] += add
-    return matrix

@@ -15,32 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import coefficient as coefficient_mod
-from gnk import kernels
+from gnk import discrete, kernels
 from gnk.coefficient import IndexReport
 from gnk.errors import CenterNotInHole, PointTooClose
-from gnk.geometry import ParamGrid, Region, winding_number, winding_of_point
+from gnk.geometry import Region, winding_number, winding_of_point
 from gnk.kernels import BoundaryJet
 
 
-@dataclass(frozen=True)
-class MappedBoundary:
-    """Sampled image boundary zeta = 1/(eta - z0) and coefficient hat A = zeta A."""
-
-    z0: complex
-    zeta: np.ndarray
-    zeta_d: np.ndarray
-    zeta_dd: np.ndarray
-    hat_coeff: np.ndarray
-    hat_coeff_d: np.ndarray
-    m: int
-    n: int
-
-    def jet(self) -> BoundaryJet:
-        return BoundaryJet(self.zeta, self.zeta_d, self.zeta_dd,
-                           self.hat_coeff, self.hat_coeff_d, self.m, self.n)
-
-
-def _check_center(region: Region, z0: complex) -> None:
+def _center(region: Region, z0: complex | None) -> complex:
+    """z0, by default the designated hole point, checked to lie inside that hole only."""
+    if z0 is None:
+        z0 = region.hole_points[region.mobius_center_index]
+    z0 = complex(z0)
     target = region.mobius_center_index
     for k, curve in enumerate(region.curves):
         expected = -1 if k == target else 0
@@ -51,56 +37,69 @@ def _check_center(region: Region, z0: complex) -> None:
         if w != expected:
             raise CenterNotInHole(
                 f"center {z0} has winding {w} about curve {k}, expected {expected}")
+    return z0
 
 
-def map_region(region: Region, coeff, grid: ParamGrid,
-               z0: complex | None = None) -> MappedBoundary:
-    """Sample the mapped boundary, with derivatives, by exact arithmetic.
+def map_jet(region: Region, jet: BoundaryJet,
+            z0: complex | None = None) -> BoundaryJet:
+    """Image jet of zeta = 1/(eta - z0) and hat A = zeta A, by exact arithmetic.
 
     z0 defaults to the hole point of the designated center hole and must
     lie strictly inside it (and outside every other hole).
     """
-    if z0 is None:
-        z0 = region.hole_points[region.mobius_center_index]
-    z0 = complex(z0)
-    _check_center(region, z0)
-    eta, eta_d, eta_dd = region.sample(grid)
-    u = eta - z0
+    u = jet.eta - _center(region, z0)
     zeta = 1.0 / u
-    zeta_d = -eta_d / u**2
-    zeta_dd = -eta_dd / u**2 + 2.0 * eta_d**2 / u**3
-    a_values, a_derivs = coefficient_mod.sample(coeff, region, grid)
-    hat = zeta * a_values
-    hat_d = zeta_d * a_values + zeta * a_derivs
-    return MappedBoundary(z0, zeta, zeta_d, zeta_dd, hat, hat_d, region.m, grid.n)
+    zeta_d = -jet.eta_d / u**2
+    zeta_dd = -jet.eta_dd / u**2 + 2.0 * jet.eta_d**2 / u**3
+    hat = zeta * jet.coeff
+    hat_d = zeta_d * jet.coeff + zeta * jet.coeff_d
+    return BoundaryJet(zeta, zeta_d, zeta_dd, hat, hat_d, jet.m, jet.n)
 
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Entrywise agreement of the kernels built before and after the map."""
+    """Entrywise agreement of the kernels built before and after the map.
+
+    The differences are roundoff in entries as large as ``scale``.
+    """
 
     max_diff_N: float
     max_diff_M1: float
+    scale: float
 
     @property
     def max_diff(self) -> float:
         return max(self.max_diff_N, self.max_diff_M1)
 
 
-def kernel_invariance_check(region: Region, coeff, grid: ParamGrid,
+def _kernel_scale(ops: discrete.DiscreteOperators) -> float:
+    """max(1, max|M + iN|) over the grid, singular M included, from the
+    assembled matrices one row block at a time."""
+    n, w = ops.n, ops.weight
+    cot = kernels._cot_addition(n) * w
+    largest = 0.0
+    for k in range(ops.m):
+        rows = slice(k * n, (k + 1) * n)
+        m_rows = ops.M_smooth[rows].copy()
+        m_rows[:, rows] -= cot
+        largest = max(largest, float(np.hypot(m_rows, ops.N[rows]).max()))
+    return max(1.0, largest / w)
+
+
+def kernel_invariance_check(ops: discrete.DiscreteOperators,
                             z0: complex | None = None) -> InvarianceReport:
     """Max |N_hat - N| and |M1_hat - M1| over all grid pairs, diagonals included.
 
-    The identity is algebraic, so anything beyond roundoff indicates a bug
-    in the kernel evaluation rather than discretization error.
+    The mapped jet goes through the assembly's builder; the weighted
+    differences are divided by the weight to report kernel units.  The
+    identity is algebraic, so anything beyond roundoff indicates a bug in
+    the kernel evaluation rather than discretization error.
     """
-    base = BoundaryJet.from_region(region, coeff, grid)
-    mapped = map_region(region, coeff, grid, z0).jet()
-    diff_n = np.abs(kernels.neumann_kernel_matrix(mapped)
-                    - kernels.neumann_kernel_matrix(base)).max()
-    diff_m1 = np.abs(kernels.companion_smooth_matrix(mapped)
-                     - kernels.companion_smooth_matrix(base)).max()
-    return InvarianceReport(float(diff_n), float(diff_m1))
+    n_hat, m_hat = discrete.weighted_kernels(map_jet(ops.region, ops.jet, z0))
+    w = ops.weight
+    diff_n = np.abs(n_hat - ops.N).max() / w
+    diff_m1 = np.abs(m_hat - ops.M_smooth).max() / w
+    return InvarianceReport(float(diff_n), float(diff_m1), _kernel_scale(ops))
 
 
 def index_shift(report: IndexReport) -> tuple[tuple[int, ...], int]:
@@ -122,10 +121,7 @@ def mapped_index_of(region: Region, coeff, z0: complex | None = None,
     Returned in image order (outer curve first), for cross-checking
     :func:`index_shift` without going through the shift law.
     """
-    if z0 is None:
-        z0 = region.hole_points[region.mobius_center_index]
-    z0 = complex(z0)
-    _check_center(region, z0)
+    z0 = _center(region, z0)
 
     def hat_values(k: int, s: np.ndarray) -> np.ndarray:
         eta = region.curves[k].jet(s)[0]

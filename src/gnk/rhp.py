@@ -22,7 +22,8 @@ import numpy as np
 from gnk import coefficient as coefficient_mod
 from gnk.discrete import DEFAULT_NULLITY_TOL, DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary, ZeroCoefficient
-from gnk.geometry import ParamGrid, Region, _parse_json_source
+from gnk.geometry import ParamGrid, Region, _parse_json_source, _require_finite
+from gnk.kernels import BoundaryJet
 
 DEFAULT_SOLVE_TOL = 1e-10
 
@@ -52,6 +53,21 @@ class RHSolution:
     diagnostics: SolveDiagnostics
 
 
+def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
+    """Density mu of (I - N) mu = -M gamma and the sup-norm residual of the solve."""
+    rhs = -apply_M(ops, gamma)
+    system = ops.identity_minus_N()
+    if ops.nullity_I_minus_N().nullity == 0:
+        mu = np.linalg.solve(system, rhs)
+    else:
+        mu, *_ = np.linalg.lstsq(system, rhs, rcond=DEFAULT_NULLITY_TOL)
+    residual = _sup(system @ mu - rhs)
+    if not residual <= tol_solve:
+        raise InconsistentSystem(
+            f"integral equation residual {residual:.3e} exceeds {tol_solve:.3e}")
+    return mu, residual
+
+
 def solve_ie(ops: DiscreteOperators, gamma: np.ndarray, *,
              tol_solve: float = DEFAULT_SOLVE_TOL) -> np.ndarray:
     """Solve (I - N) mu = -M gamma on the grid.
@@ -62,17 +78,7 @@ def solve_ie(ops: DiscreteOperators, gamma: np.ndarray, *,
     the minimal-norm least-squares solution is returned; callers can see
     the rank decision through ``ops.nullity_I_minus_N()``.
     """
-    rhs = -apply_M(ops, np.asarray(gamma, dtype=float))
-    system = ops.identity_minus_N()
-    if ops.nullity_I_minus_N().nullity == 0:
-        mu = np.linalg.solve(system, rhs)
-    else:
-        mu, *_ = np.linalg.lstsq(system, rhs, rcond=DEFAULT_NULLITY_TOL)
-    residual = _sup(system @ mu - rhs)
-    if residual > tol_solve:
-        raise InconsistentSystem(
-            f"integral equation residual {residual:.3e} exceeds {tol_solve:.3e}")
-    return mu
+    return _solve(ops, np.asarray(gamma, dtype=float), tol_solve)[0]
 
 
 def compute_h(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -111,14 +117,13 @@ def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
               tol_solve: float = DEFAULT_SOLVE_TOL) -> RHSolution:
     """Full pipeline: solve for mu, form h, assemble boundary values."""
     gamma = np.asarray(gamma, dtype=float)
-    mu = solve_ie(ops, gamma, tol_solve=tol_solve)
+    mu, ie_residual = _solve(ops, gamma, tol_solve)
     h = compute_h(ops, gamma, mu)
     af_plus, f_plus = boundary_values(gamma, h, mu, ops.jet.coeff)
-    rhs = -apply_M(ops, gamma)
     nullity_report = ops.nullity_I_minus_N()
     r_plus, r_m = verify_Sminus(ops, h)
     diagnostics = SolveDiagnostics(
-        ie_residual=_sup(ops.identity_minus_N() @ mu - rhs),
+        ie_residual=ie_residual,
         h_plus_residual=r_plus,
         h_companion_residual=r_m,
         nullity_I_minus_N=nullity_report.nullity,
@@ -127,17 +132,15 @@ def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
     return RHSolution(gamma, mu, h, af_plus, f_plus, diagnostics)
 
 
-def boundary_distance(region: Region, grid: ParamGrid, z) -> np.ndarray:
+def boundary_distance(jet: BoundaryJet, z) -> np.ndarray:
     """Distance from each z to the sampled boundary."""
-    eta, _, _ = region.sample(grid)
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    return np.abs(eta[None, :] - z_arr[:, None]).min(axis=1)
+    return np.abs(jet.eta[None, :] - z_arr[:, None]).min(axis=1)
 
 
-def near_boundary_band(region: Region, grid: ParamGrid) -> float:
+def near_boundary_band(jet: BoundaryJet) -> float:
     """Width of the zone where plain trapezoidal field evaluation degrades."""
-    _, eta_d, _ = region.sample(grid)
-    return 5.0 * grid.weight * float(np.abs(eta_d).max())
+    return 5.0 * jet.weight * float(np.abs(jet.eta_d).max())
 
 
 def cauchy_eval(region: Region, coeff, grid: ParamGrid, gamma: np.ndarray,
@@ -149,25 +152,24 @@ def cauchy_eval(region: Region, coeff, grid: ParamGrid, gamma: np.ndarray,
     plain trapezoidal rule loses accuracy, so the call warns there (or
     raises in strict mode).
     """
-    eta, eta_d, _ = region.sample(grid)
-    a_values, _ = coefficient_mod.sample(coeff, region, grid)
-    density = (np.asarray(gamma) + 1j * np.asarray(mu)) / a_values
-    density = density * eta_d * (grid.weight / (2j * math.pi))
+    jet = BoundaryJet.from_region(region, coeff, grid)
+    density = (np.asarray(gamma) + 1j * np.asarray(mu)) / jet.coeff
+    density = density * jet.eta_d * (jet.weight / (2j * math.pi))
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    band = near_boundary_band(region, grid)
-    dist = np.abs(eta[None, :] - z_arr[:, None]).min(axis=1)
-    if np.any(dist < band):
-        worst = float(dist.min())
-        if strict:
-            raise TooCloseToBoundary(
-                f"evaluation point within {worst:.3e} of the boundary "
-                f"(warning band {band:.3e})")
-        if warn:
+    if strict or warn:
+        band = near_boundary_band(jet)
+        dist = boundary_distance(jet, z_arr)
+        if np.any(dist < band):
+            worst = float(dist.min())
+            if strict:
+                raise TooCloseToBoundary(
+                    f"evaluation point within {worst:.3e} of the boundary "
+                    f"(warning band {band:.3e})")
             warnings.warn(
                 f"evaluation point within {worst:.3e} of the boundary; "
                 f"accuracy degrades inside the {band:.3e} band",
                 stacklevel=2)
-    values = (density[None, :] / (eta[None, :] - z_arr[:, None])).sum(axis=1)
+    values = (density[None, :] / (jet.eta[None, :] - z_arr[:, None])).sum(axis=1)
     if np.isscalar(z) or np.asarray(z).ndim == 0:
         return complex(values[0])
     return values
@@ -242,4 +244,4 @@ def load_boundary_data(source, region: Region, coeff, grid: ParamGrid) -> np.nda
     gamma = np.zeros(region.m * grid.n)
     for entry in entries:
         gamma = gamma + _data_from_entry(entry, region, coeff, grid)
-    return gamma
+    return _require_finite(gamma, "boundary data")

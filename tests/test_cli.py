@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -6,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from gnk import kernels, mobius
 from gnk.cli import main
+from gnk.geometry import Region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
 
 REGION = {"curves": [
@@ -18,6 +21,7 @@ DATA_POLES = {"type": "poles", "terms": [
 DATA_MIXED = [DATA_POLES, {"type": "constants", "values": [0.3, -1.2, 2.0]}]
 COEFF_POWER = {"type": "shifted_power",
                "z0": [CENTERS[2].real, CENTERS[2].imag], "power": 1}
+DATA_NAN = {"type": "constants", "values": [float("nan"), 1.0, 2.0]}
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +30,25 @@ def inputs(tmp_path_factory):
     (root / "region.json").write_text(json.dumps(REGION))
     (root / "data.json").write_text(json.dumps(DATA_MIXED))
     (root / "coeff.json").write_text(json.dumps(COEFF_POWER))
+    (root / "nan_data.json").write_text(json.dumps(DATA_NAN))
     return root
 
 
 def _run(args):
     return main([str(a) for a in args])
+
+
+def _counter(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestSolveDirichlet:
@@ -117,6 +135,43 @@ class TestIndexAndMobius:
         assert payload["max_diff_N"] <= 1e-12
         assert payload["index_shift"] == payload["index_direct"] == [1, 0, 0, 1]
 
+    def test_planted_defect_fails_relative_gate(self, inputs, tmp_path, monkeypatch):
+        # dropping the 2 eta'^2 / u^3 term of the mapped zeta'' must not hide
+        # behind the scale-relative tolerance
+        exact_map = mobius.map_jet
+
+        def defective(region, jet, z0=None):
+            mapped = exact_map(region, jet, z0)
+            u = jet.eta - region.hole_points[region.mobius_center_index]
+            return dataclasses.replace(mapped, eta_dd=-jet.eta_dd / u**2)
+
+        monkeypatch.setattr(mobius, "map_jet", defective)
+        out = tmp_path / "out"
+        rc = _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
+                   "--out", out])
+        payload = json.loads((out / "mobius.json").read_text())
+        assert rc == 2 and payload["ok"] is False
+        assert payload["max_diff_M1"] > 1e6 * payload["tolerance"] * payload["scale"]
+
+
+class TestSharedBoundarySample:
+    def test_verify_samples_once_and_builds_two_kernels(self, inputs, tmp_path,
+                                                         monkeypatch):
+        samples = _counter(monkeypatch, Region, "sample")
+        builds = _counter(monkeypatch, kernels, "complex_kernel_matrix")
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                   "--out", tmp_path / "o"])
+        assert rc == 0
+        assert len(samples) == 1
+        assert len(builds) == 2
+
+    def test_mobius_check_builds_two_kernels(self, inputs, tmp_path, monkeypatch):
+        builds = _counter(monkeypatch, kernels, "complex_kernel_matrix")
+        rc = _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
+                   "--out", tmp_path / "o"])
+        assert rc == 0
+        assert len(builds) == 2
+
 
 class TestEvalField:
     def test_flags_and_layout(self, inputs, tmp_path):
@@ -186,11 +241,34 @@ class TestErrorPaths:
                    "--out", tmp_path / "o"])
         assert rc == 1
 
-    def test_bad_threads_env(self, inputs, tmp_path, monkeypatch):
-        monkeypatch.setenv("GNK_THREADS", "many")
-        rc = _run(["index-report", "--region", inputs / "region.json",
-                   "--out", tmp_path / "o"])
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-dirichlet", []),
+        ("solve-rhp", []),
+        ("eval-field", ["--field-grid=5,6,2,5,6,2"]),
+    ], ids=["solve-dirichlet", "solve-rhp", "eval-field"])
+    def test_nan_data_exits_1(self, inputs, tmp_path, command, extra, capsys):
+        out = tmp_path / "o"
+        rc = _run([command, "--region", inputs / "region.json",
+                   "--data", inputs / "nan_data.json", "--n", 64, "--out", out, *extra])
         assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_field_grid_exits_1(self, inputs, tmp_path, capsys):
+        rc = _run(["eval-field", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64,
+                   "--out", tmp_path / "o", "--field-grid=nan,6,2,5,6,2"])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_nan_region_exits_1(self, tmp_path, capsys):
+        region = {"curves": [dict(c) for c in REGION["curves"]]}
+        region["curves"][0]["center"] = [float("nan"), 0.0]
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps(region))
+        rc = _run(["index-report", "--region", path, "--out", tmp_path / "o"])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1

@@ -10,11 +10,8 @@ from gnk.discrete import (
     assemble_N,
     conjugate_periodic,
     conjugation_matrix,
-    dump_matrix,
-    load_matrix,
     nullity,
     operator_identity_residuals,
-    spectral_pairing_report,
 )
 from gnk.dirichlet import indicator_basis
 from gnk.errors import OddGridSize
@@ -215,21 +212,3 @@ class TestNullity:
             ops = assemble_N(three_circles, One(), ParamGrid(n))
             least.append(ops.nullity_I_minus_N().smallest[0])
         assert abs(least[1] - least[0]) <= 0.2 * least[0]
-
-
-class TestPairingDiagnostic:
-    def test_report_runs_and_is_finite(self, three_circles, grid64):
-        ops = assemble_N(three_circles, One(), grid64)
-        mismatch, eigs = spectral_pairing_report(ops)
-        assert np.isfinite(mismatch)
-        assert eigs.shape == (ops.size,)
-
-
-class TestBinaryDump:
-    def test_round_trip(self, three_circles, grid64, tmp_path):
-        ops = assemble_N(three_circles, One(), grid64)
-        path = tmp_path / "n_matrix.bin"
-        dump_matrix(path, ops.N, ops.m, ops.n)
-        m, n, matrix = load_matrix(path)
-        assert (m, n) == (3, 64)
-        assert np.array_equal(matrix, ops.N)

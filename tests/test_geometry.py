@@ -12,7 +12,6 @@ from gnk.geometry import (
     ParamGrid,
     Region,
     circle,
-    curve_jet,
     ellipse,
     load_region,
     perturbed_circle,
@@ -25,7 +24,7 @@ from helpers import central_difference
 class TestCurveJet:
     def test_unit_circle_at_zero(self):
         c = circle(0.0, 1.0)
-        eta, eta_d, eta_dd = curve_jet(c, 0.0)
+        eta, eta_d, eta_dd = c.jet(0.0)
         assert eta == pytest.approx(1.0)
         assert eta_d == pytest.approx(-1j)
         assert eta_dd == pytest.approx(-1.0)
@@ -33,12 +32,12 @@ class TestCurveJet:
     def test_periodicity(self):
         c = perturbed_circle(1.0 + 2.0j, 0.7, [(3, 0.1)])
         for s in (0.3, 1.7, 5.1):
-            assert curve_jet(c, s) == pytest.approx(curve_jet(c, s + 2 * math.pi))
+            assert c.jet(s) == pytest.approx(c.jet(s + 2 * math.pi))
 
     def test_ellipse_hand_derivative(self):
         # eta(s) = cos s - 0.5 i sin s differentiates by hand to the frozen jet
         e = ellipse(0.0, 1.0, 0.5)
-        eta, eta_d, eta_dd = curve_jet(e, math.pi / 2)
+        eta, eta_d, eta_dd = e.jet(math.pi / 2)
         assert eta == pytest.approx(-0.5j, abs=1e-15)
         assert eta_d == pytest.approx(-1.0, abs=1e-15)
         assert eta_dd == pytest.approx(0.5j, abs=1e-15)

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from gnk.coefficient import One, ShiftedPower
+from gnk.discrete import assemble_N, weighted_kernels
 from gnk.errors import DiagonalSingular
-from gnk.geometry import Region, circle, curve_jet, ellipse
-from gnk.kernels import (
-    BoundaryJet,
-    companion_smooth_matrix,
-    complex_kernel_matrix,
-    kernel_M,
-    kernel_M1,
-    kernel_N,
-    neumann_kernel_matrix,
-)
+from gnk.geometry import Region, circle, ellipse
+from gnk.kernels import BoundaryJet, complex_kernel_matrix, kernel_M, kernel_M1, kernel_N
+from gnk.mobius import map_jet
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -53,8 +47,8 @@ class TestDefinitionRestated:
     def test_cross_curve_matches_direct_formula(self, three_circles):
         coeff = ShiftedPower(-0.5 - 3.0j, 1)
         s_point, t_point = (0, 0.7), (1, 2.1)
-        eta_s = curve_jet(three_circles.curves[0], 0.7)[0]
-        eta_t, eta_d_t, _ = curve_jet(three_circles.curves[1], 2.1)
+        eta_s = three_circles.curves[0].jet(0.7)[0]
+        eta_t, eta_d_t, _ = three_circles.curves[1].jet(2.1)
         a_s = eta_s - (-0.5 - 3.0j)
         a_t = eta_t - (-0.5 - 3.0j)
         value = (a_s / a_t) * eta_d_t / (eta_t - eta_s) / math.pi
@@ -63,7 +57,7 @@ class TestDefinitionRestated:
 
     def test_ellipse_diagonal_from_curve_jet(self):
         region = Region.from_curves([ellipse(3.0, 1.0, 0.5)])
-        _, eta_d, eta_dd = curve_jet(region.curves[0], 0.0)
+        _, eta_d, eta_dd = region.curves[0].jet(0.0)
         expected = (eta_dd / (2.0 * eta_d)).real / math.pi
         assert kernel_M1(region, One(), (0, 0.0), (0, 0.0)) == pytest.approx(expected)
 
@@ -105,27 +99,30 @@ class TestDiagonalBehavior:
 
 class TestMatrixBuilders:
     def test_matrix_matches_pointwise(self, three_circles, grid64):
-        jet = BoundaryJet.from_region(three_circles, One(), grid64)
-        n_matrix = neumann_kernel_matrix(jet)
-        m1_matrix = companion_smooth_matrix(jet)
+        # the assembled matrices and the builder run on the Mobius image of
+        # the same jet both reproduce the pointwise kernels
+        ops = assemble_N(three_circles, One(), grid64)
+        w = grid64.weight
+        n_hat, m_hat = weighted_kernels(map_jet(three_circles, ops.jet))
         nodes = grid64.nodes
         pairs = [(0, 0, 3, 11), (1, 2, 7, 7), (0, 2, 5, 40)]
-        for ks, kt, i, j in pairs:
-            row, col = ks * 64 + i, kt * 64 + j
-            s_point, t_point = (ks, nodes[i]), (kt, nodes[j])
-            assert n_matrix[row, col] == pytest.approx(
-                kernel_N(three_circles, One(), s_point, t_point))
-            if ks == kt:
-                assert m1_matrix[row, col] == pytest.approx(
-                    kernel_M1(three_circles, One(), s_point, t_point))
-            else:
-                assert m1_matrix[row, col] == pytest.approx(
-                    kernel_M(three_circles, One(), s_point, t_point))
+        for n_matrix, m1_matrix in ((ops.N / w, ops.M_smooth / w), (n_hat / w, m_hat / w)):
+            for ks, kt, i, j in pairs:
+                row, col = ks * 64 + i, kt * 64 + j
+                s_point, t_point = (ks, nodes[i]), (kt, nodes[j])
+                assert n_matrix[row, col] == pytest.approx(
+                    kernel_N(three_circles, One(), s_point, t_point))
+                if ks == kt:
+                    assert m1_matrix[row, col] == pytest.approx(
+                        kernel_M1(three_circles, One(), s_point, t_point))
+                else:
+                    assert m1_matrix[row, col] == pytest.approx(
+                        kernel_M(three_circles, One(), s_point, t_point))
 
     def test_circle_constants(self, unit_circle, grid64):
-        jet = BoundaryJet.from_region(unit_circle, One(), grid64)
-        assert np.allclose(neumann_kernel_matrix(jet), -INV_2PI)
-        assert np.abs(companion_smooth_matrix(jet)).max() < 1e-13
+        ops = assemble_N(unit_circle, One(), grid64)
+        assert np.allclose(ops.N / grid64.weight, -INV_2PI)
+        assert np.abs(ops.M_smooth / grid64.weight).max() < 1e-13
 
     def test_complex_matrix_diagonal_is_smooth_value(self, three_circles, grid64):
         jet = BoundaryJet.from_region(three_circles, One(), grid64)

@@ -5,10 +5,11 @@ from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
 from gnk.errors import CenterNotInHole
 from gnk.geometry import Region, circle
+from gnk.kernels import BoundaryJet, complex_kernel_matrix
 from gnk.mobius import (
     index_shift,
     kernel_invariance_check,
-    map_region,
+    map_jet,
     mapped_index_of,
     transform_solution,
 )
@@ -21,35 +22,39 @@ def unit_circle():
     return Region.from_curves([circle(0.0, 1.0)])
 
 
+def _map(region, coeff, grid, z0=None):
+    return map_jet(region, BoundaryJet.from_region(region, coeff, grid), z0)
+
+
 class TestMapRegion:
     def test_unit_circle_center_zero(self, unit_circle, grid64):
         # eta = exp(-is), z0 = 0: zeta = exp(is), zeta' = i exp(is) by hand
-        mapped = map_region(unit_circle, One(), grid64, 0.0)
+        mapped = _map(unit_circle, One(), grid64, 0.0)
         s = grid64.nodes
-        assert np.allclose(mapped.zeta, np.exp(1j * s), atol=1e-13)
-        assert np.allclose(mapped.zeta_d, 1j * np.exp(1j * s), atol=1e-13)
+        assert np.allclose(mapped.eta, np.exp(1j * s), atol=1e-13)
+        assert np.allclose(mapped.eta_d, 1j * np.exp(1j * s), atol=1e-13)
 
     def test_product_identity(self, three_circles, grid64):
-        mapped = map_region(three_circles, One(), grid64)
+        mapped = _map(three_circles, One(), grid64)
         eta, _, _ = three_circles.sample(grid64)
         z0 = three_circles.hole_points[2]
-        assert np.allclose(mapped.zeta * (eta - z0), 1.0, atol=1e-13)
+        assert np.allclose(mapped.eta * (eta - z0), 1.0, atol=1e-13)
 
     def test_hat_coefficient(self, three_circles, grid64):
         coeff = ShiftedPower(CENTERS[0], 1)
-        mapped = map_region(three_circles, coeff, grid64)
+        mapped = _map(three_circles, coeff, grid64)
         eta, _, _ = three_circles.sample(grid64)
         expected = (eta - CENTERS[0]) / (eta - three_circles.hole_points[2])
-        assert np.allclose(mapped.hat_coeff, expected, atol=1e-13)
+        assert np.allclose(mapped.coeff, expected, atol=1e-13)
 
     def test_center_outside_hole_rejected(self, three_circles, grid64):
         with pytest.raises(CenterNotInHole):
-            map_region(three_circles, One(), grid64, 10.0 + 10.0j)
+            _map(three_circles, One(), grid64, 10.0 + 10.0j)
 
     def test_center_in_wrong_hole_rejected(self, three_circles, grid64):
         # inside a hole, but not the designated center hole
         with pytest.raises(CenterNotInHole):
-            map_region(three_circles, One(), grid64, CENTERS[0])
+            _map(three_circles, One(), grid64, CENTERS[0])
 
 
 class TestKernelInvariance:
@@ -57,35 +62,40 @@ class TestKernelInvariance:
                                             mixed_gallery, grid64):
         for region in (three_circles, perturbed_gallery, mixed_gallery):
             for coeff in (One(), ShiftedPower(region.hole_points[2], 1)):
-                report = kernel_invariance_check(region, coeff, grid64)
+                report = kernel_invariance_check(assemble_N(region, coeff, grid64))
                 assert report.max_diff_N <= 1e-12
                 assert report.max_diff_M1 <= 1e-12
 
     def test_single_curve_with_diagonals(self, unit_circle, grid64):
-        report = kernel_invariance_check(unit_circle, One(), grid64, 0.0)
+        report = kernel_invariance_check(assemble_N(unit_circle, One(), grid64), 0.0)
         assert report.max_diff <= 1e-12
 
     def test_independent_of_coefficient_choice(self, three_circles, grid64):
         # the identity holds for any admissible A, not only A = 1
         shifted = ShiftedPower(CENTERS[1] + 0.1, 1)
-        report = kernel_invariance_check(three_circles, shifted, grid64)
+        report = kernel_invariance_check(assemble_N(three_circles, shifted, grid64))
         assert report.max_diff <= 1e-12
+
+    def test_scale_is_largest_kernel_entry(self, three_circles, grid64):
+        # read back off the weighted matrices, the scale matches the largest
+        # entry of the complex kernel, singular companion included
+        ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
+        expected = max(1.0, np.abs(complex_kernel_matrix(ops.jet)).max())
+        assert kernel_invariance_check(ops).scale == pytest.approx(expected, rel=1e-12)
 
     def test_discrete_operators_equal(self, three_circles, grid64):
         # assembled Neumann matrices agree entrywise; the companion agrees
         # through its action on test vectors
-        from gnk.discrete import DiscreteOperators, apply_M
-        from gnk.kernels import companion_smooth_matrix, neumann_kernel_matrix
+        from gnk.discrete import DiscreteOperators, apply_M, weighted_kernels
 
         ops = assemble_N(three_circles, One(), grid64)
-        mapped = map_region(three_circles, One(), grid64).jet()
-        w = grid64.weight
-        assert np.abs(w * neumann_kernel_matrix(mapped) - ops.N).max() <= 1e-12
+        mapped = map_jet(three_circles, ops.jet)
+        n_hat, m_hat = weighted_kernels(mapped)
+        assert np.abs(n_hat - ops.N).max() <= 1e-12
 
         mapped_ops = DiscreteOperators(
             region=three_circles, coeff=One(), grid=grid64, jet=mapped,
-            N=w * neumann_kernel_matrix(mapped),
-            M_smooth=w * companion_smooth_matrix(mapped))
+            N=n_hat, M_smooth=m_hat)
         rng = np.random.default_rng(21)
         phi = band_limited(rng, 3, 64, band=6)
         assert np.abs(apply_M(mapped_ops, phi) - apply_M(ops, phi)).max() <= 1e-12
@@ -136,10 +146,10 @@ class TestTransformSolution:
         # Re[hat A hat f] equals Re[A f] pointwise on the boundary
         coeff = ShiftedPower(CENTERS[1], 1)
         z0 = three_circles.hole_points[2]
-        mapped = map_region(three_circles, coeff, grid64, z0)
+        mapped = _map(three_circles, coeff, grid64, z0)
         eta, _, _ = three_circles.sample(grid64)
         f_values = 1.0 / (eta - CENTERS[0]) + 0.5j / (eta - CENTERS[1])
         hat_f = transform_solution(f_values, eta, z0)
         a_values = eta - CENTERS[1]
-        assert np.allclose((mapped.hat_coeff * hat_f).real,
+        assert np.allclose((mapped.coeff * hat_f).real,
                            (a_values * f_values).real, atol=1e-12)

@@ -56,6 +56,13 @@ class TestSolveIE:
         with pytest.raises(InconsistentSystem):
             solve_ie(gallery_ops, gamma, tol_solve=1e-30)
 
+    def test_non_finite_residual_raises(self, gallery_ops):
+        # a NaN residual fails the gate instead of passing every comparison
+        gamma = np.zeros(gallery_ops.size)
+        gamma[5] = np.nan
+        with pytest.raises(InconsistentSystem):
+            solve_ie(gallery_ops, gamma)
+
     def test_minimal_norm_for_rank_deficient(self, three_circles, grid64):
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
         rng = np.random.default_rng(4)
