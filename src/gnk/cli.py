@@ -69,8 +69,6 @@ def _load_inputs(args, *, need_data: bool):
     coeff = load_coefficient(_read_json(args.coeff)) if args.coeff else One()
     gamma = None
     if need_data:
-        if args.data is None:
-            raise ValueError("this subcommand requires --data")
         gamma = rhp.load_boundary_data(_read_json(args.data), region, coeff, grid)
     return region, grid, coeff, gamma
 
@@ -96,43 +94,35 @@ def _boundary_rows(region, grid, gamma, mu, h, f_values):
 def run_solve(args, mode: str) -> int:
     region, grid, coeff, gamma = _load_inputs(args, need_data=True)
     out = Path(args.out)
+    if mode == "dirichlet" and not isinstance(coeff, One):
+        raise ValueError("solve-dirichlet requires the coefficient one")
+    ops = discrete.assemble_N(region, coeff, grid)
+    index = index_of(coeff, region, grid)
     if mode == "dirichlet":
-        if not isinstance(coeff, One):
-            raise ValueError("solve-dirichlet requires the coefficient one")
-        ops = discrete.assemble_N(region, coeff, grid)
         solution = dirichlet.solve_modified_dirichlet(
             region, grid, gamma, ops=ops, tol_solve=args.tol_solve)
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h_raw,
                               solution.f_boundary)
-        diagnostics = {
-            "mode": "dirichlet",
-            "n": grid.n,
-            "ie_residual": solution.diagnostics.ie_residual,
-            "h_constants": list(solution.h_constants),
-            "h_deviation": list(solution.diagnostics.h_deviation),
-            "s_minus_residuals": [solution.diagnostics.h_plus_residual,
-                                  solution.diagnostics.h_companion_residual],
-            "nullity_I_minus_N": ops.nullity_I_minus_N().nullity,
-            "nullity_I_plus_N": ops.nullity_I_plus_N().nullity,
-        }
+        extra = {"h_constants": list(solution.h_constants),
+                 "h_deviation": list(solution.diagnostics.h_deviation)}
     else:
-        ops = discrete.assemble_N(region, coeff, grid)
         solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
-        index = index_of(coeff, region, grid)
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h,
                               solution.f_plus)
-        diagnostics = {
-            "mode": "rhp",
-            "n": grid.n,
-            "ie_residual": solution.diagnostics.ie_residual,
-            "s_minus_residuals": [solution.diagnostics.h_plus_residual,
-                                  solution.diagnostics.h_companion_residual],
-            "minimal_norm": solution.diagnostics.minimal_norm,
-            "nullity_I_minus_N": solution.diagnostics.nullity_I_minus_N,
-            "nullity_I_plus_N": ops.nullity_I_plus_N().nullity,
-            "kappa_per_curve": list(index.kappa_per_curve),
-            "kappa": index.kappa,
-        }
+        extra = {"minimal_norm": solution.diagnostics.minimal_norm,
+                 "kappa_per_curve": list(index.kappa_per_curve),
+                 "kappa": index.kappa}
+    diagnostics = {
+        "mode": mode,
+        "n": grid.n,
+        "ie_residual": solution.diagnostics.ie_residual,
+        "s_minus_residuals": [solution.diagnostics.h_plus_residual,
+                              solution.diagnostics.h_companion_residual],
+        # predicted from the indices; verify measures them
+        "nullity_I_minus_N": index.dim_null_I_minus_N,
+        "nullity_I_plus_N": index.dim_null_I_plus_N,
+        **extra,
+    }
     _write_csv(out / "boundary.csv",
                ["curve_index", "s", "gamma", "mu", "h", "re_f", "im_f"], rows)
     _write_json(out / "diagnostics.json", diagnostics)
@@ -272,8 +262,6 @@ def _hole_mask(region, points: np.ndarray, n: int = 512) -> np.ndarray:
 
 def run_field(args) -> int:
     region, grid, coeff, gamma = _load_inputs(args, need_data=True)
-    if args.field_grid is None:
-        raise ValueError("eval-field requires --field-grid x0,x1,nx,y0,y1,ny")
     xs, ys = _parse_field_grid(args.field_grid)
     ops = discrete.assemble_N(region, coeff, grid)
     solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
@@ -320,15 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--region", required=True, help="region JSON file")
         p.add_argument("--coeff", default=None, help="coefficient JSON file (default one)")
-        p.add_argument("--data", default=None, help="boundary data JSON file")
         p.add_argument("--n", type=int, default=128, help="grid nodes per curve")
         p.add_argument("--out", default="gnk_out", help="output directory")
-        p.add_argument("--tol-solve", type=float, default=1e-10)
-        p.add_argument("--tol-identity", type=float, default=1e-8)
-        p.add_argument("--strict", action="store_true",
-                       help="treat near-boundary probes as fatal")
+        if name in ("solve-rhp", "solve-dirichlet", "eval-field"):
+            p.add_argument("--data", required=True, help="boundary data JSON file")
+            p.add_argument("--tol-solve", type=float, default=rhp.DEFAULT_SOLVE_TOL,
+                           help="residual bound relative to max(1, sup|data|)")
+        if name == "verify":
+            p.add_argument("--tol-identity", type=float, default=1e-8)
         if name == "eval-field":
-            p.add_argument("--field-grid", default=None,
+            p.add_argument("--strict", action="store_true",
+                           help="treat near-boundary probes as fatal")
+            p.add_argument("--field-grid", required=True,
                            help="probe grid as x0,x1,nx,y0,y1,ny")
     return parser
 

@@ -23,6 +23,8 @@ from gnk.discrete import DiscreteOperators, assemble_N
 from gnk.errors import ConstancyViolation
 from gnk.geometry import ParamGrid, Region
 
+CONSTANCY_FACTOR = 1e3
+
 
 def indicator_basis(region: Region, grid: ParamGrid) -> np.ndarray:
     """Rows chi_j: one on curve j, zero elsewhere; shape (m, m*n).
@@ -65,14 +67,13 @@ def solve_modified_dirichlet(
     *,
     ops: DiscreteOperators | None = None,
     tol_solve: float = rhp.DEFAULT_SOLVE_TOL,
-    constancy_factor: float = 1e3,
     constancy_floor: float = 1e-6,
 ) -> DirichletSolution:
     """Solve the modified Dirichlet problem for real data gamma.
 
     The raw correction h comes out of the operator formula and is reduced
     to per-curve means; its deviation from constancy doubles as an error
-    indicator.  A deviation beyond both constancy_factor times the solve
+    indicator.  A deviation beyond both CONSTANCY_FACTOR times the solve
     residual and the absolute constancy_floor (scaled by the data size)
     raises ConstancyViolation: that means a bug or unresolved geometry,
     not a property of the data.
@@ -90,7 +91,7 @@ def solve_modified_dirichlet(
     h_means = h_blocks.mean(axis=1)
     deviation = np.abs(h_blocks - h_means[:, None]).max(axis=1)
     scale = max(1.0, float(np.abs(gamma).max()))
-    allowed = max(constancy_factor * solution.diagnostics.ie_residual,
+    allowed = max(CONSTANCY_FACTOR * solution.diagnostics.ie_residual,
                   constancy_floor * scale)
     if not deviation.max() <= allowed:
         raise ConstancyViolation(

@@ -12,7 +12,7 @@ which the real matrices and the real-coefficient multiplier do for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def conjugation_matrix(n: int) -> np.ndarray:
     return column[idx]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteOperators:
     """Dense Nystrom operators for one (region, coefficient, grid) triple.
 
@@ -61,8 +61,8 @@ class DiscreteOperators:
     ``M_smooth`` the weighted smooth companion part (same-curve M1 blocks,
     cross-curve M blocks).  The full companion matrix, which subtracts the
     conjugation circulant on each diagonal block, is materialized on
-    demand.  Assembled operators are immutable apart from lazy caches and
-    safe to share; applications and solves are pure.
+    demand.  Assembled operators are immutable and safe to share;
+    applications and solves are pure.
     """
 
     region: Region
@@ -71,8 +71,6 @@ class DiscreteOperators:
     jet: BoundaryJet
     N: np.ndarray
     M_smooth: np.ndarray
-    _M: np.ndarray | None = field(default=None, repr=False)
-    _nullity_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def m(self) -> int:
@@ -90,15 +88,8 @@ class DiscreteOperators:
     def weight(self) -> float:
         return self.grid.weight
 
-    @property
-    def M(self) -> np.ndarray:
-        return assemble_M(self)
-
     def apply_N(self, phi: np.ndarray) -> np.ndarray:
         return self.N @ phi
-
-    def apply_M(self, phi: np.ndarray) -> np.ndarray:
-        return apply_M(self, phi)
 
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + self.N
@@ -107,16 +98,10 @@ class DiscreteOperators:
         return np.eye(self.size) - self.N
 
     def nullity_I_minus_N(self, tol: float = DEFAULT_NULLITY_TOL) -> "NullityReport":
-        key = ("I-N", tol)
-        if key not in self._nullity_cache:
-            self._nullity_cache[key] = nullity(self.identity_minus_N(), tol)
-        return self._nullity_cache[key]
+        return nullity(self.identity_minus_N(), tol)
 
     def nullity_I_plus_N(self, tol: float = DEFAULT_NULLITY_TOL) -> "NullityReport":
-        key = ("I+N", tol)
-        if key not in self._nullity_cache:
-            self._nullity_cache[key] = nullity(self.identity_plus_N(), tol)
-        return self._nullity_cache[key]
+        return nullity(self.identity_plus_N(), tol)
 
 
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
@@ -168,14 +153,12 @@ def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
 
 def assemble_M(ops: DiscreteOperators) -> np.ndarray:
     """Materialize the dense companion matrix; agrees with apply_M exactly."""
-    if ops._M is None:
-        full = ops.M_smooth.copy()
-        circulant = conjugation_matrix(ops.n)
-        for k in range(ops.m):
-            block = slice(k * ops.n, (k + 1) * ops.n)
-            full[block, block] -= circulant
-        ops._M = full
-    return ops._M
+    full = ops.M_smooth.copy()
+    circulant = conjugation_matrix(ops.n)
+    for k in range(ops.m):
+        block = slice(k * ops.n, (k + 1) * ops.n)
+        full[block, block] -= circulant
+    return full
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):

@@ -31,6 +31,7 @@ from gnk.geometry import TWO_PI, ParamGrid, Region
 # parameter separation below which same-curve evaluation is routed to the
 # closed-form diagonal to dodge catastrophic cancellation
 NEAR_DIAGONAL = 1e-8
+ROW_BLOCK = 256  # rows per coefficient-ratio block, so no second N^2 temporary
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,13 @@ def complex_kernel_matrix(jet: BoundaryJet) -> np.ndarray:
     On the uniform grid the only same-curve coincidences are the exact
     diagonal entries, which take the closed-form smooth values.
     """
-    denom = jet.eta[None, :] - jet.eta[:, None]
-    np.fill_diagonal(denom, 1.0)
-    matrix = (jet.coeff[:, None] / jet.coeff[None, :]) * (jet.eta_d[None, :] / denom)
+    matrix = jet.eta[None, :] - jet.eta[:, None]
+    np.fill_diagonal(matrix, 1.0)
+    np.divide(jet.eta_d[None, :], matrix, out=matrix)
+    for start in range(0, jet.size, ROW_BLOCK):
+        rows = matrix[start:start + ROW_BLOCK]
+        np.multiply(jet.coeff[start:start + ROW_BLOCK, None] / jet.coeff[None, :],
+                    rows, out=rows)
     matrix /= math.pi
     diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
     np.fill_diagonal(matrix, diag)

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gnk import kernels, mobius
+from gnk import discrete, kernels, mobius, rhp
 from gnk.cli import main
+from gnk.coefficient import ShiftedPower
 from gnk.geometry import Region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
 
@@ -173,6 +175,41 @@ class TestSharedBoundarySample:
         assert len(builds) == 2
 
 
+class TestRankDecisionWithoutSVD:
+    """The indices decide the rank; only verify measures nullities by SVD."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-dirichlet", []),
+        ("solve-rhp", ["--coeff", "coeff.json"]),
+        ("eval-field", ["--field-grid=5,6,2,5,6,2"]),
+    ], ids=["solve-dirichlet", "solve-rhp-minimal-norm", "eval-field"])
+    def test_solve_paths_take_no_svd(self, inputs, tmp_path, monkeypatch, command,
+                                     extra):
+        svds = _counter(monkeypatch, discrete, "nullity")
+        extra = [inputs / e if e.endswith(".json") else e for e in extra]
+        rc = _run([command, "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64,
+                   "--out", tmp_path / "o", *extra])
+        assert rc == 0
+        assert svds == []
+
+    def test_library_minimal_norm_solve_takes_no_svd(self, three_circles, grid64,
+                                                     monkeypatch):
+        ops = discrete.assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
+        svds = _counter(monkeypatch, discrete, "nullity")
+        gamma = np.cos(np.tile(grid64.nodes, 3))
+        solution = rhp.solve_rhp(ops, gamma)
+        assert solution.diagnostics.minimal_norm
+        assert svds == []
+
+    def test_verify_measures_both_nullities(self, inputs, tmp_path, monkeypatch):
+        svds = _counter(monkeypatch, discrete, "nullity")
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                   "--out", tmp_path / "o"])
+        assert rc == 0
+        assert len(svds) == 2
+
+
 class TestEvalField:
     def test_flags_and_layout(self, inputs, tmp_path):
         out = tmp_path / "out"
@@ -269,6 +306,35 @@ class TestErrorPaths:
         rc = _run(["index-report", "--region", path, "--out", tmp_path / "o"])
         assert rc == 1
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("solve-dirichlet", "--strict"),
+        ("solve-dirichlet", "--tol-identity"),
+        ("solve-rhp", "--strict"),
+        ("solve-rhp", "--tol-identity"),
+        ("verify", "--data"),
+        ("verify", "--tol-solve"),
+        ("verify", "--strict"),
+        ("index-report", "--data"),
+        ("index-report", "--tol-solve"),
+        ("index-report", "--tol-identity"),
+        ("index-report", "--strict"),
+        ("mobius-check", "--data"),
+        ("mobius-check", "--tol-solve"),
+        ("mobius-check", "--tol-identity"),
+        ("mobius-check", "--strict"),
+        ("eval-field", "--tol-identity"),
+    ])
+    def test_flag_the_subcommand_ignores_exits_1(self, inputs, tmp_path, command, flag):
+        value = {"--data": [inputs / "data.json"], "--tol-solve": ["1e-10"],
+                 "--tol-identity": ["1e-8"], "--strict": []}[flag]
+        data = ([] if command in ("verify", "index-report", "mobius-check")
+                else ["--data", inputs / "data.json"])
+        grid = ["--field-grid=5,6,2,5,6,2"] if command == "eval-field" else []
+        rc = _run([command, "--region", inputs / "region.json", "--n", 64,
+                   "--out", tmp_path / "o", *data, *grid, flag, *value])
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1

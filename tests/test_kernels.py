@@ -6,9 +6,10 @@ import pytest
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N, weighted_kernels
 from gnk.errors import DiagonalSingular
-from gnk.geometry import Region, circle, ellipse
+from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet, complex_kernel_matrix, kernel_M, kernel_M1, kernel_N
 from gnk.mobius import map_jet
+from conftest import CENTERS
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -129,3 +130,16 @@ class TestMatrixBuilders:
         matrix = complex_kernel_matrix(jet)
         expected = (jet.eta_dd / (2.0 * jet.eta_d)) / math.pi
         assert np.allclose(np.diag(matrix), expected)
+
+    @pytest.mark.parametrize("coeff", [One(), ShiftedPower(CENTERS[2], 1)],
+                             ids=["one", "power"])
+    def test_in_place_build_is_bit_identical(self, mixed_gallery, coeff):
+        # 3 x 100 rows span a full and a partial ratio row block
+        jet = BoundaryJet.from_region(mixed_gallery, coeff, ParamGrid(100))
+        denom = jet.eta[None, :] - jet.eta[:, None]
+        np.fill_diagonal(denom, 1.0)
+        expected = (jet.coeff[:, None] / jet.coeff[None, :]) * (jet.eta_d[None, :] / denom)
+        expected /= math.pi
+        np.fill_diagonal(expected, (jet.eta_dd / (2.0 * jet.eta_d)
+                                    - jet.coeff_d / jet.coeff) / math.pi)
+        assert np.array_equal(complex_kernel_matrix(jet), expected)

@@ -56,6 +56,17 @@ class TestSolveIE:
         with pytest.raises(InconsistentSystem):
             solve_ie(gallery_ops, gamma, tol_solve=1e-30)
 
+    @pytest.mark.parametrize("scale", [1e5, 1e8])
+    def test_gate_is_relative_to_data_scale(self, gallery_ops, three_circles, grid128,
+                                            scale):
+        # the problem is linear, so the residual grows with the data past
+        # an absolute 1e-10 at these scales
+        gamma = scale * oracle_boundary(three_circles, grid128).real
+        solution = solve_rhp(gallery_ops, gamma)
+        assert solution.diagnostics.ie_residual <= 1e-10 * scale
+        with pytest.raises(InconsistentSystem):
+            solve_ie(gallery_ops, gamma, tol_solve=1e-30)
+
     def test_non_finite_residual_raises(self, gallery_ops):
         # a NaN residual fails the gate instead of passing every comparison
         gamma = np.zeros(gallery_ops.size)
