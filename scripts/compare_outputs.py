@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of two source trees byte for byte.
+
+    python3 scripts/compare_outputs.py OLD_SRC NEW_SRC [--work DIR]
+
+OLD_SRC and NEW_SRC are directories holding the ``gnk`` package (a
+checkout's ``src/``).  All six subcommands run with each tree on the
+``make_gallery.py`` inputs: the circles and mixed regions, the ``one`` and
+``power`` coefficients, n = 64 and 128, with the mixed data set.  Each run
+keeps its output files plus its exit code, stdout and stderr (a Python
+warning there names a source line, so it shows as a difference).  The
+script lists every identical and differing file and exits 1 on any
+difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from make_gallery import FILES  # noqa: E402
+
+COMMANDS = ("solve-rhp", "solve-dirichlet", "verify", "index-report",
+            "mobius-check", "eval-field")
+REGIONS = ("circles", "mixed")
+COEFFS = ("one", "power")
+SIZES = (64, 128)
+READS_DATA = ("solve-rhp", "solve-dirichlet", "eval-field")
+FIELD_GRID = "--field-grid=-6,6,60,-6,6,60"
+
+
+def cases():
+    """(case name, CLI arguments) of every run, paths relative to the gallery."""
+    for command, region, coeff, n in itertools.product(COMMANDS, REGIONS, COEFFS, SIZES):
+        argv = [command, "--region", f"region_{region}.json",
+                "--coeff", f"coeff_{coeff}.json", "--n", str(n)]
+        if command in READS_DATA:
+            argv += ["--data", "data_mixed.json"]
+        if command == "eval-field":
+            argv.append(FIELD_GRID)
+        yield f"{command}_{region}_{coeff}_{n}", argv
+
+
+def run_tree(src: Path, gallery: Path, out: Path) -> None:
+    """Run every case with the gnk package under src; outputs go to out/<case>/."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for name, argv in cases():
+        case = out / name
+        case.mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gnk.cli", *argv, "--out", str(case)],
+            cwd=gallery, env=env, capture_output=True, text=True)
+        (case / "exit_code.txt").write_text(f"{proc.returncode}\n")
+        (case / "stdout.txt").write_text(proc.stdout)
+        (case / "stderr.txt").write_text(proc.stderr)
+
+
+def compare(old: Path, new: Path) -> tuple[list[str], list[str]]:
+    """Relative paths of identical and of differing (or one-sided) files."""
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (old, new) for p in root.rglob("*") if p.is_file()})
+    same, differ = [], []
+    for name in names:
+        a, b = old / name, new / name
+        equal = a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()
+        (same if equal else differ).append(name)
+    return same, differ
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    parser.add_argument("--work", type=Path, default=None,
+                        help="keep the gallery and outputs here "
+                             "(default: a temporary directory)")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "gnk" / "__init__.py").is_file():
+            parser.error(f"{src} holds no gnk package")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.work or Path(tmp)
+        gallery = work / "gallery"
+        gallery.mkdir(parents=True, exist_ok=True)
+        for name, payload in FILES.items():
+            (gallery / name).write_text(json.dumps(payload, indent=2) + "\n")
+        for label, src in (("old", args.old_src), ("new", args.new_src)):
+            run_tree(src.resolve(), gallery, work / label)
+        same, differ = compare(work / "old", work / "new")
+
+    for name in same:
+        print(f"identical  {name}")
+    for name in differ:
+        print(f"DIFFERENT  {name}")
+    print(f"{len(same)} identical, {len(differ)} different")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,6 +28,7 @@ TWO_PI = 2.0 * np.pi
 # max(1, max|M + iN|), so this bound applies relative to that scale.
 TOL_INVARIANCE = 1e-12
 TOL_JUMP = 1e-13
+HOLE_MASK_NODES = 512  # polygon nodes per curve for probes inside the band
 
 
 def _fmt(x: float) -> str:
@@ -237,7 +238,8 @@ def run_mobius_check(args) -> int:
     return 0 if payload["ok"] else 2
 
 
-def _parse_field_grid(text: str):
+def _probe_points(text: str) -> np.ndarray:
+    """Probes of --field-grid x0,x1,nx,y0,y1,ny, row-major by y then x."""
     parts = text.split(",")
     if len(parts) != 6:
         raise ValueError("--field-grid expects x0,x1,nx,y0,y1,ny")
@@ -248,51 +250,41 @@ def _parse_field_grid(text: str):
         raise ValueError("field grid needs at least one point per axis")
     xs = np.linspace(x0, x1, nx) if nx > 1 else np.array([x0])
     ys = np.linspace(y0, y1, ny) if ny > 1 else np.array([y0])
-    return xs, ys
+    grid_x, grid_y = np.meshgrid(xs, ys)
+    return (grid_x + 1j * grid_y).ravel()
 
 
-def _hole_mask(region, points: np.ndarray, n: int = 512) -> np.ndarray:
+def _hole_mask(region, points: np.ndarray) -> np.ndarray:
     """True where a probe point sits inside some hole (nonzero winding)."""
     inside = np.zeros(points.shape, dtype=bool)
     for curve in region.curves:
-        turns = np.rint(_turns_about_points(curve, points, n)).astype(int)
+        turns = np.rint(_turns_about_points(curve, points, HOLE_MASK_NODES)).astype(int)
         inside |= turns != 0
     return inside
 
 
 def run_field(args) -> int:
     region, grid, coeff, gamma = _load_inputs(args, need_data=True)
-    xs, ys = _parse_field_grid(args.field_grid)
+    points = _probe_points(args.field_grid)
     ops = discrete.assemble_N(region, coeff, grid)
     solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
 
-    grid_x, grid_y = np.meshgrid(xs, ys)  # row-major by y then x
-    points = (grid_x + 1j * grid_y).ravel()
-    holes = _hole_mask(region, points)
+    f, dist, turns = rhp.field_pass(ops.jet, gamma, solution.mu, points)
     band_width = rhp.near_boundary_band(ops.jet)
-    dist = rhp.boundary_distance(ops.jet, points)
-    in_band = (dist < band_width) & ~holes
+    near = dist < band_width
+    # turn counts are exact off the band; on it the polygon mask decides
+    holes = (np.rint(turns) != 0).any(axis=1)
+    holes[near] = _hole_mask(region, points[near])
+    in_band = near & ~holes
     if args.strict and in_band.any():
         raise ValueError(
             f"{int(in_band.sum())} probe points inside the near-boundary band "
             f"(width {band_width:.3e}) with --strict set")
 
-    evaluate = ~holes
-    u = np.full(points.shape, np.nan)
-    if evaluate.any():
-        values = rhp.cauchy_eval(region, coeff, grid, gamma, solution.mu,
-                                 points[evaluate], warn=False)
-        u[evaluate] = values.real
-
     rows = []
-    for idx in range(points.size):
-        if holes[idx]:
-            flag, u_text = "hole", ""
-        elif in_band[idx]:
-            flag, u_text = "band", _fmt(u[idx])
-        else:
-            flag, u_text = "ok", _fmt(u[idx])
-        rows.append([_fmt(points[idx].real), _fmt(points[idx].imag), u_text, flag])
+    for z, hole, band, u in zip(points, holes, in_band, f.real):
+        flag = "hole" if hole else "band" if band else "ok"
+        rows.append([_fmt(z.real), _fmt(z.imag), "" if hole else _fmt(u), flag])
     _write_csv(Path(args.out) / "field.csv", ["x", "y", "u", "in_band_flag"], rows)
     return 0
 

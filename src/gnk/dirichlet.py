@@ -116,8 +116,8 @@ def solve_modified_dirichlet(
 
 
 def harmonic_eval(region: Region, grid: ParamGrid, solution: DirichletSolution,
-                  z, *, strict: bool = False, warn: bool = True):
+                  z, *, strict: bool = False):
     """Harmonic field u = Re Phi at z; boundary values gamma + h, u(inf) = 0."""
     values = rhp.cauchy_eval(region, One(), grid, solution.gamma, solution.mu,
-                             z, strict=strict, warn=warn)
+                             z, strict=strict)
     return np.real(values) if np.ndim(values) else float(np.real(values))

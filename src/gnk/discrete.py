@@ -21,7 +21,7 @@ from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
 from gnk.kernels import BoundaryJet
 
-DEFAULT_NULLITY_TOL = 1e-8
+NULLITY_TOL = 1e-8
 
 
 def conjugate_periodic(samples: np.ndarray) -> np.ndarray:
@@ -97,11 +97,11 @@ class DiscreteOperators:
     def identity_minus_N(self) -> np.ndarray:
         return np.eye(self.size) - self.N
 
-    def nullity_I_minus_N(self, tol: float = DEFAULT_NULLITY_TOL) -> "NullityReport":
-        return nullity(self.identity_minus_N(), tol)
+    def nullity_I_minus_N(self) -> "NullityReport":
+        return nullity(self.identity_minus_N())
 
-    def nullity_I_plus_N(self, tol: float = DEFAULT_NULLITY_TOL) -> "NullityReport":
-        return nullity(self.identity_plus_N(), tol)
+    def nullity_I_plus_N(self) -> "NullityReport":
+        return nullity(self.identity_plus_N())
 
 
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
@@ -176,14 +176,12 @@ class NullityReport:
 
     nullity: int
     smallest: tuple[float, ...]
-    largest: float
-    tol: float
 
 
-def nullity(matrix: np.ndarray, tol: float = DEFAULT_NULLITY_TOL) -> NullityReport:
-    """Count singular values below tol times the largest one."""
+def nullity(matrix: np.ndarray) -> NullityReport:
+    """Count singular values below NULLITY_TOL times the largest one."""
     svals = np.linalg.svd(matrix, compute_uv=False)
     largest = float(svals[0]) if svals.size else 0.0
-    count = int(np.count_nonzero(svals < tol * largest))
+    count = int(np.count_nonzero(svals < NULLITY_TOL * largest))
     bottom = tuple(float(v) for v in svals[-5:][::-1])
-    return NullityReport(nullity=count, smallest=bottom, largest=largest, tol=tol)
+    return NullityReport(nullity=count, smallest=bottom)

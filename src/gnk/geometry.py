@@ -24,6 +24,10 @@ import numpy as np
 from gnk.errors import NonConvergent, OddGridSize, PointTooClose
 
 TWO_PI = 2.0 * math.pi
+# degeneracy thresholds of validate_region and winding_of_point
+MIN_SPEED = 1e-6
+MIN_DISTANCE = 1e-6
+MAX_DOUBLINGS = 14  # grid doublings before winding_number gives up
 
 
 def _require_finite(values, what: str):
@@ -190,7 +194,6 @@ def winding_number(
     evaluate: Callable[[np.ndarray], np.ndarray],
     *,
     n0: int = 64,
-    max_doublings: int = 14,
     min_modulus: float = 0.0,
     on_small: type[Exception] = PointTooClose,
 ) -> int:
@@ -202,7 +205,7 @@ def winding_number(
     ``min_modulus`` of the origin and NonConvergent past the refinement cap.
     """
     n = int(n0)
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         s = np.arange(n) * (TWO_PI / n)
         values = np.asarray(evaluate(s), dtype=complex)
         closest = float(np.abs(values).min())
@@ -215,26 +218,17 @@ def winding_number(
             return int(nearest)
         n *= 2
     raise NonConvergent(
-        f"winding number did not settle after {max_doublings} grid doublings"
+        f"winding number did not settle after {MAX_DOUBLINGS} grid doublings"
     )
 
 
-def winding_of_point(curve: Curve, z: complex, n: int = 64, *, min_distance: float = 1e-6) -> int:
+def winding_of_point(curve: Curve, z: complex, n: int = 64) -> int:
     """Integer winding number of the curve about the point z."""
     return winding_number(
         lambda s: curve.jet(s)[0] - z,
         n0=n,
-        min_modulus=min_distance,
-        on_small=PointTooClose,
+        min_modulus=MIN_DISTANCE,
     )
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Degeneracy thresholds used by :func:`validate_region`."""
-
-    min_speed: float = 1e-6
-    min_distance: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -276,17 +270,16 @@ def _turns_about_points(curve: Curve, points: np.ndarray, n: int = 256) -> np.nd
     return np.nan_to_num(steps.sum(axis=1) / TWO_PI, nan=0.5)
 
 
-def _winding_check(name: str, curve: Curve, z: complex, expected: int, n: int,
-                   min_distance: float) -> CheckResult:
+def _winding_check(name: str, curve: Curve, z: complex, expected: int,
+                   n: int) -> CheckResult:
     try:
-        w = winding_of_point(curve, z, n, min_distance=min_distance)
+        w = winding_of_point(curve, z, n)
     except (PointTooClose, NonConvergent) as exc:
         return CheckResult(name, False, math.nan, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, w == expected, float(w), f"expected {expected}, got {w}")
 
 
-def validate_region(region: Region, grid: ParamGrid,
-                    thresholds: Thresholds = Thresholds()) -> ValidationReport:
+def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
     """Check all region invariants on the given grid.
 
     Failures are reported as data, not raised: orientation, smoothness and
@@ -301,14 +294,14 @@ def validate_region(region: Region, grid: ParamGrid,
         samples.append(eta)
         speed = float(np.abs(eta_d).min())
         checks.append(CheckResult(
-            f"speed[{k}]", speed >= thresholds.min_speed, speed,
-            f"min |eta'| vs {thresholds.min_speed:g}"))
+            f"speed[{k}]", speed >= MIN_SPEED, speed,
+            f"min |eta'| vs {MIN_SPEED:g}"))
         diff = np.abs(eta[:, None] - eta[None, :])
         np.fill_diagonal(diff, np.inf)
         gap = float(diff.min())
         checks.append(CheckResult(
-            f"simple[{k}]", gap >= thresholds.min_distance, gap,
-            f"min pairwise sample distance vs {thresholds.min_distance:g}"))
+            f"simple[{k}]", gap >= MIN_DISTANCE, gap,
+            f"min pairwise sample distance vs {MIN_DISTANCE:g}"))
     for j in range(region.m):
         for k in range(j + 1, region.m):
             gap = float(np.abs(samples[j][:, None] - samples[k][None, :]).min())
@@ -318,22 +311,21 @@ def validate_region(region: Region, grid: ParamGrid,
                 float(np.abs(_turns_about_points(region.curves[j], samples[k])).max()),
                 float(np.abs(_turns_about_points(region.curves[k], samples[j])).max()),
             )
-            separated = gap >= thresholds.min_distance and turns < 0.25
+            separated = gap >= MIN_DISTANCE and turns < 0.25
             checks.append(CheckResult(
                 f"disjoint[{j},{k}]", separated, gap,
-                f"min cross-curve distance vs {thresholds.min_distance:g}; "
+                f"min cross-curve distance vs {MIN_DISTANCE:g}; "
                 f"max mutual winding {turns:.3f}"))
     for k, curve in enumerate(region.curves):
         checks.append(_winding_check(
-            f"orientation[{k}]", curve, region.hole_points[k], -1, grid.n,
-            thresholds.min_distance))
+            f"orientation[{k}]", curve, region.hole_points[k], -1, grid.n))
         for j, other in enumerate(region.curves):
             if j != k:
                 checks.append(_winding_check(
                     f"hole_point[{k}] outside curve[{j}]", other,
-                    region.hole_points[k], 0, grid.n, thresholds.min_distance))
+                    region.hole_points[k], 0, grid.n))
         checks.append(_winding_check(
-            f"zero_in_region[{k}]", curve, 0j, 0, grid.n, thresholds.min_distance))
+            f"zero_in_region[{k}]", curve, 0j, 0, grid.n))
     return ValidationReport(tuple(checks))
 
 

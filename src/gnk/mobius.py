@@ -114,8 +114,8 @@ def index_shift(report: IndexReport) -> tuple[tuple[int, ...], int]:
     return hat, report.kappa + 1
 
 
-def mapped_index_of(region: Region, coeff, z0: complex | None = None,
-                    n0: int = 64) -> tuple[tuple[int, ...], int]:
+def mapped_index_of(region: Region, coeff,
+                    z0: complex | None = None) -> tuple[tuple[int, ...], int]:
     """Direct argument-accumulation indices of hat A = zeta A on each image curve.
 
     Returned in image order (outer curve first), for cross-checking
@@ -129,7 +129,7 @@ def mapped_index_of(region: Region, coeff, z0: complex | None = None,
         return a / (eta - z0)
 
     windings = [
-        winding_number(lambda s, k=k: hat_values(k, s), n0=n0,
+        winding_number(lambda s, k=k: hat_values(k, s),
                        min_modulus=coefficient_mod.MIN_MODULUS,
                        on_small=CenterNotInHole)
         for k in range(region.m)

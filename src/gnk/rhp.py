@@ -20,12 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import coefficient as coefficient_mod
-from gnk.discrete import DEFAULT_NULLITY_TOL, DiscreteOperators, apply_M
+from gnk.discrete import NULLITY_TOL, DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary, ZeroCoefficient
 from gnk.geometry import ParamGrid, Region, _parse_json_source, _require_finite
 from gnk.kernels import BoundaryJet
 
 DEFAULT_SOLVE_TOL = 1e-10
+# Probe-node pairs per block of the field pass.  Two complex temporaries of
+# this many entries are all it holds beyond its O(probes) outputs.
+PROBE_BLOCK = 2**19
 
 
 def _sup(x) -> float:
@@ -65,7 +68,7 @@ def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
     if null == 0:
         mu = np.linalg.solve(system, rhs)
     else:
-        mu, *_ = np.linalg.lstsq(system, rhs, rcond=DEFAULT_NULLITY_TOL)
+        mu, *_ = np.linalg.lstsq(system, rhs, rcond=NULLITY_TOL)
     residual = _sup(system @ mu - rhs)
     allowed = tol_solve * max(1.0, _sup(gamma))
     if not residual <= allowed:
@@ -137,19 +140,38 @@ def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
     return RHSolution(gamma, mu, h, af_plus, f_plus, diagnostics)
 
 
-def boundary_distance(jet: BoundaryJet, z) -> np.ndarray:
-    """Distance from each z to the sampled boundary."""
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    return np.abs(jet.eta[None, :] - z_arr[:, None]).min(axis=1)
-
-
 def near_boundary_band(jet: BoundaryJet) -> float:
     """Width of the zone where plain trapezoidal field evaluation degrades."""
     return 5.0 * jet.weight * float(np.abs(jet.eta_d).max())
 
 
+def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
+    """Cauchy sum f, nearest-node distance dist and per-curve turns at z.
+
+    f is the trapezoidal Cauchy integral of (gamma + i mu)/A; turns[p, k] is
+    the same sum of 1 over curve k, its winding number about z[p] (-1 inside
+    the hole), exact to rounding off the near-boundary band.  Probes go in
+    blocks of PROBE_BLOCK probe-node pairs, so memory is bounded in their count.
+    """
+    density = (np.asarray(gamma) + 1j * np.asarray(mu)) / jet.coeff
+    density = density * jet.eta_d * (jet.weight / (2j * math.pi))
+    unit = jet.eta_d * (jet.weight / (2j * math.pi))
+    z = np.asarray(z, dtype=complex).ravel()
+    f = np.empty(z.size, dtype=complex)
+    dist = np.empty(z.size)
+    turns = np.empty((z.size, jet.m))
+    rows = max(1, PROBE_BLOCK // jet.size)
+    for start in range(0, z.size, rows):
+        block = slice(start, start + rows)
+        diff = jet.eta[None, :] - z[block, None]
+        dist[block] = np.abs(diff).min(axis=1)
+        f[block] = (density / diff).sum(axis=1)
+        turns[block] = (unit / diff).real.reshape(-1, jet.m, jet.n).sum(axis=2)
+    return f, dist, turns
+
+
 def cauchy_eval(region: Region, coeff, grid: ParamGrid, gamma: np.ndarray,
-                mu: np.ndarray, z, *, strict: bool = False, warn: bool = True):
+                mu: np.ndarray, z, *, strict: bool = False):
     """Cauchy-type integral of (gamma + i mu)/A at points z off the boundary.
 
     For z in the unbounded region this is the solution f with f(inf) = 0.
@@ -158,24 +180,19 @@ def cauchy_eval(region: Region, coeff, grid: ParamGrid, gamma: np.ndarray,
     raises in strict mode).
     """
     jet = BoundaryJet.from_region(region, coeff, grid)
-    density = (np.asarray(gamma) + 1j * np.asarray(mu)) / jet.coeff
-    density = density * jet.eta_d * (jet.weight / (2j * math.pi))
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if strict or warn:
-        band = near_boundary_band(jet)
-        dist = boundary_distance(jet, z_arr)
-        if np.any(dist < band):
-            worst = float(dist.min())
-            if strict:
-                raise TooCloseToBoundary(
-                    f"evaluation point within {worst:.3e} of the boundary "
-                    f"(warning band {band:.3e})")
-            warnings.warn(
-                f"evaluation point within {worst:.3e} of the boundary; "
-                f"accuracy degrades inside the {band:.3e} band",
-                stacklevel=2)
-    values = (density[None, :] / (jet.eta[None, :] - z_arr[:, None])).sum(axis=1)
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
+    values, dist, _ = field_pass(jet, gamma, mu, z)
+    band = near_boundary_band(jet)
+    if np.any(dist < band):
+        worst = float(dist.min())
+        if strict:
+            raise TooCloseToBoundary(
+                f"evaluation point within {worst:.3e} of the boundary "
+                f"(warning band {band:.3e})")
+        warnings.warn(
+            f"evaluation point within {worst:.3e} of the boundary; "
+            f"accuracy degrades inside the {band:.3e} band",
+            stacklevel=2)
+    if np.ndim(z) == 0:
         return complex(values[0])
     return values
 

@@ -99,10 +99,10 @@ def test_criterion_05_null_space_dimensions(three_circles):
     ops_one = assemble_N(three_circles, One(), grid)
     ops_pow = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid)
     measured = (
-        ops_one.nullity_I_plus_N(1e-8).nullity,
-        ops_one.nullity_I_minus_N(1e-8).nullity,
-        ops_pow.nullity_I_minus_N(1e-8).nullity,
-        ops_pow.nullity_I_plus_N(1e-8).nullity,
+        ops_one.nullity_I_plus_N().nullity,
+        ops_one.nullity_I_minus_N().nullity,
+        ops_pow.nullity_I_minus_N().nullity,
+        ops_pow.nullity_I_plus_N().nullity,
     )
     expected = (3, 0, 1, 2)
     _report(5, "null-space-dimensions", measured == expected,

@@ -8,15 +8,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnk import discrete, kernels, mobius, rhp
+from gnk import cli, discrete, kernels, mobius, rhp
 from gnk.cli import main
-from gnk.coefficient import ShiftedPower
-from gnk.geometry import Region
+from gnk.coefficient import One, ShiftedPower
+from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
     for c, r in zip(CENTERS, RADII)]}
+MIXED_REGION = {"curves": [
+    {"type": "ellipse", "center": [3.0, 0.0], "a": 1.2, "b": 0.7},
+    {"type": "circle", "center": [-2.0, 2.5], "radius": 0.8},
+    {"type": "ellipse", "center": [-0.5, -3.0], "a": 0.9, "b": 1.3}]}
 DATA_POLES = {"type": "poles", "terms": [
     {"c": [c.real, c.imag], "a": [a.real, a.imag]}
     for c, a in zip(CENTERS, POLE_AMPLITUDES)]}
@@ -174,6 +178,15 @@ class TestSharedBoundarySample:
         assert rc == 0
         assert len(builds) == 2
 
+    def test_eval_field_samples_twice(self, inputs, tmp_path, monkeypatch):
+        # once for the assembled jet, once for the poles data
+        samples = _counter(monkeypatch, Region, "sample")
+        rc = _run(["eval-field", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64,
+                   "--out", tmp_path / "o", "--field-grid=-6,6,12,-6,6,12"])
+        assert rc == 0
+        assert len(samples) == 2
+
 
 class TestRankDecisionWithoutSVD:
     """The indices decide the rank; only verify measures nullities by SVD."""
@@ -252,6 +265,73 @@ class TestEvalField:
         rc = _run(["eval-field", "--region", inputs / "region.json",
                    "--data", inputs / "data.json", "--out", tmp_path / "o"])
         assert rc == 1
+
+
+def _dense_reference_csv(region, grid, gamma, points) -> bytes:
+    """field.csv of the former eval-field path: the all-probe hole mask, the
+    dense boundary distance and the dense Cauchy sum, P x N arrays each."""
+    ops = discrete.assemble_N(region, One(), grid)
+    mu = rhp.solve_rhp(ops, gamma).mu
+    jet = ops.jet
+    holes = cli._hole_mask(region, points)
+    diff = jet.eta[None, :] - points[:, None]
+    in_band = (np.abs(diff).min(axis=1) < rhp.near_boundary_band(jet)) & ~holes
+    density = (gamma + 1j * mu) / jet.coeff
+    density = density * jet.eta_d * (jet.weight / (2j * np.pi))
+    u = (density[None, :] / diff).sum(axis=1).real
+    lines = ["x,y,u,in_band_flag"]
+    for z, hole, near, value in zip(points, holes, in_band, u):
+        flag = "hole" if hole else "band" if near else "ok"
+        text = "" if hole else repr(float(value))
+        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{text},{flag}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestFieldPassReference:
+    """eval-field matches the dense former path byte for byte, and sends
+    only probes inside the band to the polygon hole mask."""
+
+    @pytest.mark.parametrize("region_json", [REGION, MIXED_REGION],
+                             ids=["circles", "mixed"])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_field_csv_matches_dense_reference(self, region_json, n, tmp_path,
+                                               monkeypatch):
+        region, grid = load_region(region_json), ParamGrid(n)
+        jet = discrete.assemble_N(region, One(), grid).jet
+        band = rhp.near_boundary_band(jet)
+        h = band / 5.0
+        s = (np.arange(16) + 0.3) * (2.0 * np.pi / 16)
+        probes = []
+        for curve in region.curves:
+            eta, eta_d, _ = curve.jet(s)
+            outward = 1j * eta_d / np.abs(eta_d)  # clockwise: the region is on the left
+            for d in (0.5 * h, 2.0 * h, 0.9 * band, 1.1 * band):
+                probes += [eta + d * outward, eta - d * outward]
+        points = np.concatenate(probes)
+        gamma = rhp.load_boundary_data(DATA_MIXED, region, One(), grid)
+        expected = _dense_reference_csv(region, grid, gamma, points)
+
+        masked, original_mask = [], cli._hole_mask
+
+        def recording_mask(region, pts):
+            masked.append(pts)
+            return original_mask(region, pts)
+
+        monkeypatch.setattr(cli, "_hole_mask", recording_mask)
+        monkeypatch.setattr(cli, "_probe_points", lambda text: points)
+        (tmp_path / "region.json").write_text(json.dumps(region_json))
+        (tmp_path / "data.json").write_text(json.dumps(DATA_MIXED))
+        out = tmp_path / "out"
+        rc = _run(["eval-field", "--region", tmp_path / "region.json",
+                   "--data", tmp_path / "data.json", "--n", n, "--out", out,
+                   "--field-grid=0,0,1,0,0,1"])
+        assert rc == 0
+        assert (out / "field.csv").read_bytes() == expected
+        assert {"hole", "band"} <= {line.rsplit(",", 1)[1]
+                                   for line in expected.decode().splitlines()[1:]}
+        # the polygon mask sees exactly the probes inside the band
+        near = np.abs(jet.eta[None, :] - points[:, None]).min(axis=1) < band
+        assert len(masked) == 1 and np.array_equal(masked[0], points[near])
 
 
 class TestErrorPaths:

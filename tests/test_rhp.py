@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,14 @@ from gnk.discrete import assemble_N
 from gnk.dirichlet import indicator_basis
 from gnk.errors import InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region, circle
+from gnk.kernels import BoundaryJet
 from gnk.rhp import (
+    PROBE_BLOCK,
     analyticity_residual,
     boundary_values,
     cauchy_eval,
     compute_h,
+    field_pass,
     load_boundary_data,
     plemelj_boundary,
     solve_ie,
@@ -204,6 +209,37 @@ class TestCauchyEval:
         z = np.array([3.0, 4.0 + 1.0j, -5.0j])
         values = cauchy_eval(region, One(), grid, np.cos(s), np.sin(s), z)
         assert np.allclose(values, 1.0 / z, atol=1e-10)
+
+
+class TestFieldPass:
+    def test_turns_are_winding_numbers(self, three_circles, grid128):
+        jet = BoundaryJet.from_region(three_circles, One(), grid128)
+        zeros = np.zeros(jet.size)
+        z = np.array(CENTERS + (0.0, 40.0 + 3.0j))
+        _, _, turns = field_pass(jet, zeros, zeros, z)
+        # clockwise curves wind -1 about their own hole, 0 about the rest
+        expected = np.vstack([-np.eye(3), np.zeros((2, 3))])
+        assert np.abs(turns - expected).max() <= 1e-12
+
+    def test_peak_memory_bounded_in_probe_count(self, three_circles):
+        # N = 768: the block temporaries (two complex, one more for slack)
+        # plus the O(P) outputs f, dist and turns bound the peak
+        jet = BoundaryJet.from_region(three_circles, One(), ParamGrid(256))
+        rng = np.random.default_rng(5)
+        gamma, mu = rng.normal(size=jet.size), rng.normal(size=jet.size)
+        peaks = []
+        for side in (50, 150):
+            x = np.linspace(-6.0, 6.0, side)
+            z = (x[None, :] + 1j * x[:, None]).ravel()
+            tracemalloc.start()
+            try:
+                field_pass(jet, gamma, mu, z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 16 * PROBE_BLOCK + z.size * (16 + 8 + 8 * jet.m)
+            peaks.append(peak)
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestPlemelj:
