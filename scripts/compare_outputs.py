@@ -10,7 +10,11 @@ checkout's ``src/``).  All six subcommands run with each tree on the
 keeps its output files plus its exit code, stdout and stderr (a Python
 warning there names a source line, so it shows as a difference).  The
 script lists every identical and differing file and exits 1 on any
-difference.
+difference.  For a CSV or JSON file present in both trees it also prints
+the largest absolute difference between the numbers at the same place
+(CSV row and column, JSON key path), that difference over max(1, |old|),
+and how many other entries differ (text, a key on one side only, or a
+NaN or infinity against a different value).
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +79,54 @@ def compare(old: Path, new: Path) -> tuple[list[str], list[str]]:
     return same, differ
 
 
+def _leaves(node, key=()) -> dict:
+    """Leaves of parsed JSON by key path."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {path: leaf for name, child in items
+                for path, leaf in _leaves(child, key + (name,)).items()}
+    return {key: node}
+
+
+def _entries(path: Path) -> dict:
+    """CSV cells by (row, column) or JSON leaves by key path."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return {(i, j): cell for i, line in enumerate(text.splitlines())
+                for j, cell in enumerate(line.split(","))}
+    return _leaves(json.loads(text))
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except ValueError:
+        return None
+
+
+def numeric_difference(a: Path, b: Path) -> str:
+    """Largest difference between the numbers two CSV or JSON files hold."""
+    try:
+        old, new = _entries(a), _entries(b)
+    except ValueError as exc:
+        return f"not comparable ({exc})"
+    largest = scaled = 0.0
+    other = 0
+    for key in old.keys() | new.keys():
+        x, y = _number(old.get(key)), _number(new.get(key))
+        if x is None or y is None:
+            other += key not in old or key not in new or old[key] != new[key]
+        elif not (math.isfinite(x) and math.isfinite(y)):
+            # a NaN or an infinity has no distance to the other value
+            other += repr(x) != repr(y)
+        else:
+            largest = max(largest, abs(x - y))
+            scaled = max(scaled, abs(x - y) / max(1.0, abs(x)))
+    return f"max |diff| {largest:.3e}, scaled {scaled:.3e}, other {other}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
@@ -95,11 +148,15 @@ def main(argv=None) -> int:
         for label, src in (("old", args.old_src), ("new", args.new_src)):
             run_tree(src.resolve(), gallery, work / label)
         same, differ = compare(work / "old", work / "new")
+        notes = {name: numeric_difference(work / "old" / name, work / "new" / name)
+                 for name in differ
+                 if name.endswith((".csv", ".json"))
+                 and (work / "old" / name).is_file() and (work / "new" / name).is_file()}
 
     for name in same:
         print(f"identical  {name}")
     for name in differ:
-        print(f"DIFFERENT  {name}")
+        print(f"DIFFERENT  {name}  {notes.get(name, '')}".rstrip())
     print(f"{len(same)} identical, {len(differ)} different")
     return 1 if differ else 0
 

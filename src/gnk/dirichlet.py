@@ -46,6 +46,7 @@ class DirichletDiagnostics:
     h_deviation: tuple[float, ...]
     h_plus_residual: float
     h_companion_residual: float
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,7 @@ def solve_modified_dirichlet(
         h_deviation=tuple(float(d) for d in deviation),
         h_plus_residual=solution.diagnostics.h_plus_residual,
         h_companion_residual=solution.diagnostics.h_companion_residual,
+        iterations=solution.diagnostics.iterations,
     )
     return DirichletSolution(
         gamma=gamma,

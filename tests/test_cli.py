@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,61 @@ class TestRankDecisionWithoutSVD:
                    "--out", tmp_path / "o"])
         assert rc == 0
         assert len(svds) == 2
+
+
+class TestMatrixFreeSolve:
+    """CGLS applies N and N^T only: no solve path forms or factors I - N."""
+
+    @staticmethod
+    def _dense_counters(monkeypatch):
+        return [_counter(monkeypatch, np.linalg, "solve"),
+                _counter(monkeypatch, np.linalg, "lstsq"),
+                _counter(monkeypatch, discrete.DiscreteOperators, "identity_minus_N")]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-dirichlet", []),
+        ("solve-rhp", []),
+        ("solve-rhp", ["--coeff", "coeff.json"]),
+        ("eval-field", ["--field-grid=5,6,2,5,6,2"]),
+    ], ids=["solve-dirichlet", "solve-rhp-regular", "solve-rhp-minimal-norm",
+            "eval-field"])
+    def test_solve_paths_form_no_dense_system(self, inputs, tmp_path, monkeypatch,
+                                              command, extra):
+        dense = self._dense_counters(monkeypatch)
+        extra = [inputs / e if e.endswith(".json") else e for e in extra]
+        out = tmp_path / "o"
+        rc = _run([command, "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out, *extra])
+        assert rc == 0
+        assert dense == [[], [], []]
+        if command != "eval-field":
+            iterations = json.loads((out / "diagnostics.json").read_text())["solver_iterations"]
+            assert isinstance(iterations, int) and 0 < iterations <= 60
+
+    def test_library_solves_form_no_dense_system(self, three_circles, grid64,
+                                                 monkeypatch):
+        gamma = np.cos(np.tile(grid64.nodes, 3))
+        operators = [discrete.assemble_N(three_circles, coeff, grid64)
+                     for coeff in (One(), ShiftedPower(CENTERS[2], 1))]
+        dense = self._dense_counters(monkeypatch)
+        paths = [rhp.solve_rhp(ops, gamma).diagnostics.minimal_norm for ops in operators]
+        assert paths == [False, True]
+        assert dense == [[], [], []]
+
+    def test_peak_memory_is_linear_in_size(self, mixed_gallery):
+        # N = 1536: one dense N x N system alone would take 8 N^2 bytes, 24 times this bound
+        grid = ParamGrid(512)
+        gamma = np.cos(np.tile(grid.nodes, 3)) + np.repeat([0.3, -1.2, 2.0], grid.n)
+        for coeff, minimal_norm in ((One(), False), (ShiftedPower(CENTERS[2], 1), True)):
+            ops = discrete.assemble_N(mixed_gallery, coeff, grid)
+            tracemalloc.start()
+            try:
+                solution = rhp.solve_rhp(ops, gamma)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert solution.diagnostics.minimal_norm == minimal_norm
+            assert peak < 64 * ops.size * 8
 
 
 class TestEvalField:

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gnk.coefficient import One, ShiftedPower
-from gnk.discrete import assemble_N
+from gnk.discrete import NULLITY_TOL, apply_M, assemble_N
 from gnk.dirichlet import indicator_basis
 from gnk.errors import InconsistentSystem, TooCloseToBoundary
-from gnk.geometry import ParamGrid, Region, circle
+from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet
 from gnk.rhp import (
+    DEFAULT_SOLVE_TOL,
     PROBE_BLOCK,
+    _cgls,
     analyticity_residual,
     boundary_values,
     cauchy_eval,
@@ -92,6 +94,106 @@ class TestSolveIE:
         _, _, vt = np.linalg.svd(system)
         null_vec = vt[-1]
         assert abs(null_vec @ solution.mu) <= 1e-8 * np.linalg.norm(solution.mu)
+
+
+def _lattice16() -> Region:
+    # 16 radius-1 circles on a 4-unit lattice; the origin sits between holes
+    axis = (-6.0, -2.0, 2.0, 6.0)
+    return Region.from_curves([circle(complex(x, y), 1.0, label=4 * i + j)
+                               for i, y in enumerate(axis) for j, x in enumerate(axis)])
+
+
+def _ellipse_and_circle(aspect: float) -> Region:
+    # cond(I - N) grows with the aspect ratio a/b of the ellipse
+    return Region.from_curves([ellipse(3.0, 2.0, 2.0 / aspect, label=0),
+                               circle(-3.0, 1.0, label=1)])
+
+
+def _close_circles(gap: float) -> Region:
+    # two unit circles gap apart; cond(I - N) grows as the gap closes
+    half = 1.0 + gap / 2.0
+    return Region.from_curves([circle(3.0 + half * 1j, 1.0, label=0),
+                               circle(3.0 - half * 1j, 1.0, label=1)])
+
+
+class TestCGLSAgainstDenseOracles:
+    """The matrix-free solve agrees with the dense LU and lstsq it replaced."""
+
+    @pytest.mark.parametrize("case", [
+        "circles-one", "mixed-power-minus-1", "lattice16-one", "circles-power-plus-1",
+        "ellipse10-one", "ellipse30-one", "gap005-power-minus-1"])
+    def test_matches_dense_solve(self, case, three_circles, mixed_gallery):
+        # CGLS squares cond(I - N): the eccentric ellipse needs more iterations
+        region, coeff, n, null, most = {
+            "circles-one": (three_circles, One(), 128, 0, 60),
+            "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 128, 0, 60),
+            "lattice16-one": (_lattice16(), One(), 32, 0, 60),
+            "circles-power-plus-1": (three_circles, ShiftedPower(CENTERS[2], 1), 64, 1, 60),
+            "ellipse10-one": (_ellipse_and_circle(10.0), One(), 256, 0, 60),
+            "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512, 0, 100),
+            "gap005-power-minus-1": (_close_circles(0.05), ShiftedPower(3.0 + 1.025j, -1),
+                                     256, 0, 60),
+        }[case]
+        ops = assemble_N(region, coeff, ParamGrid(n))
+        gamma = band_limited(np.random.default_rng(21), region.m, n, band=6)
+        solution = solve_rhp(ops, gamma)
+        rhs = -apply_M(ops, gamma)
+        if null == 0:
+            oracle = np.linalg.solve(ops.identity_minus_N(), rhs)
+        else:
+            oracle, *_ = np.linalg.lstsq(ops.identity_minus_N(), rhs, rcond=NULLITY_TOL)
+        assert solution.diagnostics.nullity_I_minus_N == null
+        assert solution.diagnostics.minimal_norm == (null > 0)
+        mu = solution.mu
+        assert np.abs(mu - oracle).max() <= 1e-11 * max(1.0, np.abs(mu).max())
+        assert 0 < solution.diagnostics.iterations <= most
+
+    @pytest.mark.parametrize("gallery, n, solves", [
+        ("circles", 16, True), ("circles", 32, True),
+        ("mixed", 16, True), ("mixed", 32, False)])
+    def test_coarse_grid_keeps_dense_verdict(self, three_circles, mixed_gallery,
+                                             gallery, n, solves):
+        # coarse grids lift the predicted null singular value of I - N to
+        # between 1e-18 and 7e-7 of the largest: CGLS gives lstsq's mu, or
+        # fails the gate where lstsq's residual fails it too
+        region = {"circles": three_circles, "mixed": mixed_gallery}[gallery]
+        ops = assemble_N(region, ShiftedPower(CENTERS[2], 1), ParamGrid(n))
+        gamma = band_limited(np.random.default_rng(21), region.m, n, band=6)
+        system, rhs = ops.identity_minus_N(), -apply_M(ops, gamma)
+        oracle, *_ = np.linalg.lstsq(system, rhs, rcond=NULLITY_TOL)
+        allowed = DEFAULT_SOLVE_TOL * max(1.0, np.abs(gamma).max())
+        assert (np.abs(system @ oracle - rhs).max() <= allowed) == solves
+        if not solves:
+            with pytest.raises(InconsistentSystem):
+                solve_rhp(ops, gamma)
+            return
+        solution = solve_rhp(ops, gamma)
+        assert solution.diagnostics.minimal_norm
+        mu = solution.mu
+        assert np.abs(mu - oracle).max() <= 1e-11 * max(1.0, np.abs(mu).max())
+        assert 0 < solution.diagnostics.iterations <= 60
+
+    @pytest.mark.parametrize("sigma", [1e-7, 1e-9, 1e-12])
+    def test_truncates_like_lstsq(self, three_circles, sigma):
+        # plant a smallest singular value sigma * s_max in I - N and data 1e-3
+        # off its range along it: below NULLITY_TOL lstsq drops that direction
+        # and keeps the 1e-3 residual for the gate, above it both invert it,
+        # to an accuracy of about eps / sigma
+        ops = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), ParamGrid(16))
+        U, S, Vt = np.linalg.svd(ops.identity_minus_N())
+        S[-1] = sigma * S[0]
+        system = (U * S) @ Vt
+        rhs = -apply_M(ops, band_limited(np.random.default_rng(21), 3, 16, band=6))
+        rhs += 1e-3 * U[:, -1]
+        mu, _ = _cgls(np.eye(ops.size) - system, rhs)
+        oracle, *_ = np.linalg.lstsq(system, rhs, rcond=NULLITY_TOL)
+        bound = 1e-11 if sigma < NULLITY_TOL else 1e-15 / sigma
+        assert np.abs(mu - oracle).max() <= bound * max(1.0, np.abs(oracle).max())
+        residual = np.abs(system @ mu - rhs).max()
+        if sigma < NULLITY_TOL:
+            assert residual >= 1e-3 * np.abs(U[:, -1]).max() * 0.99
+        else:
+            assert residual <= 1e-12
 
 
 class TestComputeH:
