@@ -6,8 +6,12 @@ operator is applied through the cotangent splitting: the principal-value
 part is the periodic conjugation, realized spectrally as the Fourier
 multiplier -i sgn(p) (zero at p = 0 and at the unmatched Nyquist mode),
 and the smooth remainder goes through the same trapezoidal rule.  Both
-operators are real-linear; complex inputs are processed componentwise,
-which the real matrices and the real-coefficient multiplier do for free.
+operators are real-linear; complex inputs are processed componentwise:
+the real and imaginary parts go through one real matrix product together,
+so no complex copy of a matrix is ever made.
+
+The nullities of I +- N, which the indices of the coefficient predict, are
+measured matrix-free by a block Krylov count (:func:`nullity`).
 """
 
 from __future__ import annotations
@@ -17,11 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import kernels
+from gnk.coefficient import index_of
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
 from gnk.kernels import BoundaryJet
 
 NULLITY_TOL = 1e-8
+# Block Krylov nullity count: the start block is NULLITY_MARGIN columns wider
+# than the predicted nullity and drawn from a fixed seed, so that verify's
+# output is byte-deterministic.  The count stops once the first uncounted
+# Ritz value moves by at most NULLITY_SETTLE relative between two depths,
+# and fails unsettled at NULLITY_MAX_DEPTH.  A new block direction whose
+# norm after reorthogonalization falls below DEFLATION_TOL of the block's
+# is dropped.
+NULLITY_MARGIN = 8
+NULLITY_SETTLE = 1e-8
+NULLITY_MAX_DEPTH = 32
+DEFLATION_TOL = 1e-10
 
 
 def conjugate_periodic(samples: np.ndarray) -> np.ndarray:
@@ -89,7 +105,7 @@ class DiscreteOperators:
         return self.grid.weight
 
     def apply_N(self, phi: np.ndarray) -> np.ndarray:
-        return self.N @ phi
+        return _real_matmul(self.N, phi)
 
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + self.N
@@ -98,10 +114,26 @@ class DiscreteOperators:
         return np.eye(self.size) - self.N
 
     def nullity_I_minus_N(self) -> "NullityReport":
-        return nullity(self.identity_minus_N())
+        predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_minus_N
+        return nullity(self.N, -1, predicted + NULLITY_MARGIN)
 
     def nullity_I_plus_N(self) -> "NullityReport":
-        return nullity(self.identity_plus_N())
+        predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_plus_N
+        return nullity(self.N, +1, predicted + NULLITY_MARGIN)
+
+
+def _real_matmul(matrix: np.ndarray, phi) -> np.ndarray:
+    """matrix @ phi for a real matrix and real or complex samples.
+
+    A complex phi goes through one real product on its stacked (re, im)
+    columns; numpy would otherwise promote the whole matrix to a complex copy.
+    """
+    phi = np.asarray(phi)
+    if not np.iscomplexobj(phi):
+        return matrix @ phi
+    stacked = np.stack((phi.real, phi.imag), axis=-1).reshape(len(phi), -1)
+    parts = (matrix @ stacked).reshape(phi.shape + (2,))
+    return parts[..., 0] + 1j * parts[..., 1]
 
 
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +175,7 @@ def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
     plain trapezoidal sums of the smooth kernel.
     """
     phi = np.asarray(phi)
-    out = ops.M_smooth @ phi
+    out = _real_matmul(ops.M_smooth, phi)
     n = ops.n
     for k in range(ops.m):
         block = slice(k * n, (k + 1) * n)
@@ -172,16 +204,82 @@ def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
 
 @dataclass(frozen=True)
 class NullityReport:
-    """Numerical nullity of a matrix with its smallest singular values."""
+    """Block Krylov count of the near-null singular values of I + sign N.
+
+    ``nullity`` counts the Ritz values below NULLITY_TOL times the largest
+    one, ``ritz_counted``.  They are Ritz values, not singular values: by
+    interlacing, k of them below the tolerance prove nullity >= k, and
+    ``ritz_next``, the smallest uncounted one (None if there is none),
+    bounds the next singular value from above.  ``stop`` says why the count
+    ended: "settled" (``ritz_next`` settled), "exact" (the Krylov space
+    became invariant, for example by spanning the whole space),
+    "saturated" (as many values counted as the block is wide, so the count
+    is only a lower bound) or "depth cap" (unsettled at NULLITY_MAX_DEPTH).
+    Only the first two are conclusive.
+    """
 
     nullity: int
-    smallest: tuple[float, ...]
+    ritz_counted: tuple[float, ...]
+    ritz_next: float | None
+    ritz_largest: float
+    depth: int
+    stop: str
+
+    @property
+    def conclusive(self) -> bool:
+        return self.stop in ("settled", "exact")
 
 
-def nullity(matrix: np.ndarray) -> NullityReport:
-    """Count singular values below NULLITY_TOL times the largest one."""
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    largest = float(svals[0]) if svals.size else 0.0
-    count = int(np.count_nonzero(svals < NULLITY_TOL * largest))
-    bottom = tuple(float(v) for v in svals[-5:][::-1])
-    return NullityReport(nullity=count, smallest=bottom)
+def _new_block(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning w with the basis projected out, twice;
+    directions below DEFLATION_TOL of the norm of w are dropped."""
+    scale = np.linalg.norm(w)
+    for _ in range(2):
+        w = w - basis @ (basis.T @ w)
+    u, s, _ = np.linalg.svd(w, full_matrices=False)
+    return u[:, s > DEFLATION_TOL * scale]
+
+
+def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
+    """Count the singular values of A = I + sign N below NULLITY_TOL times
+    the largest, by block Krylov on A^T A from a seeded start of this width.
+
+    Each depth adds one block to an orthonormal basis Q of the Krylov space,
+    with one product by N and one by N^T and full reorthogonalization; the
+    thin SVD of A Q gives the Ritz values that are counted.  The block
+    width must exceed the nullity, since a block finds at most as many
+    directions of one repeated singular value as it has columns.
+    """
+    size = N.shape[0]
+    start = np.random.default_rng(0).standard_normal((size, min(width, size)))
+    basis = images = np.empty((size, 0))
+    block = _new_block(basis, start)
+    depth, previous = 0, (None, None)
+    while True:
+        depth += 1
+        image = block + sign * (N @ block)
+        basis = np.hstack((basis, block))
+        images = np.hstack((images, image))
+        ritz = np.linalg.svd(images, compute_uv=False)[::-1]
+        largest = float(ritz[-1])
+        count = int(np.count_nonzero(ritz < NULLITY_TOL * largest))
+        following = float(ritz[count]) if count < ritz.size else None
+        if count >= width:
+            stop = "saturated"
+        elif (previous[0] == count and None not in (following, previous[1])
+              and abs(following - previous[1]) <= NULLITY_SETTLE * following):
+            stop = "settled"
+        else:
+            block = _new_block(basis, image + sign * (N.T @ image))
+            stop = ("exact" if block.shape[1] == 0
+                    else "depth cap" if depth == NULLITY_MAX_DEPTH else None)
+        if stop is not None:
+            return NullityReport(
+                nullity=count,
+                ritz_counted=tuple(float(v) for v in ritz[:count]),
+                ritz_next=following,
+                ritz_largest=largest,
+                depth=depth,
+                stop=stop,
+            )
+        previous = (count, following)

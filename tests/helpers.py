@@ -2,13 +2,17 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 the alternate-point quadrature for the conjugation, brute-force argument
-accumulation for windings, and rational functions with poles in the holes
-as exactly known solutions.
+accumulation for windings, rational functions with poles in the holes
+as exactly known solutions, and the dense SVD count of a nullity.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from gnk.discrete import NULLITY_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -64,3 +68,22 @@ def band_limited(rng: np.random.Generator, m: int, n: int, band: int,
 def central_difference(fn, s: float, step: float):
     """Second-order central difference of a scalar-to-complex function."""
     return (fn(s + step) - fn(s - step)) / (2.0 * step)
+
+
+@dataclass(frozen=True)
+class DenseNullity:
+    """Numerical nullity of a matrix with its smallest singular values."""
+
+    nullity: int
+    smallest: tuple[float, ...]
+    singular_values: np.ndarray  # ascending
+
+
+def dense_nullity(matrix: np.ndarray) -> DenseNullity:
+    """Count singular values below NULLITY_TOL times the largest one, by a
+    full dense SVD: the oracle of the block Krylov count."""
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    largest = float(svals[0]) if svals.size else 0.0
+    count = int(np.count_nonzero(svals < NULLITY_TOL * largest))
+    bottom = tuple(float(v) for v in svals[-5:][::-1])
+    return DenseNullity(nullity=count, smallest=bottom, singular_values=svals[::-1])

@@ -117,11 +117,85 @@ class TestVerify:
         assert report["nullity"]["I_minus_N"]["measured"] == 1
         assert report["nullity"]["I_plus_N"]["measured"] == 2
 
+    def test_reports_krylov_evidence(self, inputs, tmp_path):
+        out = tmp_path / "out"
+        rc = _run(["verify", "--region", inputs / "region.json",
+                   "--coeff", inputs / "coeff.json", "--n", 64, "--out", out])
+        assert rc == 0
+        for key, entry in json.loads((out / "verify.json").read_text())["nullity"].items():
+            if key == "ok":
+                continue
+            assert set(entry) == {"measured", "predicted", "ritz_counted", "ritz_next",
+                                  "ritz_largest", "krylov_depth", "krylov_stop"}
+            assert len(entry["ritz_counted"]) == entry["measured"]
+            assert max(entry["ritz_counted"], default=0.0) <= 1e-8 * entry["ritz_largest"]
+            assert entry["ritz_next"] > 1e-8 * entry["ritz_largest"]
+            assert entry["krylov_stop"] in ("settled", "exact")
+
     def test_counterclockwise_region_exits_1(self, tmp_path):
         bad = {"curves": [{"type": "trig", "coeffs": [[0, 3.0, 0.0], [1, 1.0, 0.0]]}]}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert _run(["verify", "--region", path, "--out", tmp_path / "o"]) == 1
+
+
+def _plant_null_directions(monkeypatch, count: int) -> None:
+    """Make assemble_N return N' = N + (I - N) V V^T for count orthonormal
+    columns V, so that I - N' = (I - N)(I - V V^T) gains them as null
+    directions while the indices, and so the prediction, stay."""
+    assemble = discrete.assemble_N
+
+    def planted(*args, **kwargs):
+        ops = assemble(*args, **kwargs)
+        rng = np.random.default_rng(11)
+        basis, _ = np.linalg.qr(rng.standard_normal((ops.size, count)))
+        return dataclasses.replace(ops, N=ops.N + (basis - ops.N @ basis) @ basis.T)
+
+    monkeypatch.setattr(discrete, "assemble_N", planted)
+
+
+class TestVerifyPlantedDefects:
+    """verify must catch a nullity that differs from the index prediction."""
+
+    def test_one_extra_null_direction_exits_2(self, inputs, tmp_path, monkeypatch):
+        _plant_null_directions(monkeypatch, 1)
+        out = tmp_path / "out"
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                   "--out", out])
+        assert rc == 2
+        report = json.loads((out / "verify.json").read_text())
+        minus = report["nullity"]["I_minus_N"]
+        assert minus["krylov_stop"] in ("settled", "exact")
+        assert minus["measured"] == minus["predicted"] + 1 == 1
+        assert report["nullity"]["ok"] is False and report["ok"] is False
+
+    def test_more_directions_than_the_block_saturate(self, inputs, tmp_path, monkeypatch):
+        width = 0 + discrete.NULLITY_MARGIN  # predicted dim null(I - N) is 0
+        _plant_null_directions(monkeypatch, width + 3)
+        out = tmp_path / "out"
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                   "--out", out])
+        assert rc == 2
+        report = json.loads((out / "verify.json").read_text())
+        minus = report["nullity"]["I_minus_N"]
+        assert minus["krylov_stop"] == "saturated"
+        assert minus["measured"] >= width
+        assert report["nullity"]["ok"] is False
+
+    def test_unsettled_count_exits_2(self, inputs, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(discrete, "NULLITY_MAX_DEPTH", 4)
+        out = tmp_path / "out"
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                   "--out", out])
+        assert rc == 2
+        report = json.loads((out / "verify.json").read_text())
+        entries = report["nullity"]
+        assert {entries[k]["krylov_stop"] for k in ("I_plus_N", "I_minus_N")} == {"depth cap"}
+        # the counts themselves match the prediction; only the stop fails them
+        assert all(entries[k]["measured"] == entries[k]["predicted"]
+                   for k in ("I_plus_N", "I_minus_N"))
+        assert entries["ok"] is False
+        assert "[FAIL] nullity" in capsys.readouterr().out
 
 
 class TestIndexAndMobius:
@@ -217,11 +291,22 @@ class TestRankDecisionWithoutSVD:
         assert svds == []
 
     def test_verify_measures_both_nullities(self, inputs, tmp_path, monkeypatch):
-        svds = _counter(monkeypatch, discrete, "nullity")
-        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+        counts = _counter(monkeypatch, discrete, "nullity")
+        columns = []
+        svd = np.linalg.svd
+
+        def recorded(a, *args, **kwargs):
+            columns.append(np.shape(a)[-1])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recorded)
+        # N = 384 nodes exceed the widest thin SVD the Krylov count may take:
+        # 32 depths of b = 3 + 8 columns
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 128,
                    "--out", tmp_path / "o"])
         assert rc == 0
-        assert len(svds) == 2
+        assert len(counts) == 2
+        assert columns and max(columns) <= 32 * (3 + discrete.NULLITY_MARGIN) < 3 * 128
 
 
 class TestMatrixFreeSolve:
@@ -492,13 +577,14 @@ class TestDeterminism:
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_verify_golden(self, inputs, tmp_path):
-        outs = []
-        for name in ("a", "b"):
-            out = tmp_path / name
-            assert _run(["verify", "--region", inputs / "region.json", "--n", 64,
-                         "--out", out]) == 0
-            outs.append(out)
-        assert (outs[0] / "verify.json").read_bytes() == (outs[1] / "verify.json").read_bytes()
+        for coeff in ([], ["--coeff", inputs / "coeff.json"]):
+            outs = []
+            for name in ("a", "b"):
+                out = tmp_path / f"{name}{len(coeff)}"
+                assert _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                             "--out", out, *coeff]) == 0
+                outs.append(out)
+            assert (outs[0] / "verify.json").read_bytes() == (outs[1] / "verify.json").read_bytes()
 
 
 class TestModuleEntryPoint:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gnk.coefficient import One, ShiftedPower, index_of
 from gnk.discrete import (
+    NULLITY_TOL,
     apply_M,
     assemble_M,
     assemble_N,
@@ -17,7 +20,7 @@ from gnk.dirichlet import indicator_basis
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region, circle
 from conftest import CENTERS
-from helpers import band_limited, wittich_apply
+from helpers import band_limited, dense_nullity, wittich_apply
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,6 +106,42 @@ class TestAssembleN:
 
     def test_zero_maps_to_zero(self, gallery_ops):
         assert np.abs(gallery_ops.apply_N(np.zeros(gallery_ops.size))).max() == 0.0
+
+
+class TestComplexProducts:
+    """Complex samples go through real products: no complex copy of N or M."""
+
+    @pytest.fixture(scope="class")
+    def large_ops(self, three_circles):
+        return assemble_N(three_circles, One(), ParamGrid(512))  # N = 1536
+
+    @staticmethod
+    def _samples(size):
+        rng = np.random.default_rng(3)
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    def test_complex_products_allocate_order_N(self, large_ops):
+        c = self._samples(large_ops.size)
+        for apply in (large_ops.apply_N, lambda x: apply_M(large_ops, x)):
+            apply(c)
+            tracemalloc.start()
+            try:
+                apply(c)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a complex copy of the matrix would be 16 N^2 bytes (37.7 MB)
+            assert peak <= 64 * 8 * large_ops.size, peak
+
+    def test_complex_products_are_componentwise(self, large_ops):
+        c = self._samples(large_ops.size)
+        for apply in (large_ops.apply_N, lambda x: apply_M(large_ops, x)):
+            expected = apply(c.real) + 1j * apply(c.imag)
+            assert np.abs(apply(c) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    def test_real_products_keep_the_plain_call(self, large_ops):
+        phi = self._samples(large_ops.size).real
+        assert np.array_equal(large_ops.apply_N(phi), large_ops.N @ phi)
 
 
 class TestApplyM:
@@ -199,7 +238,7 @@ class TestNullity:
 
     def test_report_shape(self, grid64, three_circles):
         ops = assemble_N(three_circles, One(), grid64)
-        report = nullity(ops.identity_plus_N())
+        report = dense_nullity(ops.identity_plus_N())
         assert len(report.smallest) == 5
         assert np.linalg.norm(ops.identity_plus_N(), 2) >= report.smallest[-1]
         # smallest-first ordering
@@ -210,5 +249,58 @@ class TestNullity:
         least = []
         for n in (64, 128):
             ops = assemble_N(three_circles, One(), ParamGrid(n))
-            least.append(ops.nullity_I_minus_N().smallest[0])
+            least.append(dense_nullity(ops.identity_minus_N()).smallest[0])
         assert abs(least[1] - least[0]) <= 0.2 * least[0]
+
+
+_GALLERY_COEFFS = [One(), ShiftedPower(CENTERS[2], 1), ShiftedPower(CENTERS[2], -1),
+                   ShiftedPower(CENTERS[2], 2)]
+
+
+class TestKrylovNullity:
+    """The block Krylov count against the dense SVD oracle."""
+
+    @staticmethod
+    def _assert_matches_dense(ops):
+        eye = np.eye(ops.size)
+        for report, matrix in ((ops.nullity_I_plus_N(), eye + ops.N),
+                               (ops.nullity_I_minus_N(), eye - ops.N)):
+            dense = dense_nullity(matrix)
+            k = dense.nullity
+            assert report.conclusive, report.stop
+            assert report.nullity == k
+            assert len(report.ritz_counted) == k
+            assert all(v <= NULLITY_TOL * report.ritz_largest for v in report.ritz_counted)
+            # interlacing: Ritz values bound the singular values from above,
+            # up to roundoff in the largest
+            roundoff = 1e-13 * report.ritz_largest
+            assert report.ritz_next >= dense.singular_values[k] - roundoff
+            assert report.ritz_largest <= dense.singular_values[-1] + roundoff
+
+    @pytest.mark.parametrize("gallery", ["three_circles", "mixed_gallery"])
+    @pytest.mark.parametrize("coeff", _GALLERY_COEFFS,
+                             ids=["one", "power+1", "power-1", "power2"])
+    def test_matches_dense_count(self, request, gallery, coeff, grid64):
+        self._assert_matches_dense(
+            assemble_N(request.getfixturevalue(gallery), coeff, grid64))
+
+    @pytest.mark.parametrize("coeff", [One(), ShiftedPower(-6 - 6j, 1)],
+                             ids=["one", "power+1"])
+    def test_matches_dense_count_on_lattice(self, coeff):
+        # 16 radius-1 circles on a 4-unit lattice.  With the power, the null
+        # Ritz value of I - N is still 8e-6 at depth 8 and is counted only
+        # at depth 10, so a count that stopped at a fixed shallow depth
+        # would miss it; the settle rule waits for it.
+        axis = (-6.0, -2.0, 2.0, 6.0)
+        lattice = Region.from_curves([circle(complex(x, y), 1.0, label=4 * i + j)
+                                      for i, y in enumerate(axis)
+                                      for j, x in enumerate(axis)])
+        self._assert_matches_dense(assemble_N(lattice, coeff, ParamGrid(16)))
+
+    def test_whole_space_is_exact(self):
+        # eight nodes, twelve start columns: one block spans everything
+        ops = assemble_N(Region.from_curves([circle(0.0, 1.0)]), One(), ParamGrid(8))
+        report = nullity(ops.N, +1, 12)
+        dense = dense_nullity(np.eye(8) + ops.N)
+        assert report.stop == "exact" and report.depth == 1
+        assert report.nullity == dense.nullity == 1
