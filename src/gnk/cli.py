@@ -188,8 +188,8 @@ def run_verify(args) -> int:
     # counts, whose freed blocks raise glibc's mmap threshold so that the
     # heap would keep about 20 MB more under that peak.
     mobius_section = _mobius_section(ops, index)
-    plus = ops.nullity_I_plus_N()
-    minus = ops.nullity_I_minus_N()
+    plus = ops.nullity_I_plus_N(index.dim_null_I_plus_N)
+    minus = ops.nullity_I_minus_N(index.dim_null_I_minus_N)
     null_ok = (plus.conclusive and plus.nullity == index.dim_null_I_plus_N
                and minus.conclusive and minus.nullity == index.dim_null_I_minus_N)
 

@@ -30,13 +30,17 @@ NULLITY_TOL = 1e-8
 # Block Krylov nullity count: the start block is NULLITY_MARGIN columns wider
 # than the predicted nullity and drawn from a fixed seed, so that verify's
 # output is byte-deterministic.  The count stops once the first uncounted
-# Ritz value moves by at most NULLITY_SETTLE relative between two depths,
-# and fails unsettled at NULLITY_MAX_DEPTH.  A new block direction whose
-# norm after reorthogonalization falls below DEFLATION_TOL of the block's
-# is dropped.
+# Ritz value moves by at most NULLITY_SETTLE relative between two depths.
+# It fails unsettled once the basis would outgrow NULLITY_MAX_COLUMNS
+# columns (or NULLITY_MIN_DEPTH blocks, if that is more); a count whose
+# basis may span the whole space never fails that way.  Elongated holes
+# need deep bases: beside a circle, an ellipse with a/b = 300 takes 540-670
+# columns.  A new block direction whose norm after reorthogonalization
+# falls below DEFLATION_TOL of the block's is dropped.
 NULLITY_MARGIN = 8
 NULLITY_SETTLE = 1e-8
-NULLITY_MAX_DEPTH = 32
+NULLITY_MAX_COLUMNS = 1024
+NULLITY_MIN_DEPTH = 32
 DEFLATION_TOL = 1e-10
 
 
@@ -113,12 +117,14 @@ class DiscreteOperators:
     def identity_minus_N(self) -> np.ndarray:
         return np.eye(self.size) - self.N
 
-    def nullity_I_minus_N(self) -> "NullityReport":
-        predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_minus_N
+    def nullity_I_minus_N(self, predicted: int | None = None) -> "NullityReport":
+        if predicted is None:
+            predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_minus_N
         return nullity(self.N, -1, predicted + NULLITY_MARGIN)
 
-    def nullity_I_plus_N(self) -> "NullityReport":
-        predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_plus_N
+    def nullity_I_plus_N(self, predicted: int | None = None) -> "NullityReport":
+        if predicted is None:
+            predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_plus_N
         return nullity(self.N, +1, predicted + NULLITY_MARGIN)
 
 
@@ -214,8 +220,8 @@ class NullityReport:
     ended: "settled" (``ritz_next`` settled), "exact" (the Krylov space
     became invariant, for example by spanning the whole space),
     "saturated" (as many values counted as the block is wide, so the count
-    is only a lower bound) or "depth cap" (unsettled at NULLITY_MAX_DEPTH).
-    Only the first two are conclusive.
+    is only a lower bound) or "basis cap" (unsettled when the basis reached
+    its column cap).  Only the first two are conclusive.
     """
 
     nullity: int
@@ -251,6 +257,7 @@ def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
     directions of one repeated singular value as it has columns.
     """
     size = N.shape[0]
+    cap = min(size, max(NULLITY_MAX_COLUMNS, NULLITY_MIN_DEPTH * width))
     start = np.random.default_rng(0).standard_normal((size, min(width, size)))
     basis = images = np.empty((size, 0))
     block = _new_block(basis, start)
@@ -272,7 +279,8 @@ def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
         else:
             block = _new_block(basis, image + sign * (N.T @ image))
             stop = ("exact" if block.shape[1] == 0
-                    else "depth cap" if depth == NULLITY_MAX_DEPTH else None)
+                    else "basis cap" if basis.shape[1] + block.shape[1] > cap
+                    else None)
         if stop is not None:
             return NullityReport(
                 nullity=count,

@@ -28,13 +28,6 @@ TWO_PI = 2.0 * math.pi
 MIN_SPEED = 1e-6
 MIN_DISTANCE = 1e-6
 MAX_DOUBLINGS = 14  # grid doublings before winding_number gives up
-# Entries per block of the pairwise passes of validate_region (turn counts
-# and sample gaps).  A block's temporaries, at most 32 bytes per entry, stay
-# within glibc's default 128 KiB heap top pad, so they are reused.  Whole
-# n x n temporaries are mapped and faulted in afresh on every call whenever
-# the heap gets trimmed between calls, which depends on the allocation
-# history: it made index-report on 16 curves at n = 256 35 % slower.
-PAIR_BLOCK = 4096
 
 
 def _require_finite(values, what: str):
@@ -272,32 +265,9 @@ def _turns_about_points(curve: Curve, points: np.ndarray, n: int = 256) -> np.nd
     which callers must screen with a distance check first.
     """
     eta = curve.jet(np.arange(n) * (TWO_PI / n))[0]
-    eta_next = np.roll(eta, -1)
-    points = np.asarray(points, dtype=complex)[:, None]
-    turns = np.empty(len(points))
-    for rows in _row_blocks(len(points), n):
-        ratio = eta - points[rows]
-        np.divide(eta_next - points[rows], ratio, out=ratio)
-        turns[rows] = np.arctan2(ratio.imag, ratio.real).sum(axis=1)
-    return np.nan_to_num(turns / TWO_PI, nan=0.5)
-
-
-def _row_blocks(count: int, width: int):
-    """Row slices covering range(count), PAIR_BLOCK // width rows each."""
-    rows = max(1, PAIR_BLOCK // width)
-    return (slice(start, start + rows) for start in range(0, count, rows))
-
-
-def _min_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """min |a_i - b_j| over all pairs, or over i != j when a is b."""
-    gap = math.inf
-    for rows in _row_blocks(len(a), len(b)):
-        diff = np.abs(a[rows, None] - b[None, :])
-        if a is b:
-            local = np.arange(diff.shape[0])
-            diff[local, local + rows.start] = np.inf
-        gap = min(gap, float(diff.min()))
-    return gap
+    w = eta[None, :] - np.asarray(points, dtype=complex)[:, None]
+    steps = np.angle(np.roll(w, -1, axis=1) / w)
+    return np.nan_to_num(steps.sum(axis=1) / TWO_PI, nan=0.5)
 
 
 def _winding_check(name: str, curve: Curve, z: complex, expected: int,
@@ -326,13 +296,15 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
         checks.append(CheckResult(
             f"speed[{k}]", speed >= MIN_SPEED, speed,
             f"min |eta'| vs {MIN_SPEED:g}"))
-        gap = _min_gap(eta, eta)
+        diff = np.abs(eta[:, None] - eta[None, :])
+        np.fill_diagonal(diff, np.inf)
+        gap = float(diff.min())
         checks.append(CheckResult(
             f"simple[{k}]", gap >= MIN_DISTANCE, gap,
             f"min pairwise sample distance vs {MIN_DISTANCE:g}"))
     for j in range(region.m):
         for k in range(j + 1, region.m):
-            gap = _min_gap(samples[j], samples[k])
+            gap = float(np.abs(samples[j][:, None] - samples[k][None, :]).min())
             # sample distance alone misses interpenetration, so also require
             # each curve's samples to wind zero about the other
             turns = max(

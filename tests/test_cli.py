@@ -183,14 +183,16 @@ class TestVerifyPlantedDefects:
         assert report["nullity"]["ok"] is False
 
     def test_unsettled_count_exits_2(self, inputs, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(discrete, "NULLITY_MAX_DEPTH", 4)
+        # a basis cap of four blocks
+        monkeypatch.setattr(discrete, "NULLITY_MAX_COLUMNS", 0)
+        monkeypatch.setattr(discrete, "NULLITY_MIN_DEPTH", 4)
         out = tmp_path / "out"
         rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
                    "--out", out])
         assert rc == 2
         report = json.loads((out / "verify.json").read_text())
         entries = report["nullity"]
-        assert {entries[k]["krylov_stop"] for k in ("I_plus_N", "I_minus_N")} == {"depth cap"}
+        assert {entries[k]["krylov_stop"] for k in ("I_plus_N", "I_minus_N")} == {"basis cap"}
         # the counts themselves match the prediction; only the stop fails them
         assert all(entries[k]["measured"] == entries[k]["predicted"]
                    for k in ("I_plus_N", "I_minus_N"))

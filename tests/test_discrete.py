@@ -18,7 +18,7 @@ from gnk.discrete import (
 )
 from gnk.dirichlet import indicator_basis
 from gnk.errors import OddGridSize
-from gnk.geometry import ParamGrid, Region, circle
+from gnk.geometry import ParamGrid, Region, circle, ellipse
 from conftest import CENTERS
 from helpers import band_limited, dense_nullity, wittich_apply
 
@@ -263,6 +263,7 @@ class TestKrylovNullity:
     @staticmethod
     def _assert_matches_dense(ops):
         eye = np.eye(ops.size)
+        depths = []
         for report, matrix in ((ops.nullity_I_plus_N(), eye + ops.N),
                                (ops.nullity_I_minus_N(), eye - ops.N)):
             dense = dense_nullity(matrix)
@@ -276,6 +277,8 @@ class TestKrylovNullity:
             roundoff = 1e-13 * report.ritz_largest
             assert report.ritz_next >= dense.singular_values[k] - roundoff
             assert report.ritz_largest <= dense.singular_values[-1] + roundoff
+            depths.append(report.depth)
+        return depths
 
     @pytest.mark.parametrize("gallery", ["three_circles", "mixed_gallery"])
     @pytest.mark.parametrize("coeff", _GALLERY_COEFFS,
@@ -296,6 +299,16 @@ class TestKrylovNullity:
                                       for i, y in enumerate(axis)
                                       for j, x in enumerate(axis)])
         self._assert_matches_dense(assemble_N(lattice, coeff, ParamGrid(16)))
+
+    @pytest.mark.parametrize("coeff", [One(), ShiftedPower(0j, 1)], ids=["one", "power+1"])
+    def test_matches_dense_count_on_elongated_hole(self, coeff):
+        # an ellipse with a/b = 300 beside a circle: the counts take 30 to
+        # 36 blocks (up to 300 of the 512 columns) to settle, where the
+        # galleries take 8 to 12, so a fixed cap of 32 blocks would fail them
+        region = Region.from_curves([ellipse(0.0, 1.0, 1.0 / 300.0, label=0),
+                                     circle(3.0, 1.0, label=1)])
+        depths = self._assert_matches_dense(assemble_N(region, coeff, ParamGrid(256)))
+        assert max(depths) > 32
 
     def test_whole_space_is_exact(self):
         # eight nodes, twelve start columns: one block spans everything

@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +8,12 @@ from hypothesis import strategies as st
 
 from gnk.errors import OddGridSize, PointTooClose
 from gnk.geometry import (
-    PAIR_BLOCK,
     Curve,
     ParamGrid,
     Region,
     circle,
     ellipse,
     load_region,
-    _turns_about_points,
     perturbed_circle,
     validate_region,
     winding_of_point,
@@ -144,41 +141,6 @@ class TestValidation:
         report = validate_region(three_circles, grid64)
         assert all(np.isfinite(c.margin) for c in report.checks)
         assert "ok" in str(report)
-
-
-class TestPairwiseBlocks:
-    """validate_region's pairwise passes run in row blocks of PAIR_BLOCK."""
-
-    @staticmethod
-    def _whole_turns(curve, points, n):
-        # the former whole-array form, kept as the reference
-        eta = curve.jet(np.arange(n) * (2.0 * math.pi / n))[0]
-        w = eta[None, :] - np.asarray(points, dtype=complex)[:, None]
-        steps = np.angle(np.roll(w, -1, axis=1) / w)
-        return np.nan_to_num(steps.sum(axis=1) / (2.0 * math.pi), nan=0.5)
-
-    @pytest.mark.parametrize("n", [8, 256, 512])
-    def test_turns_equal_whole_array_form(self, n):
-        curve = ellipse(0.3 + 0.1j, 1.2, 0.7)
-        rng = np.random.default_rng(4)
-        points = np.concatenate([rng.normal(size=300) * 2 + 1j * rng.normal(size=300) * 2,
-                                 [0.3 + 0.1j, 5.0, 1.5 + 0.1j]])
-        # 1.5 + 0.1j is a node: its turn count is the NaN -> 0.5 case
-        with np.errstate(divide="ignore", invalid="ignore"):
-            assert np.array_equal(_turns_about_points(curve, points, n),
-                                  self._whole_turns(curve, points, n))
-
-    def test_validation_memory_is_bounded(self, three_circles):
-        grid = ParamGrid(256)
-        validate_region(three_circles, grid)
-        tracemalloc.start()
-        try:
-            validate_region(three_circles, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # whole 256 x 256 temporaries peaked at 3.2 MB
-        assert peak <= 3 * 32 * PAIR_BLOCK, peak
 
 
 class TestRegion:
