@@ -28,7 +28,6 @@ from gnk.dirichlet import (
 from gnk.discrete import (
     DiscreteOperators,
     apply_M,
-    assemble_M,
     assemble_N,
     conjugate_periodic,
     nullity,

@@ -10,22 +10,29 @@ operators are real-linear; complex inputs are processed componentwise:
 the real and imaginary parts go through one real matrix product together,
 so no complex copy of a matrix is ever made.
 
+Both matrices are filled from row blocks of the complex kernel, which the
+Mobius check walks too, so the stored N and M_smooth are the only N^2
+arrays.
+
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from gnk import kernels
 from gnk.coefficient import index_of
 from gnk.errors import OddGridSize
-from gnk.geometry import ParamGrid, Region
+from gnk.geometry import TWO_PI, ParamGrid, Region
 from gnk.kernels import BoundaryJet
 
+# Kernel entries per row block: 2**18 is a 4 MB complex block, 64 rows at
+# N = 4096.
+BLOCK_ENTRIES = 2**18
 NULLITY_TOL = 1e-8
 # Block Krylov nullity count: the start block is NULLITY_MARGIN columns wider
 # than the predicted nullity and drawn from a fixed seed, so that verify's
@@ -64,25 +71,15 @@ def conjugate_periodic(samples: np.ndarray) -> np.ndarray:
     return out if np.iscomplexobj(phi) else out.real
 
 
-def conjugation_matrix(n: int) -> np.ndarray:
-    """Dense circulant form of :func:`conjugate_periodic` on n nodes."""
-    impulse = np.zeros(n)
-    impulse[0] = 1.0
-    column = conjugate_periodic(impulse)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return column[idx]
-
-
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Dense Nystrom operators for one (region, coefficient, grid) triple.
 
     ``N`` holds the weighted generalized Neumann matrix w N(s_i, t_j);
     ``M_smooth`` the weighted smooth companion part (same-curve M1 blocks,
-    cross-curve M blocks).  The full companion matrix, which subtracts the
-    conjugation circulant on each diagonal block, is materialized on
-    demand.  Assembled operators are immutable and safe to share;
-    applications and solves are pure.
+    cross-curve M blocks); :func:`apply_M` adds the spectral conjugation.
+    Assembled operators are immutable and safe to share; applications and
+    solves are pure.
     """
 
     region: Region
@@ -142,20 +139,64 @@ def _real_matmul(matrix: np.ndarray, phi) -> np.ndarray:
     return parts[..., 0] + 1j * parts[..., 1]
 
 
+def _cot_table(n: int, w: float) -> np.ndarray:
+    """w cot((s_i - s_j)/2) / (2 pi) at index i - j + n - 1, zero for i = j."""
+    half = np.arange(1 - n, n) * (math.pi / n)
+    half[n - 1] = math.pi / 2  # placeholder, cot = 0 there anyway
+    cot = np.cos(half) / np.sin(half)
+    cot[n - 1] = 0.0
+    return cot / TWO_PI * w
+
+
+def _weighted_blocks(jet: BoundaryJet, out=None):
+    """Row blocks of the weighted complex kernel: M + iN off the diagonal,
+    M1 + iN on it, entry (i, j) at target s_i and source t_j.
+
+    Yields (rows, cols, w N, w M_smooth, cot) per block of at most
+    BLOCK_ENTRIES entries inside one curve, cols; cot is the weighted
+    cotangent addition that turns M into M1 on those columns.  The
+    diagonal, the grid's only same-curve coincidence, takes the
+    closed-form smooth values.  The rows are views into out =
+    (N, M_smooth) if given, else into one reused scratch pair.
+    """
+    size, n, w = jet.size, jet.n, jet.weight
+    height = max(1, min(n, BLOCK_ENTRIES // size))
+    scratch = np.empty((2, height, size)) if out is None else None
+    cot = _cot_table(n, w)
+    local = np.arange(n)
+    diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
+    for k in range(jet.m):
+        cols = slice(k * n, (k + 1) * n)
+        for first in range(0, n, height):
+            last = min(first + height, n)
+            rows = slice(k * n + first, k * n + last)
+            on_diag = (local[:last - first], local[first:last] + k * n)
+            block = jet.eta[None, :] - jet.eta[rows, None]
+            block[on_diag] = 1.0
+            np.divide(jet.eta_d[None, :], block, out=block)
+            np.multiply(jet.coeff[rows, None] / jet.coeff[None, :], block, out=block)
+            block /= math.pi
+            block[on_diag] = diag[rows]
+            n_rows, m_rows = ((out[0][rows], out[1][rows]) if out is not None
+                              else scratch[:, :last - first])
+            np.multiply(block.imag, w, out=n_rows)
+            np.multiply(block.real, w, out=m_rows)
+            cot_rows = cot[local[first:last, None] - local[None, :] + (n - 1)]
+            m_rows[:, cols] += cot_rows
+            yield rows, cols, n_rows, m_rows, cot_rows
+
+
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
     """Weighted Nystrom matrices (w N, w M_smooth) of one sampled boundary.
 
     Both real matrices fall out of one complex kernel evaluation over the
-    grid, so the companion's smooth part is kept rather than recomputed.
+    grid, row block by row block, so the companion's smooth part is kept
+    rather than recomputed and no complex N^2 array is made.
     """
-    complex_matrix = kernels.complex_kernel_matrix(jet)
-    w = jet.weight
-    n_matrix = complex_matrix.imag * w
-    m_smooth = complex_matrix.real * w
-    add = kernels._cot_addition(jet.n) * w
-    for k in range(jet.m):
-        block = slice(k * jet.n, (k + 1) * jet.n)
-        m_smooth[block, block] += add
+    n_matrix = np.empty((jet.size, jet.size))
+    m_smooth = np.empty_like(n_matrix)
+    for _ in _weighted_blocks(jet, out=(n_matrix, m_smooth)):
+        pass
     return n_matrix, m_smooth
 
 
@@ -187,16 +228,6 @@ def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
         block = slice(k * n, (k + 1) * n)
         out[block] -= conjugate_periodic(phi[block])
     return out
-
-
-def assemble_M(ops: DiscreteOperators) -> np.ndarray:
-    """Materialize the dense companion matrix; agrees with apply_M exactly."""
-    full = ops.M_smooth.copy()
-    circulant = conjugation_matrix(ops.n)
-    for k in range(ops.m):
-        block = slice(k * ops.n, (k + 1) * ops.n)
-        full[block, block] -= circulant
-    return full
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):

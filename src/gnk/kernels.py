@@ -15,6 +15,10 @@ with M1 continuous.  The diagonal values come from the closed form
 
 (imaginary part for N, real part for M1), which is exact here because both
 eta and A are trigonometric polynomials with analytic derivatives.
+
+This module holds the sampled boundary (:class:`BoundaryJet`) and the
+kernels at single (curve, parameter) points.  The grid matrices are built
+row block by row block from a jet in :mod:`gnk.discrete`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from gnk.geometry import TWO_PI, ParamGrid, Region
 # parameter separation below which same-curve evaluation is routed to the
 # closed-form diagonal to dodge catastrophic cancellation
 NEAR_DIAGONAL = 1e-8
-ROW_BLOCK = 256  # rows per coefficient-ratio block, so no second N^2 temporary
 
 
 @dataclass(frozen=True)
@@ -121,33 +124,3 @@ def kernel_M1(region: Region, coeff, s_point, t_point) -> float:
         return float(_diagonal(region, coeff, t_point).real)
     value = _offdiag(region, coeff, s_point, t_point).real
     return float(value + 1.0 / math.tan((s - t) / 2.0) / TWO_PI)
-
-
-def complex_kernel_matrix(jet: BoundaryJet) -> np.ndarray:
-    """Dense matrix of M + iN off the diagonal, M1 + iN on it.
-
-    Entry (i, j) evaluates at target s_i (row) and source t_j (column).
-    On the uniform grid the only same-curve coincidences are the exact
-    diagonal entries, which take the closed-form smooth values.
-    """
-    matrix = jet.eta[None, :] - jet.eta[:, None]
-    np.fill_diagonal(matrix, 1.0)
-    np.divide(jet.eta_d[None, :], matrix, out=matrix)
-    for start in range(0, jet.size, ROW_BLOCK):
-        rows = matrix[start:start + ROW_BLOCK]
-        np.multiply(jet.coeff[start:start + ROW_BLOCK, None] / jet.coeff[None, :],
-                    rows, out=rows)
-    matrix /= math.pi
-    diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
-    np.fill_diagonal(matrix, diag)
-    return matrix
-
-
-def _cot_addition(n: int) -> np.ndarray:
-    """cot((s_i - s_j)/2) / (2 pi) with zeros on the diagonal."""
-    idx = np.arange(n)
-    half = (idx[:, None] - idx[None, :]) * (math.pi / n)
-    np.fill_diagonal(half, math.pi / 2)  # placeholder, cot = 0 there anyway
-    cot = np.cos(half) / np.sin(half)
-    np.fill_diagonal(cot, 0.0)
-    return cot / TWO_PI

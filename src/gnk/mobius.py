@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import coefficient as coefficient_mod
-from gnk import discrete, kernels
+from gnk import discrete
 from gnk.coefficient import IndexReport
 from gnk.errors import CenterNotInHole, PointTooClose
 from gnk.geometry import Region, winding_number, winding_of_point
@@ -72,34 +72,28 @@ class InvarianceReport:
         return max(self.max_diff_N, self.max_diff_M1)
 
 
-def _kernel_scale(ops: discrete.DiscreteOperators) -> float:
-    """max(1, max|M + iN|) over the grid, singular M included, from the
-    assembled matrices one row block at a time."""
-    n, w = ops.n, ops.weight
-    cot = kernels._cot_addition(n) * w
-    largest = 0.0
-    for k in range(ops.m):
-        rows = slice(k * n, (k + 1) * n)
-        m_rows = ops.M_smooth[rows].copy()
-        m_rows[:, rows] -= cot
-        largest = max(largest, float(np.hypot(m_rows, ops.N[rows]).max()))
-    return max(1.0, largest / w)
-
-
 def kernel_invariance_check(ops: discrete.DiscreteOperators,
                             z0: complex | None = None) -> InvarianceReport:
     """Max |N_hat - N| and |M1_hat - M1| over all grid pairs, diagonals included.
 
-    The mapped jet goes through the assembly's builder; the weighted
-    differences are divided by the weight to report kernel units.  The
+    The mapped jet goes through the assembly's row blocks, each compared
+    with the same rows of ``ops``; the weighted differences are divided by
+    the weight to report kernel units.  The same pass reads the scale,
+    max(1, max|M + iN|) with the singular M, off the stored rows.  The
     identity is algebraic, so anything beyond roundoff indicates a bug in
     the kernel evaluation rather than discretization error.
     """
-    n_hat, m_hat = discrete.weighted_kernels(map_jet(ops.region, ops.jet, z0))
+    diff_n = diff_m1 = largest = 0.0
+    mapped = map_jet(ops.region, ops.jet, z0)
+    for rows, cols, n_hat, m_hat, cot in discrete._weighted_blocks(mapped):
+        n_rows, m_rows = ops.N[rows], ops.M_smooth[rows]
+        diff_n = max(diff_n, float(np.abs(n_hat - n_rows).max()))
+        diff_m1 = max(diff_m1, float(np.abs(m_hat - m_rows).max()))
+        np.copyto(m_hat, m_rows)  # the scratch rows now take the singular M
+        m_hat[:, cols] -= cot
+        largest = max(largest, float(np.hypot(m_hat, n_rows).max()))
     w = ops.weight
-    diff_n = np.abs(n_hat - ops.N).max() / w
-    diff_m1 = np.abs(m_hat - ops.M_smooth).max() / w
-    return InvarianceReport(float(diff_n), float(diff_m1), _kernel_scale(ops))
+    return InvarianceReport(diff_n / w, diff_m1 / w, max(1.0, largest / w))
 
 
 def index_shift(report: IndexReport) -> tuple[tuple[int, ...], int]:

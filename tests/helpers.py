@@ -3,16 +3,19 @@
 Everything here deliberately avoids the library's own evaluation paths:
 the alternate-point quadrature for the conjugation, brute-force argument
 accumulation for windings, rational functions with poles in the holes
-as exactly known solutions, and the dense SVD count of a nullity.
+as exactly known solutions, the dense SVD count of a nullity, and the
+whole-matrix kernel builders that the row-block assembly replaced.
 """
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
-from gnk.discrete import NULLITY_TOL
+from gnk.discrete import NULLITY_TOL, conjugate_periodic
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,6 +68,18 @@ def band_limited(rng: np.random.Generator, m: int, n: int, band: int,
     return phi
 
 
+def traced_peak(call) -> int:
+    """tracemalloc peak in bytes above the start while call() runs; the
+    result is dropped inside the trace, so it counts towards the peak."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
 def central_difference(fn, s: float, step: float):
     """Second-order central difference of a scalar-to-complex function."""
     return (fn(s + step) - fn(s - step)) / (2.0 * step)
@@ -87,3 +102,60 @@ def dense_nullity(matrix: np.ndarray) -> DenseNullity:
     count = int(np.count_nonzero(svals < NULLITY_TOL * largest))
     bottom = tuple(float(v) for v in svals[-5:][::-1])
     return DenseNullity(nullity=count, smallest=bottom, singular_values=svals[::-1])
+
+
+def dense_complex_kernel(jet) -> np.ndarray:
+    """Whole N x N matrix of M + iN off the diagonal, M1 + iN on it, by the
+    per-entry arithmetic of the assembly: the bit-identity oracle of the
+    row-block builder."""
+    matrix = jet.eta[None, :] - jet.eta[:, None]
+    np.fill_diagonal(matrix, 1.0)
+    np.divide(jet.eta_d[None, :], matrix, out=matrix)
+    matrix = (jet.coeff[:, None] / jet.coeff[None, :]) * matrix
+    matrix /= math.pi
+    diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
+    np.fill_diagonal(matrix, diag)
+    return matrix
+
+
+def dense_cot_addition(n: int) -> np.ndarray:
+    """cot((s_i - s_j)/2) / (2 pi) on n nodes, with zeros on the diagonal."""
+    idx = np.arange(n)
+    half = (idx[:, None] - idx[None, :]) * (math.pi / n)
+    np.fill_diagonal(half, math.pi / 2)  # placeholder, cot = 0 there anyway
+    cot = np.cos(half) / np.sin(half)
+    np.fill_diagonal(cot, 0.0)
+    return cot / TWO_PI
+
+
+def dense_weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
+    """(w N, w M_smooth) from the whole complex kernel matrix."""
+    complex_matrix = dense_complex_kernel(jet)
+    w = jet.weight
+    n_matrix = complex_matrix.imag * w
+    m_smooth = complex_matrix.real * w
+    add = dense_cot_addition(jet.n) * w
+    for k in range(jet.m):
+        block = slice(k * jet.n, (k + 1) * jet.n)
+        m_smooth[block, block] += add
+    return n_matrix, m_smooth
+
+
+def conjugation_matrix(n: int) -> np.ndarray:
+    """Dense circulant form of the spectral conjugation on n nodes."""
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    column = conjugate_periodic(impulse)
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return column[idx]
+
+
+def assemble_M(ops) -> np.ndarray:
+    """Dense companion matrix: M_smooth minus the conjugation circulant on
+    each diagonal block; it must agree with ``apply_M``."""
+    full = ops.M_smooth.copy()
+    circulant = conjugation_matrix(ops.n)
+    for k in range(ops.m):
+        block = slice(k * ops.n, (k + 1) * ops.n)
+        full[block, block] -= circulant
+    return full

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnk import cli, discrete, kernels, mobius, rhp
+from gnk import cli, discrete, mobius, rhp
 from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
@@ -241,7 +241,7 @@ class TestSharedBoundarySample:
     def test_verify_samples_once_and_builds_two_kernels(self, inputs, tmp_path,
                                                          monkeypatch):
         samples = _counter(monkeypatch, Region, "sample")
-        builds = _counter(monkeypatch, kernels, "complex_kernel_matrix")
+        builds = _counter(monkeypatch, discrete, "_weighted_blocks")
         rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
@@ -249,7 +249,7 @@ class TestSharedBoundarySample:
         assert len(builds) == 2
 
     def test_mobius_check_builds_two_kernels(self, inputs, tmp_path, monkeypatch):
-        builds = _counter(monkeypatch, kernels, "complex_kernel_matrix")
+        builds = _counter(monkeypatch, discrete, "_weighted_blocks")
         rc = _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0

@@ -1,18 +1,15 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnk import discrete
 from gnk.coefficient import One, ShiftedPower, index_of
 from gnk.discrete import (
     NULLITY_TOL,
     apply_M,
-    assemble_M,
     assemble_N,
     conjugate_periodic,
-    conjugation_matrix,
     nullity,
     operator_identity_residuals,
 )
@@ -20,7 +17,14 @@ from gnk.dirichlet import indicator_basis
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region, circle, ellipse
 from conftest import CENTERS
-from helpers import band_limited, dense_nullity, wittich_apply
+from helpers import (
+    assemble_M,
+    band_limited,
+    conjugation_matrix,
+    dense_nullity,
+    traced_peak,
+    wittich_apply,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,6 +111,16 @@ class TestAssembleN:
     def test_zero_maps_to_zero(self, gallery_ops):
         assert np.abs(gallery_ops.apply_N(np.zeros(gallery_ops.size))).max() == 0.0
 
+    def test_peak_is_the_two_stored_matrices(self, mixed_gallery):
+        # N = 1536: w N and w M_smooth (2 x 8 N^2 bytes, 37.7 MB) plus a few
+        # complex row blocks; a whole complex kernel would add 16 N^2 bytes
+        grid = ParamGrid(512)
+        coeff = ShiftedPower(CENTERS[2], 1)
+        assemble_N(mixed_gallery, coeff, grid)
+        peak = traced_peak(lambda: assemble_N(mixed_gallery, coeff, grid))
+        size = 3 * grid.n
+        assert peak <= 2 * 8 * size**2 + 4 * 16 * discrete.BLOCK_ENTRIES, peak
+
 
 class TestComplexProducts:
     """Complex samples go through real products: no complex copy of N or M."""
@@ -124,12 +138,7 @@ class TestComplexProducts:
         c = self._samples(large_ops.size)
         for apply in (large_ops.apply_N, lambda x: apply_M(large_ops, x)):
             apply(c)
-            tracemalloc.start()
-            try:
-                apply(c)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(lambda: apply(c))
             # a complex copy of the matrix would be 16 N^2 bytes (37.7 MB)
             assert peak <= 64 * 8 * large_ops.size, peak
 

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from gnk import discrete
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N, weighted_kernels
 from gnk.errors import DiagonalSingular
 from gnk.geometry import ParamGrid, Region, circle, ellipse
-from gnk.kernels import BoundaryJet, complex_kernel_matrix, kernel_M, kernel_M1, kernel_N
+from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
 from gnk.mobius import map_jet
 from conftest import CENTERS
+from helpers import dense_weighted_kernels
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -125,21 +127,38 @@ class TestMatrixBuilders:
         assert np.allclose(ops.N / grid64.weight, -INV_2PI)
         assert np.abs(ops.M_smooth / grid64.weight).max() < 1e-13
 
-    def test_complex_matrix_diagonal_is_smooth_value(self, three_circles, grid64):
+    def test_complex_matrix_diagonal_is_smooth_value(self, three_circles, grid64,
+                                                     monkeypatch):
+        # 24 rows a block: the diagonal runs through full and partial blocks
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 192 * 24)
         jet = BoundaryJet.from_region(three_circles, One(), grid64)
-        matrix = complex_kernel_matrix(jet)
+        n_matrix, m_smooth = weighted_kernels(jet)
+        oracle_n, oracle_m = dense_weighted_kernels(jet)
+        assert np.array_equal(np.diag(n_matrix), np.diag(oracle_n))
+        assert np.array_equal(np.diag(m_smooth), np.diag(oracle_m))
         expected = (jet.eta_dd / (2.0 * jet.eta_d)) / math.pi
-        assert np.allclose(np.diag(matrix), expected)
+        assert np.allclose((np.diag(m_smooth) + 1j * np.diag(n_matrix)) / jet.weight,
+                           expected)
 
     @pytest.mark.parametrize("coeff", [One(), ShiftedPower(CENTERS[2], 1)],
                              ids=["one", "power"])
-    def test_in_place_build_is_bit_identical(self, mixed_gallery, coeff):
-        # 3 x 100 rows span a full and a partial ratio row block
+    def test_in_place_build_is_bit_identical(self, mixed_gallery, coeff, monkeypatch):
+        # 32 rows a block split each 100-node curve into three full blocks
+        # and a partial one
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
         jet = BoundaryJet.from_region(mixed_gallery, coeff, ParamGrid(100))
-        denom = jet.eta[None, :] - jet.eta[:, None]
-        np.fill_diagonal(denom, 1.0)
-        expected = (jet.coeff[:, None] / jet.coeff[None, :]) * (jet.eta_d[None, :] / denom)
-        expected /= math.pi
-        np.fill_diagonal(expected, (jet.eta_dd / (2.0 * jet.eta_d)
-                                    - jet.coeff_d / jet.coeff) / math.pi)
-        assert np.array_equal(complex_kernel_matrix(jet), expected)
+        n_matrix, m_smooth = weighted_kernels(jet)
+        oracle_n, oracle_m = dense_weighted_kernels(jet)
+        assert np.array_equal(n_matrix, oracle_n)
+        assert np.array_equal(m_smooth, oracle_m)
+
+    def test_blocks_stay_inside_one_curve(self, mixed_gallery, monkeypatch):
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
+        jet = BoundaryJet.from_region(mixed_gallery, One(), ParamGrid(100))
+        heights = []
+        for rows, cols, n_rows, m_rows, cot in discrete._weighted_blocks(jet):
+            assert cols.start <= rows.start < rows.stop <= cols.stop
+            assert n_rows.shape == m_rows.shape == (rows.stop - rows.start, 300)
+            assert cot.shape == (rows.stop - rows.start, 100)
+            heights.append(rows.stop - rows.start)
+        assert heights == [32, 32, 32, 4] * 3

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from gnk import discrete
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
 from gnk.errors import CenterNotInHole
-from gnk.geometry import Region, circle
-from gnk.kernels import BoundaryJet, complex_kernel_matrix
+from gnk.geometry import ParamGrid, Region, circle
+from gnk.kernels import BoundaryJet
 from gnk.mobius import (
     index_shift,
     kernel_invariance_check,
@@ -14,7 +15,13 @@ from gnk.mobius import (
     transform_solution,
 )
 from conftest import CENTERS
-from helpers import band_limited
+from helpers import (
+    band_limited,
+    dense_complex_kernel,
+    dense_cot_addition,
+    dense_weighted_kernels,
+    traced_peak,
+)
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +83,44 @@ class TestKernelInvariance:
         report = kernel_invariance_check(assemble_N(three_circles, shifted, grid64))
         assert report.max_diff <= 1e-12
 
-    def test_scale_is_largest_kernel_entry(self, three_circles, grid64):
+    def test_scale_is_largest_kernel_entry(self, three_circles, grid64, monkeypatch):
         # read back off the weighted matrices, the scale matches the largest
-        # entry of the complex kernel, singular companion included
+        # entry of the complex kernel, singular companion included; 24 rows
+        # a block give full and partial blocks per curve
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 192 * 24)
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
-        expected = max(1.0, np.abs(complex_kernel_matrix(ops.jet)).max())
+        oracle_n, oracle_m = dense_weighted_kernels(ops.jet)
+        assert np.array_equal(ops.N, oracle_n)
+        assert np.array_equal(ops.M_smooth, oracle_m)
+        expected = max(1.0, np.abs(dense_complex_kernel(ops.jet)).max())
         assert kernel_invariance_check(ops).scale == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("coeff", [One(), ShiftedPower(CENTERS[2], 1)],
+                             ids=["one", "power"])
+    def test_report_matches_whole_matrix_check(self, mixed_gallery, coeff,
+                                               monkeypatch):
+        # the differences and the scale taken block by block equal those of
+        # the whole mapped matrices exactly
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
+        ops = assemble_N(mixed_gallery, coeff, ParamGrid(100))
+        n_hat, m_hat = dense_weighted_kernels(map_jet(mixed_gallery, ops.jet))
+        w = ops.weight
+        singular = ops.M_smooth.copy()
+        for k in range(3):
+            block = slice(k * 100, (k + 1) * 100)
+            singular[block, block] -= dense_cot_addition(100) * w
+        report = kernel_invariance_check(ops)
+        assert report.max_diff_N == np.abs(n_hat - ops.N).max() / w
+        assert report.max_diff_M1 == np.abs(m_hat - ops.M_smooth).max() / w
+        assert report.scale == max(1.0, np.hypot(singular, ops.N).max() / w)
+
+    def test_peak_is_a_few_blocks(self, mixed_gallery):
+        # N = 1536: the mapped kernel goes by in blocks, so the peak stays a
+        # few complex blocks, below one real N x N array (8 N^2 bytes)
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], 1), ParamGrid(512))
+        kernel_invariance_check(ops)
+        peak = traced_peak(lambda: kernel_invariance_check(ops))
+        assert peak <= 4 * 16 * discrete.BLOCK_ENTRIES, peak
 
     def test_discrete_operators_equal(self, three_circles, grid64):
         # assembled Neumann matrices agree entrywise; the companion agrees
