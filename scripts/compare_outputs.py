@@ -5,7 +5,7 @@
 
 OLD_SRC and NEW_SRC are directories holding the ``gnk`` package (a
 checkout's ``src/``).  All six subcommands run with each tree on the
-``make_gallery.py`` inputs: the circles and mixed regions, the ``one`` and
+``make_gallery.py`` inputs: the circles, mixed and close regions, the ``one`` and
 ``power`` coefficients, n = 64 and 128, with the mixed data set.  Each run
 keeps its output files plus its exit code, stdout and stderr (a Python
 warning there names a source line, so it shows as a difference).  The
@@ -34,7 +34,7 @@ from make_gallery import FILES  # noqa: E402
 
 COMMANDS = ("solve-rhp", "solve-dirichlet", "verify", "index-report",
             "mobius-check", "eval-field")
-REGIONS = ("circles", "mixed")
+REGIONS = ("circles", "mixed", "close")
 COEFFS = ("one", "power")
 SIZES = (64, 128)
 READS_DATA = ("solve-rhp", "solve-dirichlet", "eval-field")

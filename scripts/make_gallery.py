@@ -25,6 +25,16 @@ FILES = {
             {"type": "ellipse", "center": list(CENTERS[2]), "a": 0.9, "b": 1.3},
         ],
     },
+    # the ellipse's enclosing disc (radius 3.5) holds the origin and the
+    # second hole point, both outside the ellipse, and overlaps the other
+    # two discs, so validation samples those windings
+    "region_close.json": {
+        "curves": [
+            {"type": "ellipse", "center": list(CENTERS[0]), "a": 1.0, "b": 3.5},
+            {"type": "circle", "center": [0.5, 2.0], "radius": 0.6},
+            {"type": "circle", "center": list(CENTERS[2]), "radius": RADII[2]},
+        ],
+    },
     "coeff_one.json": {"type": "one"},
     "coeff_power.json": {"type": "shifted_power", "z0": list(CENTERS[2]), "power": 1},
     "data_poles.json": {

@@ -28,6 +28,9 @@ TWO_PI = 2.0 * math.pi
 MIN_SPEED = 1e-6
 MIN_DISTANCE = 1e-6
 MAX_DOUBLINGS = 14  # grid doublings before winding_number gives up
+# relative allowance for the rounding of sampled eta when an enclosing disc
+# decides a check; it only sends near-tangent cases to the sampled test
+DISC_SLACK = 1e-9
 
 
 def _require_finite(values, what: str):
@@ -66,6 +69,12 @@ class Curve:
         """Mean of eta over one period (the p = 0 coefficient)."""
         mask = self.powers == 0
         return complex(self.coeffs[mask].sum()) if mask.any() else 0j
+
+    @property
+    def radius(self) -> float:
+        """sum_{p != 0} |a_p|: no point of the curve lies farther from the
+        centroid, so the curve stays inside that enclosing disc."""
+        return float(np.abs(self.coeffs[self.powers != 0]).sum())
 
     def jet(self, s):
         """Evaluate (eta, eta', eta'') at scalar or array parameter s."""
@@ -271,12 +280,43 @@ def _turns_about_points(curve: Curve, points: np.ndarray, n: int = 256) -> np.nd
 
 
 def _winding_check(name: str, curve: Curve, z: complex, expected: int,
-                   n: int) -> CheckResult:
+                   n: int, far: bool = False) -> CheckResult:
+    """Compare the winding of the curve about z with expected; far = True
+    means z is known to lie far outside (see _far_outside), winding 0."""
     try:
-        w = winding_of_point(curve, z, n)
+        w = 0 if far else winding_of_point(curve, z, n)
     except (PointTooClose, NonConvergent) as exc:
         return CheckResult(name, False, math.nan, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, w == expected, float(w), f"expected {expected}, got {w}")
+
+
+def _beyond(distance: float, reach: float, scale: float) -> bool:
+    """distance > reach, with DISC_SLACK * scale to spare for rounding."""
+    return distance > reach + DISC_SLACK * scale
+
+
+def _discs_apart(a: Curve, b: Curve) -> bool:
+    """True when the enclosing discs of a and b are disjoint.
+
+    Each sampled polygon then lies inside its own convex disc with every
+    sample of the other curve outside it, so no argument step reaches pi
+    and _turns_about_points would count 0 turns both ways.
+    """
+    ca, cb = a.centroid, b.centroid
+    return _beyond(abs(ca - cb), a.radius + b.radius,
+                   abs(ca) + abs(cb) + a.radius + b.radius)
+
+
+def _far_outside(curve: Curve, z: complex) -> bool:
+    """True when winding_of_point(curve, z) is 0 on its first grid.
+
+    Beyond sqrt(2) r from the centre the disc subtends less than pi/2 at z,
+    so every argument step stays below pi/2 and the steps cancel; beyond
+    r + MIN_DISTANCE no sample is too close.
+    """
+    c, r = curve.centroid, curve.radius
+    return _beyond(abs(z - c), max(math.sqrt(2.0) * r, r + MIN_DISTANCE),
+                   abs(c) + r + abs(z))
 
 
 def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
@@ -285,10 +325,20 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
     Failures are reported as data, not raised: orientation, smoothness and
     disjointness problems in user input should surface side by side, and
     some workflows legitimately run with individual checks failing (for
-    example a gallery region that encloses the origin).
+    example a gallery region that encloses the origin).  Windings the
+    curves' enclosing discs prove to be 0 are not sampled; the reported
+    checks are the same as with every winding sampled.
     """
     checks: list[CheckResult] = []
     samples = []
+    # every distance table reuses one pair of n x n buffers, so no table
+    # faults in freshly mapped pages
+    pair, dist = np.empty((grid.n, grid.n), complex), np.empty((grid.n, grid.n))
+
+    def distances(a, b):
+        np.subtract(a[:, None], b[None, :], out=pair)
+        return np.abs(pair, out=dist)
+
     for k, curve in enumerate(region.curves):
         eta, eta_d, _ = curve.jet(grid.nodes)
         samples.append(eta)
@@ -296,36 +346,37 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
         checks.append(CheckResult(
             f"speed[{k}]", speed >= MIN_SPEED, speed,
             f"min |eta'| vs {MIN_SPEED:g}"))
-        diff = np.abs(eta[:, None] - eta[None, :])
+        diff = distances(eta, eta)
         np.fill_diagonal(diff, np.inf)
         gap = float(diff.min())
         checks.append(CheckResult(
             f"simple[{k}]", gap >= MIN_DISTANCE, gap,
             f"min pairwise sample distance vs {MIN_DISTANCE:g}"))
+    curves = region.curves
     for j in range(region.m):
         for k in range(j + 1, region.m):
-            gap = float(np.abs(samples[j][:, None] - samples[k][None, :]).min())
+            gap = float(distances(samples[j], samples[k]).min())
             # sample distance alone misses interpenetration, so also require
             # each curve's samples to wind zero about the other
-            turns = max(
-                float(np.abs(_turns_about_points(region.curves[j], samples[k])).max()),
-                float(np.abs(_turns_about_points(region.curves[k], samples[j])).max()),
+            turns = 0.0 if _discs_apart(curves[j], curves[k]) else max(
+                float(np.abs(_turns_about_points(curves[j], samples[k])).max()),
+                float(np.abs(_turns_about_points(curves[k], samples[j])).max()),
             )
             separated = gap >= MIN_DISTANCE and turns < 0.25
             checks.append(CheckResult(
                 f"disjoint[{j},{k}]", separated, gap,
                 f"min cross-curve distance vs {MIN_DISTANCE:g}; "
                 f"max mutual winding {turns:.3f}"))
-    for k, curve in enumerate(region.curves):
-        checks.append(_winding_check(
-            f"orientation[{k}]", curve, region.hole_points[k], -1, grid.n))
-        for j, other in enumerate(region.curves):
+    for k, curve in enumerate(curves):
+        z = region.hole_points[k]
+        checks.append(_winding_check(f"orientation[{k}]", curve, z, -1, grid.n))
+        for j, other in enumerate(curves):
             if j != k:
                 checks.append(_winding_check(
-                    f"hole_point[{k}] outside curve[{j}]", other,
-                    region.hole_points[k], 0, grid.n))
+                    f"hole_point[{k}] outside curve[{j}]", other, z, 0, grid.n,
+                    _far_outside(other, z)))
         checks.append(_winding_check(
-            f"zero_in_region[{k}]", curve, 0j, 0, grid.n))
+            f"zero_in_region[{k}]", curve, 0j, 0, grid.n, _far_outside(curve, 0j)))
     return ValidationReport(tuple(checks))
 
 

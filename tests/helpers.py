@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's own evaluation paths:
 the alternate-point quadrature for the conjugation, brute-force argument
 accumulation for windings, rational functions with poles in the holes
-as exactly known solutions, the dense SVD count of a nullity, and the
-whole-matrix kernel builders that the row-block assembly replaced.
+as exactly known solutions, the dense SVD count of a nullity, the
+whole-matrix kernel builders that the row-block assembly replaced, and
+the region validation that samples every winding, which the enclosing-disc
+screening replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk.discrete import NULLITY_TOL, conjugate_periodic
+from gnk.errors import NonConvergent, PointTooClose
+from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, ParamGrid, Region,
+                          ValidationReport, _turns_about_points, circle, winding_of_point)
 
 TWO_PI = 2.0 * np.pi
 
@@ -66,6 +71,13 @@ def band_limited(rng: np.random.Generator, m: int, n: int, band: int,
         if not zero_mean:
             phi[block] += rng.normal()
     return phi
+
+
+def lattice16() -> Region:
+    """16 radius-1 circles on a 4-unit lattice; the origin sits between holes."""
+    axis = (-6.0, -2.0, 2.0, 6.0)
+    return Region.from_curves([circle(complex(x, y), 1.0, label=4 * i + j)
+                               for i, y in enumerate(axis) for j, x in enumerate(axis)])
 
 
 def traced_peak(call) -> int:
@@ -159,3 +171,51 @@ def assemble_M(ops) -> np.ndarray:
         block = slice(k * ops.n, (k + 1) * ops.n)
         full[block, block] -= circulant
     return full
+
+
+def sampled_validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
+    """validate_region with every winding sampled, the reference for the
+    screened checks: each curve pair runs _turns_about_points both ways and
+    each point check runs winding_of_point."""
+    def winding_check(name, curve, z, expected):
+        try:
+            w = winding_of_point(curve, z, grid.n)
+        except (PointTooClose, NonConvergent) as exc:
+            return CheckResult(name, False, math.nan, f"{type(exc).__name__}: {exc}")
+        return CheckResult(name, w == expected, float(w), f"expected {expected}, got {w}")
+
+    checks: list[CheckResult] = []
+    samples = []
+    for k, curve in enumerate(region.curves):
+        eta, eta_d, _ = curve.jet(grid.nodes)
+        samples.append(eta)
+        speed = float(np.abs(eta_d).min())
+        checks.append(CheckResult(
+            f"speed[{k}]", speed >= MIN_SPEED, speed,
+            f"min |eta'| vs {MIN_SPEED:g}"))
+        diff = np.abs(eta[:, None] - eta[None, :])
+        np.fill_diagonal(diff, np.inf)
+        gap = float(diff.min())
+        checks.append(CheckResult(
+            f"simple[{k}]", gap >= MIN_DISTANCE, gap,
+            f"min pairwise sample distance vs {MIN_DISTANCE:g}"))
+    for j in range(region.m):
+        for k in range(j + 1, region.m):
+            gap = float(np.abs(samples[j][:, None] - samples[k][None, :]).min())
+            turns = max(
+                float(np.abs(_turns_about_points(region.curves[j], samples[k])).max()),
+                float(np.abs(_turns_about_points(region.curves[k], samples[j])).max()),
+            )
+            separated = gap >= MIN_DISTANCE and turns < 0.25
+            checks.append(CheckResult(
+                f"disjoint[{j},{k}]", separated, gap,
+                f"min cross-curve distance vs {MIN_DISTANCE:g}; "
+                f"max mutual winding {turns:.3f}"))
+    for k, curve in enumerate(region.curves):
+        checks.append(winding_check(f"orientation[{k}]", curve, region.hole_points[k], -1))
+        for j, other in enumerate(region.curves):
+            if j != k:
+                checks.append(winding_check(
+                    f"hole_point[{k}] outside curve[{j}]", other, region.hole_points[k], 0))
+        checks.append(winding_check(f"zero_in_region[{k}]", curve, 0j, 0))
+    return ValidationReport(tuple(checks))

@@ -22,6 +22,7 @@ from helpers import (
     band_limited,
     conjugation_matrix,
     dense_nullity,
+    lattice16,
     traced_peak,
     wittich_apply,
 )
@@ -303,11 +304,7 @@ class TestKrylovNullity:
         # Ritz value of I - N is still 8e-6 at depth 8 and is counted only
         # at depth 10, so a count that stopped at a fixed shallow depth
         # would miss it; the settle rule waits for it.
-        axis = (-6.0, -2.0, 2.0, 6.0)
-        lattice = Region.from_curves([circle(complex(x, y), 1.0, label=4 * i + j)
-                                      for i, y in enumerate(axis)
-                                      for j, x in enumerate(axis)])
-        self._assert_matches_dense(assemble_N(lattice, coeff, ParamGrid(16)))
+        self._assert_matches_dense(assemble_N(lattice16(), coeff, ParamGrid(16)))
 
     @pytest.mark.parametrize("coeff", [One(), ShiftedPower(0j, 1)], ids=["one", "power+1"])
     def test_matches_dense_count_on_elongated_hole(self, coeff):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gnk.geometry as geometry
 from gnk.errors import OddGridSize, PointTooClose
 from gnk.geometry import (
+    DISC_SLACK,
     Curve,
     ParamGrid,
     Region,
@@ -18,7 +20,7 @@ from gnk.geometry import (
     validate_region,
     winding_of_point,
 )
-from helpers import central_difference
+from helpers import central_difference, lattice16, sampled_validate_region
 
 
 class TestCurveJet:
@@ -141,6 +143,89 @@ class TestValidation:
         report = validate_region(three_circles, grid64)
         assert all(np.isfinite(c.margin) for c in report.checks)
         assert "ok" in str(report)
+
+
+def _close_pair() -> Region:
+    # the discs overlap but the curves do not: the origin and the circle's
+    # hole point lie inside the ellipse's disc, outside the ellipse
+    return Region.from_curves([ellipse(2 + 1.5j, 3.0, 0.4), circle(2 + 2.7j, 0.5)])
+
+
+def _same_checks(report, oracle):
+    assert [c.name for c in report.checks] == [c.name for c in oracle.checks]
+    for got, want in zip(report.checks, oracle.checks):
+        assert (got.passed, got.detail) == (want.passed, want.detail), got.name
+        assert got.margin == want.margin or (
+            math.isnan(got.margin) and math.isnan(want.margin)), got.name
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(geometry, name)
+    monkeypatch.setattr(geometry, name,
+                        lambda *args, **kw: calls.append(1) or inner(*args, **kw))
+    return calls
+
+
+class TestDiscScreening:
+    """validate_region decides far-apart windings from the enclosing discs
+    and reports exactly what sampling every winding reports."""
+
+    @pytest.mark.parametrize("case", [
+        "three_circles", "perturbed_gallery", "mixed_gallery", "lattice16",
+        "overlapping-circles", "counterclockwise", "origin-in-hole", "close-pair"])
+    def test_checks_equal_sampled_oracle(self, case, request, grid64):
+        region = {
+            "lattice16": lattice16,
+            # centres 1.5 apart, between the larger radius and the radii's
+            # sum; the second hole point lies on the first circle (NaN margin)
+            "overlapping-circles": lambda: Region.from_curves(
+                [circle(3.0, 1.0), circle(4.5, 1.0)], hole_points=[3.0, 4.0]),
+            "counterclockwise": lambda: Region.from_curves(
+                [Curve(powers=[0, 1], coeffs=[3.0, 1.0]), circle(-3.0, 1.0)]),
+            "origin-in-hole": lambda: Region.from_curves(
+                [circle(0.0, 1.0), circle(4.0 + 1.0j, 0.5)]),
+            "close-pair": _close_pair,
+        }.get(case, lambda: request.getfixturevalue(case))()
+        _same_checks(validate_region(region, grid64), sampled_validate_region(region, grid64))
+
+    @given(st.complex_numbers(max_magnitude=4.0), st.floats(0.1, 2.0),
+           st.floats(0.1, 2.0), st.complex_numbers(max_magnitude=6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_pairs_equal_sampled_oracle(self, center, a, b, hole):
+        # an ellipse at 1 + i and a circle anywhere, with a
+        # hole point anywhere: discs apart, overlapping, or nested
+        region = Region.from_curves([ellipse(1.0 + 1.0j, a, b), circle(center, 0.7)],
+                                    hole_points=[1.0 + 1.0j, hole])
+        grid = ParamGrid(16)
+        _same_checks(validate_region(region, grid), sampled_validate_region(region, grid))
+
+    def test_lattice_samples_orientation_only(self, monkeypatch, grid64):
+        turns = _counting(monkeypatch, "_turns_about_points")
+        windings = _counting(monkeypatch, "winding_of_point")
+        region = lattice16()
+        assert validate_region(region, grid64).ok
+        assert (len(turns), len(windings)) == (0, region.m)
+
+    def test_close_pair_takes_sampled_path(self, monkeypatch, grid64):
+        turns = _counting(monkeypatch, "_turns_about_points")
+        windings = _counting(monkeypatch, "winding_of_point")
+        assert validate_region(_close_pair(), grid64).ok
+        # both directions of the pair; both orientations, the circle's hole
+        # point against the ellipse, and the origin against the ellipse
+        assert (len(turns), len(windings)) == (2, 4)
+
+    @given(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_samples_stay_in_enclosing_disc(self, powers, data):
+        parts = st.floats(-1e3, 1e3, allow_nan=False)
+        coeffs = [complex(data.draw(parts), data.draw(parts)) for _ in powers]
+        curve = Curve(powers=powers, coeffs=coeffs)
+        eta = curve.jet(np.linspace(0.0, 2 * math.pi, 997))[0]
+        c, r = curve.centroid, curve.radius
+        # rounding stays far below the slack the screening allows
+        assert np.abs(eta - c).max() <= r + 1e-3 * DISC_SLACK * (abs(c) + r)
 
 
 class TestRegion:

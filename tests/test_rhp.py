@@ -27,7 +27,7 @@ from gnk.rhp import (
     verify_Sminus,
 )
 from conftest import CENTERS, POLE_AMPLITUDES, oracle_boundary, oracle_terms
-from helpers import band_limited, rational_values
+from helpers import band_limited, lattice16, rational_values
 
 TWO_PI = 2.0 * np.pi
 
@@ -96,13 +96,6 @@ class TestSolveIE:
         assert abs(null_vec @ solution.mu) <= 1e-8 * np.linalg.norm(solution.mu)
 
 
-def _lattice16() -> Region:
-    # 16 radius-1 circles on a 4-unit lattice; the origin sits between holes
-    axis = (-6.0, -2.0, 2.0, 6.0)
-    return Region.from_curves([circle(complex(x, y), 1.0, label=4 * i + j)
-                               for i, y in enumerate(axis) for j, x in enumerate(axis)])
-
-
 def _ellipse_and_circle(aspect: float) -> Region:
     # cond(I - N) grows with the aspect ratio a/b of the ellipse
     return Region.from_curves([ellipse(3.0, 2.0, 2.0 / aspect, label=0),
@@ -127,7 +120,7 @@ class TestCGLSAgainstDenseOracles:
         region, coeff, n, null, most = {
             "circles-one": (three_circles, One(), 128, 0, 60),
             "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 128, 0, 60),
-            "lattice16-one": (_lattice16(), One(), 32, 0, 60),
+            "lattice16-one": (lattice16(), One(), 32, 0, 60),
             "circles-power-plus-1": (three_circles, ShiftedPower(CENTERS[2], 1), 64, 1, 60),
             "ellipse10-one": (_ellipse_and_circle(10.0), One(), 256, 0, 60),
             "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512, 0, 100),
