@@ -30,7 +30,7 @@ SHIFTS = (0.3, -1.2, 2.0)
 
 def run(n_values):
     region = Region.from_curves(
-        [circle(c, r, label=k) for k, (c, r) in enumerate(zip(CENTERS, RADII))])
+        [circle(c, r) for c, r in zip(CENTERS, RADII)])
     print(f"{'n':>5} {'mu_err':>10} {'h_err':>10} {'r1':>10} {'r2':>10} {'chi_res':>10}")
     for n in n_values:
         grid = ParamGrid(n)

@@ -56,21 +56,17 @@ def _fail(exc: Exception) -> None:
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _read_json(path: str):
-    return json.loads(Path(path).read_text())
-
-
 def _load_inputs(args, *, need_data: bool):
-    region = load_region(_read_json(args.region))
+    region = load_region(args.region)
     grid = ParamGrid(args.n)
     report = validate_region(region, grid)
     if not report.ok:
         failures = "; ".join(f"{c.name} ({c.detail})" for c in report.failures())
         raise ValueError(f"region validation failed: {failures}")
-    coeff = load_coefficient(_read_json(args.coeff)) if args.coeff else One()
+    coeff = load_coefficient(args.coeff) if args.coeff else One()
     gamma = None
     if need_data:
-        gamma = rhp.load_boundary_data(_read_json(args.data), region, coeff, grid)
+        gamma = rhp.load_boundary_data(args.data, region, coeff, grid)
     return region, grid, coeff, gamma
 
 
@@ -98,7 +94,7 @@ def run_solve(args, mode: str) -> int:
     if mode == "dirichlet" and not isinstance(coeff, One):
         raise ValueError("solve-dirichlet requires the coefficient one")
     ops = discrete.assemble_N(region, coeff, grid)
-    index = index_of(coeff, region, grid)
+    index = ops.index
     if mode == "dirichlet":
         solution = dirichlet.solve_modified_dirichlet(
             region, grid, gamma, ops=ops, tol_solve=args.tol_solve)
@@ -142,11 +138,11 @@ def _band_limited_samples(rng, m: int, n: int, band: int) -> np.ndarray:
     return phi
 
 
-def _mobius_section(ops, index) -> dict:
+def _mobius_section(ops) -> dict:
     """Kernel invariance on the assembled operators plus the index shift law."""
     invariance = mobius.kernel_invariance_check(ops)
     hat_direct = mobius.mapped_index_of(ops.region, ops.coeff)
-    hat_shift = mobius.index_shift(index)
+    hat_shift = mobius.index_shift(ops.index)
     return {
         "max_diff_N": invariance.max_diff_N,
         "max_diff_M1": invariance.max_diff_M1,
@@ -173,7 +169,7 @@ def _nullity_entry(report, predicted: int) -> dict:
 def run_verify(args) -> int:
     region, grid, coeff, _ = _load_inputs(args, need_data=False)
     ops = discrete.assemble_N(region, coeff, grid)
-    index = index_of(coeff, region, grid)
+    index = ops.index
     rng = np.random.default_rng(0)
     band = max(1, min(8, grid.n // 4))
 
@@ -187,9 +183,9 @@ def run_verify(args) -> int:
     # The Krylov counts set verify's peak memory; the Mobius check adds only
     # a few row blocks.  Run after the counts, it would raise the peak by
     # about 5 MB at N = 4096 (335 against 330 MB).
-    mobius_section = _mobius_section(ops, index)
-    plus = ops.nullity_I_plus_N(index.dim_null_I_plus_N)
-    minus = ops.nullity_I_minus_N(index.dim_null_I_minus_N)
+    mobius_section = _mobius_section(ops)
+    plus = ops.nullity_I_plus_N()
+    minus = ops.nullity_I_minus_N()
     null_ok = (plus.conclusive and plus.nullity == index.dim_null_I_plus_N
                and minus.conclusive and minus.nullity == index.dim_null_I_minus_N)
 
@@ -243,8 +239,7 @@ def run_index_report(args) -> int:
 
 def run_mobius_check(args) -> int:
     region, grid, coeff, _ = _load_inputs(args, need_data=False)
-    ops = discrete.assemble_N(region, coeff, grid)
-    payload = _mobius_section(ops, index_of(coeff, region, grid))
+    payload = _mobius_section(discrete.assemble_N(region, coeff, grid))
     _write_json(Path(args.out) / "mobius.json", payload)
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return 0 if payload["ok"] else 2

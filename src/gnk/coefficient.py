@@ -61,6 +61,8 @@ class TrigCoefficient:
         object.__setattr__(self, "per_curve", norm)
 
     def jet(self, region: Region, k: int, s):
+        if len(self.per_curve) != region.m:
+            raise ValueError("trig coefficient must supply one entry per curve")
         powers, coeffs = self.per_curve[k]
         s_arr = np.asarray(s, dtype=float)
         phase = np.exp(1j * np.multiply.outer(s_arr, powers.astype(float)))
@@ -161,7 +163,7 @@ def index_of(coeff: Coefficient, region: Region, grid: ParamGrid | None = None) 
 
 
 def load_coefficient(source) -> Coefficient:
-    """Build a coefficient from a JSON file path, JSON text, or parsed dict."""
+    """Build a coefficient from a parsed dict or the path of its JSON file."""
     obj = _parse_json_source(source)
     kind = obj.get("type")
     if kind == "one":

@@ -15,7 +15,8 @@ Mobius check walks too, so the stored N and M_smooth are the only N^2
 arrays.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
-measured matrix-free by a block Krylov count (:func:`nullity`).
+measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
+computes those indices once and the operators carry them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnk.coefficient import index_of
+from gnk.coefficient import IndexReport, index_of
 from gnk.errors import OddGridSize
 from gnk.geometry import TWO_PI, ParamGrid, Region
 from gnk.kernels import BoundaryJet
@@ -78,8 +79,9 @@ class DiscreteOperators:
     ``N`` holds the weighted generalized Neumann matrix w N(s_i, t_j);
     ``M_smooth`` the weighted smooth companion part (same-curve M1 blocks,
     cross-curve M blocks); :func:`apply_M` adds the spectral conjugation.
-    Assembled operators are immutable and safe to share; applications and
-    solves are pure.
+    ``index`` holds the indices of the coefficient, which predict the
+    nullities of I +- N.  Assembled operators are immutable and safe to
+    share; applications and solves are pure.
     """
 
     region: Region
@@ -88,6 +90,7 @@ class DiscreteOperators:
     jet: BoundaryJet
     N: np.ndarray
     M_smooth: np.ndarray
+    index: IndexReport
 
     @property
     def m(self) -> int:
@@ -114,15 +117,11 @@ class DiscreteOperators:
     def identity_minus_N(self) -> np.ndarray:
         return np.eye(self.size) - self.N
 
-    def nullity_I_minus_N(self, predicted: int | None = None) -> "NullityReport":
-        if predicted is None:
-            predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_minus_N
-        return nullity(self.N, -1, predicted + NULLITY_MARGIN)
+    def nullity_I_minus_N(self) -> "NullityReport":
+        return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN)
 
-    def nullity_I_plus_N(self, predicted: int | None = None) -> "NullityReport":
-        if predicted is None:
-            predicted = index_of(self.coeff, self.region, self.grid).dim_null_I_plus_N
-        return nullity(self.N, +1, predicted + NULLITY_MARGIN)
+    def nullity_I_plus_N(self) -> "NullityReport":
+        return nullity(self.N, +1, self.index.dim_null_I_plus_N + NULLITY_MARGIN)
 
 
 def _real_matmul(matrix: np.ndarray, phi) -> np.ndarray:
@@ -203,8 +202,11 @@ def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
-    """Assemble the weighted Neumann matrix (and the smooth companion part)."""
+    """Assemble the weighted Neumann matrix (and the smooth companion part),
+    with the indices of the coefficient: the one index computation for
+    these operators."""
     jet = BoundaryJet.from_region(region, coeff, grid)
+    index = index_of(coeff, region, grid)
     n_matrix, m_smooth = weighted_kernels(jet)
     return DiscreteOperators(
         region=region,
@@ -213,6 +215,7 @@ def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
         jet=jet,
         N=n_matrix,
         M_smooth=m_smooth,
+        index=index,
     )
 
 

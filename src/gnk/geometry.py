@@ -51,7 +51,6 @@ class Curve:
 
     powers: np.ndarray
     coeffs: np.ndarray
-    label: int = 0
 
     def __post_init__(self):
         powers = np.asarray(self.powers, dtype=int).ravel()
@@ -89,25 +88,21 @@ class Curve:
         return eta, eta_d, eta_dd
 
 
-def circle(center: complex, radius: float, label: int = 0) -> Curve:
+def circle(center: complex, radius: float) -> Curve:
     """Clockwise circle: eta(s) = center + radius exp(-i s)."""
-    return Curve(powers=[0, -1], coeffs=[complex(center), complex(radius)], label=label)
+    return Curve(powers=[0, -1], coeffs=[complex(center), complex(radius)])
 
 
-def ellipse(center: complex, a: float, b: float, label: int = 0) -> Curve:
+def ellipse(center: complex, a: float, b: float) -> Curve:
     """Clockwise ellipse eta(s) = center + a cos(s) - i b sin(s)."""
-    return Curve(
-        powers=[0, 1, -1],
-        coeffs=[complex(center), (a - b) / 2.0, (a + b) / 2.0],
-        label=label,
-    )
+    return Curve(powers=[0, 1, -1],
+                 coeffs=[complex(center), (a - b) / 2.0, (a + b) / 2.0])
 
 
 def perturbed_circle(
     center: complex,
     radius: float,
     perturbations: Iterable[tuple[int, float]],
-    label: int = 0,
 ) -> Curve:
     """Clockwise star-like curve center + radius (1 + sum eps_k cos(k s)) exp(-i s).
 
@@ -124,7 +119,7 @@ def perturbed_circle(
         acc[k - 1] = acc.get(k - 1, 0j) + half
         acc[-(k + 1)] = acc.get(-(k + 1), 0j) + half
     powers = sorted(acc)
-    return Curve(powers=powers, coeffs=[acc[p] for p in powers], label=label)
+    return Curve(powers=powers, coeffs=[acc[p] for p in powers])
 
 
 @dataclass(frozen=True)
@@ -153,21 +148,18 @@ class ParamGrid:
 class Region:
     """Unbounded region bounded by m disjoint clockwise curves.
 
-    ``hole_points[k]`` is a reference point inside the k-th hole;
-    ``mobius_center_index`` (0-based) selects the hole whose reference point
-    is the default Mobius center, by default the last one.
+    ``hole_points[k]`` is a reference point inside the k-th hole; the last
+    hole's point is the default Mobius center.
     """
 
     curves: tuple[Curve, ...]
     hole_points: tuple[complex, ...]
-    mobius_center_index: int
 
     @classmethod
     def from_curves(
         cls,
         curves: Sequence[Curve],
         hole_points: Sequence[complex] | None = None,
-        mobius_center_index: int | None = None,
     ) -> "Region":
         curves = tuple(curves)
         if not curves:
@@ -179,11 +171,7 @@ class Region:
         if len(hole_points) != len(curves):
             raise ValueError("need exactly one hole point per curve")
         _require_finite(hole_points, "hole points")
-        if mobius_center_index is None:
-            mobius_center_index = len(curves) - 1
-        if not 0 <= mobius_center_index < len(curves):
-            raise ValueError("mobius_center_index out of range")
-        return cls(curves, hole_points, mobius_center_index)
+        return cls(curves, hole_points)
 
     @property
     def m(self) -> int:
@@ -381,17 +369,13 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
 
 
 def _parse_json_source(source):
-    """Accept a parsed object, a filesystem path, or literal JSON text."""
-    if isinstance(source, (dict, list)):
-        return source
-    text = str(source)
-    try:
-        is_file = Path(text).exists()
-    except OSError:
-        is_file = False
-    if is_file:
-        text = Path(text).read_text()
-    return json.loads(text)
+    """Accept a parsed object or the path of a JSON file holding one."""
+    obj = source
+    if not isinstance(obj, (dict, list)):
+        obj = json.loads(Path(source).read_text())
+    if not isinstance(obj, (dict, list)):
+        raise ValueError("JSON input must be an object or a list")
+    return obj
 
 
 def _as_complex(pair) -> complex:
@@ -399,29 +383,28 @@ def _as_complex(pair) -> complex:
     return complex(float(x), float(y))
 
 
-def _curve_from_dict(entry: dict, label: int) -> Curve:
+def _curve_from_dict(entry: dict) -> Curve:
     kind = entry.get("type")
     if kind == "circle":
-        return circle(_as_complex(entry["center"]), float(entry["radius"]), label)
+        return circle(_as_complex(entry["center"]), float(entry["radius"]))
     if kind == "ellipse":
-        return ellipse(_as_complex(entry["center"]), float(entry["a"]),
-                       float(entry["b"]), label)
+        return ellipse(_as_complex(entry["center"]), float(entry["a"]), float(entry["b"]))
     if kind == "trig":
         powers = [int(row[0]) for row in entry["coeffs"]]
         coeffs = [complex(float(row[1]), float(row[2])) for row in entry["coeffs"]]
-        return Curve(powers=powers, coeffs=coeffs, label=label)
+        return Curve(powers=powers, coeffs=coeffs)
     raise ValueError(f"unknown curve type {kind!r}")
 
 
 def load_region(source) -> Region:
-    """Build a Region from a JSON file path, JSON text, or parsed dict.
+    """Build a Region from a parsed dict or the path of its JSON file.
 
     Circles and ellipses are emitted clockwise by construction; "trig"
     curves are taken as given and must describe clockwise traversal
     (validation rejects the opposite orientation, it is never fixed up).
     """
     obj = _parse_json_source(source)
-    curves = [_curve_from_dict(entry, k) for k, entry in enumerate(obj["curves"])]
+    curves = [_curve_from_dict(entry) for entry in obj["curves"]]
     hole_points = None
     if obj.get("hole_points") is not None:
         hole_points = [_as_complex(p) for p in obj["hole_points"]]

@@ -23,13 +23,13 @@ from gnk.kernels import BoundaryJet
 
 
 def _center(region: Region, z0: complex | None) -> complex:
-    """z0, by default the designated hole point, checked to lie inside that hole only."""
+    """z0, by default the last hole's point, checked to lie inside the last
+    hole only."""
     if z0 is None:
-        z0 = region.hole_points[region.mobius_center_index]
+        z0 = region.hole_points[-1]
     z0 = complex(z0)
-    target = region.mobius_center_index
     for k, curve in enumerate(region.curves):
-        expected = -1 if k == target else 0
+        expected = -1 if k == region.m - 1 else 0
         try:
             w = winding_of_point(curve, z0)
         except PointTooClose as exc:
@@ -44,8 +44,8 @@ def map_jet(region: Region, jet: BoundaryJet,
             z0: complex | None = None) -> BoundaryJet:
     """Image jet of zeta = 1/(eta - z0) and hat A = zeta A, by exact arithmetic.
 
-    z0 defaults to the hole point of the designated center hole and must
-    lie strictly inside it (and outside every other hole).
+    z0 defaults to the last hole's point and must lie strictly inside the
+    last hole (and outside every other hole).
     """
     u = jet.eta - _center(region, z0)
     zeta = 1.0 / u

@@ -102,11 +102,11 @@ def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
     """mu of (I - N) mu = -M gamma, its sup-norm residual, dim null(I - N)
     and the CGLS iteration count.
 
-    The indices of A give the nullity; the gate, relative to
-    max(1, sup|gamma|), catches a solve that misses.
+    The indices of A, held by ``ops``, give the nullity; the gate, relative
+    to max(1, sup|gamma|), catches a solve that misses.
     """
     rhs = -apply_M(ops, gamma)
-    null = coefficient_mod.index_of(ops.coeff, ops.region, ops.grid).dim_null_I_minus_N
+    null = ops.index.dim_null_I_minus_N
     mu, iterations = _cgls(ops.N, rhs)
     residual = _sup(mu - ops.apply_N(mu) - rhs)
     allowed = tol_solve * max(1.0, _sup(gamma))
@@ -295,7 +295,7 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
 
 
 def load_boundary_data(source, region: Region, coeff, grid: ParamGrid) -> np.ndarray:
-    """Real boundary data gamma from a JSON path, JSON text, dict, or list.
+    """Real boundary data gamma from a parsed dict or list, or a JSON path.
 
     A list of entries is summed, so constants or extra pole terms compose
     with a base data set.  "poles" entries describe a rational function

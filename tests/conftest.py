@@ -12,16 +12,16 @@ POLE_AMPLITUDES = (1.0 + 0.5j, -0.7 + 0.2j, 0.4 - 1.1j)
 
 @pytest.fixture(scope="session")
 def three_circles() -> Region:
-    curves = [circle(c, r, label=k) for k, (c, r) in enumerate(zip(CENTERS, RADII))]
+    curves = [circle(c, r) for c, r in zip(CENTERS, RADII)]
     return Region.from_curves(curves)
 
 
 @pytest.fixture(scope="session")
 def perturbed_gallery() -> Region:
     curves = [
-        perturbed_circle(CENTERS[0], RADII[0], [(3, 0.12)], label=0),
-        perturbed_circle(CENTERS[1], RADII[1], [(4, 0.10)], label=1),
-        perturbed_circle(CENTERS[2], RADII[2], [(2, 0.08), (5, 0.05)], label=2),
+        perturbed_circle(CENTERS[0], RADII[0], [(3, 0.12)]),
+        perturbed_circle(CENTERS[1], RADII[1], [(4, 0.10)]),
+        perturbed_circle(CENTERS[2], RADII[2], [(2, 0.08), (5, 0.05)]),
     ]
     return Region.from_curves(curves)
 
@@ -29,9 +29,9 @@ def perturbed_gallery() -> Region:
 @pytest.fixture(scope="session")
 def mixed_gallery() -> Region:
     curves = [
-        ellipse(CENTERS[0], 1.2, 0.7, label=0),
-        circle(CENTERS[1], RADII[1], label=1),
-        ellipse(CENTERS[2], 0.9, 1.3, label=2),
+        ellipse(CENTERS[0], 1.2, 0.7),
+        circle(CENTERS[1], RADII[1]),
+        ellipse(CENTERS[2], 0.9, 1.3),
     ]
     return Region.from_curves(curves)
 

@@ -6,12 +6,14 @@ accumulation for windings, rational functions with poles in the holes
 as exactly known solutions, the dense SVD count of a nullity, the
 whole-matrix kernel builders that the row-block assembly replaced, and
 the region validation that samples every winding, which the enclosing-disc
-screening replaced.
+screening replaced.  ``count_calls`` counts the calls of a library function
+under every name the package binds it to.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import tracemalloc
 from dataclasses import dataclass
 
@@ -76,8 +78,28 @@ def band_limited(rng: np.random.Generator, m: int, n: int, band: int,
 def lattice16() -> Region:
     """16 radius-1 circles on a 4-unit lattice; the origin sits between holes."""
     axis = (-6.0, -2.0, 2.0, 6.0)
-    return Region.from_curves([circle(complex(x, y), 1.0, label=4 * i + j)
-                               for i, y in enumerate(axis) for j, x in enumerate(axis)])
+    return Region.from_curves([circle(complex(x, y), 1.0)
+                               for y in axis for x in axis])
+
+
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Replace owner.name by a wrapper that counts its calls, also where a
+    gnk module bound it by ``from ... import``; the returned list grows by
+    one per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for key, module in list(sys.modules.items()):
+        if key == "gnk" or key.startswith("gnk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def traced_peak(call) -> int:

@@ -1,0 +1,96 @@
+"""Ratchets on the size of the library's surface.
+
+Settable options are counted by AST over ``src/gnk``: parameters with
+defaults plus fields with defaults of dataclasses.  Defaults of lambdas
+inside a body (``k=k`` loop bindings) are not options and are not counted.
+Every public function or method must be named outside its own definition
+somewhere in ``src/`` (the package's re-exports in ``__init__.py`` do not
+count), ``scripts/`` or ``benchmarks/``, or be on ``TEST_ONLY_API``.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gnk"
+MAX_OPTIONS = 21
+# Public functions only tests call, kept as library API: the scalar kernels
+# are the only evaluation of the kernels off the grid, harmonic_eval and
+# analyticity_residual are the documented field and attainability checks,
+# perturbed_circle builds the star-like gallery curves, and
+# transform_solution carries a solution through the Mobius reduction.
+TEST_ONLY_API = {"kernel_N", "kernel_M", "kernel_M1", "harmonic_eval",
+                 "analyticity_residual", "perturbed_circle", "transform_solution"}
+
+
+def _modules():
+    return [(path, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def settable_options() -> list[str]:
+    found = []
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None]
+                found += [f"{path.stem}.{node.name}({a.arg}=)" for a in with_default]
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [f"{path.stem}.{node.name}.{st.target.id}"
+                          for st in node.body
+                          if isinstance(st, ast.AnnAssign) and st.value is not None]
+    return found
+
+
+def public_functions() -> list[tuple[str, str]]:
+    """(module, name) of module-level functions and class methods."""
+    found = []
+    for path, tree in _modules():
+        scopes = [tree.body] + [n.body for n in tree.body if isinstance(n, ast.ClassDef)]
+        for body in scopes:
+            found += [(path.stem, n.name) for n in body
+                      if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
+    return found
+
+
+def _mentions() -> str:
+    """Source text that may call or name a function, with every def line
+    removed so that a definition does not count as its own use."""
+    files = [p for p in sorted((ROOT / "src").rglob("*.py"))
+             if p != PACKAGE / "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    files += sorted((ROOT / "benchmarks").glob("*.py"))
+    text = "\n".join(p.read_text() for p in files)
+    return re.sub(r"^\s*def \w+", "", text, flags=re.MULTILINE)
+
+
+def test_settable_options_do_not_grow():
+    options = settable_options()
+    assert len(options) <= MAX_OPTIONS, options
+
+
+def test_every_public_function_has_a_caller():
+    text = _mentions()
+    orphans = [f"{module}.{name}" for module, name in public_functions()
+               if name not in TEST_ONLY_API
+               and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert orphans == []
+
+
+def test_test_only_api_names_public_functions():
+    # a deleted or renamed function leaves the allowlist with it
+    assert TEST_ONLY_API <= {name for _, name in public_functions()}

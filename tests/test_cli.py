@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnk import cli, discrete, mobius, rhp
+from gnk import cli, coefficient, discrete, mobius, rhp
 from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
+from helpers import count_calls
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
@@ -43,19 +44,6 @@ def inputs(tmp_path_factory):
 
 def _run(args):
     return main([str(a) for a in args])
-
-
-def _counter(monkeypatch, owner, name):
-    """Replace owner.name by a wrapper that counts its calls."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
 
 
 class TestSolveDirichlet:
@@ -225,7 +213,7 @@ class TestIndexAndMobius:
 
         def defective(region, jet, z0=None):
             mapped = exact_map(region, jet, z0)
-            u = jet.eta - region.hole_points[region.mobius_center_index]
+            u = jet.eta - region.hole_points[-1]
             return dataclasses.replace(mapped, eta_dd=-jet.eta_dd / u**2)
 
         monkeypatch.setattr(mobius, "map_jet", defective)
@@ -240,8 +228,8 @@ class TestIndexAndMobius:
 class TestSharedBoundarySample:
     def test_verify_samples_once_and_builds_two_kernels(self, inputs, tmp_path,
                                                          monkeypatch):
-        samples = _counter(monkeypatch, Region, "sample")
-        builds = _counter(monkeypatch, discrete, "_weighted_blocks")
+        samples = count_calls(monkeypatch, Region, "sample")
+        builds = count_calls(monkeypatch, discrete, "_weighted_blocks")
         rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
@@ -249,7 +237,7 @@ class TestSharedBoundarySample:
         assert len(builds) == 2
 
     def test_mobius_check_builds_two_kernels(self, inputs, tmp_path, monkeypatch):
-        builds = _counter(monkeypatch, discrete, "_weighted_blocks")
+        builds = count_calls(monkeypatch, discrete, "_weighted_blocks")
         rc = _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
@@ -257,12 +245,32 @@ class TestSharedBoundarySample:
 
     def test_eval_field_samples_twice(self, inputs, tmp_path, monkeypatch):
         # once for the assembled jet, once for the poles data
-        samples = _counter(monkeypatch, Region, "sample")
+        samples = count_calls(monkeypatch, Region, "sample")
         rc = _run(["eval-field", "--region", inputs / "region.json",
                    "--data", inputs / "data.json", "--n", 64,
                    "--out", tmp_path / "o", "--field-grid=-6,6,12,-6,6,12"])
         assert rc == 0
         assert len(samples) == 2
+
+
+class TestIndexDecidedOnce:
+    """Each run that assembles computes the indices once, in assembly."""
+
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-rhp", ["--coeff", "coeff.json", "--data", "data.json"]),
+        ("solve-dirichlet", ["--data", "data.json"]),
+        ("eval-field", ["--data", "data.json", "--field-grid=5,6,2,5,6,2"]),
+        ("verify", ["--coeff", "coeff.json"]),
+        ("mobius-check", ["--coeff", "coeff.json"]),
+    ])
+    def test_one_index_computation_per_run(self, inputs, tmp_path, monkeypatch,
+                                           command, extra):
+        calls = count_calls(monkeypatch, coefficient, "index_of")
+        extra = [inputs / e if e.endswith(".json") else e for e in extra]
+        rc = _run([command, "--region", inputs / "region.json", "--n", 64,
+                   "--out", tmp_path / "o", *extra])
+        assert rc == 0
+        assert len(calls) == 1
 
 
 class TestRankDecisionWithoutSVD:
@@ -275,7 +283,7 @@ class TestRankDecisionWithoutSVD:
     ], ids=["solve-dirichlet", "solve-rhp-minimal-norm", "eval-field"])
     def test_solve_paths_take_no_svd(self, inputs, tmp_path, monkeypatch, command,
                                      extra):
-        svds = _counter(monkeypatch, discrete, "nullity")
+        svds = count_calls(monkeypatch, discrete, "nullity")
         extra = [inputs / e if e.endswith(".json") else e for e in extra]
         rc = _run([command, "--region", inputs / "region.json",
                    "--data", inputs / "data.json", "--n", 64,
@@ -286,14 +294,14 @@ class TestRankDecisionWithoutSVD:
     def test_library_minimal_norm_solve_takes_no_svd(self, three_circles, grid64,
                                                      monkeypatch):
         ops = discrete.assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
-        svds = _counter(monkeypatch, discrete, "nullity")
+        svds = count_calls(monkeypatch, discrete, "nullity")
         gamma = np.cos(np.tile(grid64.nodes, 3))
         solution = rhp.solve_rhp(ops, gamma)
         assert solution.diagnostics.minimal_norm
         assert svds == []
 
     def test_verify_measures_both_nullities(self, inputs, tmp_path, monkeypatch):
-        counts = _counter(monkeypatch, discrete, "nullity")
+        counts = count_calls(monkeypatch, discrete, "nullity")
         columns = []
         svd = np.linalg.svd
 
@@ -316,9 +324,9 @@ class TestMatrixFreeSolve:
 
     @staticmethod
     def _dense_counters(monkeypatch):
-        return [_counter(monkeypatch, np.linalg, "solve"),
-                _counter(monkeypatch, np.linalg, "lstsq"),
-                _counter(monkeypatch, discrete.DiscreteOperators, "identity_minus_N")]
+        return [count_calls(monkeypatch, np.linalg, "solve"),
+                count_calls(monkeypatch, np.linalg, "lstsq"),
+                count_calls(monkeypatch, discrete.DiscreteOperators, "identity_minus_N")]
 
     @pytest.mark.parametrize("command, extra", [
         ("solve-dirichlet", []),
@@ -482,6 +490,45 @@ class TestErrorPaths:
         rc = _run(["solve-dirichlet", "--region", inputs / "nope.json",
                    "--data", inputs / "data.json", "--out", tmp_path / "o"])
         assert rc == 1
+
+    @pytest.mark.parametrize("flag", ["--region", "--coeff", "--data"])
+    def test_missing_input_file_message(self, inputs, tmp_path, flag, capsys):
+        files = {"--region": inputs / "region.json", "--coeff": inputs / "coeff.json",
+                 "--data": inputs / "data.json"}
+        files[flag] = tmp_path / "nope.json"
+        rc = _run(["solve-rhp", *(x for pair in files.items() for x in pair),
+                   "--out", tmp_path / "o"])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "FileNotFoundError",
+                         "message": f"[Errno 2] No such file or directory: "
+                                    f"'{tmp_path / 'nope.json'}'"}
+
+    @pytest.mark.parametrize("entries", [2, 4], ids=["fewer", "more"])
+    @pytest.mark.parametrize("command, extra", [
+        ("solve-rhp", ["--data", "data.json"]),
+        ("index-report", []),
+    ])
+    def test_trig_coefficient_needs_one_entry_per_curve(self, inputs, tmp_path, capsys,
+                                                        entries, command, extra):
+        path = tmp_path / "trig.json"
+        path.write_text(json.dumps({"type": "trig",
+                                    "per_curve": [[[0, 1.0, 0.0]]] * entries}))
+        extra = [inputs / e if e.endswith(".json") else e for e in extra]
+        rc = _run([command, "--region", inputs / "region.json", "--coeff", path,
+                   "--n", 64, "--out", tmp_path / "o", *extra])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ValueError",
+                         "message": "trig coefficient must supply one entry per curve"}
+
+    @pytest.mark.parametrize("text", ["3", '"region.json"'], ids=["number", "string"])
+    def test_region_file_without_an_object_exits_1(self, inputs, tmp_path, text, capsys):
+        path = tmp_path / "region.json"
+        path.write_text(text)
+        rc = _run(["index-report", "--region", path, "--out", tmp_path / "o"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
     def test_malformed_region_file(self, tmp_path):
         path = tmp_path / "region.json"

@@ -137,3 +137,10 @@ class TestLoadCoefficient:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             load_coefficient({"type": "rational"})
+
+    @pytest.mark.parametrize("entries", [2, 4])
+    def test_trig_needs_one_entry_per_curve(self, three_circles, entries):
+        coeff = TrigCoefficient(((np.array([0]), np.array([1.0])),) * entries)
+        for k in range(3):
+            with pytest.raises(ValueError, match="one entry per curve"):
+                coeff.jet(three_circles, k, 0.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnk import discrete
+from gnk import coefficient, discrete, rhp
 from gnk.coefficient import One, ShiftedPower, index_of
 from gnk.discrete import (
     NULLITY_TOL,
@@ -21,6 +21,7 @@ from helpers import (
     assemble_M,
     band_limited,
     conjugation_matrix,
+    count_calls,
     dense_nullity,
     lattice16,
     traced_peak,
@@ -225,6 +226,27 @@ class TestOperatorIdentities:
             assert nxt <= prev / 10.0 or nxt <= floor or prev <= floor, residuals
 
 
+class TestIndexDecidedOnce:
+    """Assembly computes the indices; solves and nullity counts read them."""
+
+    def test_assembly_computes_the_index_once(self, three_circles, grid64, monkeypatch):
+        coeff = ShiftedPower(CENTERS[2], 1)
+        calls = count_calls(monkeypatch, coefficient, "index_of")
+        ops = assemble_N(three_circles, coeff, grid64)
+        assert len(calls) == 1
+        assert ops.index == index_of(coeff, three_circles, grid64)
+
+    def test_solves_and_counts_reuse_it(self, three_circles, grid64, monkeypatch):
+        ops = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
+        calls = count_calls(monkeypatch, coefficient, "index_of")
+        gamma = np.cos(np.tile(grid64.nodes, 3))
+        for _ in range(3):
+            assert rhp.solve_rhp(ops, gamma).diagnostics.nullity_I_minus_N == 1
+        assert ops.nullity_I_plus_N().nullity == 2
+        assert ops.nullity_I_minus_N().nullity == 1
+        assert calls == []
+
+
 class TestNullity:
     def test_I_plus_N_nullity_is_m(self, three_circles, grid64):
         ops = assemble_N(three_circles, One(), grid64)
@@ -311,8 +333,8 @@ class TestKrylovNullity:
         # an ellipse with a/b = 300 beside a circle: the counts take 30 to
         # 36 blocks (up to 300 of the 512 columns) to settle, where the
         # galleries take 8 to 12, so a fixed cap of 32 blocks would fail them
-        region = Region.from_curves([ellipse(0.0, 1.0, 1.0 / 300.0, label=0),
-                                     circle(3.0, 1.0, label=1)])
+        region = Region.from_curves([ellipse(0.0, 1.0, 1.0 / 300.0),
+                                     circle(3.0, 1.0)])
         depths = self._assert_matches_dense(assemble_N(region, coeff, ParamGrid(256)))
         assert max(depths) > 32
 

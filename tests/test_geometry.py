@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gnk.geometry as geometry
+from gnk import mobius
 from gnk.errors import OddGridSize, PointTooClose
 from gnk.geometry import (
     DISC_SLACK,
@@ -242,7 +243,7 @@ class TestRegion:
         assert np.allclose(eta_dd[block], direct[2])
 
     def test_mobius_center_defaults_to_last(self, three_circles):
-        assert three_circles.mobius_center_index == 2
+        assert mobius._center(three_circles, None) == three_circles.hole_points[-1]
 
 
 class TestLoadRegion:

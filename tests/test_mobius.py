@@ -134,7 +134,7 @@ class TestKernelInvariance:
 
         mapped_ops = DiscreteOperators(
             region=three_circles, coeff=One(), grid=grid64, jet=mapped,
-            N=n_hat, M_smooth=m_hat)
+            N=n_hat, M_smooth=m_hat, index=ops.index)
         rng = np.random.default_rng(21)
         phi = band_limited(rng, 3, 64, band=6)
         assert np.abs(apply_M(mapped_ops, phi) - apply_M(ops, phi)).max() <= 1e-12

@@ -98,15 +98,15 @@ class TestSolveIE:
 
 def _ellipse_and_circle(aspect: float) -> Region:
     # cond(I - N) grows with the aspect ratio a/b of the ellipse
-    return Region.from_curves([ellipse(3.0, 2.0, 2.0 / aspect, label=0),
-                               circle(-3.0, 1.0, label=1)])
+    return Region.from_curves([ellipse(3.0, 2.0, 2.0 / aspect),
+                               circle(-3.0, 1.0)])
 
 
 def _close_circles(gap: float) -> Region:
     # two unit circles gap apart; cond(I - N) grows as the gap closes
     half = 1.0 + gap / 2.0
-    return Region.from_curves([circle(3.0 + half * 1j, 1.0, label=0),
-                               circle(3.0 - half * 1j, 1.0, label=1)])
+    return Region.from_curves([circle(3.0 + half * 1j, 1.0),
+                               circle(3.0 - half * 1j, 1.0)])
 
 
 class TestCGLSAgainstDenseOracles:
