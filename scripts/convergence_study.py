@@ -39,8 +39,7 @@ def run(n_values):
         f_plus = sum(a / (eta - c) for a, c in zip(AMPLITUDES, CENTERS))
         gamma = f_plus.real + np.repeat(SHIFTS, n)
 
-        solution = solve_modified_dirichlet(region, grid, gamma, ops=ops,
-                                            constancy_floor=np.inf)
+        solution = solve_modified_dirichlet(ops, gamma, constancy_floor=np.inf)
         mu_err = np.abs(solution.mu - f_plus.imag).max()
         h_err = max(abs(h + c) for h, c in zip(solution.h_constants, SHIFTS))
 

@@ -73,7 +73,6 @@ from gnk.rhp import (
     compute_h,
     load_boundary_data,
     plemelj_boundary,
-    solve_ie,
     solve_rhp,
     verify_Sminus,
 )

@@ -97,7 +97,7 @@ def run_solve(args, mode: str) -> int:
     index = ops.index
     if mode == "dirichlet":
         solution = dirichlet.solve_modified_dirichlet(
-            region, grid, gamma, ops=ops, tol_solve=args.tol_solve)
+            ops, gamma, tol_solve=args.tol_solve)
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h_raw,
                               solution.f_boundary)
         extra = {"h_constants": list(solution.h_constants),

@@ -15,8 +15,8 @@ from typing import Union
 import numpy as np
 
 from gnk.errors import ZeroCoefficient
-from gnk.geometry import (ParamGrid, Region, _parse_json_source, _require_finite,
-                          winding_number)
+from gnk.geometry import (ParamGrid, Region, _fourier_rows, _json_object,
+                          _parse_json_source, _require_finite, winding_number)
 
 MIN_MODULUS = 1e-12
 
@@ -143,19 +143,18 @@ def predict_dimensions(kappa_per_curve) -> IndexReport:
     )
 
 
-def index_of(coeff: Coefficient, region: Region, grid: ParamGrid | None = None) -> IndexReport:
+def index_of(coeff: Coefficient, region: Region, grid: ParamGrid) -> IndexReport:
     """Winding of A about 0 along each curve, by argument accumulation.
 
-    The accumulation grid starts at the supplied grid size (or 64) and is
-    doubled until the count settles on an integer, so the result is exact
-    for any admissible coefficient.
+    The accumulation grid starts at the supplied grid size and is doubled
+    until the count settles on an integer, so the result is exact for any
+    admissible coefficient.
     """
-    n0 = grid.n if grid is not None else 64
     kappas = []
     for k in range(region.m):
         kappas.append(winding_number(
             lambda s, k=k: coeff.jet(region, k, s)[0],
-            n0=n0,
+            n0=grid.n,
             min_modulus=MIN_MODULUS,
             on_small=ZeroCoefficient,
         ))
@@ -164,7 +163,7 @@ def index_of(coeff: Coefficient, region: Region, grid: ParamGrid | None = None) 
 
 def load_coefficient(source) -> Coefficient:
     """Build a coefficient from a parsed dict or the path of its JSON file."""
-    obj = _parse_json_source(source)
+    obj = _json_object(_parse_json_source(source), "coefficient")
     kind = obj.get("type")
     if kind == "one":
         return One()
@@ -175,9 +174,7 @@ def load_coefficient(source) -> Coefficient:
     if kind == "trig":
         per_curve = []
         for rows in obj["per_curve"]:
-            powers = [int(r[0]) for r in rows]
-            coeffs = [complex(float(r[1]), float(r[2])) for r in rows]
-            _require_finite(coeffs, "coefficient values")
-            per_curve.append((np.asarray(powers), np.asarray(coeffs)))
+            powers, coeffs = _fourier_rows(rows)
+            per_curve.append((powers, _require_finite(coeffs, "coefficient values")))
         return TrigCoefficient(tuple(per_curve))
     raise ValueError(f"unknown coefficient type {kind!r}")

@@ -8,7 +8,9 @@ real part of the Cauchy integral then evaluates the harmonic field with
 boundary values gamma + h and zero at infinity.
 
 No special code path exists for A = 1; the general kernels are used with
-the derivative terms vanishing identically.
+the derivative terms vanishing identically.  Both the solve and the field
+evaluation read the region and grid from operators assembled with
+coefficient One, so one assembly serves any number of data sets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from gnk import rhp
 from gnk.coefficient import One
-from gnk.discrete import DiscreteOperators, assemble_N
+from gnk.discrete import DiscreteOperators
 from gnk.errors import ConstancyViolation
 from gnk.geometry import ParamGrid, Region
 
@@ -62,11 +64,9 @@ class DirichletSolution:
 
 
 def solve_modified_dirichlet(
-    region: Region,
-    grid: ParamGrid,
+    ops: DiscreteOperators,
     gamma: np.ndarray,
     *,
-    ops: DiscreteOperators | None = None,
     tol_solve: float = rhp.DEFAULT_SOLVE_TOL,
     constancy_floor: float = 1e-6,
 ) -> DirichletSolution:
@@ -77,18 +77,13 @@ def solve_modified_dirichlet(
     indicator.  A deviation beyond both CONSTANCY_FACTOR times the solve
     residual and the absolute constancy_floor (scaled by the data size)
     raises ConstancyViolation: that means a bug or unresolved geometry,
-    not a property of the data.
-
-    Pass a preassembled ``ops`` (with coefficient One) to amortize
-    assembly across solves on the same region and grid.
+    not a property of the data.  ``ops`` must carry coefficient One.
     """
-    if ops is None:
-        ops = assemble_N(region, One(), grid)
-    elif not isinstance(ops.coeff, One):
+    if not isinstance(ops.coeff, One):
         raise ValueError("modified Dirichlet solve requires coefficient One")
     gamma = np.asarray(gamma, dtype=float)
     solution = rhp.solve_rhp(ops, gamma, tol_solve=tol_solve)
-    h_blocks = solution.h.reshape(region.m, grid.n)
+    h_blocks = solution.h.reshape(ops.region.m, ops.grid.n)
     h_means = h_blocks.mean(axis=1)
     deviation = np.abs(h_blocks - h_means[:, None]).max(axis=1)
     scale = max(1.0, float(np.abs(gamma).max()))
@@ -98,7 +93,7 @@ def solve_modified_dirichlet(
         raise ConstancyViolation(
             f"h deviates from per-curve constancy by {deviation.max():.3e} "
             f"(allowed {allowed:.3e}); refine the grid or check the region")
-    h_flat = np.repeat(h_means, grid.n)
+    h_flat = np.repeat(h_means, ops.grid.n)
     f_boundary = gamma + h_flat + 1j * solution.mu
     diagnostics = DirichletDiagnostics(
         ie_residual=solution.diagnostics.ie_residual,
@@ -117,9 +112,12 @@ def solve_modified_dirichlet(
     )
 
 
-def harmonic_eval(region: Region, grid: ParamGrid, solution: DirichletSolution,
-                  z, *, strict: bool = False):
-    """Harmonic field u = Re Phi at z; boundary values gamma + h, u(inf) = 0."""
-    values = rhp.cauchy_eval(region, One(), grid, solution.gamma, solution.mu,
-                             z, strict=strict)
+def harmonic_eval(ops: DiscreteOperators, solution: DirichletSolution, z, *,
+                  strict: bool = False):
+    """Harmonic field u = Re Phi at z; boundary values gamma + h, u(inf) = 0.
+
+    ``ops`` are the operators the solution was computed with.
+    """
+    values = rhp.cauchy_eval(ops.region, One(), ops.grid, solution.gamma,
+                             solution.mu, z, strict=strict)
     return np.real(values) if np.ndim(values) else float(np.real(values))

@@ -149,7 +149,7 @@ class Region:
     """Unbounded region bounded by m disjoint clockwise curves.
 
     ``hole_points[k]`` is a reference point inside the k-th hole; the last
-    hole's point is the default Mobius center.
+    hole's point is the Mobius center.
     """
 
     curves: tuple[Curve, ...]
@@ -190,8 +190,8 @@ class Region:
 def winding_number(
     evaluate: Callable[[np.ndarray], np.ndarray],
     *,
+    min_modulus: float,
     n0: int = 64,
-    min_modulus: float = 0.0,
     on_small: type[Exception] = PointTooClose,
 ) -> int:
     """Winding about 0 of a closed loop s -> evaluate(s), s in [0, 2 pi).
@@ -378,20 +378,37 @@ def _parse_json_source(source):
     return obj
 
 
+def _json_object(obj, what: str) -> dict:
+    """Return obj unchanged; raise ValueError unless it is a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return obj
+
+
+def _fourier_rows(rows):
+    """Integer powers and complex coefficients of [p, re, im] rows."""
+    powers, coeffs = [], []
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != 3:
+            raise ValueError(f"Fourier rows must be [p, re, im], got {row!r}")
+        powers.append(int(row[0]))
+        coeffs.append(complex(float(row[1]), float(row[2])))
+    return np.asarray(powers, dtype=int), np.asarray(coeffs, dtype=complex)
+
+
 def _as_complex(pair) -> complex:
     x, y = pair
     return complex(float(x), float(y))
 
 
 def _curve_from_dict(entry: dict) -> Curve:
-    kind = entry.get("type")
+    kind = _json_object(entry, "curve entry").get("type")
     if kind == "circle":
         return circle(_as_complex(entry["center"]), float(entry["radius"]))
     if kind == "ellipse":
         return ellipse(_as_complex(entry["center"]), float(entry["a"]), float(entry["b"]))
     if kind == "trig":
-        powers = [int(row[0]) for row in entry["coeffs"]]
-        coeffs = [complex(float(row[1]), float(row[2])) for row in entry["coeffs"]]
+        powers, coeffs = _fourier_rows(entry["coeffs"])
         return Curve(powers=powers, coeffs=coeffs)
     raise ValueError(f"unknown curve type {kind!r}")
 
@@ -403,7 +420,7 @@ def load_region(source) -> Region:
     curves are taken as given and must describe clockwise traversal
     (validation rejects the opposite orientation, it is never fixed up).
     """
-    obj = _parse_json_source(source)
+    obj = _json_object(_parse_json_source(source), "region")
     curves = [_curve_from_dict(entry) for entry in obj["curves"]]
     hole_points = None
     if obj.get("hole_points") is not None:

@@ -1,11 +1,12 @@
 """Mobius reduction of the unbounded region to a bounded one.
 
-The transform w = 1/(z - z0), with z0 inside the last hole, carries the
-unbounded region onto a bounded multiply connected region.  Replacing the
-coefficient A by hat A = zeta A, with zeta the mapped parametrization,
-leaves both boundary integral kernels pointwise unchanged; that identity
-is what transfers the bounded-region solvability theory, so it is checked
-here entrywise to machine precision instead of being trusted.
+The transform w = 1/(z - z0), with z0 the region's last hole point, carries
+the unbounded region onto a bounded multiply connected region whose outer
+boundary is the image of the last curve; to move the center, set that
+point.  Replacing the coefficient A by hat A = zeta A, with zeta the mapped
+parametrization, leaves both boundary integral kernels pointwise unchanged;
+that identity is what transfers the bounded-region solvability theory, so
+it is checked here entrywise to machine precision instead of being trusted.
 """
 
 from __future__ import annotations
@@ -22,12 +23,9 @@ from gnk.geometry import Region, winding_number, winding_of_point
 from gnk.kernels import BoundaryJet
 
 
-def _center(region: Region, z0: complex | None) -> complex:
-    """z0, by default the last hole's point, checked to lie inside the last
-    hole only."""
-    if z0 is None:
-        z0 = region.hole_points[-1]
-    z0 = complex(z0)
+def _center(region: Region) -> complex:
+    """The last hole's point, checked to lie inside the last hole only."""
+    z0 = complex(region.hole_points[-1])
     for k, curve in enumerate(region.curves):
         expected = -1 if k == region.m - 1 else 0
         try:
@@ -40,14 +38,13 @@ def _center(region: Region, z0: complex | None) -> complex:
     return z0
 
 
-def map_jet(region: Region, jet: BoundaryJet,
-            z0: complex | None = None) -> BoundaryJet:
+def map_jet(region: Region, jet: BoundaryJet) -> BoundaryJet:
     """Image jet of zeta = 1/(eta - z0) and hat A = zeta A, by exact arithmetic.
 
-    z0 defaults to the last hole's point and must lie strictly inside the
-    last hole (and outside every other hole).
+    z0 is the last hole's point, which must lie strictly inside the last
+    hole (and outside every other hole).
     """
-    u = jet.eta - _center(region, z0)
+    u = jet.eta - _center(region)
     zeta = 1.0 / u
     zeta_d = -jet.eta_d / u**2
     zeta_dd = -jet.eta_dd / u**2 + 2.0 * jet.eta_d**2 / u**3
@@ -72,8 +69,7 @@ class InvarianceReport:
         return max(self.max_diff_N, self.max_diff_M1)
 
 
-def kernel_invariance_check(ops: discrete.DiscreteOperators,
-                            z0: complex | None = None) -> InvarianceReport:
+def kernel_invariance_check(ops: discrete.DiscreteOperators) -> InvarianceReport:
     """Max |N_hat - N| and |M1_hat - M1| over all grid pairs, diagonals included.
 
     The mapped jet goes through the assembly's row blocks, each compared
@@ -84,7 +80,7 @@ def kernel_invariance_check(ops: discrete.DiscreteOperators,
     the kernel evaluation rather than discretization error.
     """
     diff_n = diff_m1 = largest = 0.0
-    mapped = map_jet(ops.region, ops.jet, z0)
+    mapped = map_jet(ops.region, ops.jet)
     for rows, cols, n_hat, m_hat, cot in discrete._weighted_blocks(mapped):
         n_rows, m_rows = ops.N[rows], ops.M_smooth[rows]
         diff_n = max(diff_n, float(np.abs(n_hat - n_rows).max()))
@@ -108,14 +104,13 @@ def index_shift(report: IndexReport) -> tuple[tuple[int, ...], int]:
     return hat, report.kappa + 1
 
 
-def mapped_index_of(region: Region, coeff,
-                    z0: complex | None = None) -> tuple[tuple[int, ...], int]:
+def mapped_index_of(region: Region, coeff) -> tuple[tuple[int, ...], int]:
     """Direct argument-accumulation indices of hat A = zeta A on each image curve.
 
     Returned in image order (outer curve first), for cross-checking
     :func:`index_shift` without going through the shift law.
     """
-    z0 = _center(region, z0)
+    z0 = _center(region)
 
     def hat_values(k: int, s: np.ndarray) -> np.ndarray:
         eta = region.curves[k].jet(s)[0]

@@ -22,7 +22,8 @@ import numpy as np
 from gnk import coefficient as coefficient_mod
 from gnk.discrete import NULLITY_TOL, DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary, ZeroCoefficient
-from gnk.geometry import ParamGrid, Region, _parse_json_source, _require_finite
+from gnk.geometry import (ParamGrid, Region, _fourier_rows, _json_object,
+                          _parse_json_source, _require_finite)
 from gnk.kernels import BoundaryJet
 
 DEFAULT_SOLVE_TOL = 1e-10
@@ -99,34 +100,23 @@ def _cgls(N: np.ndarray, b: np.ndarray):
 
 
 def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
-    """mu of (I - N) mu = -M gamma, its sup-norm residual, dim null(I - N)
-    and the CGLS iteration count.
+    """mu of (I - N) mu = -M gamma, its sup-norm residual and the CGLS
+    iteration count.
 
-    The indices of A, held by ``ops``, give the nullity; the gate, relative
-    to max(1, sup|gamma|), catches a solve that misses.
+    The continuous equation is solvable for every gamma; a residual above
+    tol_solve times max(1, sup|gamma|) therefore signals discretization
+    failure, not theory failure.  When I - N has a null space
+    (negative-index coefficients) mu is the minimal-norm least-squares
+    solution.
     """
     rhs = -apply_M(ops, gamma)
-    null = ops.index.dim_null_I_minus_N
     mu, iterations = _cgls(ops.N, rhs)
     residual = _sup(mu - ops.apply_N(mu) - rhs)
     allowed = tol_solve * max(1.0, _sup(gamma))
     if not residual <= allowed:
         raise InconsistentSystem(
             f"integral equation residual {residual:.3e} exceeds {allowed:.3e}")
-    return mu, residual, null, iterations
-
-
-def solve_ie(ops: DiscreteOperators, gamma: np.ndarray, *,
-             tol_solve: float = DEFAULT_SOLVE_TOL) -> np.ndarray:
-    """Solve (I - N) mu = -M gamma on the grid.
-
-    The continuous equation is solvable for every gamma; a residual above
-    tol_solve times max(1, sup|gamma|) therefore signals discretization
-    failure, not theory failure.  When I - N has a null space
-    (negative-index coefficients) the minimal-norm least-squares solution
-    is returned.
-    """
-    return _solve(ops, np.asarray(gamma, dtype=float), tol_solve)[0]
+    return mu, residual, iterations
 
 
 def compute_h(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -165,7 +155,8 @@ def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
               tol_solve: float = DEFAULT_SOLVE_TOL) -> RHSolution:
     """Full pipeline: solve for mu, form h, assemble boundary values."""
     gamma = np.asarray(gamma, dtype=float)
-    mu, ie_residual, null, iterations = _solve(ops, gamma, tol_solve)
+    mu, ie_residual, iterations = _solve(ops, gamma, tol_solve)
+    null = ops.index.dim_null_I_minus_N
     h = compute_h(ops, gamma, mu)
     af_plus, f_plus = boundary_values(gamma, h, mu, ops.jet.coeff)
     r_plus, r_m = verify_Sminus(ops, h)
@@ -262,7 +253,7 @@ def _rational_boundary(region: Region, grid: ParamGrid, terms) -> np.ndarray:
 
 
 def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.ndarray:
-    kind = entry.get("type")
+    kind = _json_object(entry, "data entry").get("type")
     size = region.m * grid.n
     if kind == "samples":
         values = entry["values"]
@@ -276,8 +267,7 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
     if kind == "trig":
         parts = []
         for rows in entry["per_curve"]:
-            powers = np.asarray([int(r[0]) for r in rows])
-            coeffs = np.asarray([complex(float(r[1]), float(r[2])) for r in rows])
+            powers, coeffs = _fourier_rows(rows)
             phase = np.exp(1j * np.multiply.outer(grid.nodes, powers.astype(float)))
             parts.append((phase @ coeffs).real)
         if len(parts) != region.m:

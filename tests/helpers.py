@@ -75,6 +75,11 @@ def band_limited(rng: np.random.Generator, m: int, n: int, band: int,
     return phi
 
 
+def with_center(region: Region, z0: complex) -> Region:
+    """The region with its last hole point, the Mobius center, moved to z0."""
+    return Region.from_curves(region.curves, region.hole_points[:-1] + (z0,))
+
+
 def lattice16() -> Region:
     """16 radius-1 circles on a 4-unit lattice; the origin sits between holes."""
     axis = (-6.0, -2.0, 2.0, 6.0)

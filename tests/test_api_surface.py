@@ -16,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gnk"
-MAX_OPTIONS = 21
+MAX_OPTIONS = 14
 # Public functions only tests call, kept as library API: the scalar kernels
 # are the only evaluation of the kernels off the grid, harmonic_eval and
 # analyticity_residual are the documented field and attainability checks,

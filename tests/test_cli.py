@@ -211,8 +211,8 @@ class TestIndexAndMobius:
         # behind the scale-relative tolerance
         exact_map = mobius.map_jet
 
-        def defective(region, jet, z0=None):
-            mapped = exact_map(region, jet, z0)
+        def defective(region, jet):
+            mapped = exact_map(region, jet)
             u = jet.eta - region.hole_points[-1]
             return dataclasses.replace(mapped, eta_dd=-jet.eta_dd / u**2)
 
@@ -529,6 +529,30 @@ class TestErrorPaths:
         rc = _run(["index-report", "--region", path, "--out", tmp_path / "o"])
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("command, flag, payload", [
+        ("index-report", "--region", []),
+        ("index-report", "--region", {"curves": [3]}),
+        ("index-report", "--region", {"curves": [{"type": "trig", "coeffs": [[0, 1]]}]}),
+        ("index-report", "--coeff", []),
+        ("index-report", "--coeff", {"type": "trig", "per_curve": [[[0, 1]]] * 3}),
+        ("solve-rhp", "--data", [3]),
+        ("solve-rhp", "--data", {"type": "trig", "per_curve": [[[0, 1]]] * 3}),
+    ], ids=["region-list", "curve-number", "curve-row", "coeff-list", "coeff-row",
+            "data-number", "data-row"])
+    def test_malformed_json_exits_1(self, inputs, tmp_path, capsys, command, flag,
+                                    payload):
+        files = {"--region": inputs / "region.json"}
+        if command == "solve-rhp":
+            files["--data"] = inputs / "data.json"
+        files[flag] = tmp_path / "bad.json"
+        files[flag].write_text(json.dumps(payload))
+        rc = _run([command, *(x for pair in files.items() for x in pair),
+                   "--n", 64, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert json.loads(err)["error"] == "ValueError"
+        assert "Traceback" not in err
 
     def test_malformed_region_file(self, tmp_path):
         path = tmp_path / "region.json"

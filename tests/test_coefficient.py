@@ -59,22 +59,23 @@ class TestCoeffJet:
 
 class TestIndex:
     def test_one_has_zero_index(self, three_circles):
-        report = index_of(One(), three_circles)
+        report = index_of(One(), three_circles, ParamGrid(64))
         assert report.kappa_per_curve == (0, 0, 0)
         assert report.kappa == 0
 
     def test_shifted_power_in_last_hole(self, three_circles):
-        report = index_of(ShiftedPower(CENTERS[2], 1), three_circles)
+        report = index_of(ShiftedPower(CENTERS[2], 1), three_circles, ParamGrid(64))
         assert report.kappa_per_curve == (0, 0, -1)
 
     def test_shifted_power_square(self, three_circles):
-        report = index_of(ShiftedPower(CENTERS[2], 2), three_circles)
+        report = index_of(ShiftedPower(CENTERS[2], 2), three_circles, ParamGrid(64))
         assert report.kappa_per_curve == (0, 0, -2)
 
     def test_index_matches_point_winding(self, three_circles):
         # kappa_j of (eta - z0)^k is k times the winding of curve j about z0
         for power in (1, 2, 3):
-            report = index_of(ShiftedPower(CENTERS[1], power), three_circles)
+            report = index_of(ShiftedPower(CENTERS[1], power), three_circles,
+                              ParamGrid(64))
             expected = tuple(
                 power * winding_of_point(c, CENTERS[1])
                 for c in three_circles.curves

@@ -40,8 +40,7 @@ class TestIndicatorBasis:
 class TestSolve:
     def test_oracle_recovery(self, three_circles, grid128, gallery_ops):
         f_plus = oracle_boundary(three_circles, grid128)
-        solution = solve_modified_dirichlet(three_circles, grid128, f_plus.real,
-                                            ops=gallery_ops)
+        solution = solve_modified_dirichlet(gallery_ops, f_plus.real)
         assert np.abs(solution.mu - f_plus.imag).max() <= 1e-8
         assert max(abs(h) for h in solution.h_constants) <= 1e-8
 
@@ -49,14 +48,12 @@ class TestSolve:
         f_plus = oracle_boundary(three_circles, grid128)
         shifts = (0.3, -1.2, 2.0)
         gamma = f_plus.real + np.repeat(shifts, grid128.n)
-        solution = solve_modified_dirichlet(three_circles, grid128, gamma,
-                                            ops=gallery_ops)
+        solution = solve_modified_dirichlet(gallery_ops, gamma)
         for recovered, applied in zip(solution.h_constants, shifts):
             assert abs(recovered + applied) <= 1e-8
 
     def test_zero_data(self, three_circles, grid128, gallery_ops):
-        solution = solve_modified_dirichlet(three_circles, grid128,
-                                            np.zeros(3 * 128), ops=gallery_ops)
+        solution = solve_modified_dirichlet(gallery_ops, np.zeros(3 * 128))
         assert np.abs(solution.mu).max() == 0.0
         assert all(h == 0.0 for h in solution.h_constants)
         assert np.abs(solution.f_boundary).max() == 0.0
@@ -67,8 +64,10 @@ class TestSolve:
             return np.concatenate([np.cos(2 * s), np.sin(s), np.cos(s) + 0.5])
 
         coarse, fine = ParamGrid(64), ParamGrid(128)
-        sol_c = solve_modified_dirichlet(three_circles, coarse, gamma_fn(coarse.nodes))
-        sol_f = solve_modified_dirichlet(three_circles, fine, gamma_fn(fine.nodes))
+        sol_c = solve_modified_dirichlet(assemble_N(three_circles, One(), coarse),
+                                         gamma_fn(coarse.nodes))
+        sol_f = solve_modified_dirichlet(assemble_N(three_circles, One(), fine),
+                                         gamma_fn(fine.nodes))
         for a, b in zip(sol_c.h_constants, sol_f.h_constants):
             assert abs(a - b) <= 1e-9
         assert np.abs(sol_c.mu - sol_f.mu.reshape(3, 128)[:, ::2].ravel()).max() <= 1e-9
@@ -78,10 +77,9 @@ class TestSolve:
         g1 = band_limited(rng, 3, 128, band=6)
         g2 = band_limited(rng, 3, 128, band=6)
         a, b = 1.7, -0.4
-        s1 = solve_modified_dirichlet(three_circles, grid128, g1, ops=gallery_ops)
-        s2 = solve_modified_dirichlet(three_circles, grid128, g2, ops=gallery_ops)
-        s12 = solve_modified_dirichlet(three_circles, grid128, a * g1 + b * g2,
-                                       ops=gallery_ops)
+        s1 = solve_modified_dirichlet(gallery_ops, g1)
+        s2 = solve_modified_dirichlet(gallery_ops, g2)
+        s12 = solve_modified_dirichlet(gallery_ops, a * g1 + b * g2)
         assert np.abs(s12.mu - (a * s1.mu + b * s2.mu)).max() <= 1e-9
         for h12, h1, h2 in zip(s12.h_constants, s1.h_constants, s2.h_constants):
             assert abs(h12 - (a * h1 + b * h2)) <= 1e-9
@@ -89,7 +87,7 @@ class TestSolve:
     def test_requires_coefficient_one(self, three_circles, grid128):
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid128)
         with pytest.raises(ValueError):
-            solve_modified_dirichlet(three_circles, grid128, np.zeros(3 * 128), ops=ops)
+            solve_modified_dirichlet(ops, np.zeros(3 * 128))
 
     def test_unresolved_geometry_raises_constancy_violation(self):
         wiggly = perturbed_circle(3.0, 1.0, [(3, 0.35), (7, 0.2)])
@@ -97,46 +95,43 @@ class TestSolve:
         grid = ParamGrid(8)
         gamma = np.cos(3 * grid.nodes)
         with pytest.raises(ConstancyViolation):
-            solve_modified_dirichlet(region, grid, gamma)
+            solve_modified_dirichlet(assemble_N(region, One(), grid), gamma)
 
     def test_wiggly_geometry_resolves_at_high_n(self):
         wiggly = perturbed_circle(3.0, 1.0, [(3, 0.35), (7, 0.2)])
         region = Region.from_curves([wiggly])
         grid = ParamGrid(256)
-        solution = solve_modified_dirichlet(region, grid, np.cos(3 * grid.nodes))
+        solution = solve_modified_dirichlet(assemble_N(region, One(), grid),
+                                            np.cos(3 * grid.nodes))
         assert max(solution.diagnostics.h_deviation) <= 1e-6
 
 
 class TestHarmonicEval:
     def test_oracle_field(self, three_circles, grid128, gallery_ops):
         f_plus = oracle_boundary(three_circles, grid128)
-        solution = solve_modified_dirichlet(three_circles, grid128, f_plus.real,
-                                            ops=gallery_ops)
+        solution = solve_modified_dirichlet(gallery_ops, f_plus.real)
         z = 5.0 + 5.0j
         expected = rational_values(z, oracle_terms()).real
-        assert abs(harmonic_eval(three_circles, grid128, solution, z) - expected) <= 1e-8
+        assert abs(harmonic_eval(gallery_ops, solution, z) - expected) <= 1e-8
 
     def test_constant_data_gives_zero_field(self, three_circles, grid128, gallery_ops):
         gamma = np.repeat((1.0, -2.0, 0.7), grid128.n)
-        solution = solve_modified_dirichlet(three_circles, grid128, gamma,
-                                            ops=gallery_ops)
+        solution = solve_modified_dirichlet(gallery_ops, gamma)
         for z in (5.0 + 5.0j, -6.0, 2.0 - 6.0j):
-            assert abs(harmonic_eval(three_circles, grid128, solution, z)) <= 1e-9
+            assert abs(harmonic_eval(gallery_ops, solution, z)) <= 1e-9
 
     def test_decay_at_infinity(self, three_circles, grid128, gallery_ops):
         f_plus = oracle_boundary(three_circles, grid128)
-        solution = solve_modified_dirichlet(three_circles, grid128, f_plus.real,
-                                            ops=gallery_ops)
-        assert abs(harmonic_eval(three_circles, grid128, solution, 1e6)) <= 1e-5
+        solution = solve_modified_dirichlet(gallery_ops, f_plus.real)
+        assert abs(harmonic_eval(gallery_ops, solution, 1e6)) <= 1e-5
 
     def test_maximum_principle_smoke(self, three_circles, grid128, gallery_ops):
         # u has boundary data gamma + h; for indicator data that sum is zero
         from gnk.dirichlet import indicator_basis
 
         chi = indicator_basis(three_circles, grid128)[0]
-        solution = solve_modified_dirichlet(three_circles, grid128, chi,
-                                            ops=gallery_ops)
+        solution = solve_modified_dirichlet(gallery_ops, chi)
         bound = np.abs(chi + np.repeat(solution.h_constants, grid128.n)).max()
         probes = [6.0 + 1.0j, -5.0 - 5.0j, 0.0 + 0.1j, 8.0j]
         for z in probes:
-            assert abs(harmonic_eval(three_circles, grid128, solution, z)) <= bound + 1e-9
+            assert abs(harmonic_eval(gallery_ops, solution, z)) <= bound + 1e-9

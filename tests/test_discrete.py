@@ -263,7 +263,7 @@ class TestNullity:
 
     def test_matches_predictions_for_square_power(self, three_circles, grid64):
         coeff = ShiftedPower(CENTERS[2], 2)
-        report = index_of(coeff, three_circles)
+        report = index_of(coeff, three_circles, grid64)
         ops = assemble_N(three_circles, coeff, grid64)
         assert ops.nullity_I_plus_N().nullity == report.dim_null_I_plus_N
         assert ops.nullity_I_minus_N().nullity == report.dim_null_I_minus_N

@@ -1,0 +1,43 @@
+"""The convergence script and the README quickstart, run as they are shipped.
+
+Both call the library the way a user does, so a signature change that
+breaks them fails here instead of going unnoticed.
+"""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def _run(argv):
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=ENV,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_convergence_study_converges():
+    proc = _run([str(ROOT / "scripts" / "convergence_study.py"),
+                 "--n-values", "16", "32", "64"])
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == [16, 32, 64]
+    mu_err = [float(row[1]) for row in rows]
+    assert mu_err[0] > mu_err[1] > mu_err[2], mu_err
+    assert mu_err[2] <= 1e-12, mu_err
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    proc = _run(["-c", block])
+    assert proc.returncode == 0, proc.stderr
+    constants = ast.literal_eval(proc.stdout.splitlines()[0])
+    assert len(constants) == 3
+    for got, expected in zip(constants, (-0.3, 1.2, -2.0)):
+        assert abs(got - expected) <= 1e-10, constants

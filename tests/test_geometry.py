@@ -243,7 +243,7 @@ class TestRegion:
         assert np.allclose(eta_dd[block], direct[2])
 
     def test_mobius_center_defaults_to_last(self, three_circles):
-        assert mobius._center(three_circles, None) == three_circles.hole_points[-1]
+        assert mobius._center(three_circles) == three_circles.hole_points[-1]
 
 
 class TestLoadRegion:

@@ -21,6 +21,7 @@ from helpers import (
     dense_cot_addition,
     dense_weighted_kernels,
     traced_peak,
+    with_center,
 )
 
 
@@ -29,14 +30,14 @@ def unit_circle():
     return Region.from_curves([circle(0.0, 1.0)])
 
 
-def _map(region, coeff, grid, z0=None):
-    return map_jet(region, BoundaryJet.from_region(region, coeff, grid), z0)
+def _map(region, coeff, grid):
+    return map_jet(region, BoundaryJet.from_region(region, coeff, grid))
 
 
 class TestMapRegion:
     def test_unit_circle_center_zero(self, unit_circle, grid64):
         # eta = exp(-is), z0 = 0: zeta = exp(is), zeta' = i exp(is) by hand
-        mapped = _map(unit_circle, One(), grid64, 0.0)
+        mapped = _map(unit_circle, One(), grid64)
         s = grid64.nodes
         assert np.allclose(mapped.eta, np.exp(1j * s), atol=1e-13)
         assert np.allclose(mapped.eta_d, 1j * np.exp(1j * s), atol=1e-13)
@@ -56,12 +57,12 @@ class TestMapRegion:
 
     def test_center_outside_hole_rejected(self, three_circles, grid64):
         with pytest.raises(CenterNotInHole):
-            _map(three_circles, One(), grid64, 10.0 + 10.0j)
+            _map(with_center(three_circles, 10.0 + 10.0j), One(), grid64)
 
     def test_center_in_wrong_hole_rejected(self, three_circles, grid64):
         # inside a hole, but not the designated center hole
         with pytest.raises(CenterNotInHole):
-            _map(three_circles, One(), grid64, CENTERS[0])
+            _map(with_center(three_circles, CENTERS[0]), One(), grid64)
 
 
 class TestKernelInvariance:
@@ -74,7 +75,7 @@ class TestKernelInvariance:
                 assert report.max_diff_M1 <= 1e-12
 
     def test_single_curve_with_diagonals(self, unit_circle, grid64):
-        report = kernel_invariance_check(assemble_N(unit_circle, One(), grid64), 0.0)
+        report = kernel_invariance_check(assemble_N(unit_circle, One(), grid64))
         assert report.max_diff <= 1e-12
 
     def test_independent_of_coefficient_choice(self, three_circles, grid64):
@@ -153,17 +154,17 @@ class TestIndexShift:
         assert hat == (0, 0, 0)
         assert total == 0
 
-    def test_matches_direct_computation(self, three_circles):
+    def test_matches_direct_computation(self, three_circles, grid64):
         for coeff in (One(), ShiftedPower(CENTERS[2], 1), ShiftedPower(CENTERS[0], 2)):
-            report = index_of(coeff, three_circles)
+            report = index_of(coeff, three_circles, grid64)
             assert mapped_index_of(three_circles, coeff) == index_shift(report)
 
-    def test_two_center_choices(self, three_circles):
+    def test_two_center_choices(self, three_circles, grid64):
         # shifting the center inside the same hole changes nothing
-        report = index_of(One(), three_circles)
+        report = index_of(One(), three_circles, grid64)
         for offset in (0.0, 0.3 + 0.2j):
-            z0 = three_circles.hole_points[2] + offset
-            assert mapped_index_of(three_circles, One(), z0) == index_shift(report)
+            region = with_center(three_circles, three_circles.hole_points[2] + offset)
+            assert mapped_index_of(region, One()) == index_shift(report)
 
 
 class TestTransformSolution:
@@ -185,7 +186,7 @@ class TestTransformSolution:
         # Re[hat A hat f] equals Re[A f] pointwise on the boundary
         coeff = ShiftedPower(CENTERS[1], 1)
         z0 = three_circles.hole_points[2]
-        mapped = _map(three_circles, coeff, grid64, z0)
+        mapped = _map(three_circles, coeff, grid64)
         eta, _, _ = three_circles.sample(grid64)
         f_values = 1.0 / (eta - CENTERS[0]) + 0.5j / (eta - CENTERS[1])
         hat_f = transform_solution(f_values, eta, z0)
