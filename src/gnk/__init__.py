@@ -63,11 +63,9 @@ from gnk.mobius import (
     kernel_invariance_check,
     map_jet,
     mapped_index_of,
-    transform_solution,
 )
 from gnk.rhp import (
     RHSolution,
-    analyticity_residual,
     boundary_values,
     cauchy_eval,
     compute_h,

@@ -101,7 +101,7 @@ def run_solve(args, mode: str) -> int:
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h_raw,
                               solution.f_boundary)
         extra = {"h_constants": list(solution.h_constants),
-                 "h_deviation": list(solution.diagnostics.h_deviation)}
+                 "h_deviation": list(solution.h_deviation)}
     else:
         solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
         rows = _boundary_rows(region, grid, gamma, solution.mu, solution.h,
@@ -341,7 +341,6 @@ def main(argv=None) -> int:
             return run_mobius_check(args)
         if args.command == "eval-field":
             return run_field(args)
-        raise ValueError(f"unknown command {args.command!r}")
     except (InconsistentSystem, ConstancyViolation) as exc:
         _fail(exc)
         return 2

@@ -15,8 +15,9 @@ from typing import Union
 import numpy as np
 
 from gnk.errors import ZeroCoefficient
-from gnk.geometry import (ParamGrid, Region, _fourier_rows, _json_object,
-                          _parse_json_source, _require_finite, winding_number)
+from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_rows, _json_array,
+                          _json_number, _json_object, _parse_json_source,
+                          _require_finite, winding_number)
 
 MIN_MODULUS = 1e-12
 
@@ -168,12 +169,11 @@ def load_coefficient(source) -> Coefficient:
     if kind == "one":
         return One()
     if kind == "shifted_power":
-        x, y = obj["z0"]
-        z0 = _require_finite(complex(float(x), float(y)), "coefficient z0")
-        return ShiftedPower(z0=z0, power=int(obj["power"]))
+        z0 = _require_finite(_as_complex(obj["z0"], "coefficient z0"), "coefficient z0")
+        return ShiftedPower(z0=z0, power=int(_json_number(obj["power"], "coefficient power")))
     if kind == "trig":
         per_curve = []
-        for rows in obj["per_curve"]:
+        for rows in _json_array(obj["per_curve"], "coefficient per_curve"):
             powers, coeffs = _fourier_rows(rows)
             per_curve.append((powers, _require_finite(coeffs, "coefficient values")))
         return TrigCoefficient(tuple(per_curve))

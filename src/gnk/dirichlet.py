@@ -8,9 +8,10 @@ real part of the Cauchy integral then evaluates the harmonic field with
 boundary values gamma + h and zero at infinity.
 
 No special code path exists for A = 1; the general kernels are used with
-the derivative terms vanishing identically.  Both the solve and the field
-evaluation read the region and grid from operators assembled with
-coefficient One, so one assembly serves any number of data sets.
+the derivative terms vanishing identically.  The solve runs the general
+pipeline on operators assembled with coefficient One and keeps its
+diagnostics; the field evaluation is the general Cauchy integral on the
+same operators, so one assembly serves any number of data sets.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from gnk.errors import ConstancyViolation
 from gnk.geometry import ParamGrid, Region
 
 CONSTANCY_FACTOR = 1e3
+CONSTANCY_FLOOR = 1e-6
 
 
 def indicator_basis(region: Region, grid: ParamGrid) -> np.ndarray:
@@ -43,24 +45,17 @@ def indicator_basis(region: Region, grid: ParamGrid) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DirichletDiagnostics:
-    ie_residual: float
-    h_deviation: tuple[float, ...]
-    h_plus_residual: float
-    h_companion_residual: float
-    iterations: int
-
-
-@dataclass(frozen=True)
 class DirichletSolution:
-    """Unique solution data: mu, per-curve constants h_j, boundary values f+."""
+    """Unique solution data: mu, per-curve constants h_j with the largest
+    deviation of h from each, boundary values f+ and the solve's diagnostics."""
 
     gamma: np.ndarray
     mu: np.ndarray
     h_raw: np.ndarray
     h_constants: tuple[float, ...]
+    h_deviation: tuple[float, ...]
     f_boundary: np.ndarray
-    diagnostics: DirichletDiagnostics
+    diagnostics: rhp.SolveDiagnostics
 
 
 def solve_modified_dirichlet(
@@ -68,14 +63,13 @@ def solve_modified_dirichlet(
     gamma: np.ndarray,
     *,
     tol_solve: float = rhp.DEFAULT_SOLVE_TOL,
-    constancy_floor: float = 1e-6,
 ) -> DirichletSolution:
     """Solve the modified Dirichlet problem for real data gamma.
 
     The raw correction h comes out of the operator formula and is reduced
     to per-curve means; its deviation from constancy doubles as an error
     indicator.  A deviation beyond both CONSTANCY_FACTOR times the solve
-    residual and the absolute constancy_floor (scaled by the data size)
+    residual and the absolute CONSTANCY_FLOOR (scaled by the data size)
     raises ConstancyViolation: that means a bug or unresolved geometry,
     not a property of the data.  ``ops`` must carry coefficient One.
     """
@@ -88,27 +82,21 @@ def solve_modified_dirichlet(
     deviation = np.abs(h_blocks - h_means[:, None]).max(axis=1)
     scale = max(1.0, float(np.abs(gamma).max()))
     allowed = max(CONSTANCY_FACTOR * solution.diagnostics.ie_residual,
-                  constancy_floor * scale)
+                  CONSTANCY_FLOOR * scale)
     if not deviation.max() <= allowed:
         raise ConstancyViolation(
             f"h deviates from per-curve constancy by {deviation.max():.3e} "
             f"(allowed {allowed:.3e}); refine the grid or check the region")
     h_flat = np.repeat(h_means, ops.grid.n)
     f_boundary = gamma + h_flat + 1j * solution.mu
-    diagnostics = DirichletDiagnostics(
-        ie_residual=solution.diagnostics.ie_residual,
-        h_deviation=tuple(float(d) for d in deviation),
-        h_plus_residual=solution.diagnostics.h_plus_residual,
-        h_companion_residual=solution.diagnostics.h_companion_residual,
-        iterations=solution.diagnostics.iterations,
-    )
     return DirichletSolution(
         gamma=gamma,
         mu=solution.mu,
         h_raw=solution.h,
         h_constants=tuple(float(h) for h in h_means),
+        h_deviation=tuple(float(d) for d in deviation),
         f_boundary=f_boundary,
-        diagnostics=diagnostics,
+        diagnostics=solution.diagnostics,
     )
 
 
@@ -118,6 +106,5 @@ def harmonic_eval(ops: DiscreteOperators, solution: DirichletSolution, z, *,
 
     ``ops`` are the operators the solution was computed with.
     """
-    values = rhp.cauchy_eval(ops.region, One(), ops.grid, solution.gamma,
-                             solution.mu, z, strict=strict)
+    values = rhp.cauchy_eval(ops, solution.gamma, solution.mu, z, strict=strict)
     return np.real(values) if np.ndim(values) else float(np.real(values))

@@ -233,7 +233,7 @@ class CheckResult:
     name: str
     passed: bool
     margin: float
-    detail: str = ""
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -385,28 +385,48 @@ def _json_object(obj, what: str) -> dict:
     return obj
 
 
+def _json_array(obj, what: str):
+    """Return obj unchanged; raise ValueError if it is null, a boolean or a
+    number, the JSON values that have no items to iterate."""
+    if obj is None or isinstance(obj, (bool, int, float)):
+        raise ValueError(f"{what} must be a JSON array, got {obj!r}")
+    return obj
+
+
+def _json_number(obj, what: str):
+    """Return obj unchanged; raise ValueError if it is null, an array or an
+    object, the JSON values that float() and int() reject by TypeError."""
+    if obj is None or isinstance(obj, (list, tuple, dict)):
+        raise ValueError(f"{what} must be a number, got {obj!r}")
+    return obj
+
+
 def _fourier_rows(rows):
     """Integer powers and complex coefficients of [p, re, im] rows."""
     powers, coeffs = [], []
-    for row in rows:
+    for row in _json_array(rows, "Fourier rows"):
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise ValueError(f"Fourier rows must be [p, re, im], got {row!r}")
-        powers.append(int(row[0]))
-        coeffs.append(complex(float(row[1]), float(row[2])))
+        p, re, im = (_json_number(x, "Fourier row entry") for x in row)
+        powers.append(int(p))
+        coeffs.append(complex(float(re), float(im)))
     return np.asarray(powers, dtype=int), np.asarray(coeffs, dtype=complex)
 
 
-def _as_complex(pair) -> complex:
-    x, y = pair
-    return complex(float(x), float(y))
+def _as_complex(pair, what: str) -> complex:
+    """complex(x, y) of an [x, y] pair."""
+    x, y = _json_array(pair, what)
+    return complex(float(_json_number(x, what)), float(_json_number(y, what)))
 
 
 def _curve_from_dict(entry: dict) -> Curve:
     kind = _json_object(entry, "curve entry").get("type")
     if kind == "circle":
-        return circle(_as_complex(entry["center"]), float(entry["radius"]))
+        return circle(_as_complex(entry["center"], "circle center"),
+                      float(_json_number(entry["radius"], "circle radius")))
     if kind == "ellipse":
-        return ellipse(_as_complex(entry["center"]), float(entry["a"]), float(entry["b"]))
+        a, b = (float(_json_number(entry[key], f"ellipse {key}")) for key in ("a", "b"))
+        return ellipse(_as_complex(entry["center"], "ellipse center"), a, b)
     if kind == "trig":
         powers, coeffs = _fourier_rows(entry["coeffs"])
         return Curve(powers=powers, coeffs=coeffs)
@@ -421,8 +441,9 @@ def load_region(source) -> Region:
     (validation rejects the opposite orientation, it is never fixed up).
     """
     obj = _json_object(_parse_json_source(source), "region")
-    curves = [_curve_from_dict(entry) for entry in obj["curves"]]
+    curves = [_curve_from_dict(entry) for entry in _json_array(obj["curves"], "curves")]
     hole_points = None
     if obj.get("hole_points") is not None:
-        hole_points = [_as_complex(p) for p in obj["hole_points"]]
+        hole_points = [_as_complex(p, "hole point")
+                       for p in _json_array(obj["hole_points"], "hole_points")]
     return Region.from_curves(curves, hole_points)

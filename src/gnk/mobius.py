@@ -125,12 +125,3 @@ def mapped_index_of(region: Region, coeff) -> tuple[tuple[int, ...], int]:
     ]
     hat = (windings[-1],) + tuple(windings[:-1])
     return hat, sum(windings)
-
-
-def transform_solution(values, z, z0: complex):
-    """Map solution values f(z) to the bounded-region solution f_hat(w).
-
-    With w = 1/(z - z0), the correspondence is f_hat(w) = f(z) (z - z0);
-    pass boundary samples of f and eta to transform along the boundary.
-    """
-    return np.asarray(values) * (np.asarray(z) - complex(z0))

@@ -7,8 +7,9 @@ Solving the equation for mu, forming the real correction
 and assembling A f+ = gamma + h + i mu yields boundary values of a function
 analytic in the unbounded region with f(inf) = 0; h absorbs exactly the
 part of gamma that no such function can attain, and it lies in the span of
-boundary values coming from the holes.  The same density evaluated through
-the Cauchy integral extends the solution off the boundary.
+boundary values coming from the holes.  After the solve everything reads
+the operators: the Cauchy integral over ``ops.jet`` extends the solution
+off the boundary, and the hole-side Plemelj value tests attainability.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import numpy as np
 from gnk import coefficient as coefficient_mod
 from gnk.discrete import NULLITY_TOL, DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary, ZeroCoefficient
-from gnk.geometry import (ParamGrid, Region, _fourier_rows, _json_object,
-                          _parse_json_source, _require_finite)
+from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_rows, _json_array,
+                          _json_number, _json_object, _parse_json_source,
+                          _require_finite)
 from gnk.kernels import BoundaryJet
 
 DEFAULT_SOLVE_TOL = 1e-10
@@ -134,17 +136,6 @@ def boundary_values(gamma: np.ndarray, h: np.ndarray, mu: np.ndarray,
     return af_plus, af_plus / coeff_values
 
 
-def analyticity_residual(ops: DiscreteOperators, af_plus: np.ndarray) -> float:
-    """Sup-norm of (I - N + iM)(A f+), zero iff the data is attainable.
-
-    Vanishes (to discretization accuracy) exactly when af_plus samples the
-    boundary values of a function analytic in the unbounded region with
-    f(inf) = 0; data from the other side of any curve scores order one.
-    """
-    c = np.asarray(af_plus, dtype=complex)
-    return _sup(c - ops.apply_N(c) + 1j * apply_M(ops, c))
-
-
 def verify_Sminus(ops: DiscreteOperators, h: np.ndarray):
     """Residuals ((I + N) h, M h); both vanish for h in the hole-side span."""
     h = np.asarray(h, dtype=float)
@@ -201,18 +192,18 @@ def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
     return f, dist, turns
 
 
-def cauchy_eval(region: Region, coeff, grid: ParamGrid, gamma: np.ndarray,
-                mu: np.ndarray, z, *, strict: bool = False):
+def cauchy_eval(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z, *,
+                strict: bool = False):
     """Cauchy-type integral of (gamma + i mu)/A at points z off the boundary.
 
-    For z in the unbounded region this is the solution f with f(inf) = 0.
-    No near-boundary correction is applied; inside the warning band the
-    plain trapezoidal rule loses accuracy, so the call warns there (or
-    raises in strict mode).
+    The boundary and A are the ones ``ops`` were assembled on.  For z in
+    the unbounded region this is the solution f with f(inf) = 0.  No
+    near-boundary correction is applied; inside the warning band the plain
+    trapezoidal rule loses accuracy, so the call warns there (or raises in
+    strict mode).
     """
-    jet = BoundaryJet.from_region(region, coeff, grid)
-    values, dist, _ = field_pass(jet, gamma, mu, z)
-    band = near_boundary_band(jet)
+    values, dist, _ = field_pass(ops.jet, gamma, mu, z)
+    band = near_boundary_band(ops.jet)
     if np.any(dist < band):
         worst = float(dist.min())
         if strict:
@@ -234,7 +225,10 @@ def plemelj_boundary(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray,
 
     side +1 gives the limit from the unbounded region, -1 from the holes;
     their difference reproduces gamma + i mu identically in the discrete
-    algebra (the jump relation).
+    algebra (the jump relation).  The hole side is the attainability test:
+    it vanishes (to discretization accuracy) exactly when gamma + i mu
+    samples A f+ of a function analytic in the unbounded region with
+    f(inf) = 0, and data coming from the holes scores order one.
     """
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
@@ -245,10 +239,10 @@ def plemelj_boundary(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray,
 def _rational_boundary(region: Region, grid: ParamGrid, terms) -> np.ndarray:
     eta, _, _ = region.sample(grid)
     f_plus = np.zeros_like(eta)
-    for term in terms:
-        x, y = term["c"]
-        re, im = term["a"]
-        f_plus = f_plus + complex(re, im) / (eta - complex(x, y))
+    for term in _json_array(terms, "pole terms"):
+        term = _json_object(term, "pole term")
+        a = _as_complex(term["a"], "pole amplitude")
+        f_plus = f_plus + a / (eta - _as_complex(term["c"], "pole centre"))
     return f_plus
 
 
@@ -256,17 +250,18 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
     kind = _json_object(entry, "data entry").get("type")
     size = region.m * grid.n
     if kind == "samples":
-        values = entry["values"]
-        if len(values) != region.m or any(len(v) != grid.n for v in values):
+        rows = [_json_array(v, "samples row")
+                for v in _json_array(entry["values"], "samples values")]
+        if len(rows) != region.m or any(len(v) != grid.n for v in rows):
             raise ValueError("samples must supply n values per curve")
-        return np.concatenate([np.asarray(v, dtype=float) for v in values])
+        return np.array([float(_json_number(x, "sample")) for v in rows for x in v])
     if kind == "poles":
         f_plus = _rational_boundary(region, grid, entry["terms"])
         a_values, _ = coefficient_mod.sample(coeff, region, grid)
         return (a_values * f_plus).real
     if kind == "trig":
         parts = []
-        for rows in entry["per_curve"]:
+        for rows in _json_array(entry["per_curve"], "trig data per_curve"):
             powers, coeffs = _fourier_rows(rows)
             phase = np.exp(1j * np.multiply.outer(grid.nodes, powers.astype(float)))
             parts.append((phase @ coeffs).real)
@@ -274,12 +269,12 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
             raise ValueError("trig data must supply one entry per curve")
         return np.concatenate(parts)
     if kind == "constants":
-        values = entry["values"]
+        values = _json_array(entry["values"], "constants values")
         if len(values) != region.m:
             raise ValueError("constants data must supply one value per curve")
         out = np.zeros(size)
         for k, v in enumerate(values):
-            out[k * grid.n:(k + 1) * grid.n] = float(v)
+            out[k * grid.n:(k + 1) * grid.n] = float(_json_number(v, "constant"))
         return out
     raise ValueError(f"unknown boundary data type {kind!r}")
 

@@ -7,7 +7,9 @@ as exactly known solutions, the dense SVD count of a nullity, the
 whole-matrix kernel builders that the row-block assembly replaced, and
 the region validation that samples every winding, which the enclosing-disc
 screening replaced.  ``count_calls`` counts the calls of a library function
-under every name the package binds it to.
+under every name the package binds it to.  ``attainability_residual`` and
+``transform_solution`` restate, in the tests' terms, the hole-side Plemelj
+test and the Mobius substitution f_hat(w) = f(z) (z - z0).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from gnk.discrete import NULLITY_TOL, conjugate_periodic
 from gnk.errors import NonConvergent, PointTooClose
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle, winding_of_point)
+from gnk.rhp import plemelj_boundary
 
 TWO_PI = 2.0 * np.pi
 
@@ -73,6 +76,20 @@ def band_limited(rng: np.random.Generator, m: int, n: int, band: int,
         if not zero_mean:
             phi[block] += rng.normal()
     return phi
+
+
+def attainability_residual(ops, af_plus) -> float:
+    """2 sup|Phi-| of boundary values A f+: the sup-norm of (I - N + iM)(A f+),
+    zero (to discretization accuracy) iff they are attainable from the
+    unbounded region with f(inf) = 0."""
+    c = np.asarray(af_plus, dtype=complex)
+    return 2.0 * float(np.abs(plemelj_boundary(ops, c.real, c.imag, -1)).max())
+
+
+def transform_solution(values, z, z0: complex):
+    """Bounded-region solution f_hat(w) = f(z) (z - z0) for w = 1/(z - z0),
+    from values of f at points z (boundary samples of f at eta)."""
+    return np.asarray(values) * (np.asarray(z) - complex(z0))
 
 
 def with_center(region: Region, z0: complex) -> Region:

@@ -16,14 +16,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gnk"
-MAX_OPTIONS = 14
+MAX_OPTIONS = 12
 # Public functions only tests call, kept as library API: the scalar kernels
-# are the only evaluation of the kernels off the grid, harmonic_eval and
-# analyticity_residual are the documented field and attainability checks,
-# perturbed_circle builds the star-like gallery curves, and
-# transform_solution carries a solution through the Mobius reduction.
+# are the only evaluation of the kernels off the grid, harmonic_eval is the
+# documented Dirichlet field, and perturbed_circle builds the star-like
+# gallery curves.
 TEST_ONLY_API = {"kernel_N", "kernel_M", "kernel_M1", "harmonic_eval",
-                 "analyticity_residual", "perturbed_circle", "transform_solution"}
+                 "perturbed_circle"}
 
 
 def _modules():

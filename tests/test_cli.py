@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnk import cli, coefficient, discrete, mobius, rhp
+from gnk import cli, coefficient, dirichlet, discrete, mobius, rhp
 from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
@@ -65,6 +65,18 @@ class TestSolveDirichlet:
                    "--coeff", inputs / "coeff.json",
                    "--data", inputs / "data.json", "--out", tmp_path / "o"])
         assert rc == 1
+
+    def test_h_deviation_is_the_solutions(self, inputs, tmp_path):
+        out = tmp_path / "out"
+        rc = _run(["solve-dirichlet", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out])
+        assert rc == 0
+        region, grid = load_region(str(inputs / "region.json")), ParamGrid(64)
+        ops = discrete.assemble_N(region, One(), grid)
+        gamma = rhp.load_boundary_data(str(inputs / "data.json"), region, One(), grid)
+        solution = dirichlet.solve_modified_dirichlet(ops, gamma)
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["h_deviation"] == list(solution.h_deviation)
 
 
 class TestSolveRhp:
@@ -538,8 +550,30 @@ class TestErrorPaths:
         ("index-report", "--coeff", {"type": "trig", "per_curve": [[[0, 1]]] * 3}),
         ("solve-rhp", "--data", [3]),
         ("solve-rhp", "--data", {"type": "trig", "per_curve": [[[0, 1]]] * 3}),
+        # fields of the wrong JSON type
+        ("index-report", "--region", {"curves": 3}),
+        ("index-report", "--region", {"curves": [{"type": "circle", "center": [0, 0],
+                                                  "radius": None}]}),
+        ("index-report", "--region", {"curves": [{"type": "circle", "center": 5,
+                                                  "radius": 1}]}),
+        ("index-report", "--region", {"curves": [{"type": "trig", "coeffs": 3}]}),
+        ("index-report", "--region", dict(REGION, hole_points=3)),
+        ("index-report", "--region", dict(REGION, hole_points=[None])),
+        ("index-report", "--coeff", {"type": "trig", "per_curve": [3, 3]}),
+        ("index-report", "--coeff", dict(COEFF_POWER, power=None)),
+        ("index-report", "--coeff", dict(COEFF_POWER, z0=3)),
+        ("solve-rhp", "--data", {"type": "constants", "values": 3}),
+        ("solve-rhp", "--data", {"type": "constants", "values": [None, 1, 1]}),
+        ("solve-rhp", "--data", {"type": "samples", "values": 3}),
+        ("solve-rhp", "--data", {"type": "poles", "terms": 3}),
+        ("solve-rhp", "--data", {"type": "poles", "terms": [{"c": None, "a": [1, 0]}]}),
+        ("solve-rhp", "--data", {"type": "trig", "per_curve": [3, 3]}),
     ], ids=["region-list", "curve-number", "curve-row", "coeff-list", "coeff-row",
-            "data-number", "data-row"])
+            "data-number", "data-row", "curves-number", "radius-null",
+            "center-number", "coeffs-number", "hole-points-number", "hole-point-null",
+            "coeff-per-curve-numbers", "power-null", "z0-number",
+            "constants-number", "constant-null", "samples-number", "terms-number",
+            "pole-centre-null", "data-per-curve-numbers"])
     def test_malformed_json_exits_1(self, inputs, tmp_path, capsys, command, flag,
                                     payload):
         files = {"--region": inputs / "region.json"}

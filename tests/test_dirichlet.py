@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from gnk import coefficient
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
 from gnk.dirichlet import harmonic_eval, indicator_basis, solve_modified_dirichlet
 from gnk.errors import ConstancyViolation
 from gnk.geometry import ParamGrid, Region, perturbed_circle
+from gnk.rhp import cauchy_eval
 from conftest import CENTERS, oracle_boundary, oracle_terms
-from helpers import band_limited, rational_values
+from helpers import band_limited, count_calls, rational_values
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +105,7 @@ class TestSolve:
         grid = ParamGrid(256)
         solution = solve_modified_dirichlet(assemble_N(region, One(), grid),
                                             np.cos(3 * grid.nodes))
-        assert max(solution.diagnostics.h_deviation) <= 1e-6
+        assert max(solution.h_deviation) <= 1e-6
 
 
 class TestHarmonicEval:
@@ -135,3 +137,19 @@ class TestHarmonicEval:
         probes = [6.0 + 1.0j, -5.0 - 5.0j, 0.0 + 0.1j, 8.0j]
         for z in probes:
             assert abs(harmonic_eval(gallery_ops, solution, z)) <= bound + 1e-9
+
+    def test_is_the_real_part_of_cauchy_eval(self, three_circles, grid128, gallery_ops):
+        solution = solve_modified_dirichlet(gallery_ops,
+                                            oracle_boundary(three_circles, grid128).real)
+        z = np.array([5.0 + 5.0j, -6.0, 2.0 - 6.0j, 8.0j])
+        field = cauchy_eval(gallery_ops, solution.gamma, solution.mu, z)
+        assert np.array_equal(harmonic_eval(gallery_ops, solution, z), field.real)
+        assert harmonic_eval(gallery_ops, solution, z[0]) == field[0].real
+
+    def test_reads_the_assembled_boundary(self, monkeypatch, gallery_ops, grid128):
+        solution = solve_modified_dirichlet(gallery_ops, np.repeat((1.0, -2.0, 0.7),
+                                                                   grid128.n))
+        region_samples = count_calls(monkeypatch, Region, "sample")
+        coeff_samples = count_calls(monkeypatch, coefficient, "sample")
+        harmonic_eval(gallery_ops, solution, np.array([5.0 + 5.0j, -6.0]))
+        assert (region_samples, coeff_samples) == ([], [])

@@ -12,7 +12,6 @@ from gnk.mobius import (
     kernel_invariance_check,
     map_jet,
     mapped_index_of,
-    transform_solution,
 )
 from conftest import CENTERS
 from helpers import (
@@ -21,6 +20,7 @@ from helpers import (
     dense_cot_addition,
     dense_weighted_kernels,
     traced_peak,
+    transform_solution,
     with_center,
 )
 

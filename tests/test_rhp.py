@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnk import coefficient
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import NULLITY_TOL, apply_M, assemble_N
 from gnk.dirichlet import indicator_basis
@@ -15,7 +16,6 @@ from gnk.rhp import (
     DEFAULT_SOLVE_TOL,
     PROBE_BLOCK,
     _cgls,
-    analyticity_residual,
     boundary_values,
     cauchy_eval,
     compute_h,
@@ -26,7 +26,8 @@ from gnk.rhp import (
     verify_Sminus,
 )
 from conftest import CENTERS, POLE_AMPLITUDES, oracle_boundary, oracle_terms
-from helpers import band_limited, lattice16, rational_values
+from helpers import (attainability_residual, band_limited, count_calls, lattice16,
+                     rational_values)
 
 TWO_PI = 2.0 * np.pi
 
@@ -239,15 +240,15 @@ class TestAnalyticityResidual:
     def test_oracle_data_passes(self, circle_ops):
         s = ParamGrid(64).nodes
         af_plus = np.cos(s) + 1j * np.sin(s)
-        assert analyticity_residual(circle_ops, af_plus) <= 1e-10
+        assert attainability_residual(circle_ops, af_plus) <= 1e-10
 
     def test_hole_side_data_fails_loudly(self, gallery_ops, three_circles, grid128):
         chi = indicator_basis(three_circles, grid128)[0].astype(complex)
-        residual = analyticity_residual(gallery_ops, chi)
+        residual = attainability_residual(gallery_ops, chi)
         assert residual == pytest.approx(2.0, abs=1e-9)
 
     def test_zero(self, gallery_ops):
-        assert analyticity_residual(gallery_ops, np.zeros(gallery_ops.size, dtype=complex)) == 0.0
+        assert attainability_residual(gallery_ops, np.zeros(gallery_ops.size, dtype=complex)) == 0.0
 
 
 class TestVerifySminus:
@@ -268,41 +269,42 @@ class TestVerifySminus:
 
 class TestCauchyEval:
     def test_circle_oracle_at_3(self, circle_ops):
-        region, grid = circle_ops.region, circle_ops.grid
-        s = grid.nodes
-        value = cauchy_eval(region, One(), grid, np.cos(s), np.sin(s), 3.0)
+        s = circle_ops.grid.nodes
+        value = cauchy_eval(circle_ops, np.cos(s), np.sin(s), 3.0)
         assert abs(value - 1.0 / 3.0) <= 1e-10
 
     def test_zero_density(self, circle_ops):
-        region, grid = circle_ops.region, circle_ops.grid
-        zeros = np.zeros(grid.n)
-        assert cauchy_eval(region, One(), grid, zeros, zeros, 2.5) == 0.0
+        zeros = np.zeros(circle_ops.size)
+        assert cauchy_eval(circle_ops, zeros, zeros, 2.5) == 0.0
 
     def test_decay_at_infinity(self, circle_ops):
-        region, grid = circle_ops.region, circle_ops.grid
-        s = grid.nodes
-        value = cauchy_eval(region, One(), grid, np.cos(s), np.sin(s), 1e6)
+        s = circle_ops.grid.nodes
+        value = cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1e6)
         assert abs(value) <= 1e-5
 
     def test_strict_mode_raises_near_boundary(self, circle_ops):
-        region, grid = circle_ops.region, circle_ops.grid
-        s = grid.nodes
+        s = circle_ops.grid.nodes
         with pytest.raises(TooCloseToBoundary):
-            cauchy_eval(region, One(), grid, np.cos(s), np.sin(s),
-                        1.0 + 1e-4, strict=True)
+            cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4, strict=True)
 
     def test_warns_near_boundary(self, circle_ops):
-        region, grid = circle_ops.region, circle_ops.grid
-        s = grid.nodes
+        s = circle_ops.grid.nodes
         with pytest.warns(UserWarning):
-            cauchy_eval(region, One(), grid, np.cos(s), np.sin(s), 1.0 + 1e-4)
+            cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4)
 
     def test_vectorized_points(self, circle_ops):
-        region, grid = circle_ops.region, circle_ops.grid
-        s = grid.nodes
+        s = circle_ops.grid.nodes
         z = np.array([3.0, 4.0 + 1.0j, -5.0j])
-        values = cauchy_eval(region, One(), grid, np.cos(s), np.sin(s), z)
+        values = cauchy_eval(circle_ops, np.cos(s), np.sin(s), z)
         assert np.allclose(values, 1.0 / z, atol=1e-10)
+
+    def test_reads_the_assembled_boundary(self, monkeypatch, gallery_ops):
+        # the operators' jet is the boundary: nothing is sampled again
+        region_samples = count_calls(monkeypatch, Region, "sample")
+        coeff_samples = count_calls(monkeypatch, coefficient, "sample")
+        zeros = np.zeros(gallery_ops.size)
+        cauchy_eval(gallery_ops, zeros, zeros, np.array([5.0 + 5.0j, -6.0]))
+        assert (region_samples, coeff_samples) == ([], [])
 
 
 class TestFieldPass:
@@ -401,7 +403,7 @@ class TestOracleRoundTrip:
         plus = plemelj_boundary(gallery_ops, gamma, mu, +1)
         assert np.abs(plus - f_plus).max() <= 1e-10
         z = CENTERS[0] + 1.5  # half a radius outside the first circle
-        value = cauchy_eval(three_circles, One(), grid128, gamma, mu, z)
+        value = cauchy_eval(gallery_ops, gamma, mu, z)
         assert abs(value - rational_values(z, oracle_terms())) <= 1e-6
 
 
