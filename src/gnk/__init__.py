@@ -53,7 +53,6 @@ from gnk.geometry import (
     circle,
     ellipse,
     load_region,
-    perturbed_circle,
     validate_region,
     winding_of_point,
 )
@@ -66,7 +65,6 @@ from gnk.mobius import (
 )
 from gnk.rhp import (
     RHSolution,
-    boundary_values,
     cauchy_eval,
     compute_h,
     load_boundary_data,

@@ -5,6 +5,8 @@ function on the boundary, available here with an exact derivative.  Its
 winding number about the origin on each curve (the index kappa_j) is the
 single combinatorial input to the solvability theory; the dimension
 formulas evaluated in :func:`predict_dimensions` depend on nothing else.
+A vanishing A is rejected once, by :func:`coeff_jet` on the samples that
+the operators are assembled from.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import Union
 import numpy as np
 
 from gnk.errors import ZeroCoefficient
-from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_rows, _json_array,
-                          _json_number, _json_object, _parse_json_source,
+from gnk.geometry import (Curve, ParamGrid, Region, _as_complex, _fourier_curve,
+                          _json_array, _json_number, _json_object, _parse_json_source,
                           _require_finite, winding_number)
 
 MIN_MODULUS = 1e-12
@@ -50,28 +52,15 @@ class ShiftedPower:
 
 @dataclass(frozen=True)
 class TrigCoefficient:
-    """Per-curve trigonometric polynomials, differentiated term by term."""
+    """Per-curve trigonometric polynomials: A on curve k is the Fourier series
+    ``per_curve[k]``, a :class:`Curve`, so duplicate powers are rejected."""
 
-    per_curve: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def __post_init__(self):
-        norm = tuple(
-            (np.asarray(p, dtype=int).ravel(), np.asarray(c, dtype=complex).ravel())
-            for p, c in self.per_curve
-        )
-        object.__setattr__(self, "per_curve", norm)
+    per_curve: tuple[Curve, ...]
 
     def jet(self, region: Region, k: int, s):
         if len(self.per_curve) != region.m:
             raise ValueError("trig coefficient must supply one entry per curve")
-        powers, coeffs = self.per_curve[k]
-        s_arr = np.asarray(s, dtype=float)
-        phase = np.exp(1j * np.multiply.outer(s_arr, powers.astype(float)))
-        value = phase @ coeffs
-        deriv = phase @ (1j * powers * coeffs)
-        if s_arr.ndim == 0:
-            return complex(value), complex(deriv)
-        return value, deriv
+        return self.per_curve[k].jet(s)[:2]
 
 
 Coefficient = Union[One, ShiftedPower, TrigCoefficient]
@@ -172,9 +161,7 @@ def load_coefficient(source) -> Coefficient:
         z0 = _require_finite(_as_complex(obj["z0"], "coefficient z0"), "coefficient z0")
         return ShiftedPower(z0=z0, power=int(_json_number(obj["power"], "coefficient power")))
     if kind == "trig":
-        per_curve = []
-        for rows in _json_array(obj["per_curve"], "coefficient per_curve"):
-            powers, coeffs = _fourier_rows(rows)
-            per_curve.append((powers, _require_finite(coeffs, "coefficient values")))
-        return TrigCoefficient(tuple(per_curve))
+        return TrigCoefficient(tuple(
+            _fourier_curve(rows, "coefficient values")
+            for rows in _json_array(obj["per_curve"], "coefficient per_curve")))
     raise ValueError(f"unknown coefficient type {kind!r}")

@@ -77,7 +77,7 @@ def solve_modified_dirichlet(
         raise ValueError("modified Dirichlet solve requires coefficient One")
     gamma = np.asarray(gamma, dtype=float)
     solution = rhp.solve_rhp(ops, gamma, tol_solve=tol_solve)
-    h_blocks = solution.h.reshape(ops.region.m, ops.grid.n)
+    h_blocks = solution.h.reshape(ops.m, ops.n)
     h_means = h_blocks.mean(axis=1)
     deviation = np.abs(h_blocks - h_means[:, None]).max(axis=1)
     scale = max(1.0, float(np.abs(gamma).max()))
@@ -87,7 +87,7 @@ def solve_modified_dirichlet(
         raise ConstancyViolation(
             f"h deviates from per-curve constancy by {deviation.max():.3e} "
             f"(allowed {allowed:.3e}); refine the grid or check the region")
-    h_flat = np.repeat(h_means, ops.grid.n)
+    h_flat = np.repeat(h_means, ops.n)
     f_boundary = gamma + h_flat + 1j * solution.mu
     return DirichletSolution(
         gamma=gamma,

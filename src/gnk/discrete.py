@@ -76,17 +76,17 @@ def conjugate_periodic(samples: np.ndarray) -> np.ndarray:
 class DiscreteOperators:
     """Dense Nystrom operators for one (region, coefficient, grid) triple.
 
-    ``N`` holds the weighted generalized Neumann matrix w N(s_i, t_j);
-    ``M_smooth`` the weighted smooth companion part (same-curve M1 blocks,
-    cross-curve M blocks); :func:`apply_M` adds the spectral conjugation.
-    ``index`` holds the indices of the coefficient, which predict the
-    nullities of I +- N.  Assembled operators are immutable and safe to
-    share; applications and solves are pure.
+    ``jet`` is the sampled boundary, and it owns the grid: ``n``, ``size``
+    and ``weight`` read it.  ``N`` holds the weighted generalized Neumann
+    matrix w N(s_i, t_j); ``M_smooth`` the weighted smooth companion part
+    (same-curve M1 blocks, cross-curve M blocks); :func:`apply_M` adds the
+    spectral conjugation.  ``index`` holds the indices of the coefficient,
+    which predict the nullities of I +- N.  Assembled operators are
+    immutable and safe to share; applications and solves are pure.
     """
 
     region: Region
     coeff: object
-    grid: ParamGrid
     jet: BoundaryJet
     N: np.ndarray
     M_smooth: np.ndarray
@@ -106,7 +106,7 @@ class DiscreteOperators:
 
     @property
     def weight(self) -> float:
-        return self.grid.weight
+        return self.jet.weight
 
     def apply_N(self, phi: np.ndarray) -> np.ndarray:
         return _real_matmul(self.N, phi)
@@ -211,7 +211,6 @@ def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
     return DiscreteOperators(
         region=region,
         coeff=coeff,
-        grid=grid,
         jet=jet,
         N=n_matrix,
         M_smooth=m_smooth,

@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,7 +46,8 @@ class Curve:
 
     ``powers`` and ``coeffs`` define eta(s) = sum a_p exp(i p s).  Instances
     are treated as immutable; orientation and smoothness are checked by
-    :func:`validate_region`, never silently corrected.
+    :func:`validate_region`, never silently corrected.  :meth:`jet` is the
+    one Fourier-series evaluator: trig coefficients and trig data use it too.
     """
 
     powers: np.ndarray
@@ -99,29 +100,6 @@ def ellipse(center: complex, a: float, b: float) -> Curve:
                  coeffs=[complex(center), (a - b) / 2.0, (a + b) / 2.0])
 
 
-def perturbed_circle(
-    center: complex,
-    radius: float,
-    perturbations: Iterable[tuple[int, float]],
-) -> Curve:
-    """Clockwise star-like curve center + radius (1 + sum eps_k cos(k s)) exp(-i s).
-
-    Each (k, eps_k) term contributes radius*eps_k/2 to the exp(i(k-1)s) and
-    exp(-i(k+1)s) coefficients, so the result stays a finite trigonometric
-    polynomial.  Large eps_k values can produce non-simple curves; run
-    :func:`validate_region` on anything user-supplied.
-    """
-    acc: dict[int, complex] = {0: complex(center), -1: complex(radius)}
-    for k, eps in perturbations:
-        if k < 1:
-            raise ValueError("perturbation frequency must be >= 1")
-        half = radius * eps / 2.0
-        acc[k - 1] = acc.get(k - 1, 0j) + half
-        acc[-(k + 1)] = acc.get(-(k + 1), 0j) + half
-    powers = sorted(acc)
-    return Curve(powers=powers, coeffs=[acc[p] for p in powers])
-
-
 @dataclass(frozen=True)
 class ParamGrid:
     """Uniform periodic grid with n nodes s_i = 2 pi i / n on every curve."""
@@ -137,11 +115,6 @@ class ParamGrid:
     @property
     def nodes(self) -> np.ndarray:
         return np.arange(self.n) * (TWO_PI / self.n)
-
-    @property
-    def weight(self) -> float:
-        """Trapezoidal weight 2 pi / n."""
-        return TWO_PI / self.n
 
 
 @dataclass(frozen=True)
@@ -268,11 +241,11 @@ def _turns_about_points(curve: Curve, points: np.ndarray, n: int = 256) -> np.nd
 
 
 def _winding_check(name: str, curve: Curve, z: complex, expected: int,
-                   n: int, far: bool = False) -> CheckResult:
-    """Compare the winding of the curve about z with expected; far = True
-    means z is known to lie far outside (see _far_outside), winding 0."""
+                   n: int) -> CheckResult:
+    """Compare the winding of the curve about z with expected; a z far
+    outside the curve's enclosing disc (see _far_outside) winds 0 unsampled."""
     try:
-        w = 0 if far else winding_of_point(curve, z, n)
+        w = 0 if _far_outside(curve, z) else winding_of_point(curve, z, n)
     except (PointTooClose, NonConvergent) as exc:
         return CheckResult(name, False, math.nan, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, w == expected, float(w), f"expected {expected}, got {w}")
@@ -361,10 +334,8 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
         for j, other in enumerate(curves):
             if j != k:
                 checks.append(_winding_check(
-                    f"hole_point[{k}] outside curve[{j}]", other, z, 0, grid.n,
-                    _far_outside(other, z)))
-        checks.append(_winding_check(
-            f"zero_in_region[{k}]", curve, 0j, 0, grid.n, _far_outside(curve, 0j)))
+                    f"hole_point[{k}] outside curve[{j}]", other, z, 0, grid.n))
+        checks.append(_winding_check(f"zero_in_region[{k}]", curve, 0j, 0, grid.n))
     return ValidationReport(tuple(checks))
 
 
@@ -401,8 +372,9 @@ def _json_number(obj, what: str):
     return obj
 
 
-def _fourier_rows(rows):
-    """Integer powers and complex coefficients of [p, re, im] rows."""
+def _fourier_curve(rows, what: str) -> Curve:
+    """The Curve of [p, re, im] rows; ``what`` names the coefficients in the
+    error raised when one is not finite."""
     powers, coeffs = [], []
     for row in _json_array(rows, "Fourier rows"):
         if not isinstance(row, (list, tuple)) or len(row) != 3:
@@ -410,7 +382,7 @@ def _fourier_rows(rows):
         p, re, im = (_json_number(x, "Fourier row entry") for x in row)
         powers.append(int(p))
         coeffs.append(complex(float(re), float(im)))
-    return np.asarray(powers, dtype=int), np.asarray(coeffs, dtype=complex)
+    return Curve(powers, _require_finite(np.asarray(coeffs, dtype=complex), what))
 
 
 def _as_complex(pair, what: str) -> complex:
@@ -428,8 +400,7 @@ def _curve_from_dict(entry: dict) -> Curve:
         a, b = (float(_json_number(entry[key], f"ellipse {key}")) for key in ("a", "b"))
         return ellipse(_as_complex(entry["center"], "ellipse center"), a, b)
     if kind == "trig":
-        powers, coeffs = _fourier_rows(entry["coeffs"])
-        return Curve(powers=powers, coeffs=coeffs)
+        return _fourier_curve(entry["coeffs"], "curve coefficients")
     raise ValueError(f"unknown curve type {kind!r}")
 
 

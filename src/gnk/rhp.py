@@ -4,12 +4,13 @@ Solving the equation for mu, forming the real correction
 
     h = (M mu - (I - N) gamma) / 2,
 
-and assembling A f+ = gamma + h + i mu yields boundary values of a function
-analytic in the unbounded region with f(inf) = 0; h absorbs exactly the
-part of gamma that no such function can attain, and it lies in the span of
-boundary values coming from the holes.  After the solve everything reads
-the operators: the Cauchy integral over ``ops.jet`` extends the solution
-off the boundary, and the hole-side Plemelj value tests attainability.
+and dividing, f+ = (gamma + h + i mu) / A, yields boundary values of a
+function analytic in the unbounded region with f(inf) = 0; h absorbs
+exactly the part of gamma that no such function can attain, and it lies
+in the span of boundary values coming from the holes.  The solve and
+everything after it read A, the indices and the boundary from the
+operators: the Cauchy integral over ``ops.jet`` extends the solution off
+the boundary, and the hole-side Plemelj value tests attainability.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from gnk import coefficient as coefficient_mod
 from gnk.discrete import NULLITY_TOL, DiscreteOperators, apply_M
-from gnk.errors import InconsistentSystem, TooCloseToBoundary, ZeroCoefficient
-from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_rows, _json_array,
+from gnk.errors import InconsistentSystem, TooCloseToBoundary
+from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_array,
                           _json_number, _json_object, _parse_json_source,
                           _require_finite)
 from gnk.kernels import BoundaryJet
@@ -49,19 +50,17 @@ class SolveDiagnostics:
     ie_residual: float
     h_plus_residual: float
     h_companion_residual: float
-    nullity_I_minus_N: int
     minimal_norm: bool
     iterations: int
 
 
 @dataclass(frozen=True)
 class RHSolution:
-    """Boundary solution: data gamma, density mu, correction h, values A f+."""
+    """Boundary solution: data gamma, density mu, correction h, values f+."""
 
     gamma: np.ndarray
     mu: np.ndarray
     h: np.ndarray
-    af_plus: np.ndarray
     f_plus: np.ndarray
     diagnostics: SolveDiagnostics
 
@@ -127,15 +126,6 @@ def compute_h(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray) -> np.n
     return (apply_M(ops, mu) - gamma + ops.apply_N(gamma)) / 2.0
 
 
-def boundary_values(gamma: np.ndarray, h: np.ndarray, mu: np.ndarray,
-                    coeff_values: np.ndarray):
-    """Assemble A f+ = gamma + h + i mu and f+ = (gamma + h + i mu) / A."""
-    if np.abs(coeff_values).min() < coefficient_mod.MIN_MODULUS:
-        raise ZeroCoefficient("coefficient vanishes at a grid node")
-    af_plus = gamma + h + 1j * mu
-    return af_plus, af_plus / coeff_values
-
-
 def verify_Sminus(ops: DiscreteOperators, h: np.ndarray):
     """Residuals ((I + N) h, M h); both vanish for h in the hole-side span."""
     h = np.asarray(h, dtype=float)
@@ -144,22 +134,20 @@ def verify_Sminus(ops: DiscreteOperators, h: np.ndarray):
 
 def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
               tol_solve: float = DEFAULT_SOLVE_TOL) -> RHSolution:
-    """Full pipeline: solve for mu, form h, assemble boundary values."""
+    """Full pipeline: solve for mu, form h, f+ = (gamma + h + i mu) / A."""
     gamma = np.asarray(gamma, dtype=float)
     mu, ie_residual, iterations = _solve(ops, gamma, tol_solve)
-    null = ops.index.dim_null_I_minus_N
     h = compute_h(ops, gamma, mu)
-    af_plus, f_plus = boundary_values(gamma, h, mu, ops.jet.coeff)
+    f_plus = (gamma + h + 1j * mu) / ops.jet.coeff
     r_plus, r_m = verify_Sminus(ops, h)
     diagnostics = SolveDiagnostics(
         ie_residual=ie_residual,
         h_plus_residual=r_plus,
         h_companion_residual=r_m,
-        nullity_I_minus_N=null,
-        minimal_norm=null > 0,
+        minimal_norm=ops.index.dim_null_I_minus_N > 0,
         iterations=iterations,
     )
-    return RHSolution(gamma, mu, h, af_plus, f_plus, diagnostics)
+    return RHSolution(gamma, mu, h, f_plus, diagnostics)
 
 
 def near_boundary_band(jet: BoundaryJet) -> float:
@@ -262,9 +250,7 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
     if kind == "trig":
         parts = []
         for rows in _json_array(entry["per_curve"], "trig data per_curve"):
-            powers, coeffs = _fourier_rows(rows)
-            phase = np.exp(1j * np.multiply.outer(grid.nodes, powers.astype(float)))
-            parts.append((phase @ coeffs).real)
+            parts.append(_fourier_curve(rows, "boundary data").jet(grid.nodes)[0].real)
         if len(parts) != region.m:
             raise ValueError("trig data must supply one entry per curve")
         return np.concatenate(parts)

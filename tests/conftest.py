@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gnk.coefficient import One
-from gnk.geometry import ParamGrid, Region, circle, ellipse, perturbed_circle
+from gnk.geometry import ParamGrid, Region, circle, ellipse
+from helpers import perturbed_circle
 
 # Shared gallery: three well-separated holes, origin in the unbounded region.
 CENTERS = (3.0 + 0.0j, -2.0 + 2.5j, -0.5 - 3.0j)

@@ -6,7 +6,8 @@ accumulation for windings, rational functions with poles in the holes
 as exactly known solutions, the dense SVD count of a nullity, the
 whole-matrix kernel builders that the row-block assembly replaced, and
 the region validation that samples every winding, which the enclosing-disc
-screening replaced.  ``count_calls`` counts the calls of a library function
+screening replaced.  ``perturbed_circle`` builds the star-like curves of
+the galleries.  ``count_calls`` counts the calls of a library function
 under every name the package binds it to.  ``attainability_residual`` and
 ``transform_solution`` restate, in the tests' terms, the hole-side Plemelj
 test and the Mobius substitution f_hat(w) = f(z) (z - z0).
@@ -23,7 +24,7 @@ import numpy as np
 
 from gnk.discrete import NULLITY_TOL, conjugate_periodic
 from gnk.errors import NonConvergent, PointTooClose
-from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, ParamGrid, Region,
+from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle, winding_of_point)
 from gnk.rhp import plemelj_boundary
 
@@ -90,6 +91,26 @@ def transform_solution(values, z, z0: complex):
     """Bounded-region solution f_hat(w) = f(z) (z - z0) for w = 1/(z - z0),
     from values of f at points z (boundary samples of f at eta)."""
     return np.asarray(values) * (np.asarray(z) - complex(z0))
+
+
+def perturbed_circle(center: complex, radius: float, perturbations) -> Curve:
+    """Clockwise star-like curve center + radius (1 + sum eps_k cos(k s)) exp(-i s)
+    of the test galleries.
+
+    Each (k, eps_k) term, k >= 1, contributes radius*eps_k/2 to the
+    exp(i(k-1)s) and exp(-i(k+1)s) coefficients, so the result stays a
+    finite trigonometric polynomial.  Large eps_k values can produce
+    non-simple curves.
+    """
+    acc: dict[int, complex] = {0: complex(center), -1: complex(radius)}
+    for k, eps in perturbations:
+        if k < 1:
+            raise ValueError("perturbation frequency must be >= 1")
+        half = radius * eps / 2.0
+        acc[k - 1] = acc.get(k - 1, 0j) + half
+        acc[-(k + 1)] = acc.get(-(k + 1), 0j) + half
+    powers = sorted(acc)
+    return Curve(powers=powers, coeffs=[acc[p] for p in powers])
 
 
 def with_center(region: Region, z0: complex) -> Region:

@@ -30,6 +30,8 @@ DATA_MIXED = [DATA_POLES, {"type": "constants", "values": [0.3, -1.2, 2.0]}]
 COEFF_POWER = {"type": "shifted_power",
                "z0": [CENTERS[2].real, CENTERS[2].imag], "power": 1}
 DATA_NAN = {"type": "constants", "values": [float("nan"), 1.0, 2.0]}
+# Fourier rows with the power -1 twice
+DUPLICATE = [[-1, 1.0, 0.0], [0, 3.0, 0.0], [-1, 0.5, 0.0]]
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +431,20 @@ class TestEvalField:
                    "--data", inputs / "data.json", "--out", tmp_path / "o"])
         assert rc == 1
 
+    @pytest.mark.parametrize("spec, message", [
+        ("-6,6,12,-6,6", "--field-grid expects x0,x1,nx,y0,y1,ny"),
+        ("-6,6,0,-6,6,12", "field grid needs at least one point per axis"),
+    ], ids=["five-parts", "nx-zero"])
+    def test_bad_grid_exits_1(self, inputs, tmp_path, capsys, spec, message):
+        out = tmp_path / "o"
+        rc = _run(["eval-field", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out,
+                   f"--field-grid={spec}"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValueError",
+                                                       "message": message}
+        assert not out.exists()
+
 
 def _dense_reference_csv(region, grid, gamma, points) -> bytes:
     """field.csv of the former eval-field path: the all-probe hole mask, the
@@ -568,12 +584,17 @@ class TestErrorPaths:
         ("solve-rhp", "--data", {"type": "poles", "terms": 3}),
         ("solve-rhp", "--data", {"type": "poles", "terms": [{"c": None, "a": [1, 0]}]}),
         ("solve-rhp", "--data", {"type": "trig", "per_curve": [3, 3]}),
+        # a power repeated in any list of [p, re, im] rows, each read as a Curve
+        ("index-report", "--region", {"curves": [{"type": "trig", "coeffs": DUPLICATE}]}),
+        ("index-report", "--coeff", {"type": "trig", "per_curve": [DUPLICATE] * 3}),
+        ("solve-rhp", "--data", {"type": "trig", "per_curve": [DUPLICATE] * 3}),
     ], ids=["region-list", "curve-number", "curve-row", "coeff-list", "coeff-row",
             "data-number", "data-row", "curves-number", "radius-null",
             "center-number", "coeffs-number", "hole-points-number", "hole-point-null",
             "coeff-per-curve-numbers", "power-null", "z0-number",
             "constants-number", "constant-null", "samples-number", "terms-number",
-            "pole-centre-null", "data-per-curve-numbers"])
+            "pole-centre-null", "data-per-curve-numbers", "curve-duplicate-powers",
+            "coeff-duplicate-powers", "data-duplicate-powers"])
     def test_malformed_json_exits_1(self, inputs, tmp_path, capsys, command, flag,
                                     payload):
         files = {"--region": inputs / "region.json"}

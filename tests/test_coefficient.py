@@ -14,7 +14,8 @@ from gnk.coefficient import (
     sample,
 )
 from gnk.errors import ZeroCoefficient
-from gnk.geometry import ParamGrid, winding_of_point
+from gnk.geometry import Curve, ParamGrid, winding_of_point
+from gnk.rhp import load_boundary_data
 from conftest import CENTERS
 
 
@@ -37,7 +38,7 @@ class TestCoeffJet:
         assert deriv == pytest.approx(-2j)
 
     def test_trig_coefficient_term_by_term(self, unit_circle_region):
-        coeff = TrigCoefficient(((np.array([0, 2]), np.array([2.0, 0.5j])),))
+        coeff = TrigCoefficient((Curve([0, 2], [2.0, 0.5j]),))
         s = 0.9
         value, deriv = coeff_jet(coeff, unit_circle_region, 0, s)
         assert value == pytest.approx(2.0 + 0.5j * np.exp(2j * s))
@@ -139,9 +140,62 @@ class TestLoadCoefficient:
         with pytest.raises(ValueError):
             load_coefficient({"type": "rational"})
 
+    def test_trig_duplicate_powers_rejected(self):
+        with pytest.raises(ValueError, match="duplicate Fourier powers"):
+            load_coefficient({"type": "trig", "per_curve": [[[2, 1.0, 0.0], [2, 0.0, 1.0]]]})
+
     @pytest.mark.parametrize("entries", [2, 4])
     def test_trig_needs_one_entry_per_curve(self, three_circles, entries):
-        coeff = TrigCoefficient(((np.array([0]), np.array([1.0])),) * entries)
+        coeff = TrigCoefficient((Curve([0], [1.0]),) * entries)
         for k in range(3):
             with pytest.raises(ValueError, match="one entry per curve"):
                 coeff.jet(three_circles, k, 0.0)
+
+
+def _phase_matrix_series(rows, s):
+    """The phase-matrix evaluation that trig coefficients and trig data each
+    carried before both became Curve.jet: (value, derivative)."""
+    powers = np.array([int(r[0]) for r in rows])
+    coeffs = np.array([complex(r[1], r[2]) for r in rows])
+    s_arr = np.asarray(s, dtype=float)
+    phase = np.exp(1j * np.multiply.outer(s_arr, powers.astype(float)))
+    value = phase @ coeffs
+    deriv = phase @ (1j * powers * coeffs)
+    if s_arr.ndim == 0:
+        return complex(value), complex(deriv)
+    return value, deriv
+
+
+class TestOneFourierEvaluator:
+    """Curve.jet reproduces the replaced phase-matrix evaluation bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def per_curve(self):
+        rng = np.random.default_rng(12)
+        rows = []
+        for _ in range(3):
+            powers = rng.choice(np.arange(-9, 10), size=5, replace=False)
+            rows.append([[int(p), *rng.normal(size=2)] for p in powers])
+        assert any(row[0] < 0 for curve in rows for row in curve)
+        return rows
+
+    def test_trig_coefficient(self, three_circles, per_curve):
+        coeff = load_coefficient({"type": "trig", "per_curve": per_curve})
+        s = np.random.default_rng(13).uniform(0.0, 2 * math.pi, 40)
+        for k, rows in enumerate(per_curve):
+            for points in (s, ParamGrid(64).nodes):
+                value, deriv = coeff.jet(three_circles, k, points)
+                old_value, old_deriv = _phase_matrix_series(rows, points)
+                assert np.array_equal(value, old_value)
+                assert np.array_equal(deriv, old_deriv)
+            for point in s[:5]:
+                assert coeff.jet(three_circles, k, float(point)) == _phase_matrix_series(
+                    rows, float(point))
+
+    def test_trig_data(self, three_circles, coeff_one, per_curve):
+        grid = ParamGrid(64)
+        gamma = load_boundary_data({"type": "trig", "per_curve": per_curve},
+                                   three_circles, coeff_one, grid)
+        old = np.concatenate([_phase_matrix_series(rows, grid.nodes)[0].real
+                              for rows in per_curve])
+        assert np.array_equal(gamma, old)

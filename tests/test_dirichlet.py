@@ -6,10 +6,10 @@ from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
 from gnk.dirichlet import harmonic_eval, indicator_basis, solve_modified_dirichlet
 from gnk.errors import ConstancyViolation
-from gnk.geometry import ParamGrid, Region, perturbed_circle
+from gnk.geometry import ParamGrid, Region
 from gnk.rhp import cauchy_eval
 from conftest import CENTERS, oracle_boundary, oracle_terms
-from helpers import band_limited, count_calls, rational_values
+from helpers import band_limited, count_calls, perturbed_circle, rational_values
 
 
 @pytest.fixture(scope="module")

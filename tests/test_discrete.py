@@ -241,7 +241,7 @@ class TestIndexDecidedOnce:
         calls = count_calls(monkeypatch, coefficient, "index_of")
         gamma = np.cos(np.tile(grid64.nodes, 3))
         for _ in range(3):
-            assert rhp.solve_rhp(ops, gamma).diagnostics.nullity_I_minus_N == 1
+            assert rhp.solve_rhp(ops, gamma).diagnostics.minimal_norm
         assert ops.nullity_I_plus_N().nullity == 2
         assert ops.nullity_I_minus_N().nullity == 1
         assert calls == []

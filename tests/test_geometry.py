@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gnk.geometry as geometry
 from gnk import mobius
+from gnk.coefficient import One
 from gnk.errors import OddGridSize, PointTooClose
 from gnk.geometry import (
     DISC_SLACK,
@@ -17,11 +18,11 @@ from gnk.geometry import (
     circle,
     ellipse,
     load_region,
-    perturbed_circle,
     validate_region,
     winding_of_point,
 )
-from helpers import central_difference, lattice16, sampled_validate_region
+from gnk.kernels import BoundaryJet
+from helpers import central_difference, lattice16, perturbed_circle, sampled_validate_region
 
 
 class TestCurveJet:
@@ -64,6 +65,16 @@ class TestCurveJet:
             assert eta[i] == pytest.approx(c.jet(float(si))[0])
             assert eta_d[i] == pytest.approx(c.jet(float(si))[1])
             assert eta_dd[i] == pytest.approx(c.jet(float(si))[2])
+
+
+class TestCurveInput:
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            Curve(powers=[0, -1], coeffs=[1.0])
+
+    def test_duplicate_powers_rejected(self):
+        with pytest.raises(ValueError, match="duplicate Fourier powers"):
+            Curve(powers=[0, -1, 0], coeffs=[1.0, 1.0, 2.0])
 
 
 class TestWinding:
@@ -110,10 +121,12 @@ class TestParamGrid:
         with pytest.raises(ValueError):
             ParamGrid(6)
 
-    def test_nodes_and_weight(self):
+    def test_nodes_and_weight(self, three_circles):
+        # the trapezoidal weight is the node spacing; the sampled jet owns it
         g = ParamGrid(8)
-        assert g.weight == pytest.approx(math.pi / 4)
         assert np.allclose(g.nodes, np.arange(8) * math.pi / 4)
+        jet = BoundaryJet.from_region(three_circles, One(), g)
+        assert jet.weight == pytest.approx(math.pi / 4)
 
 
 class TestValidation:
@@ -168,6 +181,17 @@ def _counting(monkeypatch, name):
     return calls
 
 
+class _Draws:
+    """Stands in for st.data() in an @example: draw returns the given
+    values in turn, whatever the strategy."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def draw(self, strategy):
+        return next(self._values)
+
+
 class TestDiscScreening:
     """validate_region decides far-apart windings from the enclosing discs
     and reports exactly what sampling every winding reports."""
@@ -218,6 +242,7 @@ class TestDiscScreening:
 
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True),
            st.data())
+    @example(powers=[1], data=_Draws(5e-324, 5e-324))
     @settings(max_examples=60, deadline=None)
     def test_samples_stay_in_enclosing_disc(self, powers, data):
         parts = st.floats(-1e3, 1e3, allow_nan=False)
@@ -225,8 +250,11 @@ class TestDiscScreening:
         curve = Curve(powers=powers, coeffs=coeffs)
         eta = curve.jet(np.linspace(0.0, 2 * math.pi, 997))[0]
         c, r = curve.centroid, curve.radius
-        # rounding stays far below the slack the screening allows
-        assert np.abs(eta - c).max() <= r + 1e-3 * DISC_SLACK * (abs(c) + r)
+        # rounding stays far below the slack the screening allows; among
+        # subnormals it is absolute, at most an ulp of 0 per product of the
+        # up to six terms, where the relative slack underflows to 0
+        assert np.abs(eta - c).max() <= (r + 1e-3 * DISC_SLACK * (abs(c) + r)
+                                         + 16 * math.ulp(0.0))
 
 
 class TestRegion:
@@ -244,6 +272,15 @@ class TestRegion:
 
     def test_mobius_center_defaults_to_last(self, three_circles):
         assert mobius._center(three_circles) == three_circles.hole_points[-1]
+
+    def test_no_curves_rejected(self):
+        with pytest.raises(ValueError, match="at least one boundary curve"):
+            Region.from_curves([])
+
+    @pytest.mark.parametrize("points", [[3.0], [3.0, -3.0, 0.0]], ids=["fewer", "more"])
+    def test_hole_point_count_must_match(self, points):
+        with pytest.raises(ValueError, match="one hole point per curve"):
+            Region.from_curves([circle(3.0, 1.0), circle(-3.0, 1.0)], hole_points=points)
 
 
 class TestLoadRegion:

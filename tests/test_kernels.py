@@ -105,7 +105,7 @@ class TestMatrixBuilders:
         # the assembled matrices and the builder run on the Mobius image of
         # the same jet both reproduce the pointwise kernels
         ops = assemble_N(three_circles, One(), grid64)
-        w = grid64.weight
+        w = ops.weight
         n_hat, m_hat = weighted_kernels(map_jet(three_circles, ops.jet))
         nodes = grid64.nodes
         pairs = [(0, 0, 3, 11), (1, 2, 7, 7), (0, 2, 5, 40)]
@@ -124,8 +124,8 @@ class TestMatrixBuilders:
 
     def test_circle_constants(self, unit_circle, grid64):
         ops = assemble_N(unit_circle, One(), grid64)
-        assert np.allclose(ops.N / grid64.weight, -INV_2PI)
-        assert np.abs(ops.M_smooth / grid64.weight).max() < 1e-13
+        assert np.allclose(ops.N / ops.weight, -INV_2PI)
+        assert np.abs(ops.M_smooth / ops.weight).max() < 1e-13
 
     def test_complex_matrix_diagonal_is_smooth_value(self, three_circles, grid64,
                                                      monkeypatch):

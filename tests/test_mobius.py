@@ -5,7 +5,7 @@ from gnk import discrete
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
 from gnk.errors import CenterNotInHole
-from gnk.geometry import ParamGrid, Region, circle
+from gnk.geometry import MIN_DISTANCE, ParamGrid, Region, circle
 from gnk.kernels import BoundaryJet
 from gnk.mobius import (
     index_shift,
@@ -63,6 +63,12 @@ class TestMapRegion:
         # inside a hole, but not the designated center hole
         with pytest.raises(CenterNotInHole):
             _map(with_center(three_circles, CENTERS[0]), One(), grid64)
+
+    def test_center_on_a_curve_rejected(self, three_circles, grid64):
+        # eta(0) of the last circle, within MIN_DISTANCE of a sample
+        z0 = three_circles.curves[-1].jet(0.0)[0] + MIN_DISTANCE / 2
+        with pytest.raises(CenterNotInHole, match="too close to curve 2"):
+            _map(with_center(three_circles, z0), One(), grid64)
 
 
 class TestKernelInvariance:
@@ -134,7 +140,7 @@ class TestKernelInvariance:
         assert np.abs(n_hat - ops.N).max() <= 1e-12
 
         mapped_ops = DiscreteOperators(
-            region=three_circles, coeff=One(), grid=grid64, jet=mapped,
+            region=three_circles, coeff=One(), jet=mapped,
             N=n_hat, M_smooth=m_hat, index=ops.index)
         rng = np.random.default_rng(21)
         phi = band_limited(rng, 3, 64, band=6)

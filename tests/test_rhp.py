@@ -16,7 +16,6 @@ from gnk.rhp import (
     DEFAULT_SOLVE_TOL,
     PROBE_BLOCK,
     _cgls,
-    boundary_values,
     cauchy_eval,
     compute_h,
     field_pass,
@@ -87,7 +86,7 @@ class TestSolveIE:
         gamma = band_limited(rng, 3, 64, band=5)
         solution = solve_rhp(ops, gamma)
         assert solution.diagnostics.minimal_norm
-        assert solution.diagnostics.nullity_I_minus_N == 1
+        assert ops.index.dim_null_I_minus_N == 1
         assert solution.diagnostics.ie_residual <= 1e-10
         # minimal-norm solution is orthogonal to the null space
         system = ops.identity_minus_N()
@@ -135,7 +134,7 @@ class TestCGLSAgainstDenseOracles:
             oracle = np.linalg.solve(ops.identity_minus_N(), rhs)
         else:
             oracle, *_ = np.linalg.lstsq(ops.identity_minus_N(), rhs, rcond=NULLITY_TOL)
-        assert solution.diagnostics.nullity_I_minus_N == null
+        assert ops.index.dim_null_I_minus_N == null
         assert solution.diagnostics.minimal_norm == (null > 0)
         mu = solution.mu
         assert np.abs(mu - oracle).max() <= 1e-11 * max(1.0, np.abs(mu).max())
@@ -215,25 +214,22 @@ class TestComputeH:
 
 
 class TestBoundaryValues:
+    """f+ = (gamma + h + i mu) / A of solve_rhp."""
+
     def test_circle_oracle(self, circle_ops):
+        # f = 1/z on the clockwise unit circle eta = exp(-i s)
         s = ParamGrid(64).nodes
-        gamma, mu = np.cos(s), np.sin(s)
-        h = np.zeros_like(s)
-        af_plus, f_plus = boundary_values(gamma, h, mu, circle_ops.jet.coeff)
-        assert np.allclose(f_plus, np.exp(1j * s))
-        assert np.allclose(af_plus, f_plus)
+        f_plus = solve_rhp(circle_ops, np.cos(s)).f_plus
+        assert np.abs(f_plus - np.exp(1j * s)).max() <= 1e-10
 
     def test_gamma_plus_h_zero(self, gallery_ops, three_circles, grid128):
+        # indicator data is fully absorbed by h = -chi, leaving f+ = 0
         chi = indicator_basis(three_circles, grid128)[0]
-        af_plus, f_plus = boundary_values(chi, -chi, np.zeros_like(chi),
-                                          gallery_ops.jet.coeff)
-        assert np.abs(f_plus).max() == 0.0
+        assert np.abs(solve_rhp(gallery_ops, chi).f_plus).max() <= 1e-10
 
     def test_all_zero(self, gallery_ops):
-        size = gallery_ops.size
-        zeros = np.zeros(size)
-        af_plus, f_plus = boundary_values(zeros, zeros, zeros, gallery_ops.jet.coeff)
-        assert np.abs(af_plus).max() == 0.0
+        f_plus = solve_rhp(gallery_ops, np.zeros(gallery_ops.size)).f_plus
+        assert np.abs(f_plus).max() == 0.0
 
 
 class TestAnalyticityResidual:
@@ -269,7 +265,7 @@ class TestVerifySminus:
 
 class TestCauchyEval:
     def test_circle_oracle_at_3(self, circle_ops):
-        s = circle_ops.grid.nodes
+        s = ParamGrid(64).nodes
         value = cauchy_eval(circle_ops, np.cos(s), np.sin(s), 3.0)
         assert abs(value - 1.0 / 3.0) <= 1e-10
 
@@ -278,22 +274,22 @@ class TestCauchyEval:
         assert cauchy_eval(circle_ops, zeros, zeros, 2.5) == 0.0
 
     def test_decay_at_infinity(self, circle_ops):
-        s = circle_ops.grid.nodes
+        s = ParamGrid(64).nodes
         value = cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1e6)
         assert abs(value) <= 1e-5
 
     def test_strict_mode_raises_near_boundary(self, circle_ops):
-        s = circle_ops.grid.nodes
+        s = ParamGrid(64).nodes
         with pytest.raises(TooCloseToBoundary):
             cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4, strict=True)
 
     def test_warns_near_boundary(self, circle_ops):
-        s = circle_ops.grid.nodes
+        s = ParamGrid(64).nodes
         with pytest.warns(UserWarning):
             cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4)
 
     def test_vectorized_points(self, circle_ops):
-        s = circle_ops.grid.nodes
+        s = ParamGrid(64).nodes
         z = np.array([3.0, 4.0 + 1.0j, -5.0j])
         values = cauchy_eval(circle_ops, np.cos(s), np.sin(s), z)
         assert np.allclose(values, 1.0 / z, atol=1e-10)
@@ -439,6 +435,36 @@ class TestLoadBoundaryData:
         assert np.allclose(gamma[:128], np.cos(s))
         assert np.allclose(gamma[128:256], 2.0)
         assert np.allclose(gamma[256:], -np.sin(2 * s))
+
+    def test_samples_entry_equals_poles(self, three_circles, grid64):
+        # samples of the poles data give the same solve, bit for bit
+        coeff = ShiftedPower(CENTERS[0], 1)
+        poles = {"type": "poles", "terms": [
+            {"c": [c.real, c.imag], "a": [a.real, a.imag]}
+            for c, a in zip(CENTERS, POLE_AMPLITUDES)]}
+        from_poles = load_boundary_data(poles, three_circles, coeff, grid64)
+        samples = {"type": "samples", "values": from_poles.reshape(3, 64).tolist()}
+        from_samples = load_boundary_data(samples, three_circles, coeff, grid64)
+        assert np.array_equal(from_samples, from_poles)
+        ops = assemble_N(three_circles, coeff, grid64)
+        a, b = solve_rhp(ops, from_samples), solve_rhp(ops, from_poles)
+        assert np.array_equal(a.f_plus, b.f_plus) and np.array_equal(a.h, b.h)
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"type": "trig", "per_curve": [[[0, 1.0, 0.0]]] * 2},
+         "trig data must supply one entry per curve"),
+        ({"type": "constants", "values": [1.0, 2.0, 3.0, 4.0]},
+         "constants data must supply one value per curve"),
+        ({"type": "trig", "per_curve": [[[1, 1.0, 0.0], [1, 0.0, 1.0]]] * 3},
+         "duplicate Fourier powers"),
+        ({"type": "trig", "per_curve": [[[0, float("nan"), 0.0]]] * 3},
+         "boundary data must be finite"),
+        ({"type": "spline", "values": []}, "unknown boundary data type 'spline'"),
+    ], ids=["trig-count", "constants-count", "trig-duplicate-powers", "trig-nan",
+            "unknown-type"])
+    def test_bad_entry_rejected(self, three_circles, grid128, coeff_one, entry, message):
+        with pytest.raises(ValueError, match=message):
+            load_boundary_data(entry, three_circles, coeff_one, grid128)
 
     def test_samples_entry_wrong_size_rejected(self, three_circles, grid128, coeff_one):
         with pytest.raises(ValueError):
