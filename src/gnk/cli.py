@@ -19,7 +19,7 @@ import numpy as np
 
 from gnk import dirichlet, discrete, mobius, rhp
 from gnk.coefficient import One, index_of, load_coefficient
-from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem
+from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import (ParamGrid, _require_finite, _turns_about_points, load_region,
                           validate_region)
 
@@ -28,7 +28,6 @@ TWO_PI = 2.0 * np.pi
 # max(1, max|M + iN|), so this bound applies relative to that scale.
 TOL_INVARIANCE = 1e-12
 TOL_JUMP = 1e-13
-HOLE_MASK_NODES = 512  # polygon nodes per curve for probes inside the band
 
 
 def _fmt(x: float) -> str:
@@ -141,7 +140,7 @@ def _band_limited_samples(rng, m: int, n: int, band: int) -> np.ndarray:
 def _mobius_section(ops) -> dict:
     """Kernel invariance on the assembled operators plus the index shift law."""
     invariance = mobius.kernel_invariance_check(ops)
-    hat_direct = mobius.mapped_index_of(ops.region, ops.coeff)
+    hat_direct = mobius.mapped_index_of(ops)
     hat_shift = mobius.index_shift(ops.index)
     return {
         "max_diff_N": invariance.max_diff_N,
@@ -265,7 +264,7 @@ def _hole_mask(region, points: np.ndarray) -> np.ndarray:
     """True where a probe point sits inside some hole (nonzero winding)."""
     inside = np.zeros(points.shape, dtype=bool)
     for curve in region.curves:
-        turns = np.rint(_turns_about_points(curve, points, HOLE_MASK_NODES)).astype(int)
+        turns = np.rint(_turns_about_points(curve, points)).astype(int)
         inside |= turns != 0
     return inside
 
@@ -284,7 +283,7 @@ def run_field(args) -> int:
     holes[near] = _hole_mask(region, points[near])
     in_band = near & ~holes
     if args.strict and in_band.any():
-        raise ValueError(
+        raise TooCloseToBoundary(
             f"{int(in_band.sum())} probe points inside the near-boundary band "
             f"(width {band_width:.3e}) with --strict set")
 

@@ -37,10 +37,15 @@ class One:
 
 @dataclass(frozen=True)
 class ShiftedPower:
-    """A(t) = (eta(t) - z0)**power with the exact chain-rule derivative."""
+    """A(t) = (eta(t) - z0)**power, power an integer, with its exact derivative."""
 
     z0: complex
     power: int
+
+    def __post_init__(self):
+        if not float(self.power).is_integer():
+            raise ValueError(f"coefficient power must be an integer, got {self.power!r}")
+        object.__setattr__(self, "power", int(self.power))
 
     def jet(self, region: Region, k: int, s):
         eta, eta_d, _ = region.curves[k].jet(s)
@@ -159,7 +164,7 @@ def load_coefficient(source) -> Coefficient:
         return One()
     if kind == "shifted_power":
         z0 = _require_finite(_as_complex(obj["z0"], "coefficient z0"), "coefficient z0")
-        return ShiftedPower(z0=z0, power=int(_json_number(obj["power"], "coefficient power")))
+        return ShiftedPower(z0=z0, power=_json_number(obj["power"], "coefficient power"))
     if kind == "trig":
         return TrigCoefficient(tuple(
             _fourier_curve(rows, "coefficient values")

@@ -100,11 +100,11 @@ def solve_modified_dirichlet(
     )
 
 
-def harmonic_eval(ops: DiscreteOperators, solution: DirichletSolution, z, *,
-                  strict: bool = False):
+def harmonic_eval(ops: DiscreteOperators, solution: DirichletSolution, z):
     """Harmonic field u = Re Phi at z; boundary values gamma + h, u(inf) = 0.
 
-    ``ops`` are the operators the solution was computed with.
+    ``ops`` are the operators the solution was computed with.  Inside the
+    near-boundary band it warns as :func:`rhp.cauchy_eval` does.
     """
-    values = rhp.cauchy_eval(ops, solution.gamma, solution.mu, z, strict=strict)
+    values = rhp.cauchy_eval(ops, solution.gamma, solution.mu, z)
     return np.real(values) if np.ndim(values) else float(np.real(values))

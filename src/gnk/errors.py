@@ -29,8 +29,8 @@ class CenterNotInHole(GnkError):
     """The Mobius center must lie strictly inside the designated hole."""
 
 
-class TooCloseToBoundary(GnkError):
-    """Field evaluation requested inside the near-boundary accuracy band."""
+class TooCloseToBoundary(GnkError, UserWarning):
+    """Near-boundary field evaluation: a warning, or an error under a warning filter."""
 
 
 class InconsistentSystem(GnkError):

@@ -28,6 +28,7 @@ TWO_PI = 2.0 * math.pi
 MIN_SPEED = 1e-6
 MIN_DISTANCE = 1e-6
 MAX_DOUBLINGS = 14  # grid doublings before winding_number gives up
+POLYGON_NODES = 512  # per curve, for validation's and the hole mask's turn counts
 # relative allowance for the rounding of sampled eta when an enclosing disc
 # decides a check; it only sends near-tangent cases to the sampled test
 DISC_SLACK = 1e-9
@@ -54,7 +55,10 @@ class Curve:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        powers = np.asarray(self.powers, dtype=int).ravel()
+        raw = np.asarray(self.powers, dtype=float).ravel()
+        if not (np.isfinite(raw) & (raw == np.trunc(raw))).all():
+            raise ValueError(f"Fourier powers must be integers, got {raw}")
+        powers = raw.astype(int)
         coeffs = np.asarray(self.coeffs, dtype=complex).ravel()
         if powers.shape != coeffs.shape:
             raise ValueError("powers and coeffs must have equal length")
@@ -164,15 +168,15 @@ def winding_number(
     evaluate: Callable[[np.ndarray], np.ndarray],
     *,
     min_modulus: float,
-    n0: int = 64,
+    n0: int,
     on_small: type[Exception] = PointTooClose,
 ) -> int:
     """Winding about 0 of a closed loop s -> evaluate(s), s in [0, 2 pi).
 
-    Accumulates argument increments between consecutive samples and doubles
-    the grid until every increment is below pi/2 and the turn count is
-    within 0.1 of an integer.  Raises ``on_small`` if the loop passes within
-    ``min_modulus`` of the origin and NonConvergent past the refinement cap.
+    Accumulates argument steps between consecutive samples from n0 nodes
+    on, doubling the grid until every step is below pi/2 and the turn count
+    is within 0.1 of an integer.  Raises ``on_small`` if the loop passes
+    within ``min_modulus`` of the origin and NonConvergent past the cap.
     """
     n = int(n0)
     for _ in range(MAX_DOUBLINGS + 1):
@@ -192,8 +196,8 @@ def winding_number(
     )
 
 
-def winding_of_point(curve: Curve, z: complex, n: int = 64) -> int:
-    """Integer winding number of the curve about the point z."""
+def winding_of_point(curve: Curve, z: complex, n: int) -> int:
+    """Integer winding number of the curve about z, counted from n nodes on."""
     return winding_number(
         lambda s: curve.jet(s)[0] - z,
         n0=n,
@@ -228,13 +232,13 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _turns_about_points(curve: Curve, points: np.ndarray, n: int = 256) -> np.ndarray:
+def _turns_about_points(curve: Curve, points: np.ndarray) -> np.ndarray:
     """Approximate winding of the curve about many points at once.
 
     No refinement: points close to the curve give unreliable turn counts,
     which callers must screen with a distance check first.
     """
-    eta = curve.jet(np.arange(n) * (TWO_PI / n))[0]
+    eta = curve.jet(np.arange(POLYGON_NODES) * (TWO_PI / POLYGON_NODES))[0]
     w = eta[None, :] - np.asarray(points, dtype=complex)[:, None]
     steps = np.angle(np.roll(w, -1, axis=1) / w)
     return np.nan_to_num(steps.sum(axis=1) / TWO_PI, nan=0.5)
@@ -365,9 +369,9 @@ def _json_array(obj, what: str):
 
 
 def _json_number(obj, what: str):
-    """Return obj unchanged; raise ValueError if it is null, an array or an
-    object, the JSON values that float() and int() reject by TypeError."""
-    if obj is None or isinstance(obj, (list, tuple, dict)):
+    """Return obj unchanged; raise ValueError unless it is a JSON number
+    (a boolean is not one, and a string is not parsed)."""
+    if obj is None or isinstance(obj, (bool, str, list, tuple, dict)):
         raise ValueError(f"{what} must be a number, got {obj!r}")
     return obj
 
@@ -380,7 +384,7 @@ def _fourier_curve(rows, what: str) -> Curve:
         if not isinstance(row, (list, tuple)) or len(row) != 3:
             raise ValueError(f"Fourier rows must be [p, re, im], got {row!r}")
         p, re, im = (_json_number(x, "Fourier row entry") for x in row)
-        powers.append(int(p))
+        powers.append(p)
         coeffs.append(complex(float(re), float(im)))
     return Curve(powers, _require_finite(np.asarray(coeffs, dtype=complex), what))
 

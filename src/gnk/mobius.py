@@ -23,13 +23,13 @@ from gnk.geometry import Region, winding_number, winding_of_point
 from gnk.kernels import BoundaryJet
 
 
-def _center(region: Region) -> complex:
-    """The last hole's point, checked to lie inside the last hole only."""
+def _center(region: Region, n: int) -> complex:
+    """The last hole's point, checked from n nodes on to lie in the last hole only."""
     z0 = complex(region.hole_points[-1])
     for k, curve in enumerate(region.curves):
         expected = -1 if k == region.m - 1 else 0
         try:
-            w = winding_of_point(curve, z0)
+            w = winding_of_point(curve, z0, n)
         except PointTooClose as exc:
             raise CenterNotInHole(f"center {z0} too close to curve {k}: {exc}") from exc
         if w != expected:
@@ -44,7 +44,7 @@ def map_jet(region: Region, jet: BoundaryJet) -> BoundaryJet:
     z0 is the last hole's point, which must lie strictly inside the last
     hole (and outside every other hole).
     """
-    u = jet.eta - _center(region)
+    u = jet.eta - _center(region, jet.n)
     zeta = 1.0 / u
     zeta_d = -jet.eta_d / u**2
     zeta_dd = -jet.eta_dd / u**2 + 2.0 * jet.eta_d**2 / u**3
@@ -104,13 +104,14 @@ def index_shift(report: IndexReport) -> tuple[tuple[int, ...], int]:
     return hat, report.kappa + 1
 
 
-def mapped_index_of(region: Region, coeff) -> tuple[tuple[int, ...], int]:
+def mapped_index_of(ops: discrete.DiscreteOperators) -> tuple[tuple[int, ...], int]:
     """Direct argument-accumulation indices of hat A = zeta A on each image curve.
 
     Returned in image order (outer curve first), for cross-checking
-    :func:`index_shift` without going through the shift law.
+    :func:`index_shift` without the shift law, counting from the grid of ``ops``.
     """
-    z0 = _center(region)
+    region, coeff = ops.region, ops.coeff
+    z0 = _center(region, ops.n)
 
     def hat_values(k: int, s: np.ndarray) -> np.ndarray:
         eta = region.curves[k].jet(s)[0]
@@ -120,7 +121,7 @@ def mapped_index_of(region: Region, coeff) -> tuple[tuple[int, ...], int]:
     windings = [
         winding_number(lambda s, k=k: hat_values(k, s),
                        min_modulus=coefficient_mod.MIN_MODULUS,
-                       on_small=CenterNotInHole)
+                       n0=ops.n, on_small=CenterNotInHole)
         for k in range(region.m)
     ]
     hat = (windings[-1],) + tuple(windings[:-1])

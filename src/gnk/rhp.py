@@ -180,28 +180,22 @@ def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
     return f, dist, turns
 
 
-def cauchy_eval(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z, *,
-                strict: bool = False):
+def cauchy_eval(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z):
     """Cauchy-type integral of (gamma + i mu)/A at points z off the boundary.
 
     The boundary and A are the ones ``ops`` were assembled on.  For z in
     the unbounded region this is the solution f with f(inf) = 0.  No
     near-boundary correction is applied; inside the warning band the plain
-    trapezoidal rule loses accuracy, so the call warns there (or raises in
-    strict mode).
+    trapezoidal rule loses accuracy, so the call warns there with
+    TooCloseToBoundary, which a warning filter can turn into an error.
     """
     values, dist, _ = field_pass(ops.jet, gamma, mu, z)
     band = near_boundary_band(ops.jet)
     if np.any(dist < band):
-        worst = float(dist.min())
-        if strict:
-            raise TooCloseToBoundary(
-                f"evaluation point within {worst:.3e} of the boundary "
-                f"(warning band {band:.3e})")
         warnings.warn(
-            f"evaluation point within {worst:.3e} of the boundary; "
+            f"evaluation point within {float(dist.min()):.3e} of the boundary; "
             f"accuracy degrades inside the {band:.3e} band",
-            stacklevel=2)
+            TooCloseToBoundary, stacklevel=2)
     if np.ndim(z) == 0:
         return complex(values[0])
     return values

@@ -10,7 +10,10 @@ screening replaced.  ``perturbed_circle`` builds the star-like curves of
 the galleries.  ``count_calls`` counts the calls of a library function
 under every name the package binds it to.  ``attainability_residual`` and
 ``transform_solution`` restate, in the tests' terms, the hole-side Plemelj
-test and the Mobius substitution f_hat(w) = f(z) (z - z0).
+test and the Mobius substitution f_hat(w) = f(z) (z - z0).  ``capacity``
+reads the logarithmic capacity of the holes off the Dirichlet constants
+h_j, an oracle from potential theory that no planted solution can fit;
+``lemniscate`` builds the region whose capacity is known in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnk.discrete import NULLITY_TOL, conjugate_periodic
+from gnk.coefficient import One
+from gnk.dirichlet import solve_modified_dirichlet
+from gnk.discrete import NULLITY_TOL, assemble_N, conjugate_periodic
 from gnk.errors import NonConvergent, PointTooClose
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle, winding_of_point)
@@ -123,6 +128,50 @@ def lattice16() -> Region:
     axis = (-6.0, -2.0, 2.0, 6.0)
     return Region.from_curves([circle(complex(x, y), 1.0)
                                for y in axis for x in axis])
+
+
+def lemniscate(d: int, r: float) -> Region:
+    """The d holes of the lemniscate {|z^d - 1| <= r}, r < 1, whose capacity
+    is r^(1/d) (Ransford, Potential Theory in the Complex Plane, 1995).
+
+    Hole k is bounded by omega_k (1 + r e^{-is})^(1/d), the exact series
+    omega_k sum_p binom(1/d, p) r^p e^{-ips}, clockwise about its hole point
+    omega_k = exp(2 pi i k / d); the series stops once its terms fall below
+    1e-18.
+    """
+    terms = [1.0]
+    while abs(terms[-1]) >= 1e-18:
+        p = len(terms) - 1
+        terms.append(terms[-1] * (1.0 / d - p) / (p + 1) * r)
+    powers = [-p for p in range(len(terms))]
+    omegas = [complex(np.exp(2j * np.pi * k / d)) for k in range(d)]
+    return Region.from_curves([Curve(powers, [w * a for a in terms]) for w in omegas],
+                              omegas)
+
+
+def capacity(region: Region, n: int) -> float:
+    """Logarithmic capacity of the union of the holes, from m modified
+    Dirichlet solves on n nodes per curve (Liesen, Sete & Nasser, Comput.
+    Methods Funct. Theory 17, 2017).
+
+    Solve i takes gamma = -log|eta - alpha_i|, alpha_i the hole point of
+    hole i.  Its field u_i plus log|z - alpha_i| is then log|z| + o(1) at
+    infinity and the constant h_ij on curve j.  Weights w with
+    sum_i w_i = 1 and sum_i w_i h_ij = c on every curve j make
+    sum_i w_i (u_i + log|z - alpha_i|) - c the Green function with pole at
+    infinity, so the capacity is exp(c).
+    """
+    ops = assemble_N(region, One(), ParamGrid(n))
+    eta, m = ops.jet.eta, region.m
+    h = np.array([solve_modified_dirichlet(ops, -np.log(np.abs(eta - alpha))).h_constants
+                  for alpha in region.hole_points])
+    system = np.zeros((m + 1, m + 1))
+    system[:m, :m] = h.T  # row j: sum_i w_i h_ij - c = 0
+    system[:m, m] = -1.0
+    system[m, :m] = 1.0  # sum_i w_i = 1
+    rhs = np.zeros(m + 1)
+    rhs[m] = 1.0
+    return math.exp(np.linalg.solve(system, rhs)[m])
 
 
 def count_calls(monkeypatch, owner, name: str) -> list:

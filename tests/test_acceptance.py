@@ -13,11 +13,11 @@ from gnk.cli import main as cli_main
 from gnk.coefficient import One, ShiftedPower, index_of
 from gnk.discrete import apply_M, assemble_N, operator_identity_residuals
 from gnk.dirichlet import indicator_basis, solve_modified_dirichlet
-from gnk.geometry import ParamGrid, Region, circle
+from gnk.geometry import Curve, ParamGrid, Region, circle, ellipse
 from gnk.mobius import index_shift, kernel_invariance_check, mapped_index_of
 from gnk.rhp import cauchy_eval, plemelj_boundary, solve_rhp
 from conftest import CENTERS, POLE_AMPLITUDES, RADII, oracle_boundary
-from helpers import attainability_residual, band_limited, with_center
+from helpers import attainability_residual, band_limited, capacity, lemniscate, with_center
 
 TWO_PI = 2.0 * np.pi
 
@@ -130,9 +130,9 @@ def test_criterion_07_mobius_invariance(three_circles, perturbed_gallery,
         for coeff in (One(), ShiftedPower(region.hole_points[0], 1)):
             for z0 in (hole, hole + 0.3 + 0.2j):
                 centered = with_center(region, z0)
-                report = kernel_invariance_check(assemble_N(centered, coeff, grid))
-                worst = max(worst, report.max_diff_N)
-                direct = mapped_index_of(centered, coeff)
+                ops = assemble_N(centered, coeff, grid)
+                worst = max(worst, kernel_invariance_check(ops).max_diff_N)
+                direct = mapped_index_of(ops)
                 shift_ok = shift_ok and direct == index_shift(index_of(coeff, region, grid))
     ok = worst <= 1e-12 and shift_ok
     _report(7, "mobius-invariance", ok,
@@ -203,3 +203,18 @@ def test_criterion_11_cli_determinism(tmp_path):
         ))
     _report(11, "cli-determinism", codes_ok and identical,
             f"exit_codes_zero={codes_ok} byte_identical={identical}")
+
+
+def test_criterion_12_logarithmic_capacity():
+    # exp of the combined Dirichlet constants against closed forms: an
+    # ellipse (a + b) / 2, a trig curve its e^{-is} coefficient, lemniscates
+    # {|z^d - 1| <= r} r^(1/d); every constant h_j enters the result
+    trig = Curve([-1, 2, 0], [1.5, 0.2, 0.3j])
+    cases = [("ellipse a=3 b=1", Region.from_curves([ellipse(0.0, 3.0, 1.0)]), 128, 2.0),
+             ("trig", Region.from_curves([trig]), 64, 1.5)]
+    cases += [(f"lemniscate d={d} r={r}", lemniscate(d, r), 64, r ** (1.0 / d))
+              for d, r in ((2, 0.5), (3, 0.6), (4, 0.7))]
+    errors = {name: abs(capacity(region, n) - exact) for name, region, n, exact in cases}
+    worst = max(errors.values())
+    _report(12, "logarithmic-capacity", worst <= 1e-12,
+            "; ".join(f"{name}: {err:.1e}" for name, err in errors.items()))

@@ -1,8 +1,10 @@
 """Ratchets on the size of the library's surface.
 
-Settable options are counted by AST over ``src/gnk``: parameters with
+Settable options are found by AST over ``src/gnk``: parameters with
 defaults plus fields with defaults of dataclasses.  Defaults of lambdas
 inside a body (``k=k`` loop bindings) are not options and are not counted.
+They must equal the named set ``OPTIONS``, each with the reason it stays,
+so a new option fails and so does a removed one left in the set.
 Every public function or method must be named outside its own definition
 somewhere in ``src/`` (the package's re-exports in ``__init__.py`` do not
 count), ``scripts/`` or ``benchmarks/``, or be on ``TEST_ONLY_API``.  The
@@ -19,8 +21,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gnk"
-MAX_OPTIONS = 11
-MAX_SOURCE_LINES = 2033
+OPTIONS = {
+    "cli.main(argv=)": "None reads sys.argv; tests and the benchmark pass a list",
+    "dirichlet.solve_modified_dirichlet(tol_solve=)": "the CLI passes --tol-solve",
+    "discrete._weighted_blocks(out=)": "assembly fills the stored rows in place; "
+                                       "the Mobius check takes scratch rows",
+    "geometry.winding_number(on_small=)": "each caller names its own failure: "
+                                          "PointTooClose, ZeroCoefficient, CenterNotInHole",
+    "geometry.from_curves(hole_points=)": "JSON regions may omit hole_points; "
+                                          "centroids then serve",
+    "rhp.solve_rhp(tol_solve=)": "the CLI passes --tol-solve",
+}
+MAX_SOURCE_LINES = 2036
 # Public functions only tests call, kept as library API: the scalar kernels
 # are the only evaluation of the kernels off the grid, and harmonic_eval is
 # the documented Dirichlet field.
@@ -81,7 +93,7 @@ def _mentions() -> str:
 
 def test_settable_options_do_not_grow():
     options = settable_options()
-    assert len(options) <= MAX_OPTIONS, options
+    assert sorted(options) == sorted(OPTIONS), options
 
 
 def test_source_lines_do_not_grow():

@@ -32,6 +32,8 @@ COEFF_POWER = {"type": "shifted_power",
 DATA_NAN = {"type": "constants", "values": [float("nan"), 1.0, 2.0]}
 # Fourier rows with the power -1 twice
 DUPLICATE = [[-1, 1.0, 0.0], [0, 3.0, 0.0], [-1, 0.5, 0.0]]
+# Fourier rows whose second power is not an integer
+FRACTIONAL = [[0, 3.0, 0.0], [-1.7, 1.0, 0.0]]
 
 
 @pytest.fixture(scope="module")
@@ -417,14 +419,16 @@ class TestEvalField:
         line = (out / "field.csv").read_text().splitlines()[1]
         assert line.endswith("hole")
 
-    def test_strict_band_exits_1(self, inputs, tmp_path):
-        # a probe right outside the first circle sits in the warning band
+    def test_strict_band_exits_1(self, inputs, tmp_path, capsys):
+        # a probe right outside the first circle sits in the warning band;
+        # the CLI fails with the class the library warns with
         x = CENTERS[0].real + RADII[0] + 1e-4
         rc = _run(["eval-field", "--region", inputs / "region.json",
                    "--data", inputs / "data.json", "--n", 64,
                    "--out", tmp_path / "o", "--strict",
                    "--field-grid", f"{x},{x},1,0,0,1"])
         assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "TooCloseToBoundary"
 
     def test_missing_grid_exits_1(self, inputs, tmp_path):
         rc = _run(["eval-field", "--region", inputs / "region.json",
@@ -588,13 +592,27 @@ class TestErrorPaths:
         ("index-report", "--region", {"curves": [{"type": "trig", "coeffs": DUPLICATE}]}),
         ("index-report", "--coeff", {"type": "trig", "per_curve": [DUPLICATE] * 3}),
         ("solve-rhp", "--data", {"type": "trig", "per_curve": [DUPLICATE] * 3}),
+        # powers that are not integers, numbers given as strings or booleans
+        ("index-report", "--region", {"curves": [{"type": "trig", "coeffs": FRACTIONAL}]}),
+        ("index-report", "--region", {"curves": [{"type": "trig",
+                                                  "coeffs": [[True, 1.0, 0.0]]}]}),
+        ("index-report", "--coeff", {"type": "trig", "per_curve": [FRACTIONAL] * 3}),
+        ("solve-rhp", "--data", {"type": "trig", "per_curve": [FRACTIONAL] * 3}),
+        ("index-report", "--coeff", dict(COEFF_POWER, power=1.5)),
+        ("index-report", "--coeff", dict(COEFF_POWER, power="1")),
+        ("index-report", "--region", {"curves": [{"type": "circle", "center": [0, 0],
+                                                  "radius": "1.0"}]}),
+        ("index-report", "--region", {"curves": [{"type": "circle", "center": [0, 0],
+                                                  "radius": True}]}),
     ], ids=["region-list", "curve-number", "curve-row", "coeff-list", "coeff-row",
             "data-number", "data-row", "curves-number", "radius-null",
             "center-number", "coeffs-number", "hole-points-number", "hole-point-null",
             "coeff-per-curve-numbers", "power-null", "z0-number",
             "constants-number", "constant-null", "samples-number", "terms-number",
             "pole-centre-null", "data-per-curve-numbers", "curve-duplicate-powers",
-            "coeff-duplicate-powers", "data-duplicate-powers"])
+            "coeff-duplicate-powers", "data-duplicate-powers", "curve-fractional-power",
+            "curve-boolean-power", "coeff-fractional-power", "data-fractional-power",
+            "power-fractional", "power-string", "radius-string", "radius-boolean"])
     def test_malformed_json_exits_1(self, inputs, tmp_path, capsys, command, flag,
                                     payload):
         files = {"--region": inputs / "region.json"}

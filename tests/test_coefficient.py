@@ -78,7 +78,7 @@ class TestIndex:
             report = index_of(ShiftedPower(CENTERS[1], power), three_circles,
                               ParamGrid(64))
             expected = tuple(
-                power * winding_of_point(c, CENTERS[1])
+                power * winding_of_point(c, CENTERS[1], 64)
                 for c in three_circles.curves
             )
             assert report.kappa_per_curve == expected
@@ -139,6 +139,13 @@ class TestLoadCoefficient:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             load_coefficient({"type": "rational"})
+
+    def test_shifted_power_rejects_non_integer(self):
+        # 1.5 would make A multivalued; the loader truncated it to 1 before
+        with pytest.raises(ValueError, match="coefficient power must be an integer"):
+            ShiftedPower(0.0, 1.5)
+        power = ShiftedPower(0.0, 2.0).power
+        assert power == 2 and type(power) is int
 
     def test_trig_duplicate_powers_rejected(self):
         with pytest.raises(ValueError, match="duplicate Fourier powers"):

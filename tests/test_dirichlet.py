@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from gnk import coefficient
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
 from gnk.dirichlet import harmonic_eval, indicator_basis, solve_modified_dirichlet
-from gnk.errors import ConstancyViolation
+from gnk.errors import ConstancyViolation, GnkError, TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region
 from gnk.rhp import cauchy_eval
 from conftest import CENTERS, oracle_boundary, oracle_terms
@@ -145,6 +147,16 @@ class TestHarmonicEval:
         field = cauchy_eval(gallery_ops, solution.gamma, solution.mu, z)
         assert np.array_equal(harmonic_eval(gallery_ops, solution, z), field.real)
         assert harmonic_eval(gallery_ops, solution, z[0]) == field[0].real
+
+    def test_near_boundary_warns_or_raises(self, three_circles, gallery_ops):
+        solution = solve_modified_dirichlet(gallery_ops, np.ones(gallery_ops.size))
+        z = three_circles.curves[0].jet(0.0)[0] + 1e-4
+        with pytest.warns(UserWarning):
+            harmonic_eval(gallery_ops, solution, z)
+        with warnings.catch_warnings(), pytest.raises(GnkError) as caught:
+            warnings.simplefilter("error", TooCloseToBoundary)
+            harmonic_eval(gallery_ops, solution, z)
+        assert isinstance(caught.value, TooCloseToBoundary)
 
     def test_reads_the_assembled_boundary(self, monkeypatch, gallery_ops, grid128):
         solution = solve_modified_dirichlet(gallery_ops, np.repeat((1.0, -2.0, 0.7),

@@ -76,21 +76,31 @@ class TestCurveInput:
         with pytest.raises(ValueError, match="duplicate Fourier powers"):
             Curve(powers=[0, -1, 0], coeffs=[1.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("power", [-1.7, 0.5, math.nan, math.inf])
+    def test_non_integer_power_rejected(self, power):
+        with pytest.raises(ValueError, match="Fourier powers must be integers"):
+            Curve(powers=[0, power], coeffs=[3.0, 1.0])
+
+    def test_integral_float_powers_read_as_integers(self):
+        curve = Curve(powers=[0.0, -1.0], coeffs=[3.0, 1.0])
+        assert curve.powers.dtype.kind == "i"
+        assert curve.powers.tolist() == [0, -1]
+
 
 class TestWinding:
     def test_clockwise_unit_circle_about_center(self):
-        assert winding_of_point(circle(0.0, 1.0), 0.0) == -1
+        assert winding_of_point(circle(0.0, 1.0), 0.0, 64) == -1
 
     def test_exterior_point(self):
-        assert winding_of_point(circle(0.0, 1.0), 3.0) == 0
+        assert winding_of_point(circle(0.0, 1.0), 3.0, 64) == 0
 
     def test_ellipse_center(self):
         # brute-force argument accumulation settles to a full clockwise turn
-        assert winding_of_point(ellipse(3.0, 2.0, 1.0), 3.0) == -1
+        assert winding_of_point(ellipse(3.0, 2.0, 1.0), 3.0, 64) == -1
 
     def test_point_too_close(self):
         with pytest.raises(PointTooClose):
-            winding_of_point(circle(0.0, 1.0), 1.0 + 1e-9j)
+            winding_of_point(circle(0.0, 1.0), 1.0 + 1e-9j, 64)
 
     def test_doubling_invariance(self):
         c = perturbed_circle(2.0 - 1.0j, 1.0, [(5, 0.1)])
@@ -102,14 +112,14 @@ class TestWinding:
     def test_interior_points_wind_minus_one(self, t, angle):
         c = circle(1.0 + 1.0j, 1.5)
         z = (1.0 + 1.0j) + t * 1.5 * np.exp(1j * angle)
-        assert winding_of_point(c, z) == -1
+        assert winding_of_point(c, z, 64) == -1
 
     @given(st.floats(1.1, 10.0), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=30, deadline=None)
     def test_exterior_points_wind_zero(self, t, angle):
         c = circle(1.0 + 1.0j, 1.5)
         z = (1.0 + 1.0j) + t * 1.5 * np.exp(1j * angle)
-        assert winding_of_point(c, z) == 0
+        assert winding_of_point(c, z, 64) == 0
 
 
 class TestParamGrid:
@@ -271,7 +281,7 @@ class TestRegion:
         assert np.allclose(eta_dd[block], direct[2])
 
     def test_mobius_center_defaults_to_last(self, three_circles):
-        assert mobius._center(three_circles) == three_circles.hole_points[-1]
+        assert mobius._center(three_circles, 64) == three_circles.hole_points[-1]
 
     def test_no_curves_rejected(self):
         with pytest.raises(ValueError, match="at least one boundary curve"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnk import discrete
+from gnk import discrete, geometry, mobius
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
 from gnk.errors import CenterNotInHole
@@ -163,14 +163,43 @@ class TestIndexShift:
     def test_matches_direct_computation(self, three_circles, grid64):
         for coeff in (One(), ShiftedPower(CENTERS[2], 1), ShiftedPower(CENTERS[0], 2)):
             report = index_of(coeff, three_circles, grid64)
-            assert mapped_index_of(three_circles, coeff) == index_shift(report)
+            ops = assemble_N(three_circles, coeff, grid64)
+            assert mapped_index_of(ops) == index_shift(report)
 
     def test_two_center_choices(self, three_circles, grid64):
         # shifting the center inside the same hole changes nothing
         report = index_of(One(), three_circles, grid64)
         for offset in (0.0, 0.3 + 0.2j):
             region = with_center(three_circles, three_circles.hole_points[2] + offset)
-            assert mapped_index_of(region, One()) == index_shift(report)
+            assert mapped_index_of(assemble_N(region, One(), grid64)) == index_shift(report)
+
+
+class TestWindingsStartOnTheGrid:
+    """Every winding count of the Mobius layer starts on the operators' grid."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        recorded = []
+        original = geometry.winding_number
+
+        def recording(evaluate, **kwargs):
+            recorded.append(kwargs["n0"])
+            return original(evaluate, **kwargs)
+
+        # winding_of_point reads geometry's name, mapped_index_of mobius's
+        monkeypatch.setattr(geometry, "winding_number", recording)
+        monkeypatch.setattr(mobius, "winding_number", recording)
+        return recorded
+
+    def test_mapped_index_of(self, three_circles, grid128, starts):
+        ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid128)
+        mapped_index_of(ops)
+        # three centre checks, then one count per image curve
+        assert starts == [128] * 6
+
+    def test_center_check_of_the_invariance_check(self, three_circles, grid128, starts):
+        kernel_invariance_check(assemble_N(three_circles, One(), grid128))
+        assert starts == [128] * 3
 
 
 class TestTransformSolution:

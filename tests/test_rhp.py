@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gnk import coefficient
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import NULLITY_TOL, apply_M, assemble_N
 from gnk.dirichlet import indicator_basis
-from gnk.errors import InconsistentSystem, TooCloseToBoundary
+from gnk.errors import GnkError, InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet
 from gnk.rhp import (
@@ -279,13 +280,18 @@ class TestCauchyEval:
         assert abs(value) <= 1e-5
 
     def test_strict_mode_raises_near_boundary(self, circle_ops):
+        # strict mode is the warning filter; the raised warning is a GnkError
         s = ParamGrid(64).nodes
-        with pytest.raises(TooCloseToBoundary):
-            cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4, strict=True)
+        with warnings.catch_warnings(), pytest.raises(GnkError) as caught:
+            warnings.simplefilter("error", TooCloseToBoundary)
+            cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4)
+        assert isinstance(caught.value, TooCloseToBoundary)
 
     def test_warns_near_boundary(self, circle_ops):
         s = ParamGrid(64).nodes
         with pytest.warns(UserWarning):
+            cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4)
+        with pytest.warns(TooCloseToBoundary):
             cauchy_eval(circle_ops, np.cos(s), np.sin(s), 1.0 + 1e-4)
 
     def test_vectorized_points(self, circle_ops):
