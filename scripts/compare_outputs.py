@@ -132,12 +132,16 @@ def main(argv=None) -> int:
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--work", type=Path, default=None,
-                        help="keep the gallery and outputs here "
-                             "(default: a temporary directory)")
+                        help="keep the gallery and outputs here; its old/ and "
+                             "new/ must not exist (default: a temporary directory)")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not (src / "gnk" / "__init__.py").is_file():
             parser.error(f"{src} holds no gnk package")
+    for label in ("old", "new"):
+        if args.work is not None and (args.work / label).exists():
+            parser.error(f"{args.work / label} exists from an earlier run; "
+                         "remove it or pick another --work")
 
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)

@@ -5,8 +5,8 @@ function on the boundary, available here with an exact derivative.  Its
 winding number about the origin on each curve (the index kappa_j) is the
 single combinatorial input to the solvability theory; the dimension
 formulas evaluated in :func:`predict_dimensions` depend on nothing else.
-A vanishing A is rejected once, by :func:`coeff_jet` on the samples that
-the operators are assembled from.
+A vanishing A is rejected by :func:`coeff_jet` alone: on the samples that
+the operators are assembled from and on every grid an index count visits.
 """
 
 from __future__ import annotations
@@ -143,17 +143,13 @@ def index_of(coeff: Coefficient, region: Region, grid: ParamGrid) -> IndexReport
 
     The accumulation grid starts at the supplied grid size and is doubled
     until the count settles on an integer, so the result is exact for any
-    admissible coefficient.
+    admissible coefficient.  A is read through :func:`coeff_jet`, which
+    raises ZeroCoefficient where it vanishes.
     """
-    kappas = []
-    for k in range(region.m):
-        kappas.append(winding_number(
-            lambda s, k=k: coeff.jet(region, k, s)[0],
-            n0=grid.n,
-            min_modulus=MIN_MODULUS,
-            on_small=ZeroCoefficient,
-        ))
-    return predict_dimensions(kappas)
+    return predict_dimensions([
+        winding_number(lambda s, k=k: coeff_jet(coeff, region, k, s)[0],
+                       min_modulus=0.0, n0=grid.n)
+        for k in range(region.m)])
 
 
 def load_coefficient(source) -> Coefficient:

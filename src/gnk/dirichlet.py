@@ -37,11 +37,7 @@ def indicator_basis(region: Region, grid: ParamGrid) -> np.ndarray:
     one inside hole j and zero outside its curve, and they span the space
     of admissible corrections h.
     """
-    m, n = region.m, grid.n
-    basis = np.zeros((m, m * n))
-    for j in range(m):
-        basis[j, j * n:(j + 1) * n] = 1.0
-    return basis
+    return np.repeat(np.eye(region.m), grid.n, axis=1)
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,11 @@ def conjugate_periodic(samples: np.ndarray) -> np.ndarray:
     (1/(2 pi)) PV int cot((s - t)/2) phi(t) dt exactly on the represented
     band: cos(p t) -> sin(p s), sin(p t) -> -cos(p s), constants -> 0.
     The unmatched Nyquist coefficient is sent to zero, which keeps the
-    operator real and skew-symmetric on the sample space.
+    operator real and skew-symmetric on the sample space.  The grid runs
+    along the last axis, so each row of a 2-D array is one curve.
     """
     phi = np.asarray(samples)
-    n = phi.shape[0]
+    n = phi.shape[-1]
     if n % 2 != 0:
         raise OddGridSize(f"conjugation needs an even grid, got {n}")
     freq = np.fft.fftfreq(n, d=1.0 / n)
@@ -147,21 +148,22 @@ def _cot_table(n: int, w: float) -> np.ndarray:
     return cot / TWO_PI * w
 
 
-def _weighted_blocks(jet: BoundaryJet, out=None):
-    """Row blocks of the weighted complex kernel: M + iN off the diagonal,
-    M1 + iN on it, entry (i, j) at target s_i and source t_j.
+def _weighted_blocks(jet: BoundaryJet):
+    """Row blocks of the complex kernel: M + iN off the diagonal, M1 + iN on
+    it, entry (i, j) at target s_i and source t_j.
 
-    Yields (rows, cols, w N, w M_smooth, cot) per block of at most
-    BLOCK_ENTRIES entries inside one curve, cols; cot is the weighted
-    cotangent addition that turns M into M1 on those columns.  The
-    diagonal, the grid's only same-curve coincidence, takes the
-    closed-form smooth values.  The rows are views into out =
-    (N, M_smooth) if given, else into one reused scratch pair.
+    Yields (rows, cols, block, cot) per block of at most BLOCK_ENTRIES
+    entries inside one curve, cols.  ``block`` is unweighted; the diagonal,
+    the grid's only same-curve coincidence, takes the closed-form smooth
+    values.  ``cot`` is the weighted cotangent addition that turns w M into
+    w M1 on cols.  Each block is a fresh array that the consumer may
+    overwrite.  A consumer drops it (``del block``) before asking for the
+    next: a block it holds stays live while the next one is built, a third
+    block at the peak.
     """
-    size, n, w = jet.size, jet.n, jet.weight
-    height = max(1, min(n, BLOCK_ENTRIES // size))
-    scratch = np.empty((2, height, size)) if out is None else None
-    cot = _cot_table(n, w)
+    n = jet.n
+    height = max(1, min(n, BLOCK_ENTRIES // jet.size))
+    cot = _cot_table(n, jet.weight)
     local = np.arange(n)
     diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
     for k in range(jet.m):
@@ -178,13 +180,7 @@ def _weighted_blocks(jet: BoundaryJet, out=None):
             # and gives the same values up to the sign of zero
             block.view(np.float64)[...] *= 1 / math.pi
             block[on_diag] = diag[rows]
-            n_rows, m_rows = ((out[0][rows], out[1][rows]) if out is not None
-                              else scratch[:, :last - first])
-            np.multiply(block.imag, w, out=n_rows)
-            np.multiply(block.real, w, out=m_rows)
-            cot_rows = cot[local[first:last, None] - local[None, :] + (n - 1)]
-            m_rows[:, cols] += cot_rows
-            yield rows, cols, n_rows, m_rows, cot_rows
+            yield rows, cols, block, cot[local[first:last, None] - local[None, :] + (n - 1)]
 
 
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
@@ -196,8 +192,11 @@ def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
     """
     n_matrix = np.empty((jet.size, jet.size))
     m_smooth = np.empty_like(n_matrix)
-    for _ in _weighted_blocks(jet, out=(n_matrix, m_smooth)):
-        pass
+    for rows, cols, block, cot in _weighted_blocks(jet):
+        np.multiply(block.imag, jet.weight, out=n_matrix[rows])
+        np.multiply(block.real, jet.weight, out=m_smooth[rows])
+        del block
+        m_smooth[rows, cols] += cot
     return n_matrix, m_smooth
 
 
@@ -226,12 +225,8 @@ def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
     plain trapezoidal sums of the smooth kernel.
     """
     phi = np.asarray(phi)
-    out = _real_matmul(ops.M_smooth, phi)
-    n = ops.n
-    for k in range(ops.m):
-        block = slice(k * n, (k + 1) * n)
-        out[block] -= conjugate_periodic(phi[block])
-    return out
+    return _real_matmul(ops.M_smooth, phi) - conjugate_periodic(
+        phi.reshape(ops.m, ops.n)).reshape(phi.shape)
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -169,13 +170,12 @@ def winding_number(
     *,
     min_modulus: float,
     n0: int,
-    on_small: type[Exception] = PointTooClose,
 ) -> int:
     """Winding about 0 of a closed loop s -> evaluate(s), s in [0, 2 pi).
 
     Accumulates argument steps between consecutive samples from n0 nodes
     on, doubling the grid until every step is below pi/2 and the turn count
-    is within 0.1 of an integer.  Raises ``on_small`` if the loop passes
+    is within 0.1 of an integer.  Raises PointTooClose if the loop passes
     within ``min_modulus`` of the origin and NonConvergent past the cap.
     """
     n = int(n0)
@@ -184,7 +184,7 @@ def winding_number(
         values = np.asarray(evaluate(s), dtype=complex)
         closest = float(np.abs(values).min())
         if closest <= min_modulus:
-            raise on_small(f"loop passes within {closest:.3e} of the origin")
+            raise PointTooClose(f"loop passes within {closest:.3e} of the origin")
         steps = np.angle(np.roll(values, -1) / values)
         turns = float(steps.sum() / TWO_PI)
         nearest = round(turns)
@@ -370,9 +370,11 @@ def _json_array(obj, what: str):
 
 def _json_number(obj, what: str):
     """Return obj unchanged; raise ValueError unless it is a JSON number
-    (a boolean is not one, and a string is not parsed)."""
+    (a boolean is not one, and a string is not parsed) that a float holds."""
     if obj is None or isinstance(obj, (bool, str, list, tuple, dict)):
         raise ValueError(f"{what} must be a number, got {obj!r}")
+    if isinstance(obj, int) and abs(obj) > sys.float_info.max:
+        raise ValueError(f"{what} is an integer beyond the float range")
     return obj
 
 

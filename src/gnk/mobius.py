@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnk import coefficient as coefficient_mod
 from gnk import discrete
-from gnk.coefficient import IndexReport
+from gnk.coefficient import IndexReport, coeff_jet
 from gnk.errors import CenterNotInHole, PointTooClose
 from gnk.geometry import Region, winding_number, winding_of_point
 from gnk.kernels import BoundaryJet
@@ -72,23 +71,27 @@ class InvarianceReport:
 def kernel_invariance_check(ops: discrete.DiscreteOperators) -> InvarianceReport:
     """Max |N_hat - N| and |M1_hat - M1| over all grid pairs, diagonals included.
 
-    The mapped jet goes through the assembly's row blocks, each compared
-    with the same rows of ``ops``; the weighted differences are divided by
-    the weight to report kernel units.  The same pass reads the scale,
-    max(1, max|M + iN|) with the singular M, off the stored rows.  The
+    The mapped jet goes through the assembly's row blocks, each weighted
+    in place and compared with the same rows of ``ops``; the weighted
+    differences are divided by the weight to report kernel units.  The
+    block then holds the stored rows with the singular M, from which the
+    same pass reads the scale max(1, max|M + iN|).  The
     identity is algebraic, so anything beyond roundoff indicates a bug in
     the kernel evaluation rather than discretization error.
     """
     diff_n = diff_m1 = largest = 0.0
-    mapped = map_jet(ops.region, ops.jet)
-    for rows, cols, n_hat, m_hat, cot in discrete._weighted_blocks(mapped):
-        n_rows, m_rows = ops.N[rows], ops.M_smooth[rows]
-        diff_n = max(diff_n, float(np.abs(n_hat - n_rows).max()))
-        diff_m1 = max(diff_m1, float(np.abs(m_hat - m_rows).max()))
-        np.copyto(m_hat, m_rows)  # the scratch rows now take the singular M
-        m_hat[:, cols] -= cot
-        largest = max(largest, float(np.hypot(m_hat, n_rows).max()))
     w = ops.weight
+    for rows, cols, block, cot in discrete._weighted_blocks(map_jet(ops.region, ops.jet)):
+        block.view(np.float64)[...] *= w
+        block.real[:, cols] += cot
+        n_rows = ops.N[rows]
+        diff_n = max(diff_n, float(np.abs(block.imag - n_rows).max()))
+        diff_m1 = max(diff_m1, float(np.abs(block.real - ops.M_smooth[rows]).max()))
+        m_rows = block.real  # the block's real part now takes the singular M
+        m_rows[...] = ops.M_smooth[rows]
+        m_rows[:, cols] -= cot
+        largest = max(largest, float(np.hypot(m_rows, n_rows).max()))
+        del block, m_rows
     return InvarianceReport(diff_n / w, diff_m1 / w, max(1.0, largest / w))
 
 
@@ -114,15 +117,10 @@ def mapped_index_of(ops: discrete.DiscreteOperators) -> tuple[tuple[int, ...], i
     z0 = _center(region, ops.n)
 
     def hat_values(k: int, s: np.ndarray) -> np.ndarray:
-        eta = region.curves[k].jet(s)[0]
-        a = coeff.jet(region, k, s)[0]
-        return a / (eta - z0)
+        return coeff_jet(coeff, region, k, s)[0] / (region.curves[k].jet(s)[0] - z0)
 
-    windings = [
-        winding_number(lambda s, k=k: hat_values(k, s),
-                       min_modulus=coefficient_mod.MIN_MODULUS,
-                       n0=ops.n, on_small=CenterNotInHole)
-        for k in range(region.m)
-    ]
+    # coeff_jet has rejected |A| < MIN_MODULUS on every grid the count visits
+    windings = [winding_number(lambda s, k=k: hat_values(k, s), min_modulus=0.0, n0=ops.n)
+                for k in range(region.m)]
     hat = (windings[-1],) + tuple(windings[:-1])
     return hat, sum(windings)

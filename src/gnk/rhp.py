@@ -230,7 +230,6 @@ def _rational_boundary(region: Region, grid: ParamGrid, terms) -> np.ndarray:
 
 def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.ndarray:
     kind = _json_object(entry, "data entry").get("type")
-    size = region.m * grid.n
     if kind == "samples":
         rows = [_json_array(v, "samples row")
                 for v in _json_array(entry["values"], "samples values")]
@@ -252,10 +251,7 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
         values = _json_array(entry["values"], "constants values")
         if len(values) != region.m:
             raise ValueError("constants data must supply one value per curve")
-        out = np.zeros(size)
-        for k, v in enumerate(values):
-            out[k * grid.n:(k + 1) * grid.n] = float(_json_number(v, "constant"))
-        return out
+        return np.repeat([float(_json_number(v, "constant")) for v in values], grid.n)
     raise ValueError(f"unknown boundary data type {kind!r}")
 
 

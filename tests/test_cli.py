@@ -604,6 +604,12 @@ class TestErrorPaths:
                                                   "radius": "1.0"}]}),
         ("index-report", "--region", {"curves": [{"type": "circle", "center": [0, 0],
                                                   "radius": True}]}),
+        # integers beyond the float range
+        ("index-report", "--region", {"curves": [{"type": "trig",
+                                                  "coeffs": [[10**400, 0.1, 0]]}]}),
+        ("index-report", "--region", {"curves": [{"type": "circle", "center": [0, 0],
+                                                  "radius": 10**400}]}),
+        ("index-report", "--coeff", dict(COEFF_POWER, power=10**400)),
     ], ids=["region-list", "curve-number", "curve-row", "coeff-list", "coeff-row",
             "data-number", "data-row", "curves-number", "radius-null",
             "center-number", "coeffs-number", "hole-points-number", "hole-point-null",
@@ -612,7 +618,8 @@ class TestErrorPaths:
             "pole-centre-null", "data-per-curve-numbers", "curve-duplicate-powers",
             "coeff-duplicate-powers", "data-duplicate-powers", "curve-fractional-power",
             "curve-boolean-power", "coeff-fractional-power", "data-fractional-power",
-            "power-fractional", "power-string", "radius-string", "radius-boolean"])
+            "power-fractional", "power-string", "radius-string", "radius-boolean",
+            "curve-huge-power", "radius-huge", "power-huge"])
     def test_malformed_json_exits_1(self, inputs, tmp_path, capsys, command, flag,
                                     payload):
         files = {"--region": inputs / "region.json"}

@@ -83,6 +83,13 @@ class TestIndex:
             )
             assert report.kappa_per_curve == expected
 
+    def test_zero_between_nodes_raises(self, three_circles):
+        # A vanishes halfway between the first two nodes of the 64-node
+        # grid; the count doubles onto that point and coeff_jet rejects it
+        zero = three_circles.curves[0].jet(np.pi / 64)[0]
+        with pytest.raises(ZeroCoefficient):
+            index_of(ShiftedPower(zero, 1), three_circles, ParamGrid(64))
+
     def test_grid_doubling_invariance(self, three_circles):
         coeff = ShiftedPower(CENTERS[2], 2)
         a = index_of(coeff, three_circles, ParamGrid(64))

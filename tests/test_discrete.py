@@ -81,6 +81,17 @@ class TestConjugatePeriodic:
         assert np.allclose(combined.real, conjugate_periodic(u))
         assert np.allclose(combined.imag, conjugate_periodic(v))
 
+    @pytest.mark.parametrize("m, n", [(3, 64), (16, 256), (3, 1024), (5, 128)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rows_are_curves(self, m, n, dtype):
+        # apply_M conjugates all m curves in one call on the (m, n) samples
+        rng = np.random.default_rng(7)
+        phi = rng.normal(size=(m, n)).astype(dtype)
+        if dtype is complex:
+            phi += 1j * rng.normal(size=(m, n))
+        rows = np.array([conjugate_periodic(row) for row in phi])
+        assert np.array_equal(conjugate_periodic(phi), rows)
+
     def test_circulant_matrix_agrees(self):
         rng = np.random.default_rng(6)
         phi = rng.normal(size=24)

@@ -9,9 +9,9 @@ from gnk.discrete import assemble_N, weighted_kernels
 from gnk.errors import DiagonalSingular
 from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
-from gnk.mobius import map_jet
+from gnk.mobius import kernel_invariance_check, map_jet
 from conftest import CENTERS
-from helpers import dense_weighted_kernels
+from helpers import dense_weighted_kernels, traced_peak
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -156,9 +156,33 @@ class TestMatrixBuilders:
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
         jet = BoundaryJet.from_region(mixed_gallery, One(), ParamGrid(100))
         heights = []
-        for rows, cols, n_rows, m_rows, cot in discrete._weighted_blocks(jet):
+        for rows, cols, block, cot in discrete._weighted_blocks(jet):
             assert cols.start <= rows.start < rows.stop <= cols.stop
-            assert n_rows.shape == m_rows.shape == (rows.stop - rows.start, 300)
+            assert block.shape == (rows.stop - rows.start, 300)
             assert cot.shape == (rows.stop - rows.start, 100)
             heights.append(rows.stop - rows.start)
         assert heights == [32, 32, 32, 4] * 3
+
+
+class TestOneBlockLive:
+    """Each consumer of the row blocks drops a block before it asks for the
+    next, so the peak is the block being built and one temporary of its
+    size, about 2.2 blocks; a block held over adds a third."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        # N = 1024: 256-row blocks of 4 MB, each curve one block
+        region = Region.from_curves([circle(complex(x, y), 1.0)
+                                     for x in (-3.0, 3.0) for y in (-3.0, 3.0)])
+        ops = assemble_N(region, ShiftedPower(region.hole_points[0], 1), ParamGrid(256))
+        height = max(1, min(ops.n, discrete.BLOCK_ENTRIES // ops.size))
+        return ops, height * ops.size * 16
+
+    def test_weighted_kernels(self, setup):
+        ops, block = setup
+        peak = traced_peak(lambda: weighted_kernels(ops.jet))
+        assert (peak - 2 * 8 * ops.size**2) / block < 2.5
+
+    def test_kernel_invariance_check(self, setup):
+        ops, block = setup
+        assert traced_peak(lambda: kernel_invariance_check(ops)) / block < 2.5

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gnk import discrete, geometry, mobius
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
-from gnk.errors import CenterNotInHole
+from gnk.errors import CenterNotInHole, ZeroCoefficient
 from gnk.geometry import MIN_DISTANCE, ParamGrid, Region, circle
 from gnk.kernels import BoundaryJet
 from gnk.mobius import (
@@ -148,6 +150,13 @@ class TestKernelInvariance:
 
 
 class TestIndexShift:
+    def test_zero_coefficient_between_nodes(self, three_circles, grid64):
+        # a vanishing A is a ZeroCoefficient, not a bad centre
+        ops = assemble_N(three_circles, One(), grid64)
+        zero = three_circles.curves[0].jet(np.pi / 64)[0]
+        with pytest.raises(ZeroCoefficient):
+            mapped_index_of(dataclasses.replace(ops, coeff=ShiftedPower(zero, 1)))
+
     def test_zero_indices(self):
         report = predict_dimensions((0, 0, 0))
         hat, total = index_shift(report)
