@@ -114,6 +114,7 @@ def run_solve(args, mode: str) -> int:
         "ie_residual": solution.diagnostics.ie_residual,
         "s_minus_residuals": [solution.diagnostics.h_plus_residual,
                               solution.diagnostics.h_companion_residual],
+        "solver": "cgls" if solution.diagnostics.minimal_norm else "gmres",
         "solver_iterations": solution.diagnostics.iterations,
         # predicted from the indices; verify measures them
         "nullity_I_minus_N": index.dim_null_I_minus_N,

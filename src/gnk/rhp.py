@@ -7,10 +7,13 @@ Solving the equation for mu, forming the real correction
 and dividing, f+ = (gamma + h + i mu) / A, yields boundary values of a
 function analytic in the unbounded region with f(inf) = 0; h absorbs
 exactly the part of gamma that no such function can attain, and it lies
-in the span of boundary values coming from the holes.  The solve and
-everything after it read A, the indices and the boundary from the
-operators: the Cauchy integral over ``ops.jet`` extends the solution off
-the boundary, and the hole-side Plemelj value tests attainability.
+in the span of boundary values coming from the holes.  The solve applies
+the stored N to vectors and never forms I - N; the indices pick the
+Krylov solver, GMRES when I - N is invertible and CGLS's minimal-norm
+solution when it is not.  The solve and everything after it read A, the
+indices and the boundary from the operators: the Cauchy integral over
+``ops.jet`` extends the solution off the boundary, and the hole-side
+Plemelj value tests attainability.
 """
 
 from __future__ import annotations
@@ -30,12 +33,17 @@ from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_
 from gnk.kernels import BoundaryJet
 
 DEFAULT_SOLVE_TOL = 1e-10
-# CGLS stops when ||(I - N)^T r|| falls to CGLS_TOL times its start, or after
-# CGLS_MAX_ITER iterations.  The count does not grow with n but does with
-# cond(I - N), which CGLS squares: 14-38 on well-separated holes, 71-80 at
-# ellipse aspect ratio 30, 181-362 at 100 (the README has the table).
-CGLS_TOL = 1e-15
-CGLS_MAX_ITER = 500
+# Both Krylov solves start at mu = 0 and stop when their residual measure,
+# ||r|| for GMRES and ||(I - N)^T r|| for CGLS, falls to KRYLOV_TOL times its
+# start, or after KRYLOV_MAX_ITER steps: GMRES products, or CGLS iterations
+# of two products each.  The counts grow with cond(I - N), which CGLS
+# squares, not with n: 9-16 products and 14-30 iterations on well-separated
+# holes (the README has the table).
+KRYLOV_TOL = 1e-15
+KRYLOV_MAX_ITER = 500
+# The GMRES basis grows by this many vectors, so its memory follows the
+# products taken, not the cap.
+KRYLOV_BLOCK = 8
 # Probe-node pairs per block of the field pass.  Two complex temporaries of
 # this many entries are all it holds beyond its O(probes) outputs.
 PROBE_BLOCK = 2**19
@@ -72,7 +80,7 @@ def _cgls(N: np.ndarray, b: np.ndarray):
     so x is the solution when I - N is invertible and lstsq's minimal-norm
     one when it is not.  One product with N and one with N^T per iteration;
     a non-finite b stops it at once, leaving x = 0 for the residual gate.
-    Besides CGLS_TOL it stops once ||A^T r|| <= NULLITY_TOL ||A|| ||r||
+    Besides KRYLOV_TOL it stops once ||A^T r|| <= NULLITY_TOL ||A|| ||r||
     (A = I - N, ||A|| the largest ||A p|| / ||p|| met): what is left of r
     then lies along singular directions below NULLITY_TOL ||A||, which
     lstsq with rcond=NULLITY_TOL drops too, so CGLS never inverts them.
@@ -82,10 +90,10 @@ def _cgls(N: np.ndarray, b: np.ndarray):
     s = r - N.T @ r
     p = s.copy()
     norm2 = s @ s
-    stop = CGLS_TOL**2 * norm2
+    stop = KRYLOV_TOL**2 * norm2
     norm_A2 = 0.0
     iterations = 0
-    while (iterations < CGLS_MAX_ITER
+    while (iterations < KRYLOV_MAX_ITER
            and norm2 > max(stop, NULLITY_TOL**2 * norm_A2 * (r @ r))):
         q = p - N @ p
         qq = q @ q
@@ -100,18 +108,67 @@ def _cgls(N: np.ndarray, b: np.ndarray):
     return x, iterations
 
 
+def _gmres(N: np.ndarray, b: np.ndarray):
+    """x of (I - N) x = b for an invertible I - N, and the products with N.
+
+    Arnoldi on I - N from x = 0 (Saad & Schultz 1986) orthogonalizes each
+    new Krylov vector against the basis twice, as discrete._new_block does;
+    Givens rotations keep the Hessenberg matrix triangular, so |g[-1]| is
+    the residual norm of the current iterate without a solve.  It stops
+    once that falls to KRYLOV_TOL ||b||, at a breakdown (the new vector
+    vanishes, so the Krylov space holds x), or after KRYLOV_MAX_ITER
+    products.  A zero or non-finite b returns x = 0 after 0 products, for
+    the residual gate to decide.
+    """
+    beta = float(np.linalg.norm(b))
+    if not 0.0 < beta < math.inf:
+        return np.zeros_like(b), 0
+    basis = np.empty((KRYLOV_BLOCK, b.size))
+    basis[0] = b / beta
+    columns, rotations, g = [], [], [beta]
+    for k in range(KRYLOV_MAX_ITER):
+        w = basis[k] - N @ basis[k]
+        scale = np.linalg.norm(w)
+        h = np.zeros(k + 2)
+        for _ in range(2):
+            step = basis[:k + 1] @ w
+            w -= step @ basis[:k + 1]
+            h[:k + 1] += step
+        h[k + 1] = last = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = math.hypot(h[k], h[k + 1])
+        c, s = h[k] / rho, h[k + 1] / rho
+        rotations.append((c, s))
+        h[k] = rho
+        columns.append(h[:k + 1])
+        g[k:] = [c * g[k], -s * g[k]]
+        if abs(g[-1]) <= KRYLOV_TOL * beta or not last > KRYLOV_TOL * scale:
+            break
+        if k + 1 == len(basis):
+            basis = np.concatenate((basis, np.empty((KRYLOV_BLOCK, b.size))))
+        basis[k + 1] = w / last
+    y = np.array(g[:-1])
+    for j in reversed(range(y.size)):  # back substitution, column by column
+        y[j] /= columns[j][j]
+        y[:j] -= y[j] * columns[j][:j]
+    return y @ basis[:y.size], y.size
+
+
 def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
-    """mu of (I - N) mu = -M gamma, its sup-norm residual and the CGLS
-    iteration count.
+    """mu of (I - N) mu = -M gamma, its sup-norm residual and the solver's
+    count: GMRES products, or CGLS iterations of two products each.
 
     The continuous equation is solvable for every gamma; a residual above
     tol_solve times max(1, sup|gamma|) therefore signals discretization
-    failure, not theory failure.  When I - N has a null space
-    (negative-index coefficients) mu is the minimal-norm least-squares
-    solution.
+    failure, not theory failure.  The indices decide the solver: GMRES
+    when I - N is invertible, CGLS when it has a null space
+    (negative-index coefficients), where mu is the minimal-norm
+    least-squares solution.
     """
     rhs = -apply_M(ops, gamma)
-    mu, iterations = _cgls(ops.N, rhs)
+    solver = _cgls if ops.index.dim_null_I_minus_N > 0 else _gmres
+    mu, iterations = solver(ops.N, rhs)
     residual = _sup(mu - ops.apply_N(mu) - rhs)
     allowed = tol_solve * max(1.0, _sup(gamma))
     if not residual <= allowed:

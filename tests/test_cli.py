@@ -336,7 +336,7 @@ class TestRankDecisionWithoutSVD:
 
 
 class TestMatrixFreeSolve:
-    """CGLS applies N and N^T only: no solve path forms or factors I - N."""
+    """GMRES applies N, CGLS N and N^T: no solve path forms or factors I - N."""
 
     @staticmethod
     def _dense_counters(monkeypatch):
@@ -363,6 +363,22 @@ class TestMatrixFreeSolve:
         if command != "eval-field":
             iterations = json.loads((out / "diagnostics.json").read_text())["solver_iterations"]
             assert isinstance(iterations, int) and 0 < iterations <= 60
+
+    @pytest.mark.parametrize("command, extra, solver", [
+        ("solve-dirichlet", [], "gmres"),
+        ("solve-rhp", ["--coeff", "coeff.json"], "cgls"),
+    ], ids=["regular", "minimal-norm"])
+    def test_diagnostics_name_the_solver(self, inputs, tmp_path, command, extra, solver):
+        # GMRES counts products; CGLS counts iterations of two products each
+        out = tmp_path / "o"
+        rc = _run([command, "--region", inputs / "region.json", "--data",
+                   inputs / "data.json", "--n", 64, "--out", out,
+                   *[inputs / e if e.endswith(".json") else e for e in extra]])
+        assert rc == 0
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["solver"] == solver
+        assert diagnostics.get("minimal_norm", False) == (solver == "cgls")
+        assert 0 < diagnostics["solver_iterations"] <= 30
 
     def test_library_solves_form_no_dense_system(self, three_circles, grid64,
                                                  monkeypatch):

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,9 @@ from gnk.geometry import (
 )
 from gnk.kernels import BoundaryJet
 from helpers import central_difference, lattice16, perturbed_circle, sampled_validate_region
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from make_gallery import FILES  # noqa: E402
 
 
 class TestCurveJet:
@@ -265,6 +270,54 @@ class TestDiscScreening:
         # up to six terms, where the relative slack underflows to 0
         assert np.abs(eta - c).max() <= (r + 1e-3 * DISC_SLACK * (abs(c) + r)
                                          + 16 * math.ulp(0.0))
+
+
+def _assert_exact_gaps(region: Region, grid: ParamGrid) -> None:
+    """The simple[k] and disjoint[j,k] margins equal the minima of the full
+    complex-abs table of sample distances, bit for bit."""
+    samples = [curve.jet(grid.nodes)[0] for curve in region.curves]
+    exact = {}
+    for j, a in enumerate(samples):
+        for k in range(j, region.m):
+            table = np.abs(a[:, None] - samples[k][None, :])
+            if j == k:
+                np.fill_diagonal(table, np.inf)
+            exact[f"simple[{j}]" if j == k else f"disjoint[{j},{k}]"] = float(table.min())
+    margins = {c.name: c.margin for c in validate_region(region, grid).checks}
+    assert {name: margins[name] for name in exact} == exact
+
+
+class TestExactGaps:
+    """validate_region screens sample pairs by squared distance and takes the
+    complex abs of the nearest only; every gap equals the full table's."""
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("case", [
+        "three_circles", "perturbed_gallery", "mixed_gallery", "lattice16",
+        "region_circles.json", "region_mixed.json", "region_close.json",
+        "close-pair-far-out", "close-pair-tiny"])
+    def test_gallery_gaps_equal_exact_table(self, case, n, request):
+        far, tiny = 1e5 + 1e5j, 1e-4
+        region = {
+            "lattice16": lattice16,
+            "close-pair-far-out": lambda: Region.from_curves(
+                [ellipse(far + 2 + 1.5j, 3.0, 0.4), circle(far + 2 + 2.7j, 0.5)]),
+            "close-pair-tiny": lambda: Region.from_curves(
+                [ellipse(tiny * (2 + 1.5j), tiny * 3.0, tiny * 0.4),
+                 circle(tiny * (2 + 2.7j), tiny * 0.5)]),
+        }.get(case, lambda: (load_region(FILES[case]) if case.endswith(".json")
+                             else request.getfixturevalue(case)))()
+        _assert_exact_gaps(region, ParamGrid(n))
+
+    @given(st.floats(-6.0, 6.0), st.complex_numbers(max_magnitude=1e6),
+           st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.complex_numbers(max_magnitude=4.0))
+    @settings(max_examples=60, deadline=None)
+    def test_random_pairs_equal_exact_table(self, power, offset, a, b, centre):
+        # any scale and offset, curves apart, touching or crossing
+        scale = 10.0**power
+        region = Region.from_curves([ellipse(offset, scale * a, scale * b),
+                                     circle(offset + scale * centre, scale * 0.7)])
+        _assert_exact_gaps(region, ParamGrid(64))
 
 
 class TestRegion:

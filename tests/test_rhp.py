@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnk import coefficient
+from gnk import coefficient, rhp
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import NULLITY_TOL, apply_M, assemble_N
 from gnk.dirichlet import indicator_basis
@@ -15,8 +15,10 @@ from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet
 from gnk.rhp import (
     DEFAULT_SOLVE_TOL,
+    KRYLOV_MAX_ITER,
     PROBE_BLOCK,
     _cgls,
+    _gmres,
     cauchy_eval,
     compute_h,
     field_pass,
@@ -116,16 +118,18 @@ class TestCGLSAgainstDenseOracles:
         "circles-one", "mixed-power-minus-1", "lattice16-one", "circles-power-plus-1",
         "ellipse10-one", "ellipse30-one", "gap005-power-minus-1"])
     def test_matches_dense_solve(self, case, three_circles, mixed_gallery):
-        # CGLS squares cond(I - N): the eccentric ellipse needs more iterations
+        # the count grows with cond(I - N): the eccentric ellipse needs more;
+        # the regular bounds are the measured GMRES products, the
+        # minimal-norm one bounds CGLS iterations
         region, coeff, n, null, most = {
-            "circles-one": (three_circles, One(), 128, 0, 60),
-            "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 128, 0, 60),
-            "lattice16-one": (lattice16(), One(), 32, 0, 60),
+            "circles-one": (three_circles, One(), 128, 0, 10),
+            "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 128, 0, 11),
+            "lattice16-one": (lattice16(), One(), 32, 0, 15),
             "circles-power-plus-1": (three_circles, ShiftedPower(CENTERS[2], 1), 64, 1, 60),
-            "ellipse10-one": (_ellipse_and_circle(10.0), One(), 256, 0, 60),
-            "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512, 0, 100),
+            "ellipse10-one": (_ellipse_and_circle(10.0), One(), 256, 0, 20),
+            "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512, 0, 28),
             "gap005-power-minus-1": (_close_circles(0.05), ShiftedPower(3.0 + 1.025j, -1),
-                                     256, 0, 60),
+                                     256, 0, 22),
         }[case]
         ops = assemble_N(region, coeff, ParamGrid(n))
         gamma = band_limited(np.random.default_rng(21), region.m, n, band=6)
@@ -187,6 +191,67 @@ class TestCGLSAgainstDenseOracles:
             assert residual >= 1e-3 * np.abs(U[:, -1]).max() * 0.99
         else:
             assert residual <= 1e-12
+
+
+class TestGMRES:
+    """The regular path: GMRES on I - N, one product with N per step."""
+
+    def test_index_picks_the_solver(self, three_circles, grid64, monkeypatch):
+        gamma = band_limited(np.random.default_rng(21), 3, 64, band=6)
+        regular, minimal = (assemble_N(three_circles, coeff, grid64)
+                            for coeff in (One(), ShiftedPower(CENTERS[2], 1)))
+        gmres = count_calls(monkeypatch, rhp, "_gmres")
+        cgls = count_calls(monkeypatch, rhp, "_cgls")
+        assert not solve_rhp(regular, gamma).diagnostics.minimal_norm
+        assert (len(gmres), len(cgls)) == (1, 0)
+        assert solve_rhp(minimal, gamma).diagnostics.minimal_norm
+        assert (len(gmres), len(cgls)) == (1, 1)
+
+    @pytest.mark.parametrize("rank", [1, 3, 8])
+    def test_identity_plus_rank_r_takes_r_plus_1_products(self, rank):
+        # b and the range of U V^T span every Krylov space of I + U V^T
+        rng = np.random.default_rng(rank)
+        size = 300
+        U, V = rng.standard_normal((size, rank)), rng.standard_normal((size, rank))
+        N = -(U @ V.T) / size
+        b = rng.standard_normal(size)
+        x, products = _gmres(N, b)
+        assert products <= rank + 1
+        oracle = np.linalg.solve(np.eye(size) - N, b)
+        assert np.abs(x - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_no_product_without_finite_data(self, gallery_ops, monkeypatch):
+        products = []
+        inner = rhp._gmres
+
+        def spy(N, b):
+            x, count = inner(N, b)
+            products.append(count)
+            return x, count
+
+        monkeypatch.setattr(rhp, "_gmres", spy)
+        gamma = np.zeros(gallery_ops.size)
+        assert np.abs(solve_rhp(gallery_ops, gamma).mu).max() == 0.0
+        gamma[5] = np.nan
+        with pytest.raises(InconsistentSystem):
+            solve_rhp(gallery_ops, gamma)
+        assert products == [0, 0]
+
+    def test_basis_grows_with_products_not_the_cap(self):
+        # N = 4096: a basis or Hessenberg sized to KRYLOV_MAX_ITER would
+        # alone take 16 MB and 2 MB
+        ops = assemble_N(lattice16(), One(), ParamGrid(256))
+        gamma = band_limited(np.random.default_rng(21), 16, 256, band=6)
+        tracemalloc.start()
+        try:
+            solution = solve_rhp(ops, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        products = solution.diagnostics.iterations
+        assert not solution.diagnostics.minimal_norm
+        assert 0 < products < KRYLOV_MAX_ITER
+        assert peak < 16 * ops.size * (products + 8)
 
 
 class TestComputeH:
