@@ -20,10 +20,9 @@ import numpy as np
 from gnk import dirichlet, discrete, mobius, rhp
 from gnk.coefficient import One, index_of, load_coefficient
 from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem, TooCloseToBoundary
-from gnk.geometry import (ParamGrid, _require_finite, _turns_about_points, load_region,
-                          validate_region)
+from gnk.geometry import (TWO_PI, ParamGrid, _require_finite, _turns_about_points,
+                          load_region, validate_region)
 
-TWO_PI = 2.0 * np.pi
 # Mobius kernel differences are roundoff in entries as large as
 # max(1, max|M + iN|), so this bound applies relative to that scale.
 TOL_INVARIANCE = 1e-12
@@ -114,7 +113,6 @@ def run_solve(args, mode: str) -> int:
         "ie_residual": solution.diagnostics.ie_residual,
         "s_minus_residuals": [solution.diagnostics.h_plus_residual,
                               solution.diagnostics.h_companion_residual],
-        "solver": "cgls" if solution.diagnostics.minimal_norm else "gmres",
         "solver_iterations": solution.diagnostics.iterations,
         # predicted from the indices; verify measures them
         "nullity_I_minus_N": index.dim_null_I_minus_N,

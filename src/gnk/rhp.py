@@ -8,12 +8,12 @@ and dividing, f+ = (gamma + h + i mu) / A, yields boundary values of a
 function analytic in the unbounded region with f(inf) = 0; h absorbs
 exactly the part of gamma that no such function can attain, and it lies
 in the span of boundary values coming from the holes.  The solve applies
-the stored N to vectors and never forms I - N; the indices pick the
-Krylov solver, GMRES when I - N is invertible and CGLS's minimal-norm
-solution when it is not.  The solve and everything after it read A, the
-indices and the boundary from the operators: the Cauchy integral over
-``ops.jet`` extends the solution off the boundary, and the hole-side
-Plemelj value tests attainability.
+the stored N to vectors and never forms I - N: GMRES runs for every A,
+and where the indices predict a null space of I - N, mu is the solution
+in the range of I - N, the one GMRES reaches from mu = 0.  The solve and
+everything after it read A, the indices and the boundary from the
+operators: the Cauchy integral over ``ops.jet`` extends the solution off
+the boundary, and the hole-side Plemelj value tests attainability.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import coefficient as coefficient_mod
-from gnk.discrete import NULLITY_TOL, DiscreteOperators, apply_M
+from gnk.discrete import DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_array,
                           _json_number, _json_object, _parse_json_source,
@@ -33,12 +33,10 @@ from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_
 from gnk.kernels import BoundaryJet
 
 DEFAULT_SOLVE_TOL = 1e-10
-# Both Krylov solves start at mu = 0 and stop when their residual measure,
-# ||r|| for GMRES and ||(I - N)^T r|| for CGLS, falls to KRYLOV_TOL times its
-# start, or after KRYLOV_MAX_ITER steps: GMRES products, or CGLS iterations
-# of two products each.  The counts grow with cond(I - N), which CGLS
-# squares, not with n: 9-16 products and 14-30 iterations on well-separated
-# holes (the README has the table).
+# GMRES starts at mu = 0 and stops when ||r|| falls to KRYLOV_TOL ||b||, or
+# after KRYLOV_MAX_ITER products with N.  The count grows with the
+# conditioning of I - N on its range, not with n: 9-16 products on
+# well-separated holes, 71-112 at a/b = 300 (the README has the table).
 KRYLOV_TOL = 1e-15
 KRYLOV_MAX_ITER = 500
 # The GMRES basis grows by this many vectors, so its memory follows the
@@ -55,6 +53,9 @@ def _sup(x) -> float:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """Residuals of the solve; minimal_norm says that the indices predict a
+    null space of I - N, where mu is the range-space solution."""
+
     ie_residual: float
     h_plus_residual: float
     h_companion_residual: float
@@ -73,43 +74,8 @@ class RHSolution:
     diagnostics: SolveDiagnostics
 
 
-def _cgls(N: np.ndarray, b: np.ndarray):
-    """Minimal-norm least-squares x of (I - N) x = b, and the iteration count.
-
-    CG on the normal equations from x = 0 keeps x in the row space of I - N,
-    so x is the solution when I - N is invertible and lstsq's minimal-norm
-    one when it is not.  One product with N and one with N^T per iteration;
-    a non-finite b stops it at once, leaving x = 0 for the residual gate.
-    Besides KRYLOV_TOL it stops once ||A^T r|| <= NULLITY_TOL ||A|| ||r||
-    (A = I - N, ||A|| the largest ||A p|| / ||p|| met): what is left of r
-    then lies along singular directions below NULLITY_TOL ||A||, which
-    lstsq with rcond=NULLITY_TOL drops too, so CGLS never inverts them.
-    """
-    x = np.zeros_like(b)
-    r = b.copy()
-    s = r - N.T @ r
-    p = s.copy()
-    norm2 = s @ s
-    stop = KRYLOV_TOL**2 * norm2
-    norm_A2 = 0.0
-    iterations = 0
-    while (iterations < KRYLOV_MAX_ITER
-           and norm2 > max(stop, NULLITY_TOL**2 * norm_A2 * (r @ r))):
-        q = p - N @ p
-        qq = q @ q
-        norm_A2 = max(norm_A2, qq / (p @ p))
-        alpha = norm2 / qq
-        x += alpha * p
-        r -= alpha * q
-        s = r - N.T @ r
-        norm2, previous = s @ s, norm2
-        p = s + (norm2 / previous) * p
-        iterations += 1
-    return x, iterations
-
-
 def _gmres(N: np.ndarray, b: np.ndarray):
-    """x of (I - N) x = b for an invertible I - N, and the products with N.
+    """x of (I - N) x = b, and the products with N.
 
     Arnoldi on I - N from x = 0 (Saad & Schultz 1986) orthogonalizes each
     new Krylov vector against the basis twice, as discrete._new_block does;
@@ -117,8 +83,10 @@ def _gmres(N: np.ndarray, b: np.ndarray):
     the residual norm of the current iterate without a solve.  It stops
     once that falls to KRYLOV_TOL ||b||, at a breakdown (the new vector
     vanishes, so the Krylov space holds x), or after KRYLOV_MAX_ITER
-    products.  A zero or non-finite b returns x = 0 after 0 products, for
-    the residual gate to decide.
+    products.  From x = 0 every iterate lies in the Krylov space of b, so
+    for a singular I - N and b in its range, x is the solution in that
+    range (Brown & Walker 1997).  A zero or non-finite b returns x = 0
+    after 0 products, for the residual gate to decide.
     """
     beta = float(np.linalg.norm(b))
     if not 0.0 < beta < math.inf:
@@ -156,19 +124,15 @@ def _gmres(N: np.ndarray, b: np.ndarray):
 
 
 def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
-    """mu of (I - N) mu = -M gamma, its sup-norm residual and the solver's
-    count: GMRES products, or CGLS iterations of two products each.
+    """mu of (I - N) mu = -M gamma, its sup-norm residual and the GMRES
+    products.
 
     The continuous equation is solvable for every gamma; a residual above
     tol_solve times max(1, sup|gamma|) therefore signals discretization
-    failure, not theory failure.  The indices decide the solver: GMRES
-    when I - N is invertible, CGLS when it has a null space
-    (negative-index coefficients), where mu is the minimal-norm
-    least-squares solution.
+    failure, not theory failure.
     """
     rhs = -apply_M(ops, gamma)
-    solver = _cgls if ops.index.dim_null_I_minus_N > 0 else _gmres
-    mu, iterations = solver(ops.N, rhs)
+    mu, iterations = _gmres(ops.N, rhs)
     residual = _sup(mu - ops.apply_N(mu) - rhs)
     allowed = tol_solve * max(1.0, _sup(gamma))
     if not residual <= allowed:
