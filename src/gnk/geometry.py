@@ -30,6 +30,7 @@ MIN_SPEED = 1e-6
 MIN_DISTANCE = 1e-6
 MAX_DOUBLINGS = 14  # grid doublings before winding_number gives up
 POLYGON_NODES = 512  # per curve, for validation's and the hole mask's turn counts
+POLYGON_BLOCK = 2**16  # point-node pairs per block of those turn counts
 # relative allowance for the rounding of sampled eta when an enclosing disc
 # decides a check; it only sends near-tangent cases to the sampled test
 DISC_SLACK = 1e-9
@@ -236,12 +237,18 @@ def _turns_about_points(curve: Curve, points: np.ndarray) -> np.ndarray:
     """Approximate winding of the curve about many points at once.
 
     No refinement: points close to the curve give unreliable turn counts,
-    which callers must screen with a distance check first.
+    which callers must screen with a distance check first.  Points go in
+    blocks of POLYGON_BLOCK point-node pairs.
     """
     eta = curve.jet(np.arange(POLYGON_NODES) * (TWO_PI / POLYGON_NODES))[0]
-    w = eta[None, :] - np.asarray(points, dtype=complex)[:, None]
-    steps = np.angle(np.roll(w, -1, axis=1) / w)
-    return np.nan_to_num(steps.sum(axis=1) / TWO_PI, nan=0.5)
+    points = np.asarray(points, dtype=complex)
+    turns = np.empty(points.size)
+    rows = POLYGON_BLOCK // POLYGON_NODES
+    for start in range(0, points.size, rows):
+        w = eta[None, :] - points[start:start + rows, None]
+        steps = np.angle(np.roll(w, -1, axis=1) / w)
+        turns[start:start + rows] = steps.sum(axis=1) / TWO_PI
+    return np.nan_to_num(turns, nan=0.5)
 
 
 def _winding_check(name: str, curve: Curve, z: complex, expected: int,

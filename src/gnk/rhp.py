@@ -42,9 +42,13 @@ KRYLOV_MAX_ITER = 500
 # The GMRES basis grows by this many vectors, so its memory follows the
 # products taken, not the cap.
 KRYLOV_BLOCK = 8
-# Probe-node pairs per block of the field pass.  Two complex temporaries of
-# this many entries are all it holds beyond its O(probes) outputs.
+# Probe-node pairs per block of the field pass, shared by the m curves; a
+# few temporaries of PROBE_BLOCK / m entries are all it holds beyond its
+# O(probes) outputs.  Beyond FAR_RHO radii a curve's far field is FAR_TERMS
+# Laurent terms, truncated below 1e-16 relative.
 PROBE_BLOCK = 2**19
+FAR_RHO = 2.0
+FAR_TERMS = math.ceil(math.log(1e16) / math.log(FAR_RHO))
 
 
 def _sup(x) -> float:
@@ -177,27 +181,51 @@ def near_boundary_band(jet: BoundaryJet) -> float:
 
 
 def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
-    """Cauchy sum f, nearest-node distance dist and per-curve turns at z.
+    """Cauchy sum f, boundary distance dist and per-curve turns at z.
 
     f is the trapezoidal Cauchy integral of (gamma + i mu)/A; turns[p, k] is
     the same sum of 1 over curve k, its winding number about z[p] (-1 inside
-    the hole), exact to rounding off the near-boundary band.  Probes go in
-    blocks of PROBE_BLOCK probe-node pairs, so memory is bounded in their count.
+    the hole), exact to rounding off the near-boundary band.  Curve k lies
+    within r_k of a_k, the mean of its nodes.  Where gap = |z - a_k| - r_k
+    exceeds max((FAR_RHO - 1) r_k, band), curve k's sums are its Laurent
+    series -sum_p c_p / (z - a_k)^(p+1), c_p = sum_j d_j (eta_j - a_k)^p
+    (Greengard & Rokhlin 1987), and gap bounds its distance; elsewhere they
+    sum its nodes.  So dist is exact below the band and at least the band
+    above it.  Probes go in blocks of PROBE_BLOCK / m pairs per curve.
     """
-    density = (np.asarray(gamma) + 1j * np.asarray(mu)) / jet.coeff
-    density = density * jet.eta_d * (jet.weight / (2j * math.pi))
     unit = jet.eta_d * (jet.weight / (2j * math.pi))
+    density = (np.asarray(gamma) + 1j * np.asarray(mu)) / jet.coeff * unit
+    sources = np.stack([density, unit], axis=1).reshape(jet.m, jet.n, 2)
     z = np.asarray(z, dtype=complex).ravel()
-    f = np.empty(z.size, dtype=complex)
-    dist = np.empty(z.size)
+    f = np.zeros(z.size, dtype=complex)
+    dist = np.full(z.size, np.inf)
     turns = np.empty((z.size, jet.m))
     rows = max(1, PROBE_BLOCK // jet.size)
-    for start in range(0, z.size, rows):
-        block = slice(start, start + rows)
-        diff = jet.eta[None, :] - z[block, None]
-        dist[block] = np.abs(diff).min(axis=1)
-        f[block] = (density / diff).sum(axis=1)
-        turns[block] = (unit / diff).real.reshape(-1, jet.m, jet.n).sum(axis=2)
+    for k, eta in enumerate(jet.eta.reshape(jet.m, jet.n)):
+        centre = eta.mean()
+        radius = float(np.abs(eta - centre).max())
+        reach = max((FAR_RHO - 1.0) * radius, near_boundary_band(jet))
+        # moments of the powers scaled by r_k^-p, so none overflows or underflows
+        powers = np.vander((eta - centre) / radius, FAR_TERMS, increasing=True)
+        moments = (powers.T @ sources[k])[::-1, :, None]
+        for start in range(0, z.size, rows):
+            block = slice(start, start + rows)
+            offset = z[block] - centre
+            gap = np.abs(offset) - radius
+            far = gap > reach
+            diff = eta[None, :] - z[block][~far, None]
+            gap[~far] = np.abs(diff).min(axis=1)
+            dist[block] = np.minimum(dist[block], gap)
+            sums = np.empty((gap.size, 2), dtype=complex)
+            sums[~far] = np.reciprocal(diff, out=diff) @ sources[k]
+            ratio = radius / offset[far]
+            series = np.zeros((2, ratio.size), dtype=complex)
+            for c in moments:  # Horner's rule in r_k / (z - a_k)
+                series *= ratio
+                series += c
+            sums[far] = (series / -offset[far]).T
+            f[block] += sums[:, 0]
+            turns[block, k] = sums[:, 1].real
     return f, dist, turns
 
 

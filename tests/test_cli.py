@@ -487,9 +487,18 @@ def _dense_reference_csv(region, grid, gamma, points) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _field_columns(text: str):
+    """x, y and in_band_flag of field.csv as text, and u with NaN in holes."""
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    return ([(x, y, flag) for x, y, _, flag in rows],
+            np.array([float(u) if u else np.nan for _, _, u, _ in rows]))
+
+
 class TestFieldPassReference:
-    """eval-field matches the dense former path byte for byte, and sends
-    only probes inside the band to the polygon hole mask."""
+    """eval-field matches the dense former path: x, y and the flags byte for
+    byte, u to the rounding of the per-curve summation order (8.9e-16
+    relative measured, |u| <= 2.4).  Only probes inside the band reach the
+    polygon hole mask."""
 
     @pytest.mark.parametrize("region_json", [REGION, MIXED_REGION],
                              ids=["circles", "mixed"])
@@ -526,7 +535,12 @@ class TestFieldPassReference:
                    "--data", tmp_path / "data.json", "--n", n, "--out", out,
                    "--field-grid=0,0,1,0,0,1"])
         assert rc == 0
-        assert (out / "field.csv").read_bytes() == expected
+        text, u = _field_columns((out / "field.csv").read_text())
+        expected_text, expected_u = _field_columns(expected.decode())
+        assert text == expected_text
+        assert np.array_equal(np.isnan(u), np.isnan(expected_u))
+        scale = np.maximum(1.0, np.abs(expected_u))
+        assert np.nanmax(np.abs(u - expected_u) / scale) <= 1e-13
         assert {"hole", "band"} <= {line.rsplit(",", 1)[1]
                                    for line in expected.decode().splitlines()[1:]}
         # the polygon mask sees exactly the probes inside the band

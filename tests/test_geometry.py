@@ -24,7 +24,8 @@ from gnk.geometry import (
     winding_of_point,
 )
 from gnk.kernels import BoundaryJet
-from helpers import central_difference, lattice16, perturbed_circle, sampled_validate_region
+from helpers import (central_difference, lattice16, perturbed_circle, sampled_validate_region,
+                     traced_peak)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from make_gallery import FILES  # noqa: E402
@@ -125,6 +126,17 @@ class TestWinding:
         c = circle(1.0 + 1.0j, 1.5)
         z = (1.0 + 1.0j) + t * 1.5 * np.exp(1j * angle)
         assert winding_of_point(c, z, 64) == 0
+
+    @pytest.mark.parametrize("count", [10**3, 10**4])
+    def test_polygon_turns_peak_bounded_in_point_count(self, count):
+        # a block holds the differences, their shift and their ratio, 48
+        # bytes for each of POLYGON_BLOCK pairs, beyond the 8-byte counts;
+        # 10^4 points in one block would hold 82 MB of differences alone.
+        # The untraced first call takes the allocations numpy makes once.
+        points = np.random.default_rng(3).uniform(-3.0, 3.0, (count, 2)) @ [1.0, 1j]
+        geometry._turns_about_points(circle(0.0, 1.0), points[:1])
+        peak = traced_peak(lambda: geometry._turns_about_points(circle(0.0, 1.0), points))
+        assert peak - 8 * count <= 64 * geometry.POLYGON_BLOCK
 
 
 class TestParamGrid:

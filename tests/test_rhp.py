@@ -22,13 +22,14 @@ from gnk.rhp import (
     compute_h,
     field_pass,
     load_boundary_data,
+    near_boundary_band,
     plemelj_boundary,
     solve_rhp,
     verify_Sminus,
 )
 from conftest import CENTERS, POLE_AMPLITUDES, oracle_boundary, oracle_terms
 from helpers import (attainability_residual, band_limited, count_calls, lattice16,
-                     rational_values)
+                     rational_values, traced_peak)
 
 TWO_PI = 2.0 * np.pi
 
@@ -389,6 +390,33 @@ class TestCauchyEval:
         assert (region_samples, coeff_samples) == ([], [])
 
 
+def _dense_field(jet, gamma, mu, z):
+    """field_pass by the all-node sum: every probe against every node."""
+    unit = jet.eta_d * (jet.weight / (2j * np.pi))
+    diff = jet.eta[None, :] - z[:, None]
+    f = ((gamma + 1j * mu) / jet.coeff * unit / diff).sum(axis=1)
+    turns = (unit / diff).real.reshape(-1, jet.m, jet.n).sum(axis=2)
+    return f, np.abs(diff).min(axis=1), turns
+
+
+def _reach_probes(jet):
+    """Probes 1e-9 inside and outside each curve's reach at 64 angles, and
+    half a band off 16 nodes of each curve on both sides."""
+    angles = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    band = near_boundary_band(jet)
+    probes = []
+    for k, eta in enumerate(jet.eta.reshape(jet.m, jet.n)):
+        centre = eta.mean()
+        radius = np.abs(eta - centre).max()
+        reach = max((rhp.FAR_RHO - 1.0) * radius, band)
+        for side in (1.0 - 1e-9, 1.0 + 1e-9):
+            probes.append(centre + (radius + side * reach) * angles)
+        nodes = slice(k * jet.n, (k + 1) * jet.n, max(1, jet.n // 16))
+        offset = 0.5j * band * jet.eta_d[nodes] / np.abs(jet.eta_d[nodes])
+        probes += [jet.eta[nodes] + offset, jet.eta[nodes] - offset]
+    return np.concatenate(probes)
+
+
 class TestFieldPass:
     def test_turns_are_winding_numbers(self, three_circles, grid128):
         jet = BoundaryJet.from_region(three_circles, One(), grid128)
@@ -399,25 +427,45 @@ class TestFieldPass:
         expected = np.vstack([-np.eye(3), np.zeros((2, 3))])
         assert np.abs(turns - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("gallery, n", [
+        ("circles", 8), ("circles", 256), ("mixed", 8), ("mixed", 256),
+        ("ab10", 1024), ("ab100", 1024)])
+    def test_far_field_matches_dense_sum(self, three_circles, mixed_gallery, gallery, n):
+        # at n = 8 the band exceeds (FAR_RHO - 1) r_k and sets the reach;
+        # "ab" places an ellipse of that aspect ratio beside a circle
+        if gallery.startswith("ab"):
+            region = Region.from_curves([ellipse(0.0, 1.0, 1.0 / float(gallery[2:])),
+                                         circle(2.5 + 0.5j, 0.5)])
+        else:
+            region = {"circles": three_circles, "mixed": mixed_gallery}[gallery]
+        jet = BoundaryJet.from_region(region, One(), ParamGrid(n))
+        rng = np.random.default_rng(n)
+        gamma, mu = rng.normal(size=jet.size), rng.normal(size=jet.size)
+        z = _reach_probes(jet)
+        f, dist, turns = field_pass(jet, gamma, mu, z)
+        f_ref, dist_ref, turns_ref = _dense_field(jet, gamma, mu, z)
+        assert np.all(np.abs(f - f_ref) <= 1e-14 * np.maximum(1.0, np.abs(f_ref)))
+        assert np.all(np.abs(turns - turns_ref) <= 1e-14 * np.maximum(1.0, np.abs(turns_ref)))
+        band = near_boundary_band(jet)
+        assert np.array_equal(dist < band, dist_ref < band)
+        assert np.array_equal(dist[dist_ref < band], dist_ref[dist_ref < band])
+
     def test_peak_memory_bounded_in_probe_count(self, three_circles):
-        # N = 768: the block temporaries (two complex, one more for slack)
-        # plus the O(P) outputs f, dist and turns bound the peak
+        # N = 768: beyond the O(P) outputs f, dist and turns, the peak is one
+        # curve's near block, 24 bytes (a difference and its modulus) for
+        # each of at most PROBE_BLOCK / m pairs, plus below 1 MiB of block
+        # vectors and moments, whatever the probe count (3.0 MB measured);
+        # a temporary of 16 bytes per probe breaks that at 450^2 probes
         jet = BoundaryJet.from_region(three_circles, One(), ParamGrid(256))
         rng = np.random.default_rng(5)
         gamma, mu = rng.normal(size=jet.size), rng.normal(size=jet.size)
-        peaks = []
-        for side in (50, 150):
+        for side in (50, 150, 450):
             x = np.linspace(-6.0, 6.0, side)
             z = (x[None, :] + 1j * x[:, None]).ravel()
-            tracemalloc.start()
-            try:
-                field_pass(jet, gamma, mu, z)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 3 * 16 * PROBE_BLOCK + z.size * (16 + 8 + 8 * jet.m)
-            peaks.append(peak)
-        assert peaks[1] <= 1.1 * peaks[0]
+            outputs = z.size * (16 + 8 + 8 * jet.m)
+            peak = traced_peak(lambda: field_pass(jet, gamma, mu, z))
+            assert peak <= 3 * 16 * PROBE_BLOCK + outputs
+            assert peak - outputs <= 24 * PROBE_BLOCK // jet.m + 2**20
 
 
 class TestPlemelj:
