@@ -29,7 +29,6 @@ from gnk.discrete import (
     DiscreteOperators,
     apply_M,
     assemble_N,
-    conjugate_periodic,
     nullity,
     operator_identity_residuals,
     weighted_kernels,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -165,6 +166,8 @@ def _nullity_entry(report, predicted: int) -> dict:
 
 
 def run_verify(args) -> int:
+    if not 0.0 <= args.tol_identity < math.inf:
+        raise ValueError(f"--tol-identity must be finite and >= 0, got {args.tol_identity!r}")
     region, grid, coeff, _ = _load_inputs(args, need_data=False)
     ops = discrete.assemble_N(region, coeff, grid)
     index = ops.index

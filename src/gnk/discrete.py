@@ -1,18 +1,17 @@
 """Nystrom discretization of the boundary integral operators.
 
 The Fredholm operator with the generalized Neumann kernel becomes the dense
-matrix of trapezoidal weights w N(s_i, t_j).  The singular companion
-operator is applied through the cotangent splitting: the principal-value
-part is the periodic conjugation, realized spectrally as the Fourier
-multiplier -i sgn(p) (zero at p = 0 and at the unmatched Nyquist mode),
-and the smooth remainder goes through the same trapezoidal rule.  Both
-operators are real-linear; complex inputs are processed componentwise:
-the real and imaginary parts go through one real matrix product together,
-so no complex copy of a matrix is ever made.
+matrix of trapezoidal weights w N(s_i, t_j), and the singular companion
+operator one dense matrix too, by the cotangent splitting: the smooth part
+goes through the same trapezoidal rule, the periodic conjugation through
+Wittich's alternate-point rule (Kress, Linear Integral Equations, 13.5),
+weights (2/n) cot((s_i - s_j)/2) at odd offsets i - j, exact on the
+resolved band.  Both operators are real-linear; complex inputs are
+processed componentwise: the real and imaginary parts go through one real
+matrix product together, so no complex copy of a matrix is ever made.
 
 Both matrices are filled from row blocks of the complex kernel, which the
-Mobius check walks too, so the stored N and M_smooth are the only N^2
-arrays.
+Mobius check walks too, so the stored N and M are the only N^2 arrays.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -28,7 +27,7 @@ import numpy as np
 
 from gnk.coefficient import IndexReport, index_of
 from gnk.errors import OddGridSize
-from gnk.geometry import TWO_PI, ParamGrid, Region
+from gnk.geometry import ParamGrid, Region
 from gnk.kernels import BoundaryJet
 
 # Kernel entries per row block: 2**18 is a 4 MB complex block, 64 rows at
@@ -52,45 +51,24 @@ NULLITY_MIN_DEPTH = 32
 DEFLATION_TOL = 1e-10
 
 
-def conjugate_periodic(samples: np.ndarray) -> np.ndarray:
-    """Conjugate the trigonometric interpolant of samples on a uniform grid.
-
-    Realizes the principal-value cotangent convolution
-    (1/(2 pi)) PV int cot((s - t)/2) phi(t) dt exactly on the represented
-    band: cos(p t) -> sin(p s), sin(p t) -> -cos(p s), constants -> 0.
-    The unmatched Nyquist coefficient is sent to zero, which keeps the
-    operator real and skew-symmetric on the sample space.  The grid runs
-    along the last axis, so each row of a 2-D array is one curve.
-    """
-    phi = np.asarray(samples)
-    n = phi.shape[-1]
-    if n % 2 != 0:
-        raise OddGridSize(f"conjugation needs an even grid, got {n}")
-    freq = np.fft.fftfreq(n, d=1.0 / n)
-    mult = -1j * np.sign(freq)
-    mult[n // 2] = 0.0
-    out = np.fft.ifft(np.fft.fft(phi) * mult)
-    return out if np.iscomplexobj(phi) else out.real
-
-
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Dense Nystrom operators for one (region, coefficient, grid) triple.
 
     ``jet`` is the sampled boundary, and it owns the grid: ``n``, ``size``
     and ``weight`` read it.  ``N`` holds the weighted generalized Neumann
-    matrix w N(s_i, t_j); ``M_smooth`` the weighted smooth companion part
-    (same-curve M1 blocks, cross-curve M blocks); :func:`apply_M` adds the
-    spectral conjugation.  ``index`` holds the indices of the coefficient,
-    which predict the nullities of I +- N.  Assembled operators are
-    immutable and safe to share; applications and solves are pure.
+    matrix w N(s_i, t_j); ``M`` the companion matrix: w M on cross-curve
+    blocks, w M1 minus the alternate-point conjugation on same-curve ones.
+    ``index`` holds the indices of the coefficient, which predict the
+    nullities of I +- N.  Assembled operators are immutable and safe to
+    share; applications and solves are pure.
     """
 
     region: Region
     coeff: object
     jet: BoundaryJet
     N: np.ndarray
-    M_smooth: np.ndarray
+    M: np.ndarray
     index: IndexReport
 
     @property
@@ -139,13 +117,20 @@ def _real_matmul(matrix: np.ndarray, phi) -> np.ndarray:
     return parts[..., 0] + 1j * parts[..., 1]
 
 
-def _cot_table(n: int, w: float) -> np.ndarray:
-    """w cot((s_i - s_j)/2) / (2 pi) at index i - j + n - 1, zero for i = j."""
-    half = np.arange(1 - n, n) * (math.pi / n)
+def _cot_table(n: int) -> np.ndarray:
+    """(-1)^(i-j) cot((s_i - s_j)/2) / n at index i - j + n - 1, zero for i = j.
+
+    w M plus this is w M1 (w M plus cot / n) minus the alternate-point rule
+    (2 cot / n at odd offsets)."""
+    if n % 2 != 0:
+        raise OddGridSize(f"the alternate-point rule needs an even grid, got {n}")
+    offset = np.arange(1 - n, n)
+    half = offset * (math.pi / n)
     half[n - 1] = math.pi / 2  # placeholder, cot = 0 there anyway
-    cot = np.cos(half) / np.sin(half)
+    cot = np.cos(half) / np.sin(half) / n
     cot[n - 1] = 0.0
-    return cot / TWO_PI * w
+    cot[offset % 2 == 1] *= -1.0
+    return cot
 
 
 def _weighted_blocks(jet: BoundaryJet):
@@ -155,15 +140,15 @@ def _weighted_blocks(jet: BoundaryJet):
     Yields (rows, cols, block, cot) per block of at most BLOCK_ENTRIES
     entries inside one curve, cols.  ``block`` is unweighted; the diagonal,
     the grid's only same-curve coincidence, takes the closed-form smooth
-    values.  ``cot`` is the weighted cotangent addition that turns w M into
-    w M1 on cols.  Each block is a fresh array that the consumer may
-    overwrite.  A consumer drops it (``del block``) before asking for the
-    next: a block it holds stays live while the next one is built, a third
-    block at the peak.
+    values.  ``cot`` is the signed cotangent table that turns w M into the
+    companion matrix on cols.  Each block is a fresh array that the
+    consumer may overwrite.  A consumer drops it (``del block``) before
+    asking for the next: a block it holds stays live while the next one is
+    built, a third block at the peak.
     """
     n = jet.n
     height = max(1, min(n, BLOCK_ENTRIES // jet.size))
-    cot = _cot_table(n, jet.weight)
+    cot = _cot_table(n)
     local = np.arange(n)
     diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
     for k in range(jet.m):
@@ -184,49 +169,42 @@ def _weighted_blocks(jet: BoundaryJet):
 
 
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted Nystrom matrices (w N, w M_smooth) of one sampled boundary.
+    """Nystrom matrices (w N, M) of one sampled boundary.
 
     Both real matrices fall out of one complex kernel evaluation over the
-    grid, row block by row block, so the companion's smooth part is kept
-    rather than recomputed and no complex N^2 array is made.
+    grid, row block by row block, with the conjugation folded into the
+    same-curve blocks of M, so no complex N^2 array is made.
     """
     n_matrix = np.empty((jet.size, jet.size))
-    m_smooth = np.empty_like(n_matrix)
+    m_matrix = np.empty_like(n_matrix)
     for rows, cols, block, cot in _weighted_blocks(jet):
         np.multiply(block.imag, jet.weight, out=n_matrix[rows])
-        np.multiply(block.real, jet.weight, out=m_smooth[rows])
+        np.multiply(block.real, jet.weight, out=m_matrix[rows])
         del block
-        m_smooth[rows, cols] += cot
-    return n_matrix, m_smooth
+        m_matrix[rows, cols] += cot
+    return n_matrix, m_matrix
 
 
 def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
-    """Assemble the weighted Neumann matrix (and the smooth companion part),
+    """Assemble the weighted Neumann matrix (and the companion matrix),
     with the indices of the coefficient: the one index computation for
     these operators."""
     jet = BoundaryJet.from_region(region, coeff, grid)
     index = index_of(coeff, region, grid)
-    n_matrix, m_smooth = weighted_kernels(jet)
+    n_matrix, m_matrix = weighted_kernels(jet)
     return DiscreteOperators(
         region=region,
         coeff=coeff,
         jet=jet,
         N=n_matrix,
-        M_smooth=m_smooth,
+        M=m_matrix,
         index=index,
     )
 
 
 def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
-    """Apply the discrete singular companion operator to flat samples.
-
-    Same-curve blocks combine minus the spectral conjugation with the
-    trapezoidal sum of the continuous remainder M1; cross-curve blocks are
-    plain trapezoidal sums of the smooth kernel.
-    """
-    phi = np.asarray(phi)
-    return _real_matmul(ops.M_smooth, phi) - conjugate_periodic(
-        phi.reshape(ops.m, ops.n)).reshape(phi.shape)
+    """Apply the discrete companion operator to samples of shape (N,) or (N, k)."""
+    return _real_matmul(ops.M, phi)
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):

@@ -18,7 +18,7 @@ class ZeroCoefficient(GnkError):
 
 
 class OddGridSize(GnkError):
-    """The spectral conjugation requires an even number of grid nodes."""
+    """The alternate-point conjugation rule requires an even number of grid nodes."""
 
 
 class DiagonalSingular(GnkError):

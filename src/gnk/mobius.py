@@ -73,11 +73,12 @@ def kernel_invariance_check(ops: discrete.DiscreteOperators) -> InvarianceReport
 
     The mapped jet goes through the assembly's row blocks, each weighted
     in place and compared with the same rows of ``ops``; the weighted
-    differences are divided by the weight to report kernel units.  The
-    block then holds the stored rows with the singular M, from which the
-    same pass reads the scale max(1, max|M + iN|).  The
-    identity is algebraic, so anything beyond roundoff indicates a bug in
-    the kernel evaluation rather than discretization error.
+    differences, in which the cotangent table cancels, are divided by the
+    weight to report kernel units.  The block then holds the stored rows
+    less the table, the singular M, from which the same pass reads the
+    scale max(1, max|M + iN|).  The identity is algebraic, so anything
+    beyond roundoff indicates a bug in the kernel evaluation rather than
+    discretization error.
     """
     diff_n = diff_m1 = largest = 0.0
     w = ops.weight
@@ -86,9 +87,9 @@ def kernel_invariance_check(ops: discrete.DiscreteOperators) -> InvarianceReport
         block.real[:, cols] += cot
         n_rows = ops.N[rows]
         diff_n = max(diff_n, float(np.abs(block.imag - n_rows).max()))
-        diff_m1 = max(diff_m1, float(np.abs(block.real - ops.M_smooth[rows]).max()))
+        diff_m1 = max(diff_m1, float(np.abs(block.real - ops.M[rows]).max()))
         m_rows = block.real  # the block's real part now takes the singular M
-        m_rows[...] = ops.M_smooth[rows]
+        m_rows[...] = ops.M[rows]
         m_rows[:, cols] -= cot
         largest = max(largest, float(np.hypot(m_rows, n_rows).max()))
         del block, m_rows

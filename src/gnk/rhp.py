@@ -160,6 +160,8 @@ def verify_Sminus(ops: DiscreteOperators, h: np.ndarray):
 def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
               tol_solve: float = DEFAULT_SOLVE_TOL) -> RHSolution:
     """Full pipeline: solve for mu, form h, f+ = (gamma + h + i mu) / A."""
+    if not 0.0 <= tol_solve < math.inf:
+        raise ValueError(f"tol_solve must be finite and >= 0, got {tol_solve!r}")
     gamma = np.asarray(gamma, dtype=float)
     mu, ie_residual, iterations = _solve(ops, gamma, tol_solve)
     h = compute_h(ops, gamma, mu)

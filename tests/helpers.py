@@ -1,7 +1,9 @@
 """Shared independent oracles and sample builders for the test suite.
 
 Everything here deliberately avoids the library's own evaluation paths:
-the alternate-point quadrature for the conjugation, brute-force argument
+the alternate-point quadrature and the spectral multiplier
+(``fft_conjugate``, the split apply that assembly replaced) for the
+conjugation folded into M, brute-force argument
 accumulation for windings, rational functions with poles in the holes
 as exactly known solutions, the dense SVD count of a nullity, the
 whole-matrix kernel builders that the row-block assembly replaced, and
@@ -27,7 +29,7 @@ import numpy as np
 
 from gnk.coefficient import One
 from gnk.dirichlet import solve_modified_dirichlet
-from gnk.discrete import NULLITY_TOL, assemble_N, conjugate_periodic
+from gnk.discrete import NULLITY_TOL, assemble_N
 from gnk.errors import NonConvergent, PointTooClose
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle, winding_of_point)
@@ -41,8 +43,8 @@ def wittich_apply(phi: np.ndarray) -> np.ndarray:
 
     Approximates (1/(2 pi)) PV int cot((s_i - t)/2) phi(t) dt using only
     the nodes of opposite parity, with weight 2 * (2 pi / n) each.  Exact
-    on the band resolved by the grid, which makes it an independent oracle
-    for the spectral conjugation.
+    on the band resolved by the grid; a loop over rows, written apart from
+    the table that assembly folds into M.
     """
     n = len(phi)
     assert n % 2 == 0
@@ -53,6 +55,22 @@ def wittich_apply(phi: np.ndarray) -> np.ndarray:
         mask = ((i - j) % 2) == 1
         out[i] = (2.0 / n) * np.sum(phi[mask] / np.tan((s[i] - s[mask]) / 2.0))
     return out
+
+
+def fft_conjugate(samples: np.ndarray) -> np.ndarray:
+    """Conjugate the trigonometric interpolant of samples on a uniform grid
+    by the Fourier multiplier -i sgn(p), zero at p = 0 and at the unmatched
+    Nyquist mode: cos(p t) -> sin(p s), sin(p t) -> -cos(p s).  The grid
+    runs along the last axis.  The spectral reference for the
+    alternate-point rule that assembly folds into M.
+    """
+    phi = np.asarray(samples)
+    n = phi.shape[-1]
+    freq = np.fft.fftfreq(n, d=1.0 / n)
+    mult = -1j * np.sign(freq)
+    mult[n // 2] = 0.0
+    out = np.fft.ifft(np.fft.fft(phi) * mult)
+    return out if np.iscomplexobj(phi) else out.real
 
 
 def brute_force_winding(values: np.ndarray) -> float:
@@ -245,7 +263,8 @@ def dense_complex_kernel(jet) -> np.ndarray:
 
 
 def dense_cot_addition(n: int) -> np.ndarray:
-    """cot((s_i - s_j)/2) / (2 pi) on n nodes, with zeros on the diagonal."""
+    """cot((s_i - s_j)/2) / (2 pi) on n nodes, with zeros on the diagonal:
+    M1 - M on a same-curve block."""
     idx = np.arange(n)
     half = (idx[:, None] - idx[None, :]) * (math.pi / n)
     np.fill_diagonal(half, math.pi / 2)  # placeholder, cot = 0 there anyway
@@ -254,37 +273,56 @@ def dense_cot_addition(n: int) -> np.ndarray:
     return cot / TWO_PI
 
 
+def dense_cot_table(n: int) -> np.ndarray:
+    """(-1)^(i-j) cot((s_i - s_j)/2) / n on n nodes, zeros on the diagonal,
+    by the per-entry arithmetic of the table assembly adds to w M."""
+    idx = np.arange(n)
+    offset = idx[:, None] - idx[None, :]
+    half = offset * (math.pi / n)
+    np.fill_diagonal(half, math.pi / 2)  # placeholder, cot = 0 there anyway
+    cot = np.cos(half) / np.sin(half) / n
+    np.fill_diagonal(cot, 0.0)
+    return np.where(offset % 2 == 1, -cot, cot)
+
+
+def _add_per_curve(matrix: np.ndarray, table: np.ndarray, m: int) -> np.ndarray:
+    """Add an n x n table to each of the m same-curve blocks, in place."""
+    n = len(table)
+    for k in range(m):
+        block = slice(k * n, (k + 1) * n)
+        matrix[block, block] += table
+    return matrix
+
+
 def dense_weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
-    """(w N, w M_smooth) from the whole complex kernel matrix."""
+    """(w N, M) from the whole complex kernel matrix, the signed cotangent
+    table added to each same-curve block."""
     complex_matrix = dense_complex_kernel(jet)
-    w = jet.weight
-    n_matrix = complex_matrix.imag * w
-    m_smooth = complex_matrix.real * w
-    add = dense_cot_addition(jet.n) * w
-    for k in range(jet.m):
-        block = slice(k * jet.n, (k + 1) * jet.n)
-        m_smooth[block, block] += add
-    return n_matrix, m_smooth
+    n_matrix = complex_matrix.imag * jet.weight
+    m_matrix = complex_matrix.real * jet.weight
+    return n_matrix, _add_per_curve(m_matrix, dense_cot_table(jet.n), jet.m)
+
+
+def dense_weighted_M1(jet) -> np.ndarray:
+    """The smooth companion matrix: w M1 on same-curve blocks, w M off them."""
+    m1 = dense_complex_kernel(jet).real * jet.weight
+    return _add_per_curve(m1, dense_cot_addition(jet.n) * jet.weight, jet.m)
 
 
 def conjugation_matrix(n: int) -> np.ndarray:
     """Dense circulant form of the spectral conjugation on n nodes."""
     impulse = np.zeros(n)
     impulse[0] = 1.0
-    column = conjugate_periodic(impulse)
+    column = fft_conjugate(impulse)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return column[idx]
 
 
 def assemble_M(ops) -> np.ndarray:
-    """Dense companion matrix: M_smooth minus the conjugation circulant on
-    each diagonal block; it must agree with ``apply_M``."""
-    full = ops.M_smooth.copy()
-    circulant = conjugation_matrix(ops.n)
-    for k in range(ops.m):
-        block = slice(k * ops.n, (k + 1) * ops.n)
-        full[block, block] -= circulant
-    return full
+    """Dense companion matrix by the cotangent splitting, apart from the
+    assembly: w M1 from the whole kernel minus the spectral conjugation
+    circulant on each same-curve block.  It must agree with ``ops.M``."""
+    return _add_per_curve(dense_weighted_M1(ops.jet), -conjugation_matrix(ops.n), ops.m)
 
 
 def sampled_validate_region(region: Region, grid: ParamGrid) -> ValidationReport:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gnk import cli, coefficient, dirichlet, discrete, mobius, rhp
+from gnk import cli, coefficient, dirichlet, discrete, geometry, mobius, rhp
 from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
@@ -740,6 +740,30 @@ class TestErrorPaths:
                    "--out", tmp_path / "o", *data, *grid, flag, *value])
         assert rc == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_tol_solve_exits_1(self, inputs, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        rc = _run(["solve-rhp", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out,
+                   f"--tol-solve={value}"])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and "tol_solve" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_invalid_tol_identity_exits_1(self, inputs, tmp_path, capsys, monkeypatch,
+                                          value):
+        # rejected before any work: not even the region is read
+        calls = count_calls(monkeypatch, geometry, "load_region")
+        out = tmp_path / "o"
+        rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                   "--out", out, f"--tol-identity={value}"])
+        assert rc == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ValueError" and "--tol-identity" in error["message"]
+        assert not out.exists() and calls == []
 
     def test_usage_error_exits_1(self):
         assert main(["no-such-command"]) == 1

@@ -9,13 +9,14 @@ from gnk.discrete import (
     NULLITY_TOL,
     apply_M,
     assemble_N,
-    conjugate_periodic,
     nullity,
     operator_identity_residuals,
+    weighted_kernels,
 )
 from gnk.dirichlet import indicator_basis
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region, circle, ellipse
+from gnk.kernels import BoundaryJet
 from conftest import CENTERS
 from helpers import (
     assemble_M,
@@ -23,6 +24,8 @@ from helpers import (
     conjugation_matrix,
     count_calls,
     dense_nullity,
+    dense_weighted_M1,
+    fft_conjugate,
     lattice16,
     traced_peak,
     wittich_apply,
@@ -31,77 +34,111 @@ from helpers import (
 TWO_PI = 2.0 * np.pi
 
 
-class TestConjugatePeriodic:
-    def test_cos_to_sin(self):
-        n = 64
-        s = np.arange(n) * TWO_PI / n
-        for p in (1, 3, 10, 31):
-            assert np.allclose(conjugate_periodic(np.cos(p * s)), np.sin(p * s), atol=1e-12)
-
-    def test_sin_to_minus_cos(self):
-        n = 64
-        s = np.arange(n) * TWO_PI / n
-        for p in (2, 7, 31):
-            assert np.allclose(conjugate_periodic(np.sin(p * s)), -np.cos(p * s), atol=1e-12)
-
-    def test_constant_to_zero(self):
-        assert np.abs(conjugate_periodic(np.ones(32))).max() == 0.0
-
-    def test_nyquist_mode_annihilated(self):
-        n = 32
-        s = np.arange(n) * TWO_PI / n
-        assert np.abs(conjugate_periodic(np.cos((n // 2) * s))).max() < 1e-14
-
-    def test_odd_grid_rejected(self):
-        with pytest.raises(OddGridSize):
-            conjugate_periodic(np.ones(33))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_matches_wittich_rule(self, seed):
-        # independent oracle: alternate-point trapezoidal quadrature of the
-        # principal-value cotangent integral
-        rng = np.random.default_rng(seed)
-        phi = rng.normal(size=48)
-        assert np.allclose(conjugate_periodic(phi), wittich_apply(phi), atol=1e-12)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_involution_on_band_limited(self, seed):
-        # K(K phi) = -phi for zero-mean functions without Nyquist content
-        rng = np.random.default_rng(seed)
-        phi = band_limited(rng, 1, 32, band=15, zero_mean=True)
-        twice = conjugate_periodic(conjugate_periodic(phi))
-        assert np.allclose(twice, -phi, atol=1e-12)
-
-    def test_complex_input_componentwise(self):
-        rng = np.random.default_rng(5)
-        u, v = rng.normal(size=16), rng.normal(size=16)
-        combined = conjugate_periodic(u + 1j * v)
-        assert np.allclose(combined.real, conjugate_periodic(u))
-        assert np.allclose(combined.imag, conjugate_periodic(v))
-
-    @pytest.mark.parametrize("m, n", [(3, 64), (16, 256), (3, 1024), (5, 128)])
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_rows_are_curves(self, m, n, dtype):
-        # apply_M conjugates all m curves in one call on the (m, n) samples
-        rng = np.random.default_rng(7)
-        phi = rng.normal(size=(m, n)).astype(dtype)
-        if dtype is complex:
-            phi += 1j * rng.normal(size=(m, n))
-        rows = np.array([conjugate_periodic(row) for row in phi])
-        assert np.array_equal(conjugate_periodic(phi), rows)
-
-    def test_circulant_matrix_agrees(self):
-        rng = np.random.default_rng(6)
-        phi = rng.normal(size=24)
-        assert np.allclose(conjugation_matrix(24) @ phi, conjugate_periodic(phi), atol=1e-13)
-
-
 @pytest.fixture(scope="module")
 def circle_ops():
     region = Region.from_curves([circle(0.0, 1.0)])
     return assemble_N(region, One(), ParamGrid(64))
+
+
+def folded_conjugations(ops) -> list[np.ndarray]:
+    """The conjugation that assembly folded into each curve's block of M:
+    the dense w M1 minus that block, one n x n matrix per curve."""
+    difference = dense_weighted_M1(ops.jet) - ops.M
+    return [difference[k * ops.n:(k + 1) * ops.n, k * ops.n:(k + 1) * ops.n]
+            for k in range(ops.m)]
+
+
+class TestConjugatePeriodic:
+    """The periodic conjugation, stored in the same-curve blocks of M by the
+    alternate-point rule, read back as w M1 minus the block."""
+
+    @pytest.fixture(scope="class")
+    def conj(self, circle_ops):
+        return folded_conjugations(circle_ops)[0]
+
+    def test_cos_to_sin(self, conj):
+        s = ParamGrid(64).nodes
+        for p in (1, 3, 10, 31):
+            assert np.allclose(conj @ np.cos(p * s), np.sin(p * s), atol=1e-12)
+
+    def test_sin_to_minus_cos(self, conj):
+        s = ParamGrid(64).nodes
+        for p in (2, 7, 31):
+            assert np.allclose(conj @ np.sin(p * s), -np.cos(p * s), atol=1e-12)
+
+    def test_constant_to_zero(self, conj):
+        assert np.abs(conj @ np.ones(64)).max() <= 1e-13
+
+    def test_nyquist_mode_annihilated(self, conj):
+        s = ParamGrid(64).nodes
+        assert np.abs(conj @ np.cos(32 * s)).max() <= 1e-13
+
+    def test_odd_grid_rejected(self):
+        # ParamGrid rejects an odd grid first; a hand-built jet reaches the table
+        n = 33
+        s = np.arange(n) * (TWO_PI / n)
+        eta = np.exp(-1j * s)
+        jet = BoundaryJet(eta, -1j * eta, -eta, np.ones(n, complex), np.zeros(n, complex), 1, n)
+        with pytest.raises(OddGridSize):
+            weighted_kernels(jet)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_wittich_rule(self, conj, seed):
+        # independent oracle: alternate-point trapezoidal quadrature of the
+        # principal-value cotangent integral, one row at a time
+        rng = np.random.default_rng(seed)
+        phi = rng.normal(size=64)
+        assert np.allclose(conj @ phi, wittich_apply(phi), atol=1e-12)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_involution_on_band_limited(self, conj, seed):
+        # K(K phi) = -phi for zero-mean functions without Nyquist content
+        rng = np.random.default_rng(seed)
+        phi = band_limited(rng, 1, 64, band=31, zero_mean=True)
+        assert np.allclose(conj @ (conj @ phi), -phi, atol=1e-12)
+
+    def test_complex_input_componentwise(self, circle_ops, conj):
+        # on a circle w M1 vanishes, so apply_M is minus the conjugation
+        rng = np.random.default_rng(5)
+        u, v = rng.normal(size=64), rng.normal(size=64)
+        combined = -apply_M(circle_ops, u + 1j * v)
+        assert np.allclose(combined.real, conj @ u, atol=1e-13)
+        assert np.allclose(combined.imag, conj @ v, atol=1e-13)
+
+    @pytest.mark.parametrize("m, n", [(3, 64), (16, 256), (3, 1024), (5, 128)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rows_are_curves(self, m, n, dtype):
+        # one product conjugates every curve: on m circles, samples on curve
+        # k alone come back on curve k as minus their spectral conjugate, up
+        # to roundoff in eta_i - eta_j, which grows with the centre's modulus
+        region = Region.from_curves([circle(4.0 * k, 1.0) for k in range(m)])
+        ops = assemble_N(region, One(), ParamGrid(n))
+        rng = np.random.default_rng(7)
+        phi = rng.normal(size=(m, n)).astype(dtype)
+        if dtype is complex:
+            phi += 1j * rng.normal(size=(m, n))
+        stacked = np.zeros((m * n, m), dtype)
+        for k in range(m):
+            stacked[k * n:(k + 1) * n, k] = phi[k]
+        out = apply_M(ops, stacked)
+        for k in range(m):
+            assert np.abs(out[k * n:(k + 1) * n, k] + fft_conjugate(phi[k])).max() <= 1e-12
+
+    def test_circulant_matrix_agrees(self, mixed_gallery):
+        # every same-curve block of M is w M1 minus the spectral conjugation
+        # circulant and minus the alternate-point sums, on a circle and on
+        # the mixed gallery
+        rng = np.random.default_rng(6)
+        circle_region = Region.from_curves([circle(0.0, 1.0)])
+        for n in (8, 16, 32, 64, 128, 256):
+            for region in (circle_region, mixed_gallery):
+                ops = assemble_N(region, One(), ParamGrid(n))
+                for conj in folded_conjugations(ops):
+                    assert np.abs(conj - conjugation_matrix(n)).max() <= 1e-13
+                    phi = rng.normal(size=n)
+                    assert np.abs(conj @ phi - wittich_apply(phi)).max() <= 1e-13
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +162,7 @@ class TestAssembleN:
         assert np.abs(gallery_ops.apply_N(np.zeros(gallery_ops.size))).max() == 0.0
 
     def test_peak_is_the_two_stored_matrices(self, mixed_gallery):
-        # N = 1536: w N and w M_smooth (2 x 8 N^2 bytes, 37.7 MB) plus a few
+        # N = 1536: w N and M (2 x 8 N^2 bytes, 37.7 MB) plus a few
         # complex row blocks; a whole complex kernel would add 16 N^2 bytes
         grid = ParamGrid(512)
         coeff = ShiftedPower(CENTERS[2], 1)
@@ -182,12 +219,28 @@ class TestApplyM:
     def test_constant_on_single_curve_region(self, circle_ops):
         assert np.abs(apply_M(circle_ops, np.ones(64))).max() <= 1e-10
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_columns_match_column_by_column(self, gallery_ops, dtype):
+        rng = np.random.default_rng(8)
+        stacked = rng.normal(size=(gallery_ops.size, 5)).astype(dtype)
+        if dtype is complex:
+            stacked += 1j * rng.normal(size=stacked.shape)
+        out = apply_M(gallery_ops, stacked)
+        assert out.shape == stacked.shape and out.dtype == stacked.dtype
+        for j in range(stacked.shape[1]):
+            expected = apply_M(gallery_ops, stacked[:, j])
+            assert np.abs(out[:, j] - expected).max() <= 1e-14 * max(1.0, np.abs(expected).max())
+
 
 class TestAssembleM:
+    """The stored M against the split it replaced: the dense w M1 minus the
+    spectral conjugation circulant."""
+
     def test_matrix_agrees_with_apply(self, gallery_ops):
         rng = np.random.default_rng(7)
         phi = band_limited(rng, 3, 128, band=10)
         matrix = assemble_M(gallery_ops)
+        assert np.abs(matrix - gallery_ops.M).max() <= 1e-13
         assert np.abs(matrix @ phi - apply_M(gallery_ops, phi)).max() <= 1e-13
 
     def test_circle_matrix_on_cos(self, circle_ops):

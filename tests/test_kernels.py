@@ -11,7 +11,7 @@ from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
 from gnk.mobius import kernel_invariance_check, map_jet
 from conftest import CENTERS
-from helpers import dense_weighted_kernels, traced_peak
+from helpers import conjugation_matrix, dense_weighted_kernels, traced_peak
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -103,41 +103,44 @@ class TestDiagonalBehavior:
 class TestMatrixBuilders:
     def test_matrix_matches_pointwise(self, three_circles, grid64):
         # the assembled matrices and the builder run on the Mobius image of
-        # the same jet both reproduce the pointwise kernels
+        # the same jet both reproduce the pointwise kernels; same-curve
+        # entries of M, with the conjugation added back, give w M1
         ops = assemble_N(three_circles, One(), grid64)
         w = ops.weight
         n_hat, m_hat = weighted_kernels(map_jet(three_circles, ops.jet))
         nodes = grid64.nodes
-        pairs = [(0, 0, 3, 11), (1, 2, 7, 7), (0, 2, 5, 40)]
-        for n_matrix, m1_matrix in ((ops.N / w, ops.M_smooth / w), (n_hat / w, m_hat / w)):
+        conjugation = conjugation_matrix(64)
+        pairs = [(0, 0, 3, 11), (2, 2, 4, 9), (1, 2, 7, 7), (0, 2, 5, 40)]
+        for n_matrix, m_matrix in ((ops.N, ops.M), (n_hat, m_hat)):
             for ks, kt, i, j in pairs:
                 row, col = ks * 64 + i, kt * 64 + j
                 s_point, t_point = (ks, nodes[i]), (kt, nodes[j])
-                assert n_matrix[row, col] == pytest.approx(
+                assert n_matrix[row, col] / w == pytest.approx(
                     kernel_N(three_circles, One(), s_point, t_point))
                 if ks == kt:
-                    assert m1_matrix[row, col] == pytest.approx(
+                    assert (m_matrix[row, col] + conjugation[i, j]) / w == pytest.approx(
                         kernel_M1(three_circles, One(), s_point, t_point))
                 else:
-                    assert m1_matrix[row, col] == pytest.approx(
+                    assert m_matrix[row, col] / w == pytest.approx(
                         kernel_M(three_circles, One(), s_point, t_point))
 
     def test_circle_constants(self, unit_circle, grid64):
         ops = assemble_N(unit_circle, One(), grid64)
         assert np.allclose(ops.N / ops.weight, -INV_2PI)
-        assert np.abs(ops.M_smooth / ops.weight).max() < 1e-13
+        # w M1 vanishes on a circle: M is minus the conjugation
+        assert np.abs(ops.M + conjugation_matrix(64)).max() / ops.weight < 1e-13
 
     def test_complex_matrix_diagonal_is_smooth_value(self, three_circles, grid64,
                                                      monkeypatch):
         # 24 rows a block: the diagonal runs through full and partial blocks
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 192 * 24)
         jet = BoundaryJet.from_region(three_circles, One(), grid64)
-        n_matrix, m_smooth = weighted_kernels(jet)
+        n_matrix, m_matrix = weighted_kernels(jet)
         oracle_n, oracle_m = dense_weighted_kernels(jet)
         assert np.array_equal(np.diag(n_matrix), np.diag(oracle_n))
-        assert np.array_equal(np.diag(m_smooth), np.diag(oracle_m))
+        assert np.array_equal(np.diag(m_matrix), np.diag(oracle_m))
         expected = (jet.eta_dd / (2.0 * jet.eta_d)) / math.pi
-        assert np.allclose((np.diag(m_smooth) + 1j * np.diag(n_matrix)) / jet.weight,
+        assert np.allclose((np.diag(m_matrix) + 1j * np.diag(n_matrix)) / jet.weight,
                            expected)
 
     @pytest.mark.parametrize("coeff", [One(), ShiftedPower(CENTERS[2], 1)],
@@ -147,10 +150,10 @@ class TestMatrixBuilders:
         # and a partial one
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
         jet = BoundaryJet.from_region(mixed_gallery, coeff, ParamGrid(100))
-        n_matrix, m_smooth = weighted_kernels(jet)
+        n_matrix, m_matrix = weighted_kernels(jet)
         oracle_n, oracle_m = dense_weighted_kernels(jet)
         assert np.array_equal(n_matrix, oracle_n)
-        assert np.array_equal(m_smooth, oracle_m)
+        assert np.array_equal(m_matrix, oracle_m)
 
     def test_blocks_stay_inside_one_curve(self, mixed_gallery, monkeypatch):
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)

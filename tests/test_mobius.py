@@ -19,7 +19,7 @@ from conftest import CENTERS
 from helpers import (
     band_limited,
     dense_complex_kernel,
-    dense_cot_addition,
+    dense_cot_table,
     dense_weighted_kernels,
     traced_peak,
     transform_solution,
@@ -100,7 +100,7 @@ class TestKernelInvariance:
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
         oracle_n, oracle_m = dense_weighted_kernels(ops.jet)
         assert np.array_equal(ops.N, oracle_n)
-        assert np.array_equal(ops.M_smooth, oracle_m)
+        assert np.array_equal(ops.M, oracle_m)
         expected = max(1.0, np.abs(dense_complex_kernel(ops.jet)).max())
         assert kernel_invariance_check(ops).scale == pytest.approx(expected, rel=1e-12)
 
@@ -114,13 +114,13 @@ class TestKernelInvariance:
         ops = assemble_N(mixed_gallery, coeff, ParamGrid(100))
         n_hat, m_hat = dense_weighted_kernels(map_jet(mixed_gallery, ops.jet))
         w = ops.weight
-        singular = ops.M_smooth.copy()
+        singular = ops.M.copy()
         for k in range(3):
             block = slice(k * 100, (k + 1) * 100)
-            singular[block, block] -= dense_cot_addition(100) * w
+            singular[block, block] -= dense_cot_table(100)
         report = kernel_invariance_check(ops)
         assert report.max_diff_N == np.abs(n_hat - ops.N).max() / w
-        assert report.max_diff_M1 == np.abs(m_hat - ops.M_smooth).max() / w
+        assert report.max_diff_M1 == np.abs(m_hat - ops.M).max() / w
         assert report.scale == max(1.0, np.hypot(singular, ops.N).max() / w)
 
     def test_peak_is_a_few_blocks(self, mixed_gallery):
@@ -143,7 +143,7 @@ class TestKernelInvariance:
 
         mapped_ops = DiscreteOperators(
             region=three_circles, coeff=One(), jet=mapped,
-            N=n_hat, M_smooth=m_hat, index=ops.index)
+            N=n_hat, M=m_hat, index=ops.index)
         rng = np.random.default_rng(21)
         phi = band_limited(rng, 3, 64, band=6)
         assert np.abs(apply_M(mapped_ops, phi) - apply_M(ops, phi)).max() <= 1e-12
