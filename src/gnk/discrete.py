@@ -8,7 +8,7 @@ Wittich's alternate-point rule (Kress, Linear Integral Equations, 13.5),
 weights (2/n) cot((s_i - s_j)/2) at odd offsets i - j, exact on the
 resolved band.  Both operators are real-linear; complex inputs are
 processed componentwise: the real and imaginary parts go through one real
-matrix product together, so no complex copy of a matrix is ever made.
+matrix product each, so no complex copy of a matrix is ever made.
 
 Both matrices are filled from row blocks of the complex kernel, which the
 Mobius check walks too, so the stored N and M are the only N^2 arrays.
@@ -106,15 +106,13 @@ class DiscreteOperators:
 def _real_matmul(matrix: np.ndarray, phi) -> np.ndarray:
     """matrix @ phi for a real matrix and real or complex samples.
 
-    A complex phi goes through one real product on its stacked (re, im)
-    columns; numpy would otherwise promote the whole matrix to a complex copy.
+    A complex phi goes through two real products, one per part; numpy would
+    otherwise promote the whole matrix to a complex copy.
     """
     phi = np.asarray(phi)
     if not np.iscomplexobj(phi):
         return matrix @ phi
-    stacked = np.stack((phi.real, phi.imag), axis=-1).reshape(len(phi), -1)
-    parts = (matrix @ stacked).reshape(phi.shape + (2,))
-    return parts[..., 0] + 1j * parts[..., 1]
+    return matrix @ phi.real + 1j * (matrix @ phi.imag)
 
 
 def _cot_table(n: int) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnk import coefficient as coefficient_mod
 from gnk.discrete import DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_array,
@@ -269,8 +268,7 @@ def plemelj_boundary(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray,
     return (side * c + ops.apply_N(c) - 1j * apply_M(ops, c)) / 2.0
 
 
-def _rational_boundary(region: Region, grid: ParamGrid, terms) -> np.ndarray:
-    eta, _, _ = region.sample(grid)
+def _rational_boundary(eta: np.ndarray, terms) -> np.ndarray:
     f_plus = np.zeros_like(eta)
     for term in _json_array(terms, "pole terms"):
         term = _json_object(term, "pole term")
@@ -288,9 +286,8 @@ def _data_from_entry(entry: dict, region: Region, coeff, grid: ParamGrid) -> np.
             raise ValueError("samples must supply n values per curve")
         return np.array([float(_json_number(x, "sample")) for v in rows for x in v])
     if kind == "poles":
-        f_plus = _rational_boundary(region, grid, entry["terms"])
-        a_values, _ = coefficient_mod.sample(coeff, region, grid)
-        return (a_values * f_plus).real
+        jet = BoundaryJet.from_region(region, coeff, grid)
+        return (jet.coeff * _rational_boundary(jet.eta, entry["terms"])).real
     if kind == "trig":
         parts = []
         for rows in _json_array(entry["per_curve"], "trig data per_curve"):

@@ -121,6 +121,22 @@ class TestVerify:
         assert report["nullity"]["I_minus_N"]["measured"] == 1
         assert report["nullity"]["I_plus_N"]["measured"] == 2
 
+    @pytest.mark.parametrize("region_json", [REGION, MIXED_REGION],
+                             ids=["circles", "mixed"])
+    def test_jump_gate_is_relative_to_scale(self, region_json, tmp_path):
+        # A = (eta - z0)^6 makes Plemelj values up to 1.5e3 (7.6e3 on the
+        # mixed region), whose roundoff alone exceeds an absolute 1e-13
+        (tmp_path / "region.json").write_text(json.dumps(region_json))
+        (tmp_path / "coeff.json").write_text(json.dumps({**COEFF_POWER, "power": 6}))
+        out = tmp_path / "out"
+        rc = _run(["verify", "--region", tmp_path / "region.json",
+                   "--coeff", tmp_path / "coeff.json", "--n", 128, "--out", out])
+        report = json.loads((out / "verify.json").read_text())
+        assert rc == 0
+        assert all(report[name]["ok"] for name in ("identity", "nullity", "mobius", "jump"))
+        jump = report["jump"]
+        assert jump["scale"] > 1e3 and jump["residual"] <= jump["tolerance"]
+
     def test_reports_krylov_evidence(self, inputs, tmp_path):
         out = tmp_path / "out"
         rc = _run(["verify", "--region", inputs / "region.json",
@@ -239,6 +255,63 @@ class TestIndexAndMobius:
         payload = json.loads((out / "mobius.json").read_text())
         assert rc == 2 and payload["ok"] is False
         assert payload["max_diff_M1"] > 1e6 * payload["tolerance"] * payload["scale"]
+
+
+INDEX_KEYS = {"kappa_per_curve", "kappa", "dim_S_minus", "codim_R_minus",
+              "dim_null_I_plus_N", "dim_null_I_minus_N", "dim_S_plus_bounds",
+              "codim_R_plus_bounds"}
+MOBIUS_KEYS = {"max_diff_N", "max_diff_M1", "scale", "tolerance", "index_shift",
+               "index_direct", "ok"}
+
+
+class TestOutputsFromRecords:
+    """The files are the library's arrays and records, serialized: a new field
+    of IndexReport or InvarianceReport would show here, not silently in a file."""
+
+    @pytest.mark.parametrize("command", ["solve-rhp", "solve-dirichlet"])
+    def test_boundary_csv_rows_are_the_solution(self, inputs, tmp_path, command):
+        coeff_args = ["--coeff", inputs / "coeff.json"] if command == "solve-rhp" else []
+        out = tmp_path / "out"
+        rc = _run([command, "--region", inputs / "region.json", *coeff_args,
+                   "--data", inputs / "data.json", "--n", 64, "--out", out])
+        assert rc == 0
+        region, grid = load_region(REGION), ParamGrid(64)
+        coeff = coefficient.load_coefficient(COEFF_POWER) if coeff_args else One()
+        ops = discrete.assemble_N(region, coeff, grid)
+        gamma = rhp.load_boundary_data(DATA_MIXED, region, coeff, grid)
+        if command == "solve-rhp":
+            solution = rhp.solve_rhp(ops, gamma)
+            h, f_plus = solution.h, solution.f_plus
+        else:
+            solution = dirichlet.solve_modified_dirichlet(ops, gamma)
+            h, f_plus = solution.h_raw, solution.f_boundary
+        expected = ["curve_index,s,gamma,mu,h,re_f,im_f"]
+        for k in range(region.m):
+            for i, s in enumerate(grid.nodes):
+                j = k * grid.n + i
+                values = (s, gamma[j], solution.mu[j], h[j], f_plus[j].real, f_plus[j].imag)
+                expected.append(",".join([str(k)] + [repr(float(v)) for v in values]))
+        assert (out / "boundary.csv").read_text().splitlines() == expected
+
+    def test_index_json_is_the_report(self, inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = _run(["index-report", "--region", inputs / "region.json",
+                   "--coeff", inputs / "coeff.json", "--out", out])
+        assert rc == 0
+        text = (out / "index.json").read_text()
+        assert set(json.loads(text)) == INDEX_KEYS
+        assert capsys.readouterr().out == text
+
+    def test_mobius_sections_have_seven_keys(self, inputs, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
+                     "--out", out]) == 0
+        text = (out / "mobius.json").read_text()
+        assert set(json.loads(text)) == MOBIUS_KEYS
+        assert capsys.readouterr().out == text
+        assert _run(["verify", "--region", inputs / "region.json", "--n", 64,
+                     "--out", out]) == 0
+        assert set(json.loads((out / "verify.json").read_text())["mobius"]) == MOBIUS_KEYS
 
 
 class TestSharedBoundarySample:
