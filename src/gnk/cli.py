@@ -32,6 +32,8 @@ from gnk.geometry import (TWO_PI, ParamGrid, _require_finite, _turns_about_point
 # each bound applies relative to its scale.
 TOL_INVARIANCE = 1e-12
 TOL_JUMP = 1e-13
+# Probes per block of field.csv: about 1 MB of formatted cells.
+FIELD_BLOCK = 4096
 
 
 def _floats(values) -> list[str]:
@@ -47,12 +49,16 @@ def _write_json(path: Path, payload: dict) -> str:
     return text
 
 
-def _write_csv(path: Path, columns: dict) -> None:
-    """One CSV row per position of the equally long columns of strings."""
+def _write_csv(path: Path, blocks) -> None:
+    """One CSV row per position of the equally long columns of strings in
+    each block, a dict of column name -> column; the first block's names
+    are the header.  Only one block's strings are held at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="\n") as f:
-        f.write(",".join(columns) + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
+        for i, columns in enumerate(blocks):
+            if i == 0:
+                f.write(",".join(columns) + "\n")
+            f.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
 
 
 def _fail(exc: Exception) -> None:
@@ -105,11 +111,11 @@ def run_solve(args, mode: str) -> int:
         "nullity_I_plus_N": index.dim_null_I_plus_N,
         **extra,
     }
-    _write_csv(out / "boundary.csv", {
+    _write_csv(out / "boundary.csv", [{
         "curve_index": np.repeat(np.arange(region.m).astype(str), grid.n).tolist(),
         "s": _floats(np.tile(grid.nodes, region.m)),
         "gamma": _floats(gamma), "mu": _floats(solution.mu), "h": _floats(h),
-        "re_f": _floats(f_plus.real), "im_f": _floats(f_plus.imag)})
+        "re_f": _floats(f_plus.real), "im_f": _floats(f_plus.imag)}])
     _write_json(out / "diagnostics.json", diagnostics)
     return 0
 
@@ -160,16 +166,14 @@ def run_verify(args) -> int:
     rng = np.random.default_rng(0)
     band = max(1, min(8, grid.n // 4))
 
-    r1_max = r2_max = 0.0
-    for _ in range(5):
-        phi = _band_limited_samples(rng, region.m, grid.n, band)
-        r1, r2 = discrete.operator_identity_residuals(ops, phi)
-        r1_max, r2_max = max(r1_max, r1), max(r2_max, r2)
+    probes = np.column_stack([_band_limited_samples(rng, region.m, grid.n, band)
+                              for _ in range(5)])
+    r1_max, r2_max = discrete.operator_identity_residuals(ops, probes)
     identity_ok = r1_max <= args.tol_identity and r2_max <= args.tol_identity
 
-    # The Krylov counts set verify's peak memory; the Mobius check adds only
-    # a few row blocks.  Run after the counts, it would raise the peak by
-    # about 5 MB at N = 4096 (335 against 330 MB).
+    # The Krylov counts set verify's peak memory (332.6 MB at N = 4096); the
+    # Mobius check adds only a few row blocks and leaves it there, run
+    # before the counts or after them.
     mobius_section = _mobius_section(ops)
     plus = ops.nullity_I_plus_N()
     minus = ops.nullity_I_minus_N()
@@ -247,6 +251,20 @@ def _hole_mask(region, points: np.ndarray) -> np.ndarray:
     return inside
 
 
+def _field_blocks(points, u, holes, in_band):
+    """field.csv's columns, FIELD_BLOCK probes at a time, so that the
+    strings held do not grow with the probe count."""
+    # object arrays share their strings: a numpy string array would copy
+    # every cell; no hole is in the band
+    flags = np.array(["ok", "band", "hole"], dtype=object)
+    for first in range(0, points.size, FIELD_BLOCK):
+        part = slice(first, first + FIELD_BLOCK)
+        values = np.array(_floats(u[part]), dtype=object)
+        values[holes[part]] = ""
+        yield {"x": _floats(points[part].real), "y": _floats(points[part].imag),
+               "u": values, "in_band_flag": flags[in_band[part] + 2 * holes[part]]}
+
+
 def run_field(args) -> int:
     region, grid, coeff, gamma = _load_inputs(args, need_data=True)
     points = _probe_points(args.field_grid)
@@ -265,14 +283,7 @@ def run_field(args) -> int:
             f"{int(in_band.sum())} probe points inside the near-boundary band "
             f"(width {band_width:.3e}) with --strict set")
 
-    # object arrays share their strings: a numpy string array would copy
-    # every cell, 2.5 MB more at 22,500 probes; no hole is in the band
-    u = np.array(_floats(f.real), dtype=object)
-    u[holes] = ""
-    flags = np.array(["ok", "band", "hole"], dtype=object)[in_band + 2 * holes]
-    _write_csv(Path(args.out) / "field.csv", {
-        "x": _floats(points.real), "y": _floats(points.imag),
-        "u": u, "in_band_flag": flags})
+    _write_csv(Path(args.out) / "field.csv", _field_blocks(points, f.real, holes, in_band))
     return 0
 
 

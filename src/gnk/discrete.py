@@ -139,15 +139,18 @@ def _weighted_blocks(jet: BoundaryJet):
     entries inside one curve, cols.  ``block`` is unweighted; the diagonal,
     the grid's only same-curve coincidence, takes the closed-form smooth
     values.  ``cot`` is the signed cotangent table that turns w M into the
-    companion matrix on cols.  Each block is a fresh array that the
-    consumer may overwrite.  A consumer drops it (``del block``) before
-    asking for the next: a block it holds stays live while the next one is
-    built, a third block at the peak.
+    companion matrix on cols.  A is folded into the source column
+    eta'(t) / A(t) once, so each block is the one fresh array
+    A(s) (eta'(t) / A(t)) / (eta(t) - eta(s)), built in place, which the
+    consumer may overwrite; with A = 1 the fold is exact.  A consumer drops
+    it (``del block``) before asking for the next: a block it holds stays
+    live while the next one is built, a second block at the peak.
     """
     n = jet.n
     height = max(1, min(n, BLOCK_ENTRIES // jet.size))
     cot = _cot_table(n)
     local = np.arange(n)
+    source = jet.eta_d / jet.coeff
     diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
     for k in range(jet.m):
         cols = slice(k * n, (k + 1) * n)
@@ -157,13 +160,14 @@ def _weighted_blocks(jet: BoundaryJet):
             on_diag = (local[:last - first], local[first:last] + k * n)
             block = jet.eta[None, :] - jet.eta[rows, None]
             block[on_diag] = 1.0
-            np.divide(jet.eta_d[None, :], block, out=block)
-            np.multiply(jet.coeff[rows, None] / jet.coeff[None, :], block, out=block)
+            np.divide(source[None, :], block, out=block)
+            np.multiply(jet.coeff[rows, None], block, out=block)
             # scale the float view: complex division by pi + 0j is slower
             # and gives the same values up to the sign of zero
             block.view(np.float64)[...] *= 1 / math.pi
             block[on_diag] = diag[rows]
             yield rows, cols, block, cot[local[first:last, None] - local[None, :] + (n - 1)]
+            del block  # before the next is built, as the consumer does
 
 
 def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
@@ -206,11 +210,15 @@ def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
-    """Sup-norm residuals of N^2 - M^2 = I and NM + MN = 0 on phi."""
-    n_phi = ops.apply_N(phi)
-    m_phi = apply_M(ops, phi)
-    r1 = ops.apply_N(n_phi) - apply_M(ops, m_phi) - phi
-    r2 = ops.apply_N(m_phi) + apply_M(ops, n_phi)
+    """Sup-norm residuals of N^2 - M^2 = I and NM + MN = 0 on phi, samples
+    of shape (N,) or (N, k): the k columns go through N and M as one
+    product each, and N phi and M phi side by side as one more."""
+    phi = np.asarray(phi).reshape(ops.size, -1)
+    k = phi.shape[1]
+    images = np.hstack((ops.apply_N(phi), apply_M(ops, phi)))
+    n_images, m_images = ops.apply_N(images), apply_M(ops, images)
+    r1 = n_images[:, :k] - m_images[:, k:] - phi
+    r2 = n_images[:, k:] + m_images[:, :k]
     return float(np.abs(r1).max()), float(np.abs(r2).max())
 
 
@@ -242,14 +250,30 @@ class NullityReport:
         return self.stop in ("settled", "exact")
 
 
+def _project_out(basis: np.ndarray, w: np.ndarray):
+    """(v, c) with w = basis @ c + v: the orthonormal basis projected out twice."""
+    first = basis.T @ w
+    w = w - basis @ first
+    second = basis.T @ w
+    return w - basis @ second, first + second
+
+
 def _new_block(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning w with the basis projected out, twice;
     directions below DEFLATION_TOL of the norm of w are dropped."""
-    scale = np.linalg.norm(w)
-    for _ in range(2):
-        w = w - basis @ (basis.T @ w)
-    u, s, _ = np.linalg.svd(w, full_matrices=False)
-    return u[:, s > DEFLATION_TOL * scale]
+    u, s, _ = np.linalg.svd(_project_out(basis, w)[0], full_matrices=False)
+    return u[:, s > DEFLATION_TOL * np.linalg.norm(w)]
+
+
+def _border(image_basis: np.ndarray, r_factor: np.ndarray, image: np.ndarray):
+    """(P', R') with [P R, image] = P' R', for orthonormal P: the image is
+    projected out of P twice, and the rest factored by QR borders R."""
+    w, coords = _project_out(image_basis, image)
+    q, r_new = np.linalg.qr(w)
+    del w  # one block less live while P grows
+    r_factor = np.pad(r_factor, (0, len(r_new)))
+    r_factor[:, -len(r_new):] = np.vstack((coords, r_new))
+    return np.hstack((image_basis, q)), r_factor
 
 
 def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
@@ -257,23 +281,29 @@ def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
     the largest, by block Krylov on A^T A from a seeded start of this width.
 
     Each depth adds one block to an orthonormal basis Q of the Krylov space,
-    with one product by N and one by N^T and full reorthogonalization; the
-    thin SVD of A Q gives the Ritz values that are counted.  The block
-    width must exceed the nullity, since a block finds at most as many
-    directions of one repeated singular value as it has columns.
+    with one product by N and one by N^T and full reorthogonalization.  The
+    Ritz values that are counted are the singular values of A Q, read off
+    the k x k factor R of A Q = P R: each new image block is projected out
+    of the orthonormal P twice and factored by QR, which borders R, so no
+    SVD of an N-row array is taken.  Q and P take 8 N bytes per column
+    each.  The block width must exceed the nullity, since a block finds at
+    most as many directions of one repeated singular value as it has
+    columns.
     """
     size = N.shape[0]
     cap = min(size, max(NULLITY_MAX_COLUMNS, NULLITY_MIN_DEPTH * width))
     start = np.random.default_rng(0).standard_normal((size, min(width, size)))
-    basis = images = np.empty((size, 0))
+    basis = image_basis = np.empty((size, 0))
+    r_factor = np.empty((0, 0))
     block = _new_block(basis, start)
     depth, previous = 0, (None, None)
     while True:
         depth += 1
         image = block + sign * (N @ block)
         basis = np.hstack((basis, block))
-        images = np.hstack((images, image))
-        ritz = np.linalg.svd(images, compute_uv=False)[::-1]
+        del block  # one block less live while P grows
+        image_basis, r_factor = _border(image_basis, r_factor, image)
+        ritz = np.linalg.svd(r_factor, compute_uv=False)[::-1]
         largest = float(ritz[-1])
         count = int(np.count_nonzero(ritz < NULLITY_TOL * largest))
         following = float(ritz[count]) if count < ritz.size else None
@@ -283,7 +313,8 @@ def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
               and abs(following - previous[1]) <= NULLITY_SETTLE * following):
             stop = "settled"
         else:
-            block = _new_block(basis, image + sign * (N.T @ image))
+            # N^T image as (image^T N)^T: BLAS runs the row-major form 3x faster
+            block = _new_block(basis, image + sign * (image.T @ N).T)
             stop = ("exact" if block.shape[1] == 0
                     else "basis cap" if basis.shape[1] + block.shape[1] > cap
                     else None)

@@ -251,11 +251,12 @@ def dense_nullity(matrix: np.ndarray) -> DenseNullity:
 def dense_complex_kernel(jet) -> np.ndarray:
     """Whole N x N matrix of M + iN off the diagonal, M1 + iN on it, by the
     per-entry arithmetic of the assembly: the bit-identity oracle of the
-    row-block builder."""
+    row-block builder.  A is folded into the source column eta' / A, which
+    is divided by the differences and multiplied by A at the target."""
     matrix = jet.eta[None, :] - jet.eta[:, None]
     np.fill_diagonal(matrix, 1.0)
-    np.divide(jet.eta_d[None, :], matrix, out=matrix)
-    matrix = (jet.coeff[:, None] / jet.coeff[None, :]) * matrix
+    np.divide((jet.eta_d / jet.coeff)[None, :], matrix, out=matrix)
+    np.multiply(jet.coeff[:, None], matrix, out=matrix)
     matrix /= math.pi
     diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
     np.fill_diagonal(matrix, diag)

@@ -14,7 +14,7 @@ from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
-from helpers import count_calls
+from helpers import count_calls, traced_peak
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
@@ -151,6 +151,30 @@ class TestVerify:
             assert max(entry["ritz_counted"], default=0.0) <= 1e-8 * entry["ritz_largest"]
             assert entry["ritz_next"] > 1e-8 * entry["ritz_largest"]
             assert entry["krylov_stop"] in ("settled", "exact")
+
+    def test_stacked_probes_keep_the_per_probe_draws(self, inputs, tmp_path):
+        # the five identity probes go through N and M stacked; drawn in the
+        # same order as one at a time, they leave the rng where the jump
+        # check's gamma and mu start, so its section is the per-probe one
+        out = tmp_path / "out"
+        assert _run(["verify", "--region", inputs / "region.json",
+                     "--coeff", inputs / "coeff.json", "--n", 64, "--out", out]) == 0
+        report = json.loads((out / "verify.json").read_text())
+        region = load_region(inputs / "region.json")
+        ops = discrete.assemble_N(region, ShiftedPower(CENTERS[2], 1), ParamGrid(64))
+        rng = np.random.default_rng(0)
+        singles = [discrete.operator_identity_residuals(
+            ops, cli._band_limited_samples(rng, 3, 64, 8)) for _ in range(5)]
+        gamma, mu = (cli._band_limited_samples(rng, 3, 64, 8) for _ in range(2))
+        outer = rhp.plemelj_boundary(ops, gamma, mu, +1)
+        inner = rhp.plemelj_boundary(ops, gamma, mu, -1)
+        scale = max(1.0, float(np.abs(outer).max()), float(np.abs(inner).max()))
+        residual = float(np.abs(outer - inner - (gamma + 1j * mu)).max()) / scale
+        jump = {"residual": residual, "scale": scale, "tolerance": cli.TOL_JUMP,
+                "ok": residual <= cli.TOL_JUMP}
+        assert json.dumps(report["jump"], sort_keys=True) == json.dumps(jump, sort_keys=True)
+        for key, expected in zip(("r1_max", "r2_max"), map(max, zip(*singles))):
+            assert abs(report["identity"][key] - expected) <= 1e-13
 
     def test_counterclockwise_region_exits_1(self, tmp_path):
         bad = {"curves": [{"type": "trig", "coeffs": [[0, 3.0, 0.0], [1, 1.0, 0.0]]}]}
@@ -481,6 +505,36 @@ class TestMatrixFreeSolve:
 
 
 class TestEvalField:
+    @staticmethod
+    def _probes(side: int):
+        """side x side probes with every flag, and field values to write."""
+        xs = np.linspace(-6.0, 6.0, side)
+        points = (xs[None, :] + 1j * xs[:, None]).ravel()
+        u = np.sin(points.real) * np.cos(3.0 * points.imag) / 7.0
+        holes = np.abs(points - 3.0) < 1.0
+        in_band = ~holes & (np.abs(np.abs(points - 3.0) - 1.0) < 0.1)
+        return points, u, holes, in_band
+
+    def test_field_csv_in_blocks_is_the_row_by_row_text(self, tmp_path):
+        # three blocks and a partial fourth
+        points, u, holes, in_band = self._probes(120)
+        assert 3 * cli.FIELD_BLOCK < points.size < 4 * cli.FIELD_BLOCK
+        path = tmp_path / "field.csv"
+        cli._write_csv(path, cli._field_blocks(points, u, holes, in_band))
+        rows = ["x,y,u,in_band_flag"] + [
+            f"{float(z.real)!r},{float(z.imag)!r},{'' if h else repr(float(v))},"
+            f"{'hole' if h else 'band' if b else 'ok'}"
+            for z, v, h, b in zip(points, u, holes, in_band)]
+        assert path.read_text() == "\n".join(rows) + "\n"
+
+    def test_field_csv_memory_is_bounded(self, tmp_path):
+        # 160,000 probes: all the formatted cells at once would take about
+        # 40 MB; the blocks hold about 1 MB
+        probes = self._probes(400)
+        peak = traced_peak(lambda: cli._write_csv(tmp_path / "field.csv",
+                                                  cli._field_blocks(*probes)))
+        assert peak < 8 * 2**20, peak
+
     def test_flags_and_layout(self, inputs, tmp_path):
         out = tmp_path / "out"
         rc = _run(["eval-field", "--region", inputs / "region.json",

@@ -264,6 +264,23 @@ class TestOperatorIdentities:
     def test_zero_input(self, gallery_ops):
         assert operator_identity_residuals(gallery_ops, np.zeros(gallery_ops.size)) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stacked_probes_match_column_by_column(self, gallery_ops, dtype):
+        # one call takes the five probes through N and M as one product
+        # each.  A probe given twice, (N, 2), takes the same matrix-matrix
+        # path column by column; a probe of shape (N,) takes the
+        # matrix-vector one, which agrees only to roundoff.
+        rng = np.random.default_rng(5)
+        probes = np.column_stack([band_limited(rng, 3, 128, band=8) for _ in range(5)])
+        if dtype is complex:
+            probes = probes + 1j * probes[:, ::-1]
+        stacked = operator_identity_residuals(gallery_ops, probes)
+        for pick, tol in ((lambda j: [j, j], 1e-15), (lambda j: j, 1e-13)):
+            singles = [operator_identity_residuals(gallery_ops, probes[:, pick(j)])
+                       for j in range(5)]
+            for value, expected in zip(stacked, map(max, zip(*singles))):
+                assert abs(value - expected) <= tol * max(1.0, expected)
+
     def test_circle_band_limited_exact(self, circle_ops):
         s = ParamGrid(64).nodes
         r1, r2 = operator_identity_residuals(circle_ops, np.cos(s))
@@ -409,3 +426,72 @@ class TestKrylovNullity:
         dense = dense_nullity(np.eye(8) + ops.N)
         assert report.stop == "exact" and report.depth == 1
         assert report.nullity == dense.nullity == 1
+
+
+def _elongated_region() -> Region:
+    """An ellipse with a/b = 300 beside a circle, as in TestKrylovNullity."""
+    return Region.from_curves([ellipse(0.0, 1.0, 1.0 / 300.0), circle(3.0, 1.0)])
+
+
+# (nullity, depth, stop) of I + N and of I - N on every case of
+# TestKrylovNullity, recorded from the count that took the SVD of the whole
+# (I +- N) Q at every depth: the R factor must reproduce each of them.
+_RECORDED_COUNTS = {
+    "three_circles-one": ((3, 5, "settled"), (0, 5, "settled")),
+    "three_circles-power+1": ((2, 5, "settled"), (1, 5, "settled")),
+    "three_circles-power-1": ((5, 5, "settled"), (0, 5, "settled")),
+    "three_circles-power2": ((2, 5, "settled"), (3, 5, "settled")),
+    "mixed_gallery-one": ((3, 5, "settled"), (0, 5, "settled")),
+    "mixed_gallery-power+1": ((2, 5, "settled"), (1, 6, "settled")),
+    "mixed_gallery-power-1": ((5, 5, "settled"), (0, 5, "settled")),
+    "mixed_gallery-power2": ((2, 6, "settled"), (3, 5, "settled")),
+    "lattice-one": ((16, 8, "settled"), (0, 10, "settled")),
+    "lattice-power+1": ((15, 8, "settled"), (1, 11, "settled")),
+    "elongated-one": ((1, 30, "settled"), (0, 36, "exact")),
+    "elongated-power+1": ((1, 33, "settled"), (0, 33, "settled")),
+}
+
+
+class TestKrylovNullityFromR:
+    """The Ritz values read off the bordered R factor of (I +- N) Q = P R."""
+
+    @staticmethod
+    def _ops(request, case):
+        gallery, name = case.split("-", 1)
+        if gallery == "lattice":
+            coeff = {"one": One(), "power+1": ShiftedPower(-6 - 6j, 1)}[name]
+            return assemble_N(lattice16(), coeff, ParamGrid(16))
+        if gallery == "elongated":
+            coeff = {"one": One(), "power+1": ShiftedPower(0j, 1)}[name]
+            return assemble_N(_elongated_region(), coeff, ParamGrid(256))
+        coeff = dict(zip(["one", "power+1", "power-1", "power2"], _GALLERY_COEFFS))[name]
+        return assemble_N(request.getfixturevalue(gallery), coeff, ParamGrid(64))
+
+    @pytest.mark.parametrize("case", sorted(_RECORDED_COUNTS))
+    def test_counts_match_the_recorded_svd_counts(self, request, case):
+        ops = self._ops(request, case)
+        counts = tuple((r.nullity, r.depth, r.stop)
+                       for r in (ops.nullity_I_plus_N(), ops.nullity_I_minus_N()))
+        assert counts == _RECORDED_COUNTS[case]
+
+    @pytest.mark.parametrize("sign", [+1, -1], ids=["I+N", "I-N"])
+    @pytest.mark.parametrize("case", ["lattice-one", "lattice-power+1",
+                                      "elongated-one", "elongated-power+1"])
+    def test_ritz_values_are_those_of_the_final_basis(self, request, monkeypatch,
+                                                      case, sign):
+        ops = self._ops(request, case)
+        blocks, new_block = [], discrete._new_block
+
+        def recorded(basis, w):
+            blocks.append(new_block(basis, w))
+            return blocks[-1]
+
+        monkeypatch.setattr(discrete, "_new_block", recorded)
+        predicted = ops.index.dim_null_I_plus_N if sign > 0 else ops.index.dim_null_I_minus_N
+        report = nullity(ops.N, sign, predicted + discrete.NULLITY_MARGIN)
+        basis = np.hstack(blocks[:report.depth])
+        ritz = np.linalg.svd(basis + sign * (ops.N @ basis), compute_uv=False)[::-1]
+        k = report.nullity
+        reported = [*report.ritz_counted, report.ritz_next, report.ritz_largest]
+        expected = [*ritz[:k], ritz[k], ritz[-1]]
+        assert np.abs(np.subtract(reported, expected)).max() <= 1e-13 * report.ritz_largest
