@@ -31,7 +31,6 @@ from gnk.discrete import (
     assemble_N,
     nullity,
     operator_identity_residuals,
-    weighted_kernels,
 )
 from gnk.errors import (
     CenterNotInHole,

@@ -1,17 +1,23 @@
 """Nystrom discretization of the boundary integral operators.
 
-The Fredholm operator with the generalized Neumann kernel becomes the dense
+The Fredholm operator with the generalized Neumann kernel becomes the
 matrix of trapezoidal weights w N(s_i, t_j), and the singular companion
-operator one dense matrix too, by the cotangent splitting: the smooth part
-goes through the same trapezoidal rule, the periodic conjugation through
+operator a matrix too, by the cotangent splitting: the smooth part goes
+through the same trapezoidal rule, the periodic conjugation through
 Wittich's alternate-point rule (Kress, Linear Integral Equations, 13.5),
 weights (2/n) cot((s_i - s_j)/2) at odd offsets i - j, exact on the
-resolved band.  Both operators are real-linear; complex inputs are
-processed componentwise: the real and imaginary parts go through one real
-matrix product each, so no complex copy of a matrix is ever made.
+resolved band.
 
-Both matrices are filled from row blocks of the complex kernel, which the
-Mobius check walks too, so the stored N and M are the only N^2 arrays.
+Neither matrix is stored whole.  The same-curve blocks are dense, filled
+from row blocks of the complex kernel (:func:`_weighted_blocks`, which the
+Mobius check walks too).  Seen from another curve, source curve k's kernel
+is a Laurent series about the hole's centre (Greengard & Rokhlin 1987), so
+its cross-curve blocks are one complex factor pair U_k V_k, truncated below
+1e-16, with w N = Im(U_k V_k) and M = Re(U_k V_k) there; a curve whose
+series would need n terms keeps its exact block columns, one real array per
+part, so that a product with N never reads M's entries.  ``ops.N`` and
+``ops.M`` are operators over that storage, which only this module reads.
+Both are real-linear: complex samples go through one real product per part.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -28,7 +34,7 @@ import numpy as np
 from gnk.coefficient import IndexReport, index_of
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
-from gnk.kernels import BoundaryJet
+from gnk.kernels import BoundaryJet, _laurent_frame, _laurent_terms
 
 # Kernel entries per row block: 2**18 is a 4 MB complex block, 64 rows at
 # N = 4096.
@@ -53,22 +59,24 @@ DEFLATION_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DiscreteOperators:
-    """Dense Nystrom operators for one (region, coefficient, grid) triple.
+    """Nystrom operators for one (region, coefficient, grid) triple.
 
     ``jet`` is the sampled boundary, and it owns the grid: ``n``, ``size``
-    and ``weight`` read it.  ``N`` holds the weighted generalized Neumann
+    and ``weight`` read it.  ``N`` is the weighted generalized Neumann
     matrix w N(s_i, t_j); ``M`` the companion matrix: w M on cross-curve
     blocks, w M1 minus the alternate-point conjugation on same-curve ones.
-    ``index`` holds the indices of the coefficient, which predict the
-    nullities of I +- N.  Assembled operators are immutable and safe to
-    share; applications and solves are pure.
+    Both are :class:`KernelPart` operators over one factored storage; the
+    solve and the count need of ``N`` only ``shape`` and ``@``, which a
+    dense array has too.  ``index`` holds the indices of the coefficient,
+    which predict the nullities of I +- N.  Assembled operators are
+    immutable and safe to share; applications and solves are pure.
     """
 
     region: Region
     coeff: object
     jet: BoundaryJet
-    N: np.ndarray
-    M: np.ndarray
+    N: "KernelPart"
+    M: "KernelPart"
     index: IndexReport
 
     @property
@@ -88,13 +96,23 @@ class DiscreteOperators:
         return self.jet.weight
 
     def apply_N(self, phi: np.ndarray) -> np.ndarray:
-        return _real_matmul(self.N, phi)
+        return self.N @ phi
+
+    def kernel_rows(self, rows) -> np.ndarray:
+        """Rows of M + iN (w N the imaginary part) as one fresh complex
+        array; ``rows`` indexes the targets.  They are read from the
+        factored storage when N and M are its two parts, and from N and M
+        row by row otherwise."""
+        store = getattr(self.N, "store", None)
+        if store is not None and getattr(self.M, "store", None) is store:
+            return store.rows(rows)
+        return np.asarray(self.M[rows]) + 1j * np.asarray(self.N[rows])
 
     def identity_plus_N(self) -> np.ndarray:
-        return np.eye(self.size) + self.N
+        return np.eye(self.size) + np.asarray(self.N)
 
     def identity_minus_N(self) -> np.ndarray:
-        return np.eye(self.size) - self.N
+        return np.eye(self.size) - np.asarray(self.N)
 
     def nullity_I_minus_N(self) -> "NullityReport":
         return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN)
@@ -103,16 +121,120 @@ class DiscreteOperators:
         return nullity(self.N, +1, self.index.dim_null_I_plus_N + NULLITY_MARGIN)
 
 
-def _real_matmul(matrix: np.ndarray, phi) -> np.ndarray:
-    """matrix @ phi for a real matrix and real or complex samples.
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """The weighted complex kernel M + iN, stored without an N^2 array.
 
-    A complex phi goes through two real products, one per part; numpy would
-    otherwise promote the whole matrix to a complex copy.
+    The i-th curve k of ``laurent`` has its same-curve blocks of w N and M
+    in ``own_n[i]`` and ``own_m[i]``, n x n, and its cross-curve factors
+    U_k = U_T[span].T, N x P_k and zero on the curve's own rows, and
+    V_k = V[span], P_k x n, with span = splits[i]:splits[i + 1].  U is
+    stored transposed, so that its recurrence and both products run on
+    rows.  The j-th curve of ``exact`` has its whole block columns of w N
+    and M, transposed, in rows j n to (j + 1) n of ``exact_n`` and
+    ``exact_m``: real, so that a product with one part reads that part only.
     """
-    phi = np.asarray(phi)
-    if not np.iscomplexobj(phi):
-        return matrix @ phi
-    return matrix @ phi.real + 1j * (matrix @ phi.imag)
+
+    own_n: np.ndarray
+    own_m: np.ndarray
+    U_T: np.ndarray
+    V: np.ndarray
+    splits: tuple[int, ...]
+    laurent: tuple[int, ...]
+    exact: tuple[int, ...]
+    exact_n: np.ndarray
+    exact_m: np.ndarray
+
+    def spans(self):
+        return zip(self.laurent, self.splits[:-1], self.splits[1:])
+
+    def product(self, x: np.ndarray, part, transpose: bool) -> np.ndarray:
+        """A x, or A^T x, for real x of shape (N, k), A the part (np.imag
+        for w N, np.real for M) of the kernel: the same-curve blocks in
+        one batched product, V_k curve by curve, U for all curves at once,
+        and the exact columns in one product."""
+        own, exact = (self.own_n, self.exact_n) if part is np.imag else (self.own_m, self.exact_m)
+        cols = x.reshape(-1, self.V.shape[1], x.shape[1])
+        laurent, curves = list(self.laurent), list(self.exact)
+        out = np.empty(cols.shape)
+        out[laurent] = np.matmul(own.transpose(0, 2, 1) if transpose else own, cols[laurent])
+        if transpose:
+            coeffs = self.U_T @ x
+            for k, first, last in self.spans():
+                out[k] += part(self.V[first:last].T @ coeffs[first:last])
+            out[curves] = (exact @ x).reshape(-1, *cols.shape[1:])
+            return out.reshape(x.shape)
+        coeffs = np.empty((len(self.V), x.shape[1]), dtype=complex)
+        for k, first, last in self.spans():
+            np.matmul(self.V[first:last], cols[k], out=coeffs[first:last])
+        out[curves] = 0.0
+        # (c^T U^T)^T and (x_E^T E^T)^T: BLAS runs these row-major forms
+        # faster than U c and E x
+        out += part((coeffs.T @ self.U_T).T).reshape(cols.shape)
+        if curves:
+            out += (cols[curves].reshape(-1, x.shape[1]).T @ exact).T.reshape(cols.shape)
+        return out.reshape(x.shape)
+
+    def rows(self, rows) -> np.ndarray:
+        """The stored rows of M + iN, indexed as those of an N x N array."""
+        size, n = self.U_T.shape[1], self.V.shape[1]
+        index = np.arange(size)[rows]
+        flat = index.reshape(-1)
+        out = np.empty((flat.size, size), dtype=complex)
+        u = self.U_T[:, flat].T
+        curve, local = np.divmod(flat, n)
+        for i, (k, first, last) in enumerate(self.spans()):
+            block = out[:, k * n:(k + 1) * n]
+            np.matmul(u[:, first:last], self.V[first:last], out=block)
+            own = np.flatnonzero(curve == k)  # the rows of its same-curve block
+            block.real[own] = self.own_m[i, local[own]]
+            block.imag[own] = self.own_n[i, local[own]]
+        for j, k in enumerate(self.exact):
+            block = out[:, k * n:(k + 1) * n]
+            block.real = self.exact_m[j * n:(j + 1) * n, flat].T
+            block.imag = self.exact_n[j * n:(j + 1) * n, flat].T
+        return out.reshape(index.shape + (size,))
+
+
+class KernelPart:
+    """One real part of the stored kernel as an N x N matrix: w N is the
+    imaginary part, M the real part.
+
+    It has ``shape``, the products ``A @ x`` and ``y @ A`` on real or
+    complex samples of shape (N,) or (N, k) ((k, N) on the left), row
+    blocks ``A[rows]``, and the dense copy ``np.asarray(A)`` that only
+    tests take.  ``__array_ufunc__ = None`` makes numpy defer to it, so
+    ``y @ A`` calls ``__rmatmul__`` instead of copying A into an array.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, store: _Kernel, part):
+        self.store, self.part = store, part
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        size = self.store.U_T.shape[1]
+        return (size, size)
+
+    def __matmul__(self, x) -> np.ndarray:
+        return self._product(np.asarray(x), False)
+
+    def __rmatmul__(self, y) -> np.ndarray:
+        return self._product(np.asarray(y).T, True).T
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return np.ascontiguousarray(self.part(self.store.rows(rows)))
+
+    def __array__(self, *args, **kwargs) -> np.ndarray:
+        return np.asarray(self[:], *args)
+
+    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
+        """A x, or A^T x, for x of shape (N,) or (N, k)."""
+        if np.iscomplexobj(x):
+            return self._product(x.real, transpose) + 1j * self._product(x.imag, transpose)
+        product = self.store.product(x.reshape(len(x), -1), self.part, transpose)
+        return product.reshape(x.shape)
 
 
 def _cot_table(n: int) -> np.ndarray:
@@ -129,6 +251,18 @@ def _cot_table(n: int) -> np.ndarray:
     cot[n - 1] = 0.0
     cot[offset % 2 == 1] *= -1.0
     return cot
+
+
+def _fill_kernel(block: np.ndarray, source: np.ndarray, coeff: np.ndarray) -> None:
+    """Turn the differences eta(t) - eta(s) in ``block`` into the unweighted
+    kernel A(s) (eta'(t) / A(t)) / (eta(t) - eta(s)) / pi, in place, with
+    ``source`` = eta'(t) / A(t) at the columns and ``coeff`` = A(s) at the
+    rows."""
+    np.divide(source[None, :], block, out=block)
+    np.multiply(coeff[:, None], block, out=block)
+    # scale the float view: complex division by pi + 0j is slower
+    # and gives the same values up to the sign of zero
+    block.view(np.float64)[...] *= 1 / math.pi
 
 
 def _weighted_blocks(jet: BoundaryJet):
@@ -160,53 +294,112 @@ def _weighted_blocks(jet: BoundaryJet):
             on_diag = (local[:last - first], local[first:last] + k * n)
             block = jet.eta[None, :] - jet.eta[rows, None]
             block[on_diag] = 1.0
-            np.divide(source[None, :], block, out=block)
-            np.multiply(jet.coeff[rows, None], block, out=block)
-            # scale the float view: complex division by pi + 0j is slower
-            # and gives the same values up to the sign of zero
-            block.view(np.float64)[...] *= 1 / math.pi
+            _fill_kernel(block, source, jet.coeff[rows])
             block[on_diag] = diag[rows]
             yield rows, cols, block, cot[local[first:last, None] - local[None, :] + (n - 1)]
             del block  # before the next is built, as the consumer does
 
 
-def weighted_kernels(jet: BoundaryJet) -> tuple[np.ndarray, np.ndarray]:
-    """Nystrom matrices (w N, M) of one sampled boundary.
+def _exact_column(jet: BoundaryJet, k: int, out_n: np.ndarray, out_m: np.ndarray) -> None:
+    """Write curve k's block columns of w N and M on the other curves' rows,
+    transposed, into ``out_n`` and ``out_m`` (n x N, curve k's own rows
+    left as they are), in blocks of at most BLOCK_ENTRIES entries."""
+    n = jet.n
+    cols = slice(k * n, (k + 1) * n)
+    source = jet.eta_d[cols] / jet.coeff[cols]
+    height = max(1, min(n, BLOCK_ENTRIES // n))
+    for target in (t for t in range(jet.m) if t != k):
+        for first in range(target * n, (target + 1) * n, height):
+            rows = slice(first, min(first + height, (target + 1) * n))
+            block = jet.eta[None, cols] - jet.eta[rows, None]
+            _fill_kernel(block, source, jet.coeff[rows])
+            block.view(np.float64)[...] *= jet.weight
+            out_n[:, rows] = block.imag.T
+            out_m[:, rows] = block.real.T
 
-    Both real matrices fall out of one complex kernel evaluation over the
-    grid, row block by row block, with the conjugation folded into the
-    same-curve blocks of M, so no complex N^2 array is made.
+
+def _factor_kernel(jet: BoundaryJet) -> _Kernel:
+    """The weighted complex kernel of a jet as a :class:`_Kernel`.
+
+    The same-curve blocks run through :func:`_weighted_blocks` on each
+    curve alone, so they are bit for bit those of the whole matrix.  With
+    its Laurent frame a_k, r_k, curve k sees the other curves' nodes at
+    ratio rho_k = min |eta_i - a_k| / r_k or more, so P_k =
+    _laurent_terms(rho_k) terms truncate its series below
+    LAURENT_TRUNCATION on every target of the grid:
+    V_k[p, j] = w eta'_j / A_j ((eta_j - a_k) / r_k)^p and
+    U_k[i, p] = -(A_i / pi) (eta_i - a_k)^-1 (r_k / (eta_i - a_k))^p, its
+    powers taken by recurrence in U's storage.  A curve with P_k >= n
+    keeps its exact block columns, its own block included.
     """
-    n_matrix = np.empty((jet.size, jet.size))
-    m_matrix = np.empty_like(n_matrix)
-    for rows, cols, block, cot in _weighted_blocks(jet):
-        np.multiply(block.imag, jet.weight, out=n_matrix[rows])
-        np.multiply(block.real, jet.weight, out=m_matrix[rows])
-        del block
-        m_matrix[rows, cols] += cot
-    return n_matrix, m_matrix
+    m, n, w = jet.m, jet.n, jet.weight
+    curves, frames = [], []
+    for k in range(m):
+        own = slice(k * n, (k + 1) * n)
+        curves.append(BoundaryJet(jet.eta[own], jet.eta_d[own], jet.eta_dd[own],
+                                  jet.coeff[own], jet.coeff_d[own], 1, n))
+        centre, radius, scaled = _laurent_frame(curves[k].eta)
+        distance = np.abs(jet.eta - centre)
+        distance[own] = np.inf
+        rho = float(distance.min()) / radius
+        frames.append((centre, radius, scaled, _laurent_terms(rho) if rho > 1 else n))
+    laurent = tuple(k for k in range(m) if frames[k][3] < n)
+    exact = tuple(k for k in range(m) if frames[k][3] >= n)
+    own_n = np.empty((len(laurent), n, n))
+    own_m = np.empty_like(own_n)
+    exact_n = np.empty((len(exact) * n, jet.size))
+    exact_m = np.empty_like(exact_n)
+    for k, curve in enumerate(curves):
+        if k in laurent:
+            block_n, block_m = own_n[laurent.index(k)], own_m[laurent.index(k)]
+        else:
+            span = slice(exact.index(k) * n, (exact.index(k) + 1) * n)
+            _exact_column(jet, k, exact_n[span], exact_m[span])
+            block_n, block_m = (a[span, k * n:(k + 1) * n].T for a in (exact_n, exact_m))
+        for rows, _, block, cot in _weighted_blocks(curve):
+            np.multiply(block.imag, w, out=block_n[rows])
+            np.multiply(block.real, w, out=block_m[rows])
+            del block
+            block_m[rows] += cot
+    splits = tuple(int(s) for s in np.cumsum([0] + [frames[k][3] for k in laurent]))
+    U_T = np.empty((splits[-1], jet.size), dtype=complex)
+    V = np.empty((splits[-1], n), dtype=complex)
+    for k, first, last in zip(laurent, splits[:-1], splits[1:]):
+        centre, radius, scaled, terms = frames[k]
+        own, u, v = slice(k * n, (k + 1) * n), U_T[first:last], V[first:last]
+        if terms > 0:
+            source = w * jet.eta_d[own] / jet.coeff[own]
+            np.multiply(np.vander(scaled, terms, increasing=True).T, source, out=v)
+            offset = jet.eta - centre
+            offset[own] = radius  # rows zeroed below
+            ratio = radius / offset
+            np.multiply(jet.coeff * (-1 / (math.pi * radius)), ratio, out=u[0])
+            for p in range(1, terms):
+                np.multiply(u[p - 1], ratio, out=u[p])
+            u[:, own] = 0.0
+    return _Kernel(own_n, own_m, U_T, V, splits, laurent, exact, exact_n, exact_m)
 
 
 def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
-    """Assemble the weighted Neumann matrix (and the companion matrix),
+    """Assemble the weighted Neumann operator (and the companion one),
     with the indices of the coefficient: the one index computation for
     these operators."""
     jet = BoundaryJet.from_region(region, coeff, grid)
     index = index_of(coeff, region, grid)
-    n_matrix, m_matrix = weighted_kernels(jet)
+    store = _factor_kernel(jet)
     return DiscreteOperators(
         region=region,
         coeff=coeff,
         jet=jet,
-        N=n_matrix,
-        M=m_matrix,
+        N=KernelPart(store, np.imag),
+        M=KernelPart(store, np.real),
         index=index,
     )
 
 
 def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
     """Apply the discrete companion operator to samples of shape (N,) or (N, k)."""
-    return _real_matmul(ops.M, phi)
+    return ops.M @ phi
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
@@ -276,7 +469,7 @@ def _border(image_basis: np.ndarray, r_factor: np.ndarray, image: np.ndarray):
     return np.hstack((image_basis, q)), r_factor
 
 
-def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
+def nullity(N, sign: int, width: int) -> NullityReport:
     """Count the singular values of A = I + sign N below NULLITY_TOL times
     the largest, by block Krylov on A^T A from a seeded start of this width.
 
@@ -313,7 +506,8 @@ def nullity(N: np.ndarray, sign: int, width: int) -> NullityReport:
               and abs(following - previous[1]) <= NULLITY_SETTLE * following):
             stop = "settled"
         else:
-            # N^T image as (image^T N)^T: BLAS runs the row-major form 3x faster
+            # N^T image as (image^T N)^T: the operator's transpose product,
+            # and for a dense N the row-major form that BLAS runs faster
             block = _new_block(basis, image + sign * (image.T @ N).T)
             stop = ("exact" if block.shape[1] == 0
                     else "basis cap" if basis.shape[1] + block.shape[1] > cap

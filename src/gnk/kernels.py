@@ -16,9 +16,10 @@ with M1 continuous.  The diagonal values come from the closed form
 (imaginary part for N, real part for M1), which is exact here because both
 eta and A are trigonometric polynomials with analytic derivatives.
 
-This module holds the sampled boundary (:class:`BoundaryJet`) and the
-kernels at single (curve, parameter) points.  The grid matrices are built
-row block by row block from a jet in :mod:`gnk.discrete`.
+This module holds the sampled boundary (:class:`BoundaryJet`), the
+kernels at single (curve, parameter) points, and the Laurent frame of a
+sampled curve that the operators' cross-curve factors and the field pass
+share.  The grid operators are built from a jet in :mod:`gnk.discrete`.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ from gnk.geometry import TWO_PI, ParamGrid, Region
 # parameter separation below which same-curve evaluation is routed to the
 # closed-form diagonal to dodge catastrophic cancellation
 NEAR_DIAGONAL = 1e-8
+# A curve's Laurent series is truncated once its terms fall below this
+# fraction of the first, rho^-P at separation ratio rho.
+LAURENT_TRUNCATION = 1e-16
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,20 @@ class BoundaryJet:
     def weight(self) -> float:
         """Trapezoidal weight 2 pi / n."""
         return TWO_PI / self.n
+
+
+def _laurent_terms(rho: float) -> int:
+    """Terms P with rho^-P <= LAURENT_TRUNCATION, for a ratio rho > 1."""
+    return math.ceil(math.log(LAURENT_TRUNCATION) / -math.log(rho))
+
+
+def _laurent_frame(eta: np.ndarray):
+    """Centre a (the mean of a curve's nodes), radius r = max|eta - a| and
+    the scaled nodes (eta - a) / r, whose powers are the curve's Laurent
+    moments without overflow (Greengard & Rokhlin 1987)."""
+    centre = eta.mean()
+    radius = float(np.abs(eta - centre).max())
+    return centre, radius, (eta - centre) / radius
 
 
 def _wrapped_gap(s: float, t: float) -> float:

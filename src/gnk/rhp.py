@@ -29,7 +29,7 @@ from gnk.errors import InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_array,
                           _json_number, _json_object, _parse_json_source,
                           _require_finite)
-from gnk.kernels import BoundaryJet
+from gnk.kernels import BoundaryJet, _laurent_frame, _laurent_terms
 
 DEFAULT_SOLVE_TOL = 1e-10
 # GMRES starts at mu = 0 and stops when ||r|| falls to KRYLOV_TOL ||b||, or
@@ -44,10 +44,10 @@ KRYLOV_BLOCK = 8
 # Probe-node pairs per block of the field pass, shared by the m curves; a
 # few temporaries of PROBE_BLOCK / m entries are all it holds beyond its
 # O(probes) outputs.  Beyond FAR_RHO radii a curve's far field is FAR_TERMS
-# Laurent terms, truncated below 1e-16 relative.
+# Laurent terms, truncated below kernels.LAURENT_TRUNCATION relative.
 PROBE_BLOCK = 2**19
 FAR_RHO = 2.0
-FAR_TERMS = math.ceil(math.log(1e16) / math.log(FAR_RHO))
+FAR_TERMS = _laurent_terms(FAR_RHO)
 
 
 def _sup(x) -> float:
@@ -77,8 +77,9 @@ class RHSolution:
     diagnostics: SolveDiagnostics
 
 
-def _gmres(N: np.ndarray, b: np.ndarray):
-    """x of (I - N) x = b, and the products with N.
+def _gmres(N, b: np.ndarray):
+    """x of (I - N) x = b, and the products with N, of which it takes only
+    ``N @ x``: the operator ``ops.N``, or any matrix.
 
     Arnoldi on I - N from x = 0 (Saad & Schultz 1986) orthogonalizes each
     new Krylov vector against the basis twice, as discrete._new_block does;
@@ -203,11 +204,9 @@ def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
     turns = np.empty((z.size, jet.m))
     rows = max(1, PROBE_BLOCK // jet.size)
     for k, eta in enumerate(jet.eta.reshape(jet.m, jet.n)):
-        centre = eta.mean()
-        radius = float(np.abs(eta - centre).max())
+        centre, radius, scaled = _laurent_frame(eta)
         reach = max((FAR_RHO - 1.0) * radius, near_boundary_band(jet))
-        # moments of the powers scaled by r_k^-p, so none overflows or underflows
-        powers = np.vander((eta - centre) / radius, FAR_TERMS, increasing=True)
+        powers = np.vander(scaled, FAR_TERMS, increasing=True)
         moments = (powers.T @ sources[k])[::-1, :, None]
         for start in range(0, z.size, rows):
             block = slice(start, start + rows)

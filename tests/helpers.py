@@ -6,8 +6,11 @@ the alternate-point quadrature and the spectral multiplier
 conjugation folded into M, brute-force argument
 accumulation for windings, rational functions with poles in the holes
 as exactly known solutions, the dense SVD count of a nullity, the
-whole-matrix kernel builders that the row-block assembly replaced, and
-the region validation that samples every winding, which the enclosing-disc
+whole-matrix kernel builders that the row-block and factored assembly
+replaced (``dense_weighted_kernels``, and ``weighted_kernels`` from the
+row blocks), the bound ``factor_tolerance`` that the factored cross-curve
+entries must meet, derived from the Laurent truncation, and the region
+validation that samples every winding, which the enclosing-disc
 screening replaced.  ``perturbed_circle`` builds the star-like curves of
 the galleries.  ``count_calls`` counts the calls of a library function
 under every name the package binds it to.  ``attainability_residual`` and
@@ -29,7 +32,7 @@ import numpy as np
 
 from gnk.coefficient import One
 from gnk.dirichlet import solve_modified_dirichlet
-from gnk.discrete import NULLITY_TOL, assemble_N
+from gnk.discrete import NULLITY_TOL, _weighted_blocks, assemble_N
 from gnk.errors import NonConvergent, PointTooClose
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle, winding_of_point)
@@ -302,6 +305,70 @@ def dense_weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
     n_matrix = complex_matrix.imag * jet.weight
     m_matrix = complex_matrix.real * jet.weight
     return n_matrix, _add_per_curve(m_matrix, dense_cot_table(jet.n), jet.m)
+
+
+def weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (w N, M) of a jet from the assembly's row blocks: the stored
+    rows that the dense matrices had, for the tests of the row-block
+    builder and of the factored operators."""
+    n_matrix = np.empty((jet.size, jet.size))
+    m_matrix = np.empty_like(n_matrix)
+    for rows, cols, block, cot in _weighted_blocks(jet):
+        np.multiply(block.imag, jet.weight, out=n_matrix[rows])
+        np.multiply(block.real, jet.weight, out=m_matrix[rows])
+        del block
+        m_matrix[rows, cols] += cot
+    return n_matrix, m_matrix
+
+
+def factor_tolerance(jet) -> float:
+    """Largest |stored - exact| that a cross-curve entry of the weighted
+    kernel M + iN may show in the factored storage, derived apart from it.
+
+    Source curve k has centre a_k (the mean of its nodes), radius r_k and
+    rho_k = min |eta_i - a_k| / r_k over the other curves' nodes.  Its
+    Laurent terms fall like rho_k^-p from a first term of at most
+    (1 + 1/rho_k) |K_ij| <= 2 |K_ij|, so the tail dropped after the
+    P_k terms with rho_k^-P_k <= 1e-16 is at most 2 q 1e-16 |K_ij|,
+    q = 1 / (1 - 1/rho_k), and the roundoff of P_k terms, each from at
+    most 3 P_k + 3 rounded operations, at most 2 q (3 P_k + 3) eps |K_ij|.
+    A curve that needs P_k >= n terms is stored exactly.
+    """
+    n = jet.n
+    if jet.m == 1:
+        return 0.0
+    eta = jet.eta.reshape(jet.m, n)
+    kernel = np.abs(dense_complex_kernel(jet)) * jet.weight
+    worst = 0.0
+    for k in range(jet.m):
+        centre = eta[k].mean()
+        rho = np.abs(np.delete(eta, k, axis=0) - centre).min() / np.abs(eta[k] - centre).max()
+        terms = math.ceil(16 * math.log(10) / math.log(rho)) if rho > 1 else n
+        if terms >= n:
+            continue
+        q = 1.0 / (1.0 - 1.0 / rho)
+        relative = 2 * q * (1e-16 + (3 * terms + 3) * np.finfo(float).eps)
+        column = kernel[:, k * n:(k + 1) * n].copy()
+        column[k * n:(k + 1) * n] = 0.0
+        worst = max(worst, relative * float(column.max()))
+    return worst
+
+
+def assert_stored_kernel(ops) -> float:
+    """The stored w N and M against the dense oracle: same-curve blocks bit
+    for bit, cross-curve entries within factor_tolerance.  Returns the
+    largest cross-curve error."""
+    n = ops.n
+    worst = 0.0
+    for stored, oracle in zip((np.asarray(ops.N), np.asarray(ops.M)),
+                              dense_weighted_kernels(ops.jet)):
+        for k in range(ops.m):
+            block = slice(k * n, (k + 1) * n)
+            assert np.array_equal(stored[block, block], oracle[block, block])
+            stored[block, block] = oracle[block, block]
+        worst = max(worst, float(np.abs(stored - oracle).max()))
+    assert worst <= factor_tolerance(ops.jet), worst
+    return worst
 
 
 def dense_weighted_M1(jet) -> np.ndarray:

@@ -193,7 +193,8 @@ def _plant_null_directions(monkeypatch, count: int) -> None:
         ops = assemble(*args, **kwargs)
         rng = np.random.default_rng(11)
         basis, _ = np.linalg.qr(rng.standard_normal((ops.size, count)))
-        return dataclasses.replace(ops, N=ops.N + (basis - ops.N @ basis) @ basis.T)
+        dense = np.asarray(ops.N)
+        return dataclasses.replace(ops, N=dense + (basis - dense @ basis) @ basis.T)
 
     monkeypatch.setattr(discrete, "assemble_N", planted)
 
@@ -342,19 +343,23 @@ class TestSharedBoundarySample:
     def test_verify_samples_once_and_builds_two_kernels(self, inputs, tmp_path,
                                                          monkeypatch):
         samples = count_calls(monkeypatch, Region, "sample")
-        builds = count_calls(monkeypatch, discrete, "_weighted_blocks")
+        factored = count_calls(monkeypatch, discrete, "_factor_kernel")
+        blocks = count_calls(monkeypatch, discrete, "_weighted_blocks")
         rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
         assert len(samples) == 1
-        assert len(builds) == 2
+        # assembly walks each of the three curves' own blocks, the Mobius
+        # check the mapped kernel
+        assert (len(factored), len(blocks)) == (1, 3 + 1)
 
     def test_mobius_check_builds_two_kernels(self, inputs, tmp_path, monkeypatch):
-        builds = count_calls(monkeypatch, discrete, "_weighted_blocks")
+        factored = count_calls(monkeypatch, discrete, "_factor_kernel")
+        blocks = count_calls(monkeypatch, discrete, "_weighted_blocks")
         rc = _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
-        assert len(builds) == 2
+        assert (len(factored), len(blocks)) == (1, 3 + 1)
 
     def test_eval_field_samples_twice(self, inputs, tmp_path, monkeypatch):
         # once for the assembled jet, once for the poles data

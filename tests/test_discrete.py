@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,25 +14,31 @@ from gnk.discrete import (
     assemble_N,
     nullity,
     operator_identity_residuals,
-    weighted_kernels,
 )
 from gnk.dirichlet import indicator_basis
 from gnk.errors import OddGridSize
-from gnk.geometry import ParamGrid, Region, circle, ellipse
+from gnk.geometry import ParamGrid, Region, circle, ellipse, load_region
 from gnk.kernels import BoundaryJet
 from conftest import CENTERS
 from helpers import (
     assemble_M,
+    assert_stored_kernel,
     band_limited,
     conjugation_matrix,
     count_calls,
     dense_nullity,
     dense_weighted_M1,
+    dense_weighted_kernels,
+    factor_tolerance,
     fft_conjugate,
     lattice16,
     traced_peak,
+    weighted_kernels,
     wittich_apply,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from make_gallery import FILES  # noqa: E402
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,7 +52,7 @@ def circle_ops():
 def folded_conjugations(ops) -> list[np.ndarray]:
     """The conjugation that assembly folded into each curve's block of M:
     the dense w M1 minus that block, one n x n matrix per curve."""
-    difference = dense_weighted_M1(ops.jet) - ops.M
+    difference = dense_weighted_M1(ops.jet) - np.asarray(ops.M)
     return [difference[k * ops.n:(k + 1) * ops.n, k * ops.n:(k + 1) * ops.n]
             for k in range(ops.m)]
 
@@ -161,15 +170,108 @@ class TestAssembleN:
     def test_zero_maps_to_zero(self, gallery_ops):
         assert np.abs(gallery_ops.apply_N(np.zeros(gallery_ops.size))).max() == 0.0
 
-    def test_peak_is_the_two_stored_matrices(self, mixed_gallery):
-        # N = 1536: w N and M (2 x 8 N^2 bytes, 37.7 MB) plus a few
-        # complex row blocks; a whole complex kernel would add 16 N^2 bytes
+    def test_peak_is_the_stored_factors(self, mixed_gallery):
+        # N = 1536: the same-curve blocks and the factors, plus the row
+        # blocks that build the same-curve blocks (a complex block and its
+        # cotangent gather, under two complex blocks) and O(N m)
+        # temporaries of the factors' build, where the dense w N and M
+        # took 2 x 8 N^2 bytes
         grid = ParamGrid(512)
         coeff = ShiftedPower(CENTERS[2], 1)
         assemble_N(mixed_gallery, coeff, grid)
         peak = traced_peak(lambda: assemble_N(mixed_gallery, coeff, grid))
+        store = assemble_N(mixed_gallery, coeff, grid).N.store
+        stored = sum(a.nbytes for a in (store.own_n, store.own_m, store.U_T, store.V,
+                                        store.exact_n, store.exact_m))
         size = 3 * grid.n
-        assert peak <= 2 * 8 * size**2 + 4 * 16 * discrete.BLOCK_ENTRIES, peak
+        assert peak <= stored + 2 * 16 * discrete.BLOCK_ENTRIES + 16 * size * 3, peak
+
+
+def _ellipse_beside_circle(aspect: float) -> Region:
+    return Region.from_curves([ellipse(3.0, 2.0, 2.0 / aspect), circle(-3.0, 1.0)])
+
+
+class TestFactoredOperators:
+    """The factored N and M against the dense oracle: products from both
+    sides, same-curve blocks bit for bit, and exact block columns where
+    the Laurent series would be slow."""
+
+    @pytest.fixture(scope="class",
+                    params=["lattice16", "mixed", "ellipse10", "close", "touching"])
+    def case(self, request, mixed_gallery):
+        region, n = {
+            "lattice16": (lattice16(), 64),
+            "mixed": (mixed_gallery, 128),
+            "ellipse10": (_ellipse_beside_circle(10.0), 128),
+            "close": (load_region(FILES["region_close.json"]), 128),
+            # two unit circles 0.05 apart: both columns exact, no factors
+            "touching": (Region.from_curves([circle(3.0 + 1.025j, 1.0),
+                                             circle(3.0 - 1.025j, 1.0)]), 64),
+        }[request.param]
+        ops = assemble_N(region, ShiftedPower(region.hole_points[0], 1), ParamGrid(n))
+        return request.param, ops, dense_weighted_kernels(ops.jet)
+
+    @pytest.mark.parametrize("columns", [None, 5], ids=["vector", "stacked"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_products_match_dense(self, case, columns, dtype):
+        # within 1e-14 of the row sup-norm of the matrix applied, times sup|x|
+        _, ops, oracles = case
+        rng = np.random.default_rng(9)
+        shape = (ops.size,) if columns is None else (ops.size, columns)
+        x = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal(shape)
+        for operator, dense in zip((ops.N, ops.M), oracles):
+            for got, expected, norm in ((operator @ x, dense @ x, np.abs(dense).sum(axis=1)),
+                                        (x.T @ operator, x.T @ dense, np.abs(dense).sum(axis=0))):
+                assert got.shape == expected.shape and got.dtype == expected.dtype
+                error = np.abs(got - expected).max()
+                assert error <= 1e-14 * norm.max() * np.abs(x).max()
+
+    def test_stored_entries(self, case):
+        # same-curve blocks bit for bit, cross-curve entries within the
+        # bound derived from the truncation rho^-P <= 1e-16
+        assert_stored_kernel(case[1])
+
+    def test_slow_series_keeps_the_exact_column(self, case):
+        # the ellipse of region_close.json sees the middle circle at
+        # rho = 0.74, each touching circle the other at 1.05: their block
+        # columns are stored exactly, bit for bit, as real arrays and with
+        # no factors
+        name, ops, (oracle_n, oracle_m) = case
+        n, store = ops.n, ops.N.store
+        exact = {"close": (0,), "touching": (0, 1)}.get(name, ())
+        assert store.exact == exact
+        assert store.laurent == tuple(k for k in range(ops.m) if k not in exact)
+        assert store.exact_n.dtype == store.exact_m.dtype == np.float64
+        assert store.exact_n.shape == (len(exact) * n, ops.size)
+        assert len(store.splits) == len(store.laurent) + 1
+        for k in exact:
+            cols = slice(k * n, (k + 1) * n)
+            assert np.array_equal(np.asarray(ops.N)[:, cols], oracle_n[:, cols])
+            assert np.array_equal(np.asarray(ops.M)[:, cols], oracle_m[:, cols])
+
+    def test_row_blocks_are_the_dense_rows(self, case):
+        _, ops, (oracle_n, oracle_m) = case
+        rows = slice(ops.n // 2, ops.n + 7)  # across two curves
+        block = ops.kernel_rows(rows)
+        assert np.array_equal(block.imag, ops.N[rows])
+        assert np.array_equal(block.real, ops.M[rows])
+        assert np.array_equal(ops.N[3], ops.N[3:4][0])
+        assert np.abs(block.imag - oracle_n[rows]).max() <= factor_tolerance(ops.jet)
+
+
+class TestNoDenseArray:
+    """Solves and counts hold O(N) per column, never an N x N array."""
+
+    def test_solve_and_count_stay_below_one_matrix(self):
+        # lattice16 at n = 128: an N x N float array would take 32 MB
+        ops = assemble_N(lattice16(), ShiftedPower(-6 - 6j, 1), ParamGrid(128))
+        gamma = band_limited(np.random.default_rng(21), 16, 128, band=6)
+        matrix = 8 * ops.size**2
+        assert traced_peak(lambda: rhp.solve_rhp(ops, gamma)) < matrix / 16
+        assert traced_peak(ops.nullity_I_plus_N) < matrix / 2
+        assert traced_peak(ops.nullity_I_minus_N) < matrix / 2
 
 
 class TestComplexProducts:
@@ -240,7 +342,7 @@ class TestAssembleM:
         rng = np.random.default_rng(7)
         phi = band_limited(rng, 3, 128, band=10)
         matrix = assemble_M(gallery_ops)
-        assert np.abs(matrix - gallery_ops.M).max() <= 1e-13
+        assert np.abs(matrix - np.asarray(gallery_ops.M)).max() <= 1e-13
         assert np.abs(matrix @ phi - apply_M(gallery_ops, phi)).max() <= 1e-13
 
     def test_circle_matrix_on_cos(self, circle_ops):
@@ -267,17 +369,22 @@ class TestOperatorIdentities:
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stacked_probes_match_column_by_column(self, gallery_ops, dtype):
         # one call takes the five probes through N and M as one product
-        # each.  A probe given twice, (N, 2), takes the same matrix-matrix
-        # path column by column; a probe of shape (N,) takes the
-        # matrix-vector one, which agrees only to roundoff.
+        # each.  A probe alone among zero columns, (N, 5), takes the same
+        # products of the same widths, so its residuals are bit for bit
+        # those of its column; a probe of shape (N,) takes the
+        # matrix-vector ones, which agree only to roundoff.  (A probe given
+        # twice, (N, 2), takes matrix-matrix kernels of another width,
+        # which sum the same-curve blocks in another order: 1.8e-15 on
+        # residuals of 9e-14, as dense N's kernels do on the products.)
         rng = np.random.default_rng(5)
         probes = np.column_stack([band_limited(rng, 3, 128, band=8) for _ in range(5)])
         if dtype is complex:
             probes = probes + 1j * probes[:, ::-1]
         stacked = operator_identity_residuals(gallery_ops, probes)
-        for pick, tol in ((lambda j: [j, j], 1e-15), (lambda j: j, 1e-13)):
-            singles = [operator_identity_residuals(gallery_ops, probes[:, pick(j)])
-                       for j in range(5)]
+        alone = [probes * (np.arange(5) == j) for j in range(5)]
+        for singles, tol in (([operator_identity_residuals(gallery_ops, x) for x in alone], 0.0),
+                             ([operator_identity_residuals(gallery_ops, x) for x in probes.T],
+                              1e-13)):
             for value, expected in zip(stacked, map(max, zip(*singles))):
                 assert abs(value - expected) <= tol * max(1.0, expected)
 
@@ -375,10 +482,9 @@ class TestKrylovNullity:
 
     @staticmethod
     def _assert_matches_dense(ops):
-        eye = np.eye(ops.size)
         depths = []
-        for report, matrix in ((ops.nullity_I_plus_N(), eye + ops.N),
-                               (ops.nullity_I_minus_N(), eye - ops.N)):
+        for report, matrix in ((ops.nullity_I_plus_N(), ops.identity_plus_N()),
+                               (ops.nullity_I_minus_N(), ops.identity_minus_N())):
             dense = dense_nullity(matrix)
             k = dense.nullity
             assert report.conclusive, report.stop
@@ -423,7 +529,7 @@ class TestKrylovNullity:
         # eight nodes, twelve start columns: one block spans everything
         ops = assemble_N(Region.from_curves([circle(0.0, 1.0)]), One(), ParamGrid(8))
         report = nullity(ops.N, +1, 12)
-        dense = dense_nullity(np.eye(8) + ops.N)
+        dense = dense_nullity(ops.identity_plus_N())
         assert report.stop == "exact" and report.depth == 1
         assert report.nullity == dense.nullity == 1
 

@@ -5,13 +5,13 @@ import pytest
 
 from gnk import discrete
 from gnk.coefficient import One, ShiftedPower
-from gnk.discrete import assemble_N, weighted_kernels
+from gnk.discrete import assemble_N
 from gnk.errors import DiagonalSingular
 from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
 from gnk.mobius import kernel_invariance_check, map_jet
 from conftest import CENTERS
-from helpers import conjugation_matrix, dense_weighted_kernels, traced_peak
+from helpers import conjugation_matrix, dense_weighted_kernels, traced_peak, weighted_kernels
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -111,7 +111,7 @@ class TestMatrixBuilders:
         nodes = grid64.nodes
         conjugation = conjugation_matrix(64)
         pairs = [(0, 0, 3, 11), (2, 2, 4, 9), (1, 2, 7, 7), (0, 2, 5, 40)]
-        for n_matrix, m_matrix in ((ops.N, ops.M), (n_hat, m_hat)):
+        for n_matrix, m_matrix in ((np.asarray(ops.N), np.asarray(ops.M)), (n_hat, m_hat)):
             for ks, kt, i, j in pairs:
                 row, col = ks * 64 + i, kt * 64 + j
                 s_point, t_point = (ks, nodes[i]), (kt, nodes[j])
@@ -131,6 +131,7 @@ class TestMatrixBuilders:
         coeff = ShiftedPower(CENTERS[2], power)
         ops = assemble_N(three_circles, coeff, grid64)
         w, nodes = ops.weight, grid64.nodes
+        n_matrix, m_matrix = np.asarray(ops.N), np.asarray(ops.M)
         conjugation = conjugation_matrix(64)
         pairs = [(0, 0, 3, 11), (2, 2, 4, 9), (1, 1, 7, 7), (2, 2, 0, 63),
                  (1, 2, 7, 7), (0, 2, 5, 40), (2, 0, 33, 1)]
@@ -138,20 +139,20 @@ class TestMatrixBuilders:
             row, col = ks * 64 + i, kt * 64 + j
             s_point, t_point = (ks, nodes[i]), (kt, nodes[j])
             expected = kernel_N(three_circles, coeff, s_point, t_point)
-            assert abs(ops.N[row, col] / w - expected) <= 1e-13 * max(1.0, abs(expected))
+            assert abs(n_matrix[row, col] / w - expected) <= 1e-13 * max(1.0, abs(expected))
             if ks == kt:
-                value = (ops.M[row, col] + conjugation[i, j]) / w
+                value = (m_matrix[row, col] + conjugation[i, j]) / w
                 expected = kernel_M1(three_circles, coeff, s_point, t_point)
             else:
-                value = ops.M[row, col] / w
+                value = m_matrix[row, col] / w
                 expected = kernel_M(three_circles, coeff, s_point, t_point)
             assert abs(value - expected) <= 1e-13 * max(1.0, abs(expected))
 
     def test_circle_constants(self, unit_circle, grid64):
         ops = assemble_N(unit_circle, One(), grid64)
-        assert np.allclose(ops.N / ops.weight, -INV_2PI)
+        assert np.allclose(np.asarray(ops.N) / ops.weight, -INV_2PI)
         # w M1 vanishes on a circle: M is minus the conjugation
-        assert np.abs(ops.M + conjugation_matrix(64)).max() / ops.weight < 1e-13
+        assert np.abs(np.asarray(ops.M) + conjugation_matrix(64)).max() / ops.weight < 1e-13
 
     def test_complex_matrix_diagonal_is_smooth_value(self, three_circles, grid64,
                                                      monkeypatch):
@@ -192,10 +193,10 @@ class TestMatrixBuilders:
 
 class TestOneBlockLive:
     """The row blocks are built in place, and each consumer drops a block
-    before it asks for the next, as the builder does.  So assembly peaks at
-    the block being built, 1.4 blocks with its row-sized temporaries, and
-    the Mobius check at 2.2, with the two half-block temporaries of its
-    comparison.  A block held over adds one more."""
+    before it asks for the next, as the builder does.  So the dense
+    builder peaks at the block being built, 1.4 blocks with its row-sized
+    temporaries, and the Mobius check at 2.4, with the stored rows it reads
+    back and subtracts into the block.  A block held over adds one more."""
 
     @pytest.fixture(scope="class")
     def setup(self):

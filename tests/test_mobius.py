@@ -17,12 +17,15 @@ from gnk.mobius import (
 )
 from conftest import CENTERS
 from helpers import (
+    assert_stored_kernel,
     band_limited,
     dense_complex_kernel,
     dense_cot_table,
     dense_weighted_kernels,
+    factor_tolerance,
     traced_peak,
     transform_solution,
+    weighted_kernels,
     with_center,
 )
 
@@ -98,9 +101,7 @@ class TestKernelInvariance:
         # a block give full and partial blocks per curve
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 192 * 24)
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
-        oracle_n, oracle_m = dense_weighted_kernels(ops.jet)
-        assert np.array_equal(ops.N, oracle_n)
-        assert np.array_equal(ops.M, oracle_m)
+        assert_stored_kernel(ops)
         expected = max(1.0, np.abs(dense_complex_kernel(ops.jet)).max())
         assert kernel_invariance_check(ops).scale == pytest.approx(expected, rel=1e-12)
 
@@ -109,19 +110,34 @@ class TestKernelInvariance:
     def test_report_matches_whole_matrix_check(self, mixed_gallery, coeff,
                                                monkeypatch):
         # the differences and the scale taken block by block equal those of
-        # the whole mapped matrices exactly
+        # the whole mapped matrices against the whole stored ones exactly,
+        # and those against the exact kernel within the factors' bound
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
         ops = assemble_N(mixed_gallery, coeff, ParamGrid(100))
         n_hat, m_hat = dense_weighted_kernels(map_jet(mixed_gallery, ops.jet))
         w = ops.weight
-        singular = ops.M.copy()
-        for k in range(3):
-            block = slice(k * 100, (k + 1) * 100)
-            singular[block, block] -= dense_cot_table(100)
         report = kernel_invariance_check(ops)
-        assert report.max_diff_N == np.abs(n_hat - ops.N).max() / w
-        assert report.max_diff_M1 == np.abs(m_hat - ops.M).max() / w
-        assert report.scale == max(1.0, np.hypot(singular, ops.N).max() / w)
+        tol = factor_tolerance(ops.jet) / w
+        for stored_n, stored_m, close in (
+                (np.asarray(ops.N), np.asarray(ops.M), 0.0),
+                (*dense_weighted_kernels(ops.jet), tol)):
+            singular = stored_m.copy()
+            for k in range(3):
+                block = slice(k * 100, (k + 1) * 100)
+                singular[block, block] -= dense_cot_table(100)
+            assert abs(report.max_diff_N - np.abs(n_hat - stored_n).max() / w) <= close
+            assert abs(report.max_diff_M1 - np.abs(m_hat - stored_m).max() / w) <= close
+            assert abs(report.scale - max(1.0, np.hypot(singular, stored_n).max() / w)) <= close
+
+    def test_sees_a_planted_N(self, three_circles, grid64):
+        # an ops whose N is replaced is checked on that N, as the solve and
+        # the counts use it: one changed entry shows in max_diff_N only
+        ops = assemble_N(three_circles, One(), grid64)
+        planted = np.asarray(ops.N)
+        planted[70, 5] += 1e-6
+        report = kernel_invariance_check(dataclasses.replace(ops, N=planted))
+        assert report.max_diff_N == pytest.approx(1e-6 / ops.weight, rel=1e-6)
+        assert report.max_diff_M1 == kernel_invariance_check(ops).max_diff_M1
 
     def test_peak_is_a_few_blocks(self, mixed_gallery):
         # N = 1536: the mapped kernel goes by in blocks, so the peak stays a
@@ -134,12 +150,12 @@ class TestKernelInvariance:
     def test_discrete_operators_equal(self, three_circles, grid64):
         # assembled Neumann matrices agree entrywise; the companion agrees
         # through its action on test vectors
-        from gnk.discrete import DiscreteOperators, apply_M, weighted_kernels
+        from gnk.discrete import DiscreteOperators, apply_M
 
         ops = assemble_N(three_circles, One(), grid64)
         mapped = map_jet(three_circles, ops.jet)
         n_hat, m_hat = weighted_kernels(mapped)
-        assert np.abs(n_hat - ops.N).max() <= 1e-12
+        assert np.abs(n_hat - np.asarray(ops.N)).max() <= 1e-12
 
         mapped_ops = DiscreteOperators(
             region=three_circles, coeff=One(), jet=mapped,
