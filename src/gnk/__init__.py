@@ -35,12 +35,10 @@ from gnk.discrete import (
 from gnk.errors import (
     CenterNotInHole,
     ConstancyViolation,
-    DiagonalSingular,
     GnkError,
     InconsistentSystem,
     NonConvergent,
     OddGridSize,
-    PointTooClose,
     TooCloseToBoundary,
     ZeroCoefficient,
 )
@@ -52,9 +50,8 @@ from gnk.geometry import (
     ellipse,
     load_region,
     validate_region,
-    winding_of_point,
 )
-from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
+from gnk.kernels import BoundaryJet
 from gnk.mobius import (
     index_shift,
     kernel_invariance_check,

@@ -23,8 +23,8 @@ import numpy as np
 from gnk import dirichlet, discrete, mobius, rhp
 from gnk.coefficient import One, index_of, load_coefficient
 from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem, TooCloseToBoundary
-from gnk.geometry import (TWO_PI, ParamGrid, _require_finite, _turns_about_points,
-                          load_region, validate_region)
+from gnk.geometry import (MIN_DISTANCE, TWO_PI, ParamGrid, _require_finite,
+                          _turns_about_points, load_region, validate_region)
 
 # Mobius kernel differences are roundoff in entries as large as
 # max(1, max|M + iN|), and the jump relation, exact in the discrete algebra,
@@ -242,13 +242,12 @@ def _probe_points(text: str) -> np.ndarray:
     return (grid_x + 1j * grid_y).ravel()
 
 
-def _hole_mask(region, points: np.ndarray) -> np.ndarray:
-    """True where a probe point sits inside some hole (nonzero winding)."""
-    inside = np.zeros(points.shape, dtype=bool)
-    for curve in region.curves:
-        turns = np.rint(_turns_about_points(curve, points)).astype(int)
-        inside |= turns != 0
-    return inside
+def _hole_mask(region, points: np.ndarray, n: int) -> np.ndarray:
+    """True where a probe point sits inside some hole (nonzero winding,
+    counted from n nodes on); a probe too close to a curve to count is not."""
+    return np.any([np.abs(_turns_about_points(lambda s, c=c: c.jet(s)[0], points, n,
+                                              MIN_DISTANCE)) > 0
+                   for c in region.curves], axis=0)
 
 
 def _field_blocks(points, u, holes, in_band):
@@ -274,9 +273,10 @@ def run_field(args) -> int:
     f, dist, turns = rhp.field_pass(ops.jet, gamma, solution.mu, points)
     band_width = rhp.near_boundary_band(ops.jet)
     near = dist < band_width
-    # turn counts are exact off the band; on it the polygon mask decides
+    # the Cauchy sums of 1 count turns exactly off the band; on it the
+    # argument steps decide
     holes = (np.rint(turns) != 0).any(axis=1)
-    holes[near] = _hole_mask(region, points[near])
+    holes[near] = _hole_mask(region, points[near], grid.n)
     in_band = near & ~holes
     if args.strict and in_band.any():
         raise TooCloseToBoundary(

@@ -6,7 +6,7 @@ winding number about the origin on each curve (the index kappa_j) is the
 single combinatorial input to the solvability theory; the dimension
 formulas evaluated in :func:`predict_dimensions` depend on nothing else.
 A vanishing A is rejected by :func:`coeff_jet` alone: on the samples that
-the operators are assembled from and on every grid an index count visits.
+the operators are assembled from and at every node an index count samples.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import Union
 
 import numpy as np
 
-from gnk.errors import ZeroCoefficient
-from gnk.geometry import (Curve, ParamGrid, Region, _as_complex, _fourier_curve,
-                          _json_array, _json_number, _json_object, _parse_json_source,
-                          _require_finite, winding_number)
+from gnk.errors import NonConvergent, ZeroCoefficient
+from gnk.geometry import (MAX_DOUBLINGS, Curve, ParamGrid, Region, _as_complex,
+                          _fourier_curve, _json_array, _json_number, _json_object,
+                          _parse_json_source, _require_finite, _turns_about_points)
 
 MIN_MODULUS = 1e-12
 
@@ -138,18 +138,21 @@ def predict_dimensions(kappa_per_curve) -> IndexReport:
     )
 
 
-def index_of(coeff: Coefficient, region: Region, grid: ParamGrid) -> IndexReport:
-    """Winding of A about 0 along each curve, by argument accumulation.
+def _windings(loops, n: int) -> list[int]:
+    """Winding of each loop about 0, counted from n nodes on.  The loops read
+    A through :func:`coeff_jet`, which rejects a vanishing A, so a NaN count
+    is one that did not settle."""
+    turns = [_turns_about_points(loop, [0j], n, 0.0)[0] for loop in loops]
+    if np.isnan(turns).any():
+        raise NonConvergent(f"a winding did not settle after {MAX_DOUBLINGS} halvings")
+    return [int(w) for w in turns]
 
-    The accumulation grid starts at the supplied grid size and is doubled
-    until the count settles on an integer, so the result is exact for any
-    admissible coefficient.  A is read through :func:`coeff_jet`, which
-    raises ZeroCoefficient where it vanishes.
-    """
-    return predict_dimensions([
-        winding_number(lambda s, k=k: coeff_jet(coeff, region, k, s)[0],
-                       min_modulus=0.0, n0=grid.n)
-        for k in range(region.m)])
+
+def index_of(coeff: Coefficient, region: Region, grid: ParamGrid) -> IndexReport:
+    """Winding of A about 0 along each curve, counted from the grid's nodes
+    on by argument steps, exact for any admissible coefficient."""
+    return predict_dimensions(_windings(
+        [lambda s, k=k: coeff_jet(coeff, region, k, s)[0] for k in range(region.m)], grid.n))
 
 
 def load_coefficient(source) -> Coefficient:

@@ -5,12 +5,8 @@ class GnkError(Exception):
     """Base class for all package-specific errors."""
 
 
-class PointTooClose(GnkError):
-    """A probe point lies too close to a curve for a reliable winding count."""
-
-
 class NonConvergent(GnkError):
-    """Grid refinement hit its cap without settling on an integer winding."""
+    """Segment halving hit its cap without settling a winding count."""
 
 
 class ZeroCoefficient(GnkError):
@@ -19,10 +15,6 @@ class ZeroCoefficient(GnkError):
 
 class OddGridSize(GnkError):
     """The alternate-point conjugation rule requires an even number of grid nodes."""
-
-
-class DiagonalSingular(GnkError):
-    """The singular companion kernel was requested at a same-curve diagonal point."""
 
 
 class CenterNotInHole(GnkError):

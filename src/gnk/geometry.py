@@ -22,15 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from gnk.errors import NonConvergent, OddGridSize, PointTooClose
+from gnk.errors import OddGridSize
 
 TWO_PI = 2.0 * math.pi
-# degeneracy thresholds of validate_region and winding_of_point
+# degeneracy thresholds of validate_region and of its turn counts
 MIN_SPEED = 1e-6
 MIN_DISTANCE = 1e-6
-MAX_DOUBLINGS = 14  # grid doublings before winding_number gives up
-POLYGON_NODES = 512  # per curve, for validation's and the hole mask's turn counts
-POLYGON_BLOCK = 2**16  # point-node pairs per block of those turn counts
+# levels of segment halving before a turn count gives up: a step that still
+# reaches pi/2 puts its point within a 2^-20 piece of the curve
+MAX_DOUBLINGS = 20
+TURN_BLOCK = 2**16  # point-node pairs per block of a turn count
 # relative allowance for the rounding of sampled eta when an enclosing disc
 # decides a check; it only sends near-tangent cases to the sampled test
 DISC_SLACK = 1e-9
@@ -166,46 +167,6 @@ class Region:
         return eta, eta_d, eta_dd
 
 
-def winding_number(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    *,
-    min_modulus: float,
-    n0: int,
-) -> int:
-    """Winding about 0 of a closed loop s -> evaluate(s), s in [0, 2 pi).
-
-    Accumulates argument steps between consecutive samples from n0 nodes
-    on, doubling the grid until every step is below pi/2 and the turn count
-    is within 0.1 of an integer.  Raises PointTooClose if the loop passes
-    within ``min_modulus`` of the origin and NonConvergent past the cap.
-    """
-    n = int(n0)
-    for _ in range(MAX_DOUBLINGS + 1):
-        s = np.arange(n) * (TWO_PI / n)
-        values = np.asarray(evaluate(s), dtype=complex)
-        closest = float(np.abs(values).min())
-        if closest <= min_modulus:
-            raise PointTooClose(f"loop passes within {closest:.3e} of the origin")
-        steps = np.angle(np.roll(values, -1) / values)
-        turns = float(steps.sum() / TWO_PI)
-        nearest = round(turns)
-        if np.abs(steps).max() < math.pi / 2 and abs(turns - nearest) < 0.1:
-            return int(nearest)
-        n *= 2
-    raise NonConvergent(
-        f"winding number did not settle after {MAX_DOUBLINGS} grid doublings"
-    )
-
-
-def winding_of_point(curve: Curve, z: complex, n: int) -> int:
-    """Integer winding number of the curve about z, counted from n nodes on."""
-    return winding_number(
-        lambda s: curve.jet(s)[0] - z,
-        n0=n,
-        min_modulus=MIN_DISTANCE,
-    )
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -233,33 +194,47 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _turns_about_points(curve: Curve, points: np.ndarray) -> np.ndarray:
-    """Approximate winding of the curve about many points at once.
-
-    No refinement: points close to the curve give unreliable turn counts,
-    which callers must screen with a distance check first.  Points go in
-    blocks of POLYGON_BLOCK point-node pairs.
-    """
-    eta = curve.jet(np.arange(POLYGON_NODES) * (TWO_PI / POLYGON_NODES))[0]
-    points = np.asarray(points, dtype=complex)
+@np.errstate(divide="ignore", invalid="ignore")  # a node on a point gives NaN
+def _turns_about_points(loop: Callable[[np.ndarray], np.ndarray], points,
+                        n: int, min_modulus: float) -> np.ndarray:
+    """Winding numbers of the closed loop s -> loop(s), s in [0, 2 pi), about
+    each point, as floats: the argument steps between n equally spaced
+    samples, TURN_BLOCK point-node pairs at a time, where each segment whose
+    step reaches pi/2 is halved, for at most MAX_DOUBLINGS levels.  NaN
+    where a sampled node comes within min_modulus of the point, or where a
+    step still reaches pi/2 after the last level."""
+    points = np.asarray(points, dtype=complex).ravel()
+    h = TWO_PI / n
+    values = np.asarray(loop(np.arange(n) * h), dtype=complex)
     turns = np.empty(points.size)
-    rows = POLYGON_BLOCK // POLYGON_NODES
+    wide_at = [np.zeros(0, dtype=int)]  # point * n + segment, where a step reaches pi/2
+    rows = max(1, TURN_BLOCK // n)
     for start in range(0, points.size, rows):
-        w = eta[None, :] - points[start:start + rows, None]
-        steps = np.angle(np.roll(w, -1, axis=1) / w)
-        turns[start:start + rows] = steps.sum(axis=1) / TWO_PI
-    return np.nan_to_num(turns, nan=0.5)
-
-
-def _winding_check(name: str, curve: Curve, z: complex, expected: int,
-                   n: int) -> CheckResult:
-    """Compare the winding of the curve about z with expected; a z far
-    outside the curve's enclosing disc (see _far_outside) winds 0 unsampled."""
-    try:
-        w = 0 if _far_outside(curve, z) else winding_of_point(curve, z, n)
-    except (PointTooClose, NonConvergent) as exc:
-        return CheckResult(name, False, math.nan, f"{type(exc).__name__}: {exc}")
-    return CheckResult(name, w == expected, float(w), f"expected {expected}, got {w}")
+        z = points[start:start + rows, None]
+        w = values - z
+        steps = np.angle((np.roll(values, -1) - z) / w)
+        wide = np.abs(steps) >= math.pi / 2
+        steps[wide] = 0.0
+        turns[start:start + rows] = np.where(
+            np.abs(w).min(axis=1) > min_modulus, steps.sum(axis=1), np.nan)
+        wide_at.append(np.flatnonzero(wide) + start * n)
+    p, i = np.divmod(np.concatenate(wide_at), n)
+    s, left, right = i * h, values[i] - points[p], values[(i + 1) % n] - points[p]
+    for _ in range(MAX_DOUBLINGS):
+        if not p.size:
+            break
+        h /= 2
+        mid = np.asarray(loop(s + h), dtype=complex) - points[p]
+        turns[p[~(np.abs(mid) > min_modulus)]] = np.nan
+        p, s = np.concatenate((p, p)), np.concatenate((s, s + h))
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        steps = np.angle(right / left)
+        wide = np.abs(steps) >= math.pi / 2
+        np.add.at(turns, p[~wide], steps[~wide])
+        p, s, left, right = p[wide], s[wide], left[wide], right[wide]
+    turns[p] = np.nan
+    turns /= TWO_PI
+    return np.add(np.rint(turns, out=turns), 0.0, out=turns)  # + 0.0: no -0.0 counts
 
 
 def _beyond(distance: float, reach: float, scale: float) -> bool:
@@ -270,9 +245,9 @@ def _beyond(distance: float, reach: float, scale: float) -> bool:
 def _discs_apart(a: Curve, b: Curve) -> bool:
     """True when the enclosing discs of a and b are disjoint.
 
-    Each sampled polygon then lies inside its own convex disc with every
-    sample of the other curve outside it, so no argument step reaches pi
-    and _turns_about_points would count 0 turns both ways.
+    The curves are then disjoint, so each winds 0 about the other's
+    samples; _turns_about_points counts that 0 both ways unless a sample
+    lies so near the other curve that its count is NaN.
     """
     ca, cb = a.centroid, b.centroid
     return _beyond(abs(ca - cb), a.radius + b.radius,
@@ -280,7 +255,8 @@ def _discs_apart(a: Curve, b: Curve) -> bool:
 
 
 def _far_outside(curve: Curve, z: complex) -> bool:
-    """True when winding_of_point(curve, z) is 0 on its first grid.
+    """True when _turns_about_points counts 0 turns of the curve about z on
+    any grid, halving nothing, with min_modulus MIN_DISTANCE.
 
     Beyond sqrt(2) r from the centre the disc subtends less than pi/2 at z,
     so every argument step stays below pi/2 and the steps cancel; beyond
@@ -351,24 +327,32 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
         for k in range(j + 1, region.m):
             cross = gap(samples[j], samples[k], False)
             # sample distance alone misses interpenetration, so also require
-            # each curve's samples to wind zero about the other
-            turns = 0.0 if _discs_apart(curves[j], curves[k]) else max(
-                float(np.abs(_turns_about_points(curves[j], samples[k])).max()),
-                float(np.abs(_turns_about_points(curves[k], samples[j])).max()),
-            )
-            separated = cross >= MIN_DISTANCE and turns < 0.25
+            # each curve's samples to wind exactly zero about the other
+            turns = 0.0 if _discs_apart(curves[j], curves[k]) else float(np.abs(
+                np.concatenate([_turns_about_points(lambda s: c.jet(s)[0], z, grid.n,
+                                                    MIN_DISTANCE)
+                                for c, z in ((curves[j], samples[k]),
+                                             (curves[k], samples[j]))])).max())
             checks.append(CheckResult(
-                f"disjoint[{j},{k}]", separated, cross,
+                f"disjoint[{j},{k}]", cross >= MIN_DISTANCE and turns == 0, cross,
                 f"min cross-curve distance vs {MIN_DISTANCE:g}; "
                 f"max mutual winding {turns:.3f}"))
-    for k, curve in enumerate(curves):
-        z = region.hole_points[k]
-        checks.append(_winding_check(f"orientation[{k}]", curve, z, -1, grid.n))
-        for j, other in enumerate(curves):
-            if j != k:
-                checks.append(_winding_check(
-                    f"hole_point[{k}] outside curve[{j}]", other, z, 0, grid.n))
-        checks.append(_winding_check(f"zero_in_region[{k}]", curve, 0j, 0, grid.n))
+    # each curve's count about the hole points and the origin that its
+    # enclosing disc leaves open; the rest wind 0 (see _far_outside)
+    windings = []
+    for curve in curves:
+        points = [z for z in region.hole_points + (0j,) if not _far_outside(curve, z)]
+        windings.append(dict(zip(points, _turns_about_points(
+            lambda s: curve.jet(s)[0], points, grid.n, MIN_DISTANCE))))
+    for k, z in enumerate(region.hole_points):
+        for name, j, point, expected in (
+                [(f"orientation[{k}]", k, z, -1)]
+                + [(f"hole_point[{k}] outside curve[{j}]", j, z, 0)
+                   for j in range(region.m) if j != k]
+                + [(f"zero_in_region[{k}]", k, 0j, 0)]):
+            w = float(windings[j].get(point, 0.0))
+            got = "nan, too close to count" if math.isnan(w) else int(w)
+            checks.append(CheckResult(name, w == expected, w, f"expected {expected}, got {got}"))
     return ValidationReport(tuple(checks))
 
 

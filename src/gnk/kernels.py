@@ -16,10 +16,12 @@ with M1 continuous.  The diagonal values come from the closed form
 (imaginary part for N, real part for M1), which is exact here because both
 eta and A are trigonometric polynomials with analytic derivatives.
 
-This module holds the sampled boundary (:class:`BoundaryJet`), the
-kernels at single (curve, parameter) points, and the Laurent frame of a
-sampled curve that the operators' cross-curve factors and the field pass
-share.  The grid operators are built from a jet in :mod:`gnk.discrete`.
+This module holds the sampled boundary (:class:`BoundaryJet`) and the
+Laurent frame of a sampled curve that the operators' cross-curve factors
+and the field pass share.  The grid operators are built from a jet in
+:mod:`gnk.discrete`; the kernels at single (curve, parameter) points,
+with the closed-form diagonal, are the tests' pointwise oracle in
+``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -30,12 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import coefficient as coefficient_mod
-from gnk.errors import DiagonalSingular
 from gnk.geometry import TWO_PI, ParamGrid, Region
 
-# parameter separation below which same-curve evaluation is routed to the
-# closed-form diagonal to dodge catastrophic cancellation
-NEAR_DIAGONAL = 1e-8
 # A curve's Laurent series is truncated once its terms fall below this
 # fraction of the first, rho^-P at separation ratio rho.
 LAURENT_TRUNCATION = 1e-16
@@ -87,58 +85,3 @@ def _laurent_frame(eta: np.ndarray):
     centre = eta.mean()
     radius = float(np.abs(eta - centre).max())
     return centre, radius, (eta - centre) / radius
-
-
-def _wrapped_gap(s: float, t: float) -> float:
-    d = math.fmod(s - t, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d < -math.pi:
-        d += TWO_PI
-    return abs(d)
-
-
-def _point_values(region: Region, coeff, point):
-    k, s = point
-    eta, eta_d, eta_dd = region.curves[k].jet(float(s))
-    a, a_d = coefficient_mod.coeff_jet(coeff, region, k, float(s))
-    return eta, eta_d, eta_dd, a, a_d
-
-
-def _offdiag(region: Region, coeff, s_point, t_point) -> complex:
-    eta_s, _, _, a_s, _ = _point_values(region, coeff, s_point)
-    eta_t, eta_d_t, _, a_t, _ = _point_values(region, coeff, t_point)
-    return (a_s / a_t) * eta_d_t / (eta_t - eta_s) / math.pi
-
-
-def _diagonal(region: Region, coeff, point) -> complex:
-    _, eta_d, eta_dd, a, a_d = _point_values(region, coeff, point)
-    return (eta_dd / (2.0 * eta_d) - a_d / a) / math.pi
-
-
-def kernel_N(region: Region, coeff, s_point, t_point) -> float:
-    """Generalized Neumann kernel N(s, t); points are (curve, parameter) pairs."""
-    (ks, s), (kt, t) = s_point, t_point
-    if ks == kt and _wrapped_gap(s, t) < NEAR_DIAGONAL:
-        return float(_diagonal(region, coeff, t_point).imag)
-    return float(_offdiag(region, coeff, s_point, t_point).imag)
-
-
-def kernel_M(region: Region, coeff, s_point, t_point) -> float:
-    """Companion kernel M(s, t), singular on the same-curve diagonal."""
-    (ks, s), (kt, t) = s_point, t_point
-    if ks == kt and _wrapped_gap(s, t) < NEAR_DIAGONAL:
-        raise DiagonalSingular(
-            "M has no finite same-curve diagonal; use kernel_M1 plus the cotangent")
-    return float(_offdiag(region, coeff, s_point, t_point).real)
-
-
-def kernel_M1(region: Region, coeff, s_point, t_point) -> float:
-    """Continuous same-curve remainder M1(s, t) = M + cot((s-t)/2)/(2 pi)."""
-    (ks, s), (kt, t) = s_point, t_point
-    if ks != kt:
-        raise ValueError("M1 is defined for points on the same curve")
-    if _wrapped_gap(s, t) < NEAR_DIAGONAL:
-        return float(_diagonal(region, coeff, t_point).real)
-    value = _offdiag(region, coeff, s_point, t_point).real
-    return float(value + 1.0 / math.tan((s - t) / 2.0) / TWO_PI)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from gnk import discrete
-from gnk.coefficient import IndexReport, coeff_jet
-from gnk.errors import CenterNotInHole, PointTooClose
-from gnk.geometry import Region, winding_number, winding_of_point
+from gnk.coefficient import IndexReport, _windings, coeff_jet
+from gnk.errors import CenterNotInHole
+from gnk.geometry import MIN_DISTANCE, Region, _turns_about_points
 from gnk.kernels import BoundaryJet
 
 
@@ -27,13 +27,10 @@ def _center(region: Region, n: int) -> complex:
     z0 = complex(region.hole_points[-1])
     for k, curve in enumerate(region.curves):
         expected = -1 if k == region.m - 1 else 0
-        try:
-            w = winding_of_point(curve, z0, n)
-        except PointTooClose as exc:
-            raise CenterNotInHole(f"center {z0} too close to curve {k}: {exc}") from exc
-        if w != expected:
-            raise CenterNotInHole(
-                f"center {z0} has winding {w} about curve {k}, expected {expected}")
+        w = _turns_about_points(lambda s: curve.jet(s)[0], [z0], n, MIN_DISTANCE)[0]
+        if w != expected:  # NaN too: a node within MIN_DISTANCE, or no settled count
+            found = "too close to" if np.isnan(w) else f"has winding {int(w)} about"
+            raise CenterNotInHole(f"center {z0} {found} curve {k}, expected {expected}")
     return z0
 
 
@@ -125,8 +122,6 @@ def mapped_index_of(ops: discrete.DiscreteOperators) -> tuple[tuple[int, ...], i
     def hat_values(k: int, s: np.ndarray) -> np.ndarray:
         return coeff_jet(coeff, region, k, s)[0] / (region.curves[k].jet(s)[0] - z0)
 
-    # coeff_jet has rejected |A| < MIN_MODULUS on every grid the count visits
-    windings = [winding_number(lambda s, k=k: hat_values(k, s), min_modulus=0.0, n0=ops.n)
-                for k in range(region.m)]
+    windings = _windings([lambda s, k=k: hat_values(k, s) for k in range(region.m)], ops.n)
     hat = (windings[-1],) + tuple(windings[:-1])
     return hat, sum(windings)

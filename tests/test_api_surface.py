@@ -33,11 +33,10 @@ OPTIONS = {
                                           "centroids then serve",
     "rhp.solve_rhp(tol_solve=)": "the CLI passes --tol-solve",
 }
-MAX_SOURCE_LINES = 2305
-# Public functions only tests call, kept as library API: the scalar kernels
-# are the only evaluation of the kernels off the grid, and harmonic_eval is
+MAX_SOURCE_LINES = 2219
+# Public functions only tests call, kept as library API: harmonic_eval is
 # the documented Dirichlet field.
-TEST_ONLY_API = {"kernel_N", "kernel_M", "kernel_M1", "harmonic_eval"}
+TEST_ONLY_API = {"harmonic_eval"}
 
 
 def _modules():

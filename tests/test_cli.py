@@ -14,7 +14,7 @@ from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
-from helpers import count_calls, traced_peak
+from helpers import count_calls, overlap_between_polygon_nodes, traced_peak
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
@@ -81,6 +81,18 @@ class TestSolveDirichlet:
         solution = dirichlet.solve_modified_dirichlet(ops, gamma)
         diagnostics = json.loads((out / "diagnostics.json").read_text())
         assert diagnostics["h_deviation"] == list(solution.h_deviation)
+
+
+    def test_overlap_between_polygon_nodes_exits_1(self, tmp_path, capsys):
+        # data the two curves could be solved with, were they disjoint
+        (tmp_path / "region.json").write_text(json.dumps(overlap_between_polygon_nodes()))
+        (tmp_path / "data.json").write_text(json.dumps(
+            {"type": "constants", "values": [0.3, -1.2]}))
+        rc = _run(["solve-dirichlet", "--region", tmp_path / "region.json",
+                   "--data", tmp_path / "data.json", "--n", 64, "--out", tmp_path / "o"])
+        assert rc == 1
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message.startswith("region validation failed: disjoint[0,1]")
 
 
 class TestSolveRhp:
@@ -579,6 +591,24 @@ class TestEvalField:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "TooCloseToBoundary"
 
+    @pytest.mark.parametrize("depth, flag", [
+        (1.5e-5, "hole"), (-2e-6, "band"), (1e-7, "band"), (-1e-7, "band")],
+        ids=["inside", "outside", "inside-too-close", "outside-too-close"])
+    def test_probe_between_polygon_nodes(self, inputs, tmp_path, depth, flag):
+        # midway between two nodes of a 512-node polygon of the first
+        # circle, whose chord there lies 1.9e-5 inside the curve; a probe
+        # within 1e-6 of a node the count samples is too close to count,
+        # so it stays in the band with its value
+        z = complex(CENTERS[0] + (RADII[0] - depth) * np.exp(-1j * np.pi / 512))
+        out = tmp_path / "out"
+        rc = _run(["eval-field", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out,
+                   "--field-grid", f"{z.real!r},{z.real!r},1,{z.imag!r},{z.imag!r},1"])
+        assert rc == 0
+        _, _, u, got = (out / "field.csv").read_text().splitlines()[1].split(",")
+        assert got == flag
+        assert u == "" if flag == "hole" else np.isfinite(float(u))
+
     def test_missing_grid_exits_1(self, inputs, tmp_path):
         rc = _run(["eval-field", "--region", inputs / "region.json",
                    "--data", inputs / "data.json", "--out", tmp_path / "o"])
@@ -605,7 +635,7 @@ def _dense_reference_csv(region, grid, gamma, points) -> bytes:
     ops = discrete.assemble_N(region, One(), grid)
     mu = rhp.solve_rhp(ops, gamma).mu
     jet = ops.jet
-    holes = cli._hole_mask(region, points)
+    holes = cli._hole_mask(region, points, grid.n)
     diff = jet.eta[None, :] - points[:, None]
     in_band = (np.abs(diff).min(axis=1) < rhp.near_boundary_band(jet)) & ~holes
     density = (gamma + 1j * mu) / jet.coeff
@@ -630,7 +660,7 @@ class TestFieldPassReference:
     """eval-field matches the dense former path: x, y and the flags byte for
     byte, u to the rounding of the per-curve summation order (8.9e-16
     relative measured, |u| <= 2.4).  Only probes inside the band reach the
-    polygon hole mask."""
+    hole mask, whose turn count starts on the grid of the solve."""
 
     @pytest.mark.parametrize("region_json", [REGION, MIXED_REGION],
                              ids=["circles", "mixed"])
@@ -654,9 +684,9 @@ class TestFieldPassReference:
 
         masked, original_mask = [], cli._hole_mask
 
-        def recording_mask(region, pts):
-            masked.append(pts)
-            return original_mask(region, pts)
+        def recording_mask(region, pts, n):
+            masked.append((pts, n))
+            return original_mask(region, pts, n)
 
         monkeypatch.setattr(cli, "_hole_mask", recording_mask)
         monkeypatch.setattr(cli, "_probe_points", lambda text: points)
@@ -675,9 +705,10 @@ class TestFieldPassReference:
         assert np.nanmax(np.abs(u - expected_u) / scale) <= 1e-13
         assert {"hole", "band"} <= {line.rsplit(",", 1)[1]
                                    for line in expected.decode().splitlines()[1:]}
-        # the polygon mask sees exactly the probes inside the band
+        # the hole mask sees exactly the probes inside the band
         near = np.abs(jet.eta[None, :] - points[:, None]).min(axis=1) < band
-        assert len(masked) == 1 and np.array_equal(masked[0], points[near])
+        assert len(masked) == 1 and np.array_equal(masked[0][0], points[near])
+        assert masked[0][1] == n
 
 
 class TestErrorPaths:

@@ -14,9 +14,10 @@ from gnk.coefficient import (
     sample,
 )
 from gnk.errors import ZeroCoefficient
-from gnk.geometry import Curve, ParamGrid, winding_of_point
+from gnk.geometry import Curve, ParamGrid
 from gnk.rhp import load_boundary_data
 from conftest import CENTERS
+from helpers import point_winding
 
 
 class TestCoeffJet:
@@ -78,7 +79,7 @@ class TestIndex:
             report = index_of(ShiftedPower(CENTERS[1], power), three_circles,
                               ParamGrid(64))
             expected = tuple(
-                power * winding_of_point(c, CENTERS[1], 64)
+                power * point_winding(c, CENTERS[1], 64)
                 for c in three_circles.curves
             )
             assert report.kappa_per_curve == expected

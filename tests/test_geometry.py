@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 import gnk.geometry as geometry
 from gnk import mobius
 from gnk.coefficient import One
-from gnk.errors import OddGridSize, PointTooClose
+from gnk.errors import OddGridSize
 from gnk.geometry import (
     DISC_SLACK,
+    MIN_DISTANCE,
     Curve,
     ParamGrid,
     Region,
@@ -21,11 +23,10 @@ from gnk.geometry import (
     ellipse,
     load_region,
     validate_region,
-    winding_of_point,
 )
 from gnk.kernels import BoundaryJet
-from helpers import (central_difference, lattice16, perturbed_circle, sampled_validate_region,
-                     traced_peak)
+from helpers import (central_difference, lattice16, overlap_between_polygon_nodes,
+                     perturbed_circle, point_winding, sampled_validate_region, traced_peak)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from make_gallery import FILES  # noqa: E402
@@ -95,48 +96,110 @@ class TestCurveInput:
 
 class TestWinding:
     def test_clockwise_unit_circle_about_center(self):
-        assert winding_of_point(circle(0.0, 1.0), 0.0, 64) == -1
+        assert point_winding(circle(0.0, 1.0), 0.0, 64) == -1
 
     def test_exterior_point(self):
-        assert winding_of_point(circle(0.0, 1.0), 3.0, 64) == 0
+        assert point_winding(circle(0.0, 1.0), 3.0, 64) == 0
 
     def test_ellipse_center(self):
         # brute-force argument accumulation settles to a full clockwise turn
-        assert winding_of_point(ellipse(3.0, 2.0, 1.0), 3.0, 64) == -1
+        assert point_winding(ellipse(3.0, 2.0, 1.0), 3.0, 64) == -1
 
     def test_point_too_close(self):
-        with pytest.raises(PointTooClose):
-            winding_of_point(circle(0.0, 1.0), 1.0 + 1e-9j, 64)
+        assert math.isnan(point_winding(circle(0.0, 1.0), 1.0 + 1e-9j, 64))
 
     def test_doubling_invariance(self):
         c = perturbed_circle(2.0 - 1.0j, 1.0, [(5, 0.1)])
         for z in (2.0 - 1.0j, 5.0, -3.0j):
-            assert winding_of_point(c, z, 64) == winding_of_point(c, z, 128)
+            assert point_winding(c, z, 64) == point_winding(c, z, 128)
 
     @given(st.floats(0.05, 0.9), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=30, deadline=None)
     def test_interior_points_wind_minus_one(self, t, angle):
         c = circle(1.0 + 1.0j, 1.5)
         z = (1.0 + 1.0j) + t * 1.5 * np.exp(1j * angle)
-        assert winding_of_point(c, z, 64) == -1
+        assert point_winding(c, z, 64) == -1
 
     @given(st.floats(1.1, 10.0), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=30, deadline=None)
     def test_exterior_points_wind_zero(self, t, angle):
         c = circle(1.0 + 1.0j, 1.5)
         z = (1.0 + 1.0j) + t * 1.5 * np.exp(1j * angle)
-        assert winding_of_point(c, z, 64) == 0
+        assert point_winding(c, z, 64) == 0
 
     @pytest.mark.parametrize("count", [10**3, 10**4])
-    def test_polygon_turns_peak_bounded_in_point_count(self, count):
-        # a block holds the differences, their shift and their ratio, 48
-        # bytes for each of POLYGON_BLOCK pairs, beyond the 8-byte counts;
-        # 10^4 points in one block would hold 82 MB of differences alone.
+    def test_turns_peak_bounded_in_point_count(self, count):
+        # a block holds the differences, the shifted differences, their
+        # ratio and its angle, 56 bytes for each of TURN_BLOCK pairs, beyond
+        # the 8-byte counts; 10^4 points in one block would hold 82 MB of
+        # differences alone.
         # The untraced first call takes the allocations numpy makes once.
         points = np.random.default_rng(3).uniform(-3.0, 3.0, (count, 2)) @ [1.0, 1j]
-        geometry._turns_about_points(circle(0.0, 1.0), points[:1])
-        peak = traced_peak(lambda: geometry._turns_about_points(circle(0.0, 1.0), points))
-        assert peak - 8 * count <= 64 * geometry.POLYGON_BLOCK
+        curve = circle(0.0, 1.0)
+
+        def count_turns(z):
+            return geometry._turns_about_points(lambda s: curve.jet(s)[0], z, 512,
+                                                MIN_DISTANCE)
+
+        count_turns(points[:1])
+        peak = traced_peak(lambda: count_turns(points))
+        assert peak - 8 * count <= 64 * geometry.TURN_BLOCK
+
+
+class TestTurnCounter:
+    """_turns_about_points counts exactly, halving only where it must."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("shape", ["circle", "ellipse"])
+    def test_finite_counts_equal_membership(self, shape, n):
+        # 2,000 points in the box about the curve and 1,000 at 1e-9 to 1e-2
+        # along its normals; inside the circle or the a / b = 6.7 ellipse the
+        # clockwise curve winds -1
+        rng = np.random.default_rng(11)
+        a, b = (1.0, 1.0) if shape == "circle" else (2.0, 0.3)
+        curve = circle(0.0, 1.0) if shape == "circle" else ellipse(0.0, a, b)
+        box = rng.uniform(-1.2, 1.2, (2000, 2)) * [a, b] @ [1.0, 1j]
+        eta, eta_d, _ = curve.jet(rng.uniform(0.0, 2 * math.pi, 1000))
+        offsets = 10.0**rng.uniform(-9.0, -2.0, eta.size) * rng.choice([-1.0, 1.0], eta.size)
+        z = np.concatenate((box, eta + offsets * 1j * eta_d / np.abs(eta_d)))
+        turns = geometry._turns_about_points(lambda s: curve.jet(s)[0], z, n, MIN_DISTANCE)
+        inside = (z.real / a)**2 + (z.imag / b)**2 < 1.0
+        finite = np.isfinite(turns)
+        assert np.array_equal(turns[finite], -inside[finite].astype(float))
+        # NaN only within 1e-6 of the curve: a near point lies within its
+        # offset of the curve
+        assert finite[:2000].all()
+        assert (np.abs(offsets[~finite[2000:]]) < MIN_DISTANCE).all()
+        assert finite[2000:].sum() >= 500
+
+    def test_probe_between_nodes_is_cheap(self):
+        # 2e-6 outside the unit circle, 0.3 of a spacing past a node: the
+        # count settles on pieces of 2^-13 spacings, which a doubling of the
+        # whole grid would sample on 2^13 n = 2^21 nodes
+        curve = circle(0.0, 1.0)
+        z = np.array([(1.0 + 2e-6) * np.exp(-1j * 0.3 * (2 * math.pi / 256))])
+
+        def count():
+            return geometry._turns_about_points(lambda s: curve.jet(s)[0], z, 256,
+                                                MIN_DISTANCE)
+
+        assert count()[0] == 0
+        start = time.perf_counter()
+        count()
+        assert time.perf_counter() - start <= 0.05
+        assert traced_peak(count) <= 2**20
+
+    def test_unsettled_count_is_nan(self):
+        # 2e-6 from the curve at n = 64, the count settles on pieces of
+        # 2^-15 spacings; 1e-8 from it, with no node too close, a step still
+        # reaches pi/2 after the last level
+        curve = circle(0.0, 1.0)
+        z = (1.0 + 2e-6) * np.exp(-1j * 0.3 * (2 * math.pi / 64))
+        assert geometry._turns_about_points(lambda s: curve.jet(s)[0], [z], 64,
+                                            MIN_DISTANCE)[0] == 0
+        far = (1.0 + 1e-8) * np.exp(-1j * 0.3 * (2 * math.pi / 64))
+        assert math.isnan(geometry._turns_about_points(lambda s: curve.jet(s)[0], [far],
+                                                       64, 0.0)[0])
 
 
 class TestParamGrid:
@@ -175,6 +238,15 @@ class TestValidation:
         report = validate_region(region, grid64)
         assert any(c.name.startswith("disjoint") for c in report.failures())
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_overlap_between_polygon_nodes_fails_disjointness(self, n):
+        # only the exact mutual winding sees the 1e-5 overlap
+        report = validate_region(load_region(overlap_between_polygon_nodes()), ParamGrid(n))
+        failures = report.failures()
+        assert [c.name for c in failures] == ["disjoint[0,1]"]
+        assert failures[0].margin > 6e-3
+        assert failures[0].detail.endswith("max mutual winding 1.000")
+
     def test_counterclockwise_orientation_fails(self, grid64):
         ccw = Curve(powers=[0, 1], coeffs=[3.0, 1.0])  # center + exp(+is)
         report = validate_region(Region.from_curves([ccw]), grid64)
@@ -200,11 +272,13 @@ def _same_checks(report, oracle):
             math.isnan(got.margin) and math.isnan(want.margin)), got.name
 
 
-def _counting(monkeypatch, name):
+def _counted_points(monkeypatch):
+    """The number of points of each _turns_about_points call, in order."""
     calls = []
-    inner = getattr(geometry, name)
-    monkeypatch.setattr(geometry, name,
-                        lambda *args, **kw: calls.append(1) or inner(*args, **kw))
+    inner = geometry._turns_about_points
+    monkeypatch.setattr(geometry, "_turns_about_points",
+                        lambda loop, points, *args: calls.append(np.size(points))
+                        or inner(loop, points, *args))
     return calls
 
 
@@ -253,19 +327,19 @@ class TestDiscScreening:
         _same_checks(validate_region(region, grid), sampled_validate_region(region, grid))
 
     def test_lattice_samples_orientation_only(self, monkeypatch, grid64):
-        turns = _counting(monkeypatch, "_turns_about_points")
-        windings = _counting(monkeypatch, "winding_of_point")
+        # no mutual winding; one count per curve, of its own hole point
+        counted = _counted_points(monkeypatch)
         region = lattice16()
         assert validate_region(region, grid64).ok
-        assert (len(turns), len(windings)) == (0, region.m)
+        assert counted == [1] * region.m
 
     def test_close_pair_takes_sampled_path(self, monkeypatch, grid64):
-        turns = _counting(monkeypatch, "_turns_about_points")
-        windings = _counting(monkeypatch, "winding_of_point")
+        counted = _counted_points(monkeypatch)
         assert validate_region(_close_pair(), grid64).ok
-        # both directions of the pair; both orientations, the circle's hole
-        # point against the ellipse, and the origin against the ellipse
-        assert (len(turns), len(windings)) == (2, 4)
+        # both directions of the pair, 64 samples each; then the ellipse's
+        # count of both hole points and the origin, and the circle's of its
+        # own hole point
+        assert counted == [64, 64, 3, 1]
 
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True),
            st.data())

@@ -6,12 +6,12 @@ import pytest
 from gnk import discrete
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
-from gnk.errors import DiagonalSingular
 from gnk.geometry import ParamGrid, Region, circle, ellipse
-from gnk.kernels import BoundaryJet, kernel_M, kernel_M1, kernel_N
+from gnk.kernels import BoundaryJet
 from gnk.mobius import kernel_invariance_check, map_jet
 from conftest import CENTERS
-from helpers import conjugation_matrix, dense_weighted_kernels, traced_peak, weighted_kernels
+from helpers import (DiagonalSingular, conjugation_matrix, dense_weighted_kernels, kernel_M,
+                     kernel_M1, kernel_N, traced_peak, weighted_kernels)
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 

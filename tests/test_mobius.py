@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gnk import discrete, geometry, mobius
+from gnk import coefficient, discrete, geometry, mobius
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
 from gnk.errors import CenterNotInHole, ZeroCoefficient
@@ -205,25 +205,28 @@ class TestWindingsStartOnTheGrid:
     @pytest.fixture
     def starts(self, monkeypatch):
         recorded = []
-        original = geometry.winding_number
+        original = geometry._turns_about_points
 
-        def recording(evaluate, **kwargs):
-            recorded.append(kwargs["n0"])
-            return original(evaluate, **kwargs)
+        def recording(loop, points, n, min_modulus):
+            recorded.append(n)
+            return original(loop, points, n, min_modulus)
 
-        # winding_of_point reads geometry's name, mapped_index_of mobius's
-        monkeypatch.setattr(geometry, "winding_number", recording)
-        monkeypatch.setattr(mobius, "winding_number", recording)
+        # the centre check reads mobius's name, mapped_index_of coefficient's
+        for module in (geometry, coefficient, mobius):
+            monkeypatch.setattr(module, "_turns_about_points", recording)
         return recorded
 
     def test_mapped_index_of(self, three_circles, grid128, starts):
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid128)
+        starts.clear()  # the assembly's index count
         mapped_index_of(ops)
         # three centre checks, then one count per image curve
         assert starts == [128] * 6
 
     def test_center_check_of_the_invariance_check(self, three_circles, grid128, starts):
-        kernel_invariance_check(assemble_N(three_circles, One(), grid128))
+        ops = assemble_N(three_circles, One(), grid128)
+        starts.clear()
+        kernel_invariance_check(ops)
         assert starts == [128] * 3
 
 
