@@ -171,9 +171,9 @@ def run_verify(args) -> int:
     r1_max, r2_max = discrete.operator_identity_residuals(ops, probes)
     identity_ok = r1_max <= args.tol_identity and r2_max <= args.tol_identity
 
-    # The Krylov counts set verify's peak memory (122.2 MB at N = 4096, with
-    # 52 MB of operators); the Mobius check adds a few row blocks and
-    # leaves it there, run before the counts or after them (122.7 MB).
+    # The Krylov counts set verify's peak memory (122.9 MB at N = 4096, with
+    # 52 MB of operators); the Mobius check adds 2.3 MB of pair blocks and
+    # leaves it there, run before the counts or after them (123.0 MB).
     mobius_section = _mobius_section(ops)
     plus = ops.nullity_I_plus_N()
     minus = ops.nullity_I_minus_N()

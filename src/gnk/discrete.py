@@ -8,16 +8,18 @@ Wittich's alternate-point rule (Kress, Linear Integral Equations, 13.5),
 weights (2/n) cot((s_i - s_j)/2) at odd offsets i - j, exact on the
 resolved band.
 
-Neither matrix is stored whole.  The same-curve blocks are dense, filled
-from row blocks of the complex kernel (:func:`_weighted_blocks`, which the
-Mobius check walks too).  Seen from another curve, source curve k's kernel
-is a Laurent series about the hole's centre (Greengard & Rokhlin 1987), so
-its cross-curve blocks are one complex factor pair U_k V_k, truncated below
-1e-16, with w N = Im(U_k V_k) and M = Re(U_k V_k) there; a curve whose
-series would need n terms keeps its exact block columns, one real array per
-part, so that a product with N never reads M's entries.  ``ops.N`` and
-``ops.M`` are operators over that storage, which only this module reads.
-Both are real-linear: complex samples go through one real product per part.
+Neither matrix is stored whole.  The same-curve blocks are dense, built by
+the one walk of the complex kernel by (target curve, source curve) blocks,
+:func:`_kernel_blocks`, which the Mobius check walks too.  Seen from another
+curve, source curve k's kernel is a Laurent series about the hole's centre
+(Greengard & Rokhlin 1987), so its cross-curve blocks are one complex
+factor pair U_k V_k, truncated below 1e-16, with w N = Im(U_k V_k) and
+M = Re(U_k V_k) there; a curve whose series would need n terms keeps its
+exact block columns from the same walk, one real array per part, so that a
+product with N never reads M's entries.  ``ops.N`` and ``ops.M`` are
+operators over that storage, which only this module reads, and
+``ops.kernel_block`` reads it back by the same blocks.  Both are
+real-linear: complex samples go through one real product per part.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -36,8 +38,8 @@ from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
 from gnk.kernels import BoundaryJet, _laurent_frame, _laurent_terms
 
-# Kernel entries per row block: 2**18 is a 4 MB complex block, 64 rows at
-# N = 4096.
+# Kernel entries per block of one curve pair, at most n rows: 2**18 is a
+# 4 MB complex block, a whole pair up to n = 512.
 BLOCK_ENTRIES = 2**18
 NULLITY_TOL = 1e-8
 # Block Krylov nullity count: the start block is NULLITY_MARGIN columns wider
@@ -98,15 +100,16 @@ class DiscreteOperators:
     def apply_N(self, phi: np.ndarray) -> np.ndarray:
         return self.N @ phi
 
-    def kernel_rows(self, rows) -> np.ndarray:
-        """Rows of M + iN (w N the imaginary part) as one fresh complex
-        array; ``rows`` indexes the targets.  They are read from the
-        factored storage when N and M are its two parts, and from N and M
-        row by row otherwise."""
+    def kernel_block(self, rows: slice, k: int) -> np.ndarray:
+        """M + iN (w N the imaginary part) at the target ``rows``, inside
+        one curve, and source curve k's columns, as one fresh complex
+        array.  It is read from the factored storage when N and M are its
+        two parts, and from dense copies of N and M otherwise."""
         store = getattr(self.N, "store", None)
         if store is not None and getattr(self.M, "store", None) is store:
-            return store.rows(rows)
-        return np.asarray(self.M[rows]) + 1j * np.asarray(self.N[rows])
+            return store.block(rows, k)
+        cols = slice(k * self.n, (k + 1) * self.n)
+        return np.asarray(self.M)[rows, cols] + 1j * np.asarray(self.N)[rows, cols]
 
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + np.asarray(self.N)
@@ -175,25 +178,22 @@ class _Kernel:
             out += (cols[curves].reshape(-1, x.shape[1]).T @ exact).T.reshape(cols.shape)
         return out.reshape(x.shape)
 
-    def rows(self, rows) -> np.ndarray:
-        """The stored rows of M + iN, indexed as those of an N x N array."""
-        size, n = self.U_T.shape[1], self.V.shape[1]
-        index = np.arange(size)[rows]
-        flat = index.reshape(-1)
-        out = np.empty((flat.size, size), dtype=complex)
-        u = self.U_T[:, flat].T
-        curve, local = np.divmod(flat, n)
-        for i, (k, first, last) in enumerate(self.spans()):
-            block = out[:, k * n:(k + 1) * n]
-            np.matmul(u[:, first:last], self.V[first:last], out=block)
-            own = np.flatnonzero(curve == k)  # the rows of its same-curve block
-            block.real[own] = self.own_m[i, local[own]]
-            block.imag[own] = self.own_n[i, local[own]]
-        for j, k in enumerate(self.exact):
-            block = out[:, k * n:(k + 1) * n]
-            block.real = self.exact_m[j * n:(j + 1) * n, flat].T
-            block.imag = self.exact_n[j * n:(j + 1) * n, flat].T
-        return out.reshape(index.shape + (size,))
+    def block(self, rows: slice, k: int) -> np.ndarray:
+        """The stored M + iN at the target ``rows``, inside one curve, and
+        source curve k's columns: the same-curve block, U_k V_k, or the
+        exact columns."""
+        n = self.V.shape[1]
+        out = np.empty((rows.stop - rows.start, n), dtype=complex)
+        if k in self.exact:
+            span = slice(self.exact.index(k) * n, (self.exact.index(k) + 1) * n)
+            out.real, out.imag = self.exact_m[span, rows].T, self.exact_n[span, rows].T
+        elif rows.start // n == k:
+            i, local = self.laurent.index(k), slice(rows.start - k * n, rows.stop - k * n)
+            out.real, out.imag = self.own_m[i, local], self.own_n[i, local]
+        else:
+            span = slice(*self.splits[self.laurent.index(k):][:2])
+            np.matmul(self.U_T[span, rows].T, self.V[span], out=out)
+        return out
 
 
 class KernelPart:
@@ -201,8 +201,8 @@ class KernelPart:
     imaginary part, M the real part.
 
     It has ``shape``, the products ``A @ x`` and ``y @ A`` on real or
-    complex samples of shape (N,) or (N, k) ((k, N) on the left), row
-    blocks ``A[rows]``, and the dense copy ``np.asarray(A)`` that only
+    complex samples of shape (N,) or (N, k) ((k, N) on the left), and the
+    dense copy ``np.asarray(A)``, built from the stored blocks, that only
     tests take.  ``__array_ufunc__ = None`` makes numpy defer to it, so
     ``y @ A`` calls ``__rmatmul__`` instead of copying A into an array.
     """
@@ -223,11 +223,11 @@ class KernelPart:
     def __rmatmul__(self, y) -> np.ndarray:
         return self._product(np.asarray(y).T, True).T
 
-    def __getitem__(self, rows) -> np.ndarray:
-        return np.ascontiguousarray(self.part(self.store.rows(rows)))
-
     def __array__(self, *args, **kwargs) -> np.ndarray:
-        return np.asarray(self[:], *args)
+        n = self.store.V.shape[1]
+        curves = [slice(first, first + n) for first in range(0, self.shape[0], n)]
+        return np.asarray(np.block([[self.part(self.store.block(rows, k))
+                                     for k in range(len(curves))] for rows in curves]), *args)
 
     def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """A x, or A^T x, for x of shape (N,) or (N, k)."""
@@ -265,80 +265,63 @@ def _fill_kernel(block: np.ndarray, source: np.ndarray, coeff: np.ndarray) -> No
     block.view(np.float64)[...] *= 1 / math.pi
 
 
-def _weighted_blocks(jet: BoundaryJet):
-    """Row blocks of the complex kernel: M + iN off the diagonal, M1 + iN on
-    it, entry (i, j) at target s_i and source t_j.
+def _kernel_blocks(jet: BoundaryJet, target: int, source: int):
+    """Row blocks of the complex kernel on target curve rows and source
+    curve columns: M + iN off the diagonal, M1 + iN on it, entry (i, j) at
+    target s_i and source t_j.
 
-    Yields (rows, cols, block, cot) per block of at most BLOCK_ENTRIES
-    entries inside one curve, cols.  ``block`` is unweighted; the diagonal,
-    the grid's only same-curve coincidence, takes the closed-form smooth
-    values.  ``cot`` is the signed cotangent table that turns w M into the
-    companion matrix on cols.  A is folded into the source column
-    eta'(t) / A(t) once, so each block is the one fresh array
-    A(s) (eta'(t) / A(t)) / (eta(t) - eta(s)), built in place, which the
-    consumer may overwrite; with A = 1 the fold is exact.  A consumer drops
-    it (``del block``) before asking for the next: a block it holds stays
-    live while the next one is built, a second block at the peak.
+    Yields (rows, block, cot) per block of at most BLOCK_ENTRIES entries,
+    ``rows`` the targets.  ``block`` is unweighted; the diagonal, the grid's
+    only same-curve coincidence, takes the closed-form smooth values.
+    ``cot`` is the signed cotangent table that turns w M into the companion
+    matrix on same-curve blocks, and None on the others.  A is folded into
+    the source column eta'(t) / A(t) once, so each block is the one fresh
+    array A(s) (eta'(t) / A(t)) / (eta(t) - eta(s)), built in place, which
+    the consumer may overwrite; with A = 1 the fold is exact.  A consumer
+    drops it (``del block``) before asking for the next: a block it holds
+    stays live while the next one is built, a second block at the peak.
     """
     n = jet.n
-    height = max(1, min(n, BLOCK_ENTRIES // jet.size))
-    cot = _cot_table(n)
-    local = np.arange(n)
-    source = jet.eta_d / jet.coeff
-    diag = (jet.eta_dd / (2.0 * jet.eta_d) - jet.coeff_d / jet.coeff) / math.pi
-    for k in range(jet.m):
-        cols = slice(k * n, (k + 1) * n)
-        for first in range(0, n, height):
-            last = min(first + height, n)
-            rows = slice(k * n + first, k * n + last)
-            on_diag = (local[:last - first], local[first:last] + k * n)
-            block = jet.eta[None, :] - jet.eta[rows, None]
-            block[on_diag] = 1.0
-            _fill_kernel(block, source, jet.coeff[rows])
-            block[on_diag] = diag[rows]
-            yield rows, cols, block, cot[local[first:last, None] - local[None, :] + (n - 1)]
-            del block  # before the next is built, as the consumer does
-
-
-def _exact_column(jet: BoundaryJet, k: int, out_n: np.ndarray, out_m: np.ndarray) -> None:
-    """Write curve k's block columns of w N and M on the other curves' rows,
-    transposed, into ``out_n`` and ``out_m`` (n x N, curve k's own rows
-    left as they are), in blocks of at most BLOCK_ENTRIES entries."""
-    n = jet.n
-    cols = slice(k * n, (k + 1) * n)
-    source = jet.eta_d[cols] / jet.coeff[cols]
     height = max(1, min(n, BLOCK_ENTRIES // n))
-    for target in (t for t in range(jet.m) if t != k):
-        for first in range(target * n, (target + 1) * n, height):
-            rows = slice(first, min(first + height, (target + 1) * n))
-            block = jet.eta[None, cols] - jet.eta[rows, None]
-            _fill_kernel(block, source, jet.coeff[rows])
-            block.view(np.float64)[...] *= jet.weight
-            out_n[:, rows] = block.imag.T
-            out_m[:, rows] = block.real.T
+    cols = slice(source * n, (source + 1) * n)
+    column = jet.eta_d[cols] / jet.coeff[cols]
+    if target == source:
+        cot, local = _cot_table(n), np.arange(n)
+        diag = (jet.eta_dd[cols] / (2.0 * jet.eta_d[cols])
+                - jet.coeff_d[cols] / jet.coeff[cols]) / math.pi
+    for first in range(0, n, height):
+        last = min(first + height, n)
+        rows = slice(target * n + first, target * n + last)
+        block = jet.eta[None, cols] - jet.eta[rows, None]
+        if target == source:
+            on_diag = (local[:last - first], local[first:last])
+            block[on_diag] = 1.0
+        _fill_kernel(block, column, jet.coeff[rows])
+        if target == source:
+            block[on_diag] = diag[first:last]
+        yield rows, block, (cot[local[first:last, None] - local[None, :] + (n - 1)]
+                            if target == source else None)
+        del block  # before the next is built, as the consumer does
 
 
 def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     """The weighted complex kernel of a jet as a :class:`_Kernel`.
 
-    The same-curve blocks run through :func:`_weighted_blocks` on each
-    curve alone, so they are bit for bit those of the whole matrix.  With
-    its Laurent frame a_k, r_k, curve k sees the other curves' nodes at
-    ratio rho_k = min |eta_i - a_k| / r_k or more, so P_k =
-    _laurent_terms(rho_k) terms truncate its series below
-    LAURENT_TRUNCATION on every target of the grid:
-    V_k[p, j] = w eta'_j / A_j ((eta_j - a_k) / r_k)^p and
+    Each Laurent curve's same-curve block and each exact curve's block
+    columns come from :func:`_kernel_blocks`, so they are bit for bit
+    those of the whole matrix.  With its Laurent frame a_k, r_k, curve k
+    sees the other curves' nodes at ratio rho_k = min |eta_i - a_k| / r_k
+    or more, so P_k = _laurent_terms(rho_k) terms truncate its series below
+    LAURENT_TRUNCATION on every target of the grid: V_k[p, j] = w eta'_j / A_j ((eta_j - a_k) / r_k)^p and
     U_k[i, p] = -(A_i / pi) (eta_i - a_k)^-1 (r_k / (eta_i - a_k))^p, its
     powers taken by recurrence in U's storage.  A curve with P_k >= n
     keeps its exact block columns, its own block included.
     """
     m, n, w = jet.m, jet.n, jet.weight
-    curves, frames = [], []
+    frames = []
     for k in range(m):
         own = slice(k * n, (k + 1) * n)
-        curves.append(BoundaryJet(jet.eta[own], jet.eta_d[own], jet.eta_dd[own],
-                                  jet.coeff[own], jet.coeff_d[own], 1, n))
-        centre, radius, scaled = _laurent_frame(curves[k].eta)
+        centre, radius, scaled = _laurent_frame(jet.eta[own])
         distance = np.abs(jet.eta - centre)
         distance[own] = np.inf
         rho = float(distance.min()) / radius
@@ -349,18 +332,20 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     own_m = np.empty_like(own_n)
     exact_n = np.empty((len(exact) * n, jet.size))
     exact_m = np.empty_like(exact_n)
-    for k, curve in enumerate(curves):
-        if k in laurent:
-            block_n, block_m = own_n[laurent.index(k)], own_m[laurent.index(k)]
-        else:
-            span = slice(exact.index(k) * n, (exact.index(k) + 1) * n)
-            _exact_column(jet, k, exact_n[span], exact_m[span])
-            block_n, block_m = (a[span, k * n:(k + 1) * n].T for a in (exact_n, exact_m))
-        for rows, _, block, cot in _weighted_blocks(curve):
-            np.multiply(block.imag, w, out=block_n[rows])
-            np.multiply(block.real, w, out=block_m[rows])
-            del block
-            block_m[rows] += cot
+    for k in range(m):
+        for t in range(m) if k in exact else (k,):
+            if k in exact:
+                span = slice(exact.index(k) * n, (exact.index(k) + 1) * n)
+                block_n, block_m = (a[span, t * n:(t + 1) * n].T for a in (exact_n, exact_m))
+            else:
+                block_n, block_m = own_n[laurent.index(k)], own_m[laurent.index(k)]
+            for rows, block, cot in _kernel_blocks(jet, t, k):
+                local = slice(rows.start - t * n, rows.stop - t * n)
+                np.multiply(block.imag, w, out=block_n[local])
+                np.multiply(block.real, w, out=block_m[local])
+                del block
+                if cot is not None:
+                    block_m[local] += cot
     splits = tuple(int(s) for s in np.cumsum([0] + [frames[k][3] for k in laurent]))
     U_T = np.empty((splits[-1], jet.size), dtype=complex)
     V = np.empty((splits[-1], n), dtype=complex)

@@ -242,27 +242,27 @@ def _beyond(distance: float, reach: float, scale: float) -> bool:
     return distance > reach + DISC_SLACK * scale
 
 
-def _discs_apart(a: Curve, b: Curve) -> bool:
-    """True when the enclosing discs of a and b are disjoint.
+def _discs_apart(a: tuple[complex, float], b: tuple[complex, float]) -> bool:
+    """True when two curves' enclosing discs a and b, (centre, radius), are disjoint.
 
     The curves are then disjoint, so each winds 0 about the other's
     samples; _turns_about_points counts that 0 both ways unless a sample
     lies so near the other curve that its count is NaN.
     """
-    ca, cb = a.centroid, b.centroid
-    return _beyond(abs(ca - cb), a.radius + b.radius,
-                   abs(ca) + abs(cb) + a.radius + b.radius)
+    (ca, ra), (cb, rb) = a, b
+    return _beyond(abs(ca - cb), ra + rb, abs(ca) + abs(cb) + ra + rb)
 
 
-def _far_outside(curve: Curve, z: complex) -> bool:
-    """True when _turns_about_points counts 0 turns of the curve about z on
-    any grid, halving nothing, with min_modulus MIN_DISTANCE.
+def _far_outside(disc: tuple[complex, float], z: complex) -> bool:
+    """True when _turns_about_points counts 0 turns of the curve with
+    enclosing disc (centre, radius) about z on any grid, halving nothing,
+    with min_modulus MIN_DISTANCE.
 
     Beyond sqrt(2) r from the centre the disc subtends less than pi/2 at z,
     so every argument step stays below pi/2 and the steps cancel; beyond
     r + MIN_DISTANCE no sample is too close.
     """
-    c, r = curve.centroid, curve.radius
+    c, r = disc
     return _beyond(abs(z - c), max(math.sqrt(2.0) * r, r + MIN_DISTANCE),
                    abs(c) + r + abs(z))
 
@@ -323,12 +323,13 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
             f"simple[{k}]", self_gap >= MIN_DISTANCE, self_gap,
             f"min pairwise sample distance vs {MIN_DISTANCE:g}"))
     curves = region.curves
+    discs = [(curve.centroid, curve.radius) for curve in curves]
     for j in range(region.m):
         for k in range(j + 1, region.m):
             cross = gap(samples[j], samples[k], False)
             # sample distance alone misses interpenetration, so also require
             # each curve's samples to wind exactly zero about the other
-            turns = 0.0 if _discs_apart(curves[j], curves[k]) else float(np.abs(
+            turns = 0.0 if _discs_apart(discs[j], discs[k]) else float(np.abs(
                 np.concatenate([_turns_about_points(lambda s: c.jet(s)[0], z, grid.n,
                                                     MIN_DISTANCE)
                                 for c, z in ((curves[j], samples[k]),
@@ -340,8 +341,8 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
     # each curve's count about the hole points and the origin that its
     # enclosing disc leaves open; the rest wind 0 (see _far_outside)
     windings = []
-    for curve in curves:
-        points = [z for z in region.hole_points + (0j,) if not _far_outside(curve, z)]
+    for curve, disc in zip(curves, discs):
+        points = [z for z in region.hole_points + (0j,) if not _far_outside(disc, z)]
         windings.append(dict(zip(points, _turns_about_points(
             lambda s: curve.jet(s)[0], points, grid.n, MIN_DISTANCE))))
     for k, z in enumerate(region.hole_points):

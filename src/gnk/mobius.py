@@ -68,33 +68,36 @@ class InvarianceReport:
 def kernel_invariance_check(ops: discrete.DiscreteOperators) -> InvarianceReport:
     """Max |N_hat - N| and |M1_hat - M1| over all grid pairs, diagonals included.
 
-    The mapped jet goes through the assembly's row blocks, a dense
-    evaluation apart from the stored factors.  Each block is weighted in
-    place, and the same rows of ``ops``, read back by ``ops.kernel_rows``,
-    are subtracted into it, so the stored operators are verified entrywise,
-    cross-curve factors included.  The cotangent table cancels in the
-    weighted differences, which are divided by the weight to report kernel
-    units; the stored rows less the table, the singular M + iN, give the
-    scale max(1, max|M + iN|).  The identity is algebraic, so anything
-    beyond roundoff indicates a bug in the kernel evaluation or its storage
-    rather than discretization error.
+    The mapped jet goes through the assembly's kernel blocks, curve pair by
+    curve pair, a dense evaluation apart from the stored factors.  Each
+    block is weighted in place, and the same block of ``ops``, read back by
+    ``ops.kernel_block``, is subtracted into it, so the stored operators are
+    verified entrywise, cross-curve factors included.  The cotangent table
+    cancels in the weighted differences, which are divided by the weight to
+    report kernel units; the stored blocks less the table, the singular
+    M + iN, give the scale max(1, max|M + iN|).  The identity is algebraic,
+    so anything beyond roundoff indicates a bug in the kernel evaluation or
+    its storage rather than discretization error.
     """
     diff_n = diff_m1 = largest = 0.0
-    w = ops.weight
-    for rows, cols, block, cot in discrete._weighted_blocks(map_jet(ops.region, ops.jet)):
-        block.view(np.float64)[...] *= w
-        block.real[:, cols] += cot
-        stored = ops.kernel_rows(rows)
-        np.subtract(block, stored, out=block)
-        parts = block.view(np.float64)
-        np.abs(parts, out=parts)
-        diff_n = max(diff_n, float(block.imag.max()))
-        diff_m1 = max(diff_m1, float(block.real.max()))
-        del block, parts
-        stored.real[:, cols] -= cot
-        np.hypot(stored.real, stored.imag, out=stored.real)
-        largest = max(largest, float(stored.real.max()))
-        del stored
+    w, mapped = ops.weight, map_jet(ops.region, ops.jet)
+    for target, source in np.ndindex(ops.m, ops.m):
+        for rows, block, cot in discrete._kernel_blocks(mapped, target, source):
+            block.view(np.float64)[...] *= w
+            if cot is not None:
+                block.real += cot
+            stored = ops.kernel_block(rows, source)
+            np.subtract(block, stored, out=block)
+            parts = block.view(np.float64)
+            np.abs(parts, out=parts)
+            diff_n = max(diff_n, float(block.imag.max()))
+            diff_m1 = max(diff_m1, float(block.real.max()))
+            del block, parts
+            if cot is not None:
+                stored.real -= cot
+            np.hypot(stored.real, stored.imag, out=stored.real)
+            largest = max(largest, float(stored.real.max()))
+            del stored
     return InvarianceReport(diff_n / w, diff_m1 / w, max(1.0, largest / w))
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from gnk import coefficient as coefficient_mod
 from gnk.coefficient import One
 from gnk.dirichlet import solve_modified_dirichlet
-from gnk.discrete import NULLITY_TOL, _weighted_blocks, assemble_N
+from gnk.discrete import NULLITY_TOL, _kernel_blocks, assemble_N
 from gnk.errors import GnkError
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle)
@@ -394,16 +394,19 @@ def dense_weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (w N, M) of a jet from the assembly's row blocks: the stored
-    rows that the dense matrices had, for the tests of the row-block
-    builder and of the factored operators."""
+    """Dense (w N, M) of a jet from the assembly's kernel blocks, curve
+    pair by curve pair: the entries that the dense matrices had, for the
+    tests of the block builder and of the factored operators."""
     n_matrix = np.empty((jet.size, jet.size))
     m_matrix = np.empty_like(n_matrix)
-    for rows, cols, block, cot in _weighted_blocks(jet):
-        np.multiply(block.imag, jet.weight, out=n_matrix[rows])
-        np.multiply(block.real, jet.weight, out=m_matrix[rows])
-        del block
-        m_matrix[rows, cols] += cot
+    for target, source in np.ndindex(jet.m, jet.m):
+        cols = slice(source * jet.n, (source + 1) * jet.n)
+        for rows, block, cot in _kernel_blocks(jet, target, source):
+            np.multiply(block.imag, jet.weight, out=n_matrix[rows, cols])
+            np.multiply(block.real, jet.weight, out=m_matrix[rows, cols])
+            del block
+            if cot is not None:
+                m_matrix[rows, cols] += cot
     return n_matrix, m_matrix
 
 

@@ -12,7 +12,8 @@ lines of ``src/gnk/*.py``, counted as ``wc -l`` counts them, stay at or
 below ``MAX_SOURCE_LINES``; a change that adds code raises the number and
 says why.  Only ``discrete.py`` reads the storage behind ``ops.N`` and
 ``ops.M``; every other module goes through their products and
-``ops.kernel_rows``.
+``ops.kernel_block``.  One builder makes kernel entries: ``_fill_kernel``
+has one caller, ``discrete._kernel_blocks``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ OPTIONS = {
                                           "centroids then serve",
     "rhp.solve_rhp(tol_solve=)": "the CLI passes --tol-solve",
 }
-MAX_SOURCE_LINES = 2219
+MAX_SOURCE_LINES = 2208
 # Public functions only tests call, kept as library API: harmonic_eval is
 # the documented Dirichlet field.
 TEST_ONLY_API = {"harmonic_eval"}
@@ -124,3 +125,16 @@ def test_only_discrete_reads_the_operator_storage():
                       if isinstance(node, ast.Attribute) and node.attr in storage})
     assert storage >= {"store", "part", "own_n", "U_T", "V", "exact_n"}
     assert readers == []
+
+
+def test_one_kernel_builder():
+    # assembly, the exact columns, the Mobius check and the tests' dense
+    # copies all walk _kernel_blocks, the one function that fills entries
+    callers = sorted({f"{path.stem}.{scope.name}" for path, tree in _modules()
+                      for scope in ast.walk(tree)
+                      if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(scope)
+                      if isinstance(node, ast.Call)
+                      and "_fill_kernel" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))})
+    assert callers == ["discrete._kernel_blocks"]

@@ -356,22 +356,22 @@ class TestSharedBoundarySample:
                                                          monkeypatch):
         samples = count_calls(monkeypatch, Region, "sample")
         factored = count_calls(monkeypatch, discrete, "_factor_kernel")
-        blocks = count_calls(monkeypatch, discrete, "_weighted_blocks")
+        blocks = count_calls(monkeypatch, discrete, "_kernel_blocks")
         rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
         assert len(samples) == 1
         # assembly walks each of the three curves' own blocks, the Mobius
-        # check the mapped kernel
-        assert (len(factored), len(blocks)) == (1, 3 + 1)
+        # check all nine curve pairs of the mapped kernel
+        assert (len(factored), len(blocks)) == (1, 3 + 9)
 
     def test_mobius_check_builds_two_kernels(self, inputs, tmp_path, monkeypatch):
         factored = count_calls(monkeypatch, discrete, "_factor_kernel")
-        blocks = count_calls(monkeypatch, discrete, "_weighted_blocks")
+        blocks = count_calls(monkeypatch, discrete, "_kernel_blocks")
         rc = _run(["mobius-check", "--region", inputs / "region.json", "--n", 64,
                    "--out", tmp_path / "o"])
         assert rc == 0
-        assert (len(factored), len(blocks)) == (1, 3 + 1)
+        assert (len(factored), len(blocks)) == (1, 3 + 9)
 
     def test_eval_field_samples_twice(self, inputs, tmp_path, monkeypatch):
         # once for the assembled jet, once for the poles data

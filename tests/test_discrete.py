@@ -251,14 +251,25 @@ class TestFactoredOperators:
             assert np.array_equal(np.asarray(ops.N)[:, cols], oracle_n[:, cols])
             assert np.array_equal(np.asarray(ops.M)[:, cols], oracle_m[:, cols])
 
-    def test_row_blocks_are_the_dense_rows(self, case):
+    def test_pair_blocks_are_the_dense_blocks(self, case):
+        # every curve pair, read on a partial row block of the target
+        # curve: same-curve blocks and exact columns bit for bit, Laurent
+        # cross-curve blocks within the bound of their truncation
         _, ops, (oracle_n, oracle_m) = case
-        rows = slice(ops.n // 2, ops.n + 7)  # across two curves
-        block = ops.kernel_rows(rows)
-        assert np.array_equal(block.imag, ops.N[rows])
-        assert np.array_equal(block.real, ops.M[rows])
-        assert np.array_equal(ops.N[3], ops.N[3:4][0])
-        assert np.abs(block.imag - oracle_n[rows]).max() <= factor_tolerance(ops.jet)
+        n, exact = ops.n, ops.N.store.exact
+        tol = factor_tolerance(ops.jet)
+        for target in range(ops.m):
+            rows = slice(target * n + n // 2 - 3, (target + 1) * n)
+            for source in range(ops.m):
+                cols = slice(source * n, (source + 1) * n)
+                block = ops.kernel_block(rows, source)
+                assert block.shape == (n // 2 + 3, n)
+                if source == target or source in exact:
+                    assert np.array_equal(block.imag, oracle_n[rows, cols])
+                    assert np.array_equal(block.real, oracle_m[rows, cols])
+                else:
+                    assert np.abs(block.imag - oracle_n[rows, cols]).max() <= tol
+                    assert np.abs(block.real - oracle_m[rows, cols]).max() <= tol
 
 
 class TestNoDenseArray:

@@ -333,6 +333,20 @@ class TestDiscScreening:
         assert validate_region(region, grid64).ok
         assert counted == [1] * region.m
 
+    def test_reads_each_disc_once(self, monkeypatch, grid64):
+        # one validation takes each curve's centroid and radius once, not
+        # once per pair or point that it screens
+        region = lattice16()
+        reads = []
+        for name in ("centroid", "radius"):
+            getter = getattr(Curve, name).fget
+            monkeypatch.setattr(Curve, name, property(
+                lambda curve, name=name, getter=getter:
+                    reads.append((name, id(curve))) or getter(curve)))
+        assert validate_region(region, grid64).ok
+        assert sorted(reads) == sorted((name, id(curve)) for curve in region.curves
+                                       for name in ("centroid", "radius"))
+
     def test_close_pair_takes_sampled_path(self, monkeypatch, grid64):
         counted = _counted_points(monkeypatch)
         assert validate_region(_close_pair(), grid64).ok

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from gnk import coefficient, discrete, geometry, mobius
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N
 from gnk.errors import CenterNotInHole, ZeroCoefficient
-from gnk.geometry import MIN_DISTANCE, ParamGrid, Region, circle
+from gnk.geometry import MIN_DISTANCE, ParamGrid, Region, circle, load_region
 from gnk.kernels import BoundaryJet
 from gnk.mobius import (
     index_shift,
@@ -28,6 +30,9 @@ from helpers import (
     weighted_kernels,
     with_center,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from make_gallery import FILES  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -98,23 +103,37 @@ class TestKernelInvariance:
     def test_scale_is_largest_kernel_entry(self, three_circles, grid64, monkeypatch):
         # read back off the weighted matrices, the scale matches the largest
         # entry of the complex kernel, singular companion included; 24 rows
-        # a block give full and partial blocks per curve
-        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 192 * 24)
+        # a block give full and partial blocks per curve pair
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 64 * 24)
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
+        heights = [rows.stop - rows.start for rows, _, _ in discrete._kernel_blocks(ops.jet, 0, 1)]
+        assert heights == [24, 24, 16]
         assert_stored_kernel(ops)
         expected = max(1.0, np.abs(dense_complex_kernel(ops.jet)).max())
         assert kernel_invariance_check(ops).scale == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("coeff", [One(), ShiftedPower(CENTERS[2], 1)],
-                             ids=["one", "power"])
-    def test_report_matches_whole_matrix_check(self, mixed_gallery, coeff,
+    @pytest.mark.parametrize("power", [0, 1], ids=["one", "power"])
+    @pytest.mark.parametrize("name", ["mixed", "close", "touching"])
+    def test_report_matches_whole_matrix_check(self, mixed_gallery, name, power,
                                                monkeypatch):
         # the differences and the scale taken block by block equal those of
         # the whole mapped matrices against the whole stored ones exactly,
-        # and those against the exact kernel within the factors' bound
-        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 300 * 32)
-        ops = assemble_N(mixed_gallery, coeff, ParamGrid(100))
-        n_hat, m_hat = dense_weighted_kernels(map_jet(mixed_gallery, ops.jet))
+        # and those against the exact kernel within the factors' bound; the
+        # ellipse of region_close.json and both touching circles are read
+        # back from their exact block columns
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 100 * 32)
+        region, exact = {
+            "mixed": (mixed_gallery, ()),
+            "close": (load_region(FILES["region_close.json"]), (0,)),
+            "touching": (Region.from_curves([circle(3.0 + 1.025j, 1.0),
+                                             circle(3.0 - 1.025j, 1.0)]), (0, 1)),
+        }[name]
+        coeff = ShiftedPower(region.hole_points[-1], 1) if power else One()
+        ops = assemble_N(region, coeff, ParamGrid(100))
+        assert ops.N.store.exact == exact
+        heights = [rows.stop - rows.start for rows, _, _ in discrete._kernel_blocks(ops.jet, 1, 0)]
+        assert heights == [32, 32, 32, 4]
+        n_hat, m_hat = dense_weighted_kernels(map_jet(region, ops.jet))
         w = ops.weight
         report = kernel_invariance_check(ops)
         tol = factor_tolerance(ops.jet) / w
@@ -122,7 +141,7 @@ class TestKernelInvariance:
                 (np.asarray(ops.N), np.asarray(ops.M), 0.0),
                 (*dense_weighted_kernels(ops.jet), tol)):
             singular = stored_m.copy()
-            for k in range(3):
+            for k in range(ops.m):
                 block = slice(k * 100, (k + 1) * 100)
                 singular[block, block] -= dense_cot_table(100)
             assert abs(report.max_diff_N - np.abs(n_hat - stored_n).max() / w) <= close
