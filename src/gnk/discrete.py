@@ -10,16 +10,16 @@ resolved band.
 
 Neither matrix is stored whole.  The same-curve blocks are dense, built by
 the one walk of the complex kernel by (target curve, source curve) blocks,
-:func:`_kernel_blocks`, which the Mobius check walks too.  Seen from another
+:func:`_kernel_blocks`, in a buffer its caller owns.  Seen from another
 curve, source curve k's kernel is a Laurent series about the hole's centre
 (Greengard & Rokhlin 1987), so its cross-curve blocks are one complex
 factor pair U_k V_k, truncated below 1e-16, with w N = Im(U_k V_k) and
 M = Re(U_k V_k) there; a curve whose series would need n terms keeps its
-exact block columns from the same walk, one real array per part, so that a
-product with N never reads M's entries.  ``ops.N`` and ``ops.M`` are
+exact block columns, one real array per part, so that a product with N
+never reads M's entries.  ``ops.N`` and ``ops.M`` are real-linear
 operators over that storage, which only this module reads, and
-``ops.kernel_block`` reads it back by the same blocks.  Both are
-real-linear: complex samples go through one real product per part.
+``ops.kernel_block`` reads it back by the same blocks, as the Mobius check
+does.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -100,16 +100,16 @@ class DiscreteOperators:
     def apply_N(self, phi: np.ndarray) -> np.ndarray:
         return self.N @ phi
 
-    def kernel_block(self, rows: slice, k: int) -> np.ndarray:
-        """M + iN (w N the imaginary part) at the target ``rows``, inside
-        one curve, and source curve k's columns, as one fresh complex
-        array.  It is read from the factored storage when N and M are its
-        two parts, and from dense copies of N and M otherwise."""
+    def kernel_block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
+        """M + iN (w N the imaginary part) at the target ``rows``, inside one
+        curve, and source curve k's columns, in the first rows of ``out``:
+        from the factored storage, or dense copies of a replaced N or M."""
         store = getattr(self.N, "store", None)
         if store is not None and getattr(self.M, "store", None) is store:
-            return store.block(rows, k)
-        cols = slice(k * self.n, (k + 1) * self.n)
-        return np.asarray(self.M)[rows, cols] + 1j * np.asarray(self.N)[rows, cols]
+            return store.block(rows, k, out)
+        cols, out = slice(k * self.n, (k + 1) * self.n), out[:rows.stop - rows.start]
+        out.real, out.imag = np.asarray(self.M)[rows, cols], np.asarray(self.N)[rows, cols]
+        return out
 
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + np.asarray(self.N)
@@ -178,12 +178,11 @@ class _Kernel:
             out += (cols[curves].reshape(-1, x.shape[1]).T @ exact).T.reshape(cols.shape)
         return out.reshape(x.shape)
 
-    def block(self, rows: slice, k: int) -> np.ndarray:
+    def block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
         """The stored M + iN at the target ``rows``, inside one curve, and
-        source curve k's columns: the same-curve block, U_k V_k, or the
-        exact columns."""
-        n = self.V.shape[1]
-        out = np.empty((rows.stop - rows.start, n), dtype=complex)
+        source curve k's columns (the same-curve block, U_k V_k, or the
+        exact columns) in the first rows of ``out``, which are returned."""
+        n, out = self.V.shape[1], out[:rows.stop - rows.start]
         if k in self.exact:
             span = slice(self.exact.index(k) * n, (self.exact.index(k) + 1) * n)
             out.real, out.imag = self.exact_m[span, rows].T, self.exact_n[span, rows].T
@@ -224,10 +223,12 @@ class KernelPart:
         return self._product(np.asarray(y).T, True).T
 
     def __array__(self, *args, **kwargs) -> np.ndarray:
-        n = self.store.V.shape[1]
-        curves = [slice(first, first + n) for first in range(0, self.shape[0], n)]
-        return np.asarray(np.block([[self.part(self.store.block(rows, k))
-                                     for k in range(len(curves))] for rows in curves]), *args)
+        (size, _), n = self.shape, self.store.V.shape[1]
+        dense, work = np.empty(self.shape), np.empty((n, n), dtype=complex)
+        for t, k in np.ndindex(size // n, size // n):
+            rows = slice(t * n, (t + 1) * n)
+            dense[rows, k * n:(k + 1) * n] = self.part(self.store.block(rows, k, work))
+        return np.asarray(dense, *args)
 
     def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
         """A x, or A^T x, for x of shape (N,) or (N, k)."""
@@ -265,50 +266,50 @@ def _fill_kernel(block: np.ndarray, source: np.ndarray, coeff: np.ndarray) -> No
     block.view(np.float64)[...] *= 1 / math.pi
 
 
-def _kernel_blocks(jet: BoundaryJet, target: int, source: int):
+def _block_buffer(n: int) -> np.ndarray:
+    """Complex work buffer of one kernel block: n columns, BLOCK_ENTRIES."""
+    return np.empty((max(1, min(n, BLOCK_ENTRIES // n)), n), dtype=complex)
+
+
+def _kernel_blocks(jet: BoundaryJet, target: int, source: int, work: np.ndarray):
     """Row blocks of the complex kernel on target curve rows and source
     curve columns: M + iN off the diagonal, M1 + iN on it, entry (i, j) at
     target s_i and source t_j.
 
-    Yields (rows, block, cot) per block of at most BLOCK_ENTRIES entries,
-    ``rows`` the targets.  ``block`` is unweighted; the diagonal, the grid's
-    only same-curve coincidence, takes the closed-form smooth values.
-    ``cot`` is the signed cotangent table that turns w M into the companion
-    matrix on same-curve blocks, and None on the others.  A is folded into
-    the source column eta'(t) / A(t) once, so each block is the one fresh
-    array A(s) (eta'(t) / A(t)) / (eta(t) - eta(s)), built in place, which
-    the consumer may overwrite; with A = 1 the fold is exact.  A consumer
-    drops it (``del block``) before asking for the next: a block it holds
-    stays live while the next one is built, a second block at the peak.
+    Yields (rows, block, cot) per block of ``len(work)`` rows or fewer,
+    ``rows`` the targets.  ``block`` is unweighted, built in place in the
+    caller's buffer ``work`` (:func:`_block_buffer`), which the consumer
+    may overwrite and the next block reuses; the diagonal, the grid's only
+    same-curve coincidence, takes the closed-form smooth values.  ``cot``
+    turns w M into the companion matrix on same-curve blocks, as reversed
+    read-only windows of the signed cotangent table (row i holds entries
+    i + n - 1 down to i), and is None on the others.  A is folded into the
+    source column once: each block is A(s) (eta'(t) / A(t)) / (eta(t) - eta(s)).
     """
-    n = jet.n
-    height = max(1, min(n, BLOCK_ENTRIES // n))
+    n, height = jet.n, len(work)
     cols = slice(source * n, (source + 1) * n)
     column = jet.eta_d[cols] / jet.coeff[cols]
     if target == source:
-        cot, local = _cot_table(n), np.arange(n)
+        cot = np.lib.stride_tricks.sliding_window_view(_cot_table(n), n)[:, ::-1]
         diag = (jet.eta_dd[cols] / (2.0 * jet.eta_d[cols])
                 - jet.coeff_d[cols] / jet.coeff[cols]) / math.pi
     for first in range(0, n, height):
         last = min(first + height, n)
         rows = slice(target * n + first, target * n + last)
-        block = jet.eta[None, cols] - jet.eta[rows, None]
-        if target == source:
-            on_diag = (local[:last - first], local[first:last])
-            block[on_diag] = 1.0
+        block = np.subtract(jet.eta[None, cols], jet.eta[rows, None], out=work[:last - first])
+        if target == source:  # the diagonal, entries (i, first + i)
+            np.fill_diagonal(block[:, first:], 1.0)
         _fill_kernel(block, column, jet.coeff[rows])
         if target == source:
-            block[on_diag] = diag[first:last]
-        yield rows, block, (cot[local[first:last, None] - local[None, :] + (n - 1)]
-                            if target == source else None)
-        del block  # before the next is built, as the consumer does
+            np.fill_diagonal(block[:, first:], diag[first:last])
+        yield rows, block, cot[first:last] if target == source else None
 
 
 def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     """The weighted complex kernel of a jet as a :class:`_Kernel`.
 
     Each Laurent curve's same-curve block and each exact curve's block
-    columns come from :func:`_kernel_blocks`, so they are bit for bit
+    columns come from :func:`_kernel_blocks`, in one buffer, bit for bit
     those of the whole matrix.  With its Laurent frame a_k, r_k, curve k
     sees the other curves' nodes at ratio rho_k = min |eta_i - a_k| / r_k
     or more, so P_k = _laurent_terms(rho_k) terms truncate its series below
@@ -332,6 +333,7 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     own_m = np.empty_like(own_n)
     exact_n = np.empty((len(exact) * n, jet.size))
     exact_m = np.empty_like(exact_n)
+    work = _block_buffer(n)
     for k in range(m):
         for t in range(m) if k in exact else (k,):
             if k in exact:
@@ -339,13 +341,13 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
                 block_n, block_m = (a[span, t * n:(t + 1) * n].T for a in (exact_n, exact_m))
             else:
                 block_n, block_m = own_n[laurent.index(k)], own_m[laurent.index(k)]
-            for rows, block, cot in _kernel_blocks(jet, t, k):
+            for rows, block, cot in _kernel_blocks(jet, t, k, work):
                 local = slice(rows.start - t * n, rows.stop - t * n)
                 np.multiply(block.imag, w, out=block_n[local])
                 np.multiply(block.real, w, out=block_m[local])
-                del block
                 if cot is not None:
                     block_m[local] += cot
+    del work, block  # not live while the factors are built
     splits = tuple(int(s) for s in np.cumsum([0] + [frames[k][3] for k in laurent]))
     U_T = np.empty((splits[-1], jet.size), dtype=complex)
     V = np.empty((splits[-1], n), dtype=complex)

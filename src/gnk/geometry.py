@@ -159,12 +159,8 @@ class Region:
 
     def sample(self, grid: ParamGrid):
         """Flat (eta, eta', eta'') arrays of length m * n, curve-major."""
-        s = grid.nodes
-        jets = [c.jet(s) for c in self.curves]
-        eta = np.concatenate([j[0] for j in jets])
-        eta_d = np.concatenate([j[1] for j in jets])
-        eta_dd = np.concatenate([j[2] for j in jets])
-        return eta, eta_d, eta_dd
+        jets = [c.jet(grid.nodes) for c in self.curves]
+        return tuple(np.concatenate(parts) for parts in zip(*jets))
 
 
 @dataclass(frozen=True)

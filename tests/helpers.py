@@ -36,7 +36,7 @@ import numpy as np
 from gnk import coefficient as coefficient_mod
 from gnk.coefficient import One
 from gnk.dirichlet import solve_modified_dirichlet
-from gnk.discrete import NULLITY_TOL, _kernel_blocks, assemble_N
+from gnk.discrete import NULLITY_TOL, _block_buffer, _kernel_blocks, assemble_N
 from gnk.errors import GnkError
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle)
@@ -399,15 +399,21 @@ def weighted_kernels(jet) -> tuple[np.ndarray, np.ndarray]:
     tests of the block builder and of the factored operators."""
     n_matrix = np.empty((jet.size, jet.size))
     m_matrix = np.empty_like(n_matrix)
+    work = _block_buffer(jet.n)
     for target, source in np.ndindex(jet.m, jet.m):
         cols = slice(source * jet.n, (source + 1) * jet.n)
-        for rows, block, cot in _kernel_blocks(jet, target, source):
+        for rows, block, cot in _kernel_blocks(jet, target, source, work):
             np.multiply(block.imag, jet.weight, out=n_matrix[rows, cols])
             np.multiply(block.real, jet.weight, out=m_matrix[rows, cols])
-            del block
             if cot is not None:
                 m_matrix[rows, cols] += cot
     return n_matrix, m_matrix
+
+
+def block_heights(jet, target: int, source: int) -> list[int]:
+    """Row counts of the kernel blocks that one curve pair is walked in."""
+    return [rows.stop - rows.start for rows, _, _
+            in _kernel_blocks(jet, target, source, _block_buffer(jet.n))]
 
 
 def factor_tolerance(jet) -> float:

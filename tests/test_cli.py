@@ -293,6 +293,29 @@ class TestIndexAndMobius:
         assert rc == 2 and payload["ok"] is False
         assert payload["max_diff_M1"] > 1e6 * payload["tolerance"] * payload["scale"]
 
+    @pytest.mark.parametrize("command", ["mobius-check", "verify"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the NaN node's
+    def test_nan_difference_fails_and_is_written_as_null(self, inputs, tmp_path,
+                                                         monkeypatch, command):
+        # one NaN node of the mapped boundary makes NaN differences: the
+        # gate fails (exit 2), and the file holds null where JSON has no NaN
+        exact_map = mobius.map_jet
+
+        def planted(region, jet):
+            mapped = exact_map(region, jet)
+            eta = mapped.eta.copy()
+            eta[5] = np.nan
+            return dataclasses.replace(mapped, eta=eta)
+
+        monkeypatch.setattr(mobius, "map_jet", planted)
+        out = tmp_path / "out"
+        rc = _run([command, "--region", inputs / "region.json", "--n", 64, "--out", out])
+        report = json.loads((out / f"{command.split('-')[0]}.json").read_text())
+        section = report.get("mobius", report)
+        assert rc == 2 and section["ok"] is False and report["ok"] is False
+        assert section["max_diff_N"] is None and section["max_diff_M1"] is None
+        assert section["scale"] >= 1.0
+
 
 INDEX_KEYS = {"kappa_per_curve", "kappa", "dim_S_minus", "codim_R_minus",
               "dim_null_I_plus_N", "dim_null_I_minus_N", "dim_S_plus_bounds",

@@ -258,12 +258,13 @@ class TestFactoredOperators:
         _, ops, (oracle_n, oracle_m) = case
         n, exact = ops.n, ops.N.store.exact
         tol = factor_tolerance(ops.jet)
+        work = discrete._block_buffer(n)
         for target in range(ops.m):
             rows = slice(target * n + n // 2 - 3, (target + 1) * n)
             for source in range(ops.m):
                 cols = slice(source * n, (source + 1) * n)
-                block = ops.kernel_block(rows, source)
-                assert block.shape == (n // 2 + 3, n)
+                block = ops.kernel_block(rows, source, work)
+                assert block.shape == (n // 2 + 3, n) and np.shares_memory(block, work)
                 if source == target or source in exact:
                     assert np.array_equal(block.imag, oracle_n[rows, cols])
                     assert np.array_equal(block.real, oracle_m[rows, cols])

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +15,8 @@ from gnk.geometry import ParamGrid, Region, circle, ellipse
 from gnk.kernels import BoundaryJet
 from gnk.mobius import kernel_invariance_check, map_jet
 from conftest import CENTERS
-from helpers import (DiagonalSingular, conjugation_matrix, dense_weighted_kernels, kernel_M,
-                     kernel_M1, kernel_N, traced_peak, weighted_kernels)
+from helpers import (DiagonalSingular, block_heights, conjugation_matrix, dense_weighted_kernels,
+                     kernel_M, kernel_M1, kernel_N, traced_peak, weighted_kernels)
 
 INV_2PI = 1.0 / (2.0 * math.pi)
 
@@ -159,7 +164,7 @@ class TestMatrixBuilders:
         # 24 rows a block: the diagonal runs through full and partial blocks
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 64 * 24)
         jet = BoundaryJet.from_region(three_circles, One(), grid64)
-        heights = [rows.stop - rows.start for rows, _, _ in discrete._kernel_blocks(jet, 1, 1)]
+        heights = block_heights(jet, 1, 1)
         assert heights == [24, 24, 16]
         n_matrix, m_matrix = weighted_kernels(jet)
         oracle_n, oracle_m = dense_weighted_kernels(jet)
@@ -176,7 +181,7 @@ class TestMatrixBuilders:
         # and a partial one
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 100 * 32)
         jet = BoundaryJet.from_region(mixed_gallery, coeff, ParamGrid(100))
-        heights = [rows.stop - rows.start for rows, _, _ in discrete._kernel_blocks(jet, 2, 0)]
+        heights = block_heights(jet, 2, 0)
         assert heights == [32, 32, 32, 4]
         n_matrix, m_matrix = weighted_kernels(jet)
         oracle_n, oracle_m = dense_weighted_kernels(jet)
@@ -188,27 +193,47 @@ class TestMatrixBuilders:
         # source curve's, and only a same-curve pair has a cotangent table
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 100 * 32)
         jet = BoundaryJet.from_region(mixed_gallery, One(), ParamGrid(100))
+        work = discrete._block_buffer(100)
         for target in range(3):
             for source in range(3):
                 heights = []
-                for rows, block, cot in discrete._kernel_blocks(jet, target, source):
+                for rows, block, cot in discrete._kernel_blocks(jet, target, source, work):
                     assert target * 100 <= rows.start < rows.stop <= (target + 1) * 100
                     assert block.shape == (rows.stop - rows.start, 100)
+                    assert np.shares_memory(block, work)
                     if target == source:
-                        assert cot.shape == block.shape
+                        assert cot.shape == block.shape and not cot.flags.writeable
                     else:
                         assert cot is None
                     heights.append(rows.stop - rows.start)
                 assert heights == [32, 32, 32, 4]
 
+    @pytest.mark.parametrize("n, rows_a_block, heights",
+                             [(64, 64, [64]), (64, 24, [24, 24, 16]), (100, 32, [32, 32, 32, 4])])
+    def test_cotangent_rows_are_the_gather(self, n, rows_a_block, heights, monkeypatch):
+        # the strided view holds, bit for bit, the gather of the signed
+        # table at i - j + n - 1 that it replaced, on full and partial blocks
+        monkeypatch.setattr(discrete, "BLOCK_ENTRIES", n * rows_a_block)
+        jet = BoundaryJet.from_region(Region.from_curves([circle(0.0, 1.0)]), One(),
+                                      ParamGrid(n))
+        table, local = discrete._cot_table(n), np.arange(n)
+        walked = []
+        for rows, _, cot in discrete._kernel_blocks(jet, 0, 0, discrete._block_buffer(n)):
+            gather = table[local[rows, None] - local[None, :] + (n - 1)]
+            assert np.array_equal(cot, gather)
+            assert np.array_equal(np.signbit(cot), np.signbit(gather))
+            walked.append(len(cot))
+        assert walked == heights
+
 
 class TestOneBlockLive:
-    """The pair blocks are built in place, and each consumer drops a block
-    before it asks for the next, as the builder does.  So the dense
-    builder peaks at the block being built and its cotangent table, about
-    2 blocks, and the Mobius check at about 2.6, with the stored block it
-    reads back and subtracts into the block.  A block held over adds one
-    more."""
+    """Each consumer of the kernel-block walk owns its buffers: the walk
+    builds every pair block in one work buffer, and the Mobius check reads
+    the stored blocks into a second one.  No block is allocated per pair,
+    so the dense builder peaks at 1.3 blocks beyond its two matrices and
+    the check at 2.4 (numpy's broadcast buffers make the fractions), and a
+    check in a fresh process reuses its pages instead of faulting new ones
+    in for every pair."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -228,3 +253,32 @@ class TestOneBlockLive:
     def test_kernel_invariance_check(self, setup):
         ops, block = setup
         assert traced_peak(lambda: kernel_invariance_check(ops)) / block <= 3.5
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor page faults are counted on Linux")
+    def test_kernel_invariance_check_reuses_its_pages(self):
+        # a fresh process, as the CLI runs it: a pair block allocated and
+        # freed per pair made glibc hand its pages back and fault them in
+        # again, about 9k minor faults here; the owned buffers take ~500
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from gnk.coefficient import ShiftedPower
+            from gnk.discrete import assemble_N
+            from gnk.geometry import ParamGrid, Region, circle
+            from gnk.mobius import kernel_invariance_check
+            region = Region.from_curves([circle(complex(x, y), 1.0)
+                                         for x in (-3.0, 3.0) for y in (-3.0, 3.0)])
+            ops = assemble_N(region, ShiftedPower(region.hole_points[0], 1), ParamGrid(256))
+            np.ones((256, 64), complex) @ np.ones((64, 256), complex)  # BLAS starts up
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            kernel_invariance_check(ops)
+            print(before, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(discrete.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True)
+        before, faults = map(int, done.stdout.split())
+        if before == 0:
+            pytest.skip("this kernel does not count minor page faults")
+        assert faults <= 2000, faults

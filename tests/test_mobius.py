@@ -21,6 +21,7 @@ from conftest import CENTERS
 from helpers import (
     assert_stored_kernel,
     band_limited,
+    block_heights,
     dense_complex_kernel,
     dense_cot_table,
     dense_weighted_kernels,
@@ -106,7 +107,7 @@ class TestKernelInvariance:
         # a block give full and partial blocks per curve pair
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 64 * 24)
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
-        heights = [rows.stop - rows.start for rows, _, _ in discrete._kernel_blocks(ops.jet, 0, 1)]
+        heights = block_heights(ops.jet, 0, 1)
         assert heights == [24, 24, 16]
         assert_stored_kernel(ops)
         expected = max(1.0, np.abs(dense_complex_kernel(ops.jet)).max())
@@ -131,7 +132,7 @@ class TestKernelInvariance:
         coeff = ShiftedPower(region.hole_points[-1], 1) if power else One()
         ops = assemble_N(region, coeff, ParamGrid(100))
         assert ops.N.store.exact == exact
-        heights = [rows.stop - rows.start for rows, _, _ in discrete._kernel_blocks(ops.jet, 1, 0)]
+        heights = block_heights(ops.jet, 1, 0)
         assert heights == [32, 32, 32, 4]
         n_hat, m_hat = dense_weighted_kernels(map_jet(region, ops.jet))
         w = ops.weight
@@ -157,6 +158,27 @@ class TestKernelInvariance:
         report = kernel_invariance_check(dataclasses.replace(ops, N=planted))
         assert report.max_diff_N == pytest.approx(1e-6 / ops.weight, rel=1e-6)
         assert report.max_diff_M1 == kernel_invariance_check(ops).max_diff_M1
+
+    @pytest.mark.parametrize("part", ["N", "M"])
+    def test_sees_a_planted_nan(self, part):
+        # Python's max keeps its first argument against a NaN, which let a
+        # NaN entry of N report the clean operators' figures; the NaN now
+        # reaches its difference and max_diff, so every gate on it fails,
+        # while a finite error of 1e-3 shows as one
+        region = Region.from_curves([circle(-3.0, 1.0), circle(3.0, 1.0)])
+        ops = assemble_N(region, One(), ParamGrid(64))
+        clean = kernel_invariance_check(ops)
+        planted = np.asarray(getattr(ops, part))
+        planted[5, 70] = np.nan
+        report = kernel_invariance_check(dataclasses.replace(ops, **{part: planted}))
+        nan_diff, other = (("max_diff_N", "max_diff_M1") if part == "N"
+                           else ("max_diff_M1", "max_diff_N"))
+        assert np.isnan(getattr(report, nan_diff)) and np.isnan(report.max_diff)
+        assert getattr(report, other) == getattr(clean, other)
+        assert not report.max_diff <= 1e-12 * report.scale
+        planted[5, 70] = np.asarray(getattr(ops, part))[5, 70] + 1e-3
+        report = kernel_invariance_check(dataclasses.replace(ops, **{part: planted}))
+        assert getattr(report, nan_diff) == pytest.approx(1e-3 / ops.weight, rel=1e-6)
 
     def test_peak_is_a_few_blocks(self, mixed_gallery):
         # N = 1536: the mapped kernel goes by in blocks, so the peak stays a
