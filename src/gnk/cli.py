@@ -61,6 +61,11 @@ def _write_csv(path: Path, blocks) -> None:
             f.writelines(",".join(row) + "\n" for row in zip(*columns.values()))
 
 
+def _finite(value: float) -> float | None:
+    """A figure for JSON, which has no NaN: a non-finite one is null."""
+    return value if math.isfinite(value) else None
+
+
 def _fail(exc: Exception) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
@@ -138,7 +143,7 @@ def _mobius_section(ops) -> dict:
     hat_shift = mobius.index_shift(ops.index)
     return {
         # a NaN difference fails the gate and is written as null
-        **{k: v if math.isfinite(v) else None for k, v in dataclasses.asdict(invariance).items()},
+        **{k: _finite(v) for k, v in dataclasses.asdict(invariance).items()},
         "tolerance": TOL_INVARIANCE,
         "index_shift": list(hat_shift[0]) + [hat_shift[1]],
         "index_direct": list(hat_direct[0]) + [hat_direct[1]],
@@ -153,7 +158,7 @@ def _nullity_entry(report, predicted: int) -> dict:
             "predicted": predicted,
             "ritz_counted": list(report.ritz_counted),
             "ritz_next": report.ritz_next,
-            "ritz_largest": report.ritz_largest,
+            "ritz_largest": _finite(report.ritz_largest),
             "krylov_depth": report.depth,
             "krylov_stop": report.stop}
 
@@ -184,13 +189,14 @@ def run_verify(args) -> int:
     mu = _band_limited_samples(rng, region.m, grid.n, band)
     outer = rhp.plemelj_boundary(ops, gamma, mu, +1)
     inner = rhp.plemelj_boundary(ops, gamma, mu, -1)
-    jump_scale = max(1.0, float(np.abs(outer).max()), float(np.abs(inner).max()))
+    jump_scale = float(np.max([1.0, np.abs(outer).max(), np.abs(inner).max()]))  # NaN stays
     jump_residual = float(np.abs(outer - inner - (gamma + 1j * mu)).max()) / jump_scale
     jump_ok = jump_residual <= TOL_JUMP
 
     report = {
         "n": grid.n,
-        "identity": {"r1_max": r1_max, "r2_max": r2_max,
+        # a NaN residual fails its gate and is written as null
+        "identity": {"r1_max": _finite(r1_max), "r2_max": _finite(r2_max),
                      "tolerance": args.tol_identity, "ok": identity_ok},
         "nullity": {
             "I_plus_N": _nullity_entry(plus, index.dim_null_I_plus_N),
@@ -198,7 +204,7 @@ def run_verify(args) -> int:
             "ok": null_ok,
         },
         "mobius": mobius_section,
-        "jump": {"residual": jump_residual, "scale": jump_scale,
+        "jump": {"residual": _finite(jump_residual), "scale": _finite(jump_scale),
                  "tolerance": TOL_JUMP, "ok": jump_ok},
         "kappa_per_curve": list(index.kappa_per_curve),
         "kappa": index.kappa,

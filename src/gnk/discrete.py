@@ -8,18 +8,20 @@ Wittich's alternate-point rule (Kress, Linear Integral Equations, 13.5),
 weights (2/n) cot((s_i - s_j)/2) at odd offsets i - j, exact on the
 resolved band.
 
-Neither matrix is stored whole.  The same-curve blocks are dense, built by
-the one walk of the complex kernel by (target curve, source curve) blocks,
-:func:`_kernel_blocks`, in a buffer its caller owns.  Seen from another
-curve, source curve k's kernel is a Laurent series about the hole's centre
-(Greengard & Rokhlin 1987), so its cross-curve blocks are one complex
-factor pair U_k V_k, truncated below 1e-16, with w N = Im(U_k V_k) and
-M = Re(U_k V_k) there; a curve whose series would need n terms keeps its
-exact block columns, one real array per part, so that a product with N
-never reads M's entries.  ``ops.N`` and ``ops.M`` are real-linear
-operators over that storage, which only this module reads, and
-``ops.kernel_block`` reads it back by the same blocks, as the Mobius check
-does.
+Neither matrix is stored whole.  Dense blocks, built by the one walk of
+the complex kernel by (target curve, source curve) blocks,
+:func:`_kernel_blocks`, in a buffer its caller owns, hold the same-curve
+pairs and the near pairs, whose holes' discs meet.  Every other pair is
+far: a one-level fast multipole method with the holes as boxes (Greengard
+& Rokhlin, J. Comput. Phys. 73, 1987) stores it as T_l C_lk V_k, the
+Laurent moments V_k of source curve k, their translation C_lk to Taylor
+coefficients about target curve l, and the Taylor powers T_l at l's nodes,
+each series truncated below 1e-16; w N = Im(T_l C_lk V_k) and
+M = Re(T_l C_lk V_k) there.  The dense blocks are real, one array per part,
+so that a product with N never reads M's entries.  ``ops.N`` and ``ops.M``
+are real-linear operators over that storage, which only this module reads,
+and ``ops.kernel_block`` reads it back by the same blocks, as the Mobius
+check does.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -36,7 +38,7 @@ import numpy as np
 from gnk.coefficient import IndexReport, index_of
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
-from gnk.kernels import BoundaryJet, _laurent_frame, _laurent_terms
+from gnk.kernels import LAURENT_TRUNCATION, BoundaryJet, _laurent_frame
 
 # Kernel entries per block of one curve pair, at most n rows: 2**18 is a
 # 4 MB complex block, a whole pair up to n = 512.
@@ -128,70 +130,61 @@ class DiscreteOperators:
 class _Kernel:
     """The weighted complex kernel M + iN, stored without an N^2 array.
 
-    The i-th curve k of ``laurent`` has its same-curve blocks of w N and M
-    in ``own_n[i]`` and ``own_m[i]``, n x n, and its cross-curve factors
-    U_k = U_T[span].T, N x P_k and zero on the curve's own rows, and
-    V_k = V[span], P_k x n, with span = splits[i]:splits[i + 1].  U is
-    stored transposed, so that its recurrence and both products run on
-    rows.  The j-th curve of ``exact`` has its whole block columns of w N
-    and M, transposed, in rows j n to (j + 1) n of ``exact_n`` and
-    ``exact_m``: real, so that a product with one part reads that part only.
+    ``dense_n[i]`` and ``dense_m[i]`` hold the n x n blocks of w N and M of
+    the curve pair ``pairs[i]`` = (target, source): the m same-curve pairs
+    first, in curve order, then the near pairs.  Every other pair (l, k) is
+    far, and its block is T_l C_lk V_k: V[k], P x n, the Laurent moments of
+    source curve k; C_lk = C[l Q:(l + 1) Q, k P:(k + 1) P], Q x P, their
+    translation to Taylor coefficients about target curve l, zero on dense
+    pairs; and T_l = taylor[l], n x Q, the Taylor powers at l's nodes.  So
+    the far engine holds m n (P + Q) + m^2 P Q numbers, and no array grows
+    like N m.  The dense blocks are real, so that a product with one part
+    reads that part only.
     """
 
-    own_n: np.ndarray
-    own_m: np.ndarray
-    U_T: np.ndarray
+    dense_n: np.ndarray
+    dense_m: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
     V: np.ndarray
-    splits: tuple[int, ...]
-    laurent: tuple[int, ...]
-    exact: tuple[int, ...]
-    exact_n: np.ndarray
-    exact_m: np.ndarray
-
-    def spans(self):
-        return zip(self.laurent, self.splits[:-1], self.splits[1:])
+    C: np.ndarray
+    taylor: np.ndarray
 
     def product(self, x: np.ndarray, part, transpose: bool) -> np.ndarray:
         """A x, or A^T x, for real x of shape (N, k), A the part (np.imag
-        for w N, np.real for M) of the kernel: the same-curve blocks in
-        one batched product, V_k curve by curve, U for all curves at once,
-        and the exact columns in one product."""
-        own, exact = (self.own_n, self.exact_n) if part is np.imag else (self.own_m, self.exact_m)
-        cols = x.reshape(-1, self.V.shape[1], x.shape[1])
-        laurent, curves = list(self.laurent), list(self.exact)
-        out = np.empty(cols.shape)
-        out[laurent] = np.matmul(own.transpose(0, 2, 1) if transpose else own, cols[laurent])
-        if transpose:
-            coeffs = self.U_T @ x
-            for k, first, last in self.spans():
-                out[k] += part(self.V[first:last].T @ coeffs[first:last])
-            out[curves] = (exact @ x).reshape(-1, *cols.shape[1:])
-            return out.reshape(x.shape)
-        coeffs = np.empty((len(self.V), x.shape[1]), dtype=complex)
-        for k, first, last in self.spans():
-            np.matmul(self.V[first:last], cols[k], out=coeffs[first:last])
-        out[curves] = 0.0
-        # (c^T U^T)^T and (x_E^T E^T)^T: BLAS runs these row-major forms
-        # faster than U c and E x
-        out += part((coeffs.T @ self.U_T).T).reshape(cols.shape)
-        if curves:
-            out += (cols[curves].reshape(-1, x.shape[1]).T @ exact).T.reshape(cols.shape)
+        for w N, np.real for M) of the kernel: the same-curve blocks in one
+        batched product, each near pair on its own, and the far pairs by
+        moments, one translation and Taylor sums (in reverse order for the
+        transpose)."""
+        dense = self.dense_n if part is np.imag else self.dense_m
+        m, n, _ = self.taylor.shape
+        cols = x.reshape(m, n, x.shape[1])
+        out = np.matmul(dense[:m].transpose(0, 2, 1) if transpose else dense[:m], cols)
+        for (t, k), block in zip(self.pairs[m:], dense[m:]):
+            if transpose:
+                t, k, block = k, t, block.T
+            out[t] += block @ cols[k]
+        if self.C.size:  # some pair is far
+            first, C, last = (self.V, self.C, self.taylor)
+            if transpose:
+                first, C, last = last.transpose(0, 2, 1), C.T, first.transpose(0, 2, 1)
+            moved = C @ np.matmul(first, cols).reshape(-1, x.shape[1])
+            out += part(np.matmul(last, moved.reshape(m, -1, x.shape[1])))
         return out.reshape(x.shape)
 
     def block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
         """The stored M + iN at the target ``rows``, inside one curve, and
-        source curve k's columns (the same-curve block, U_k V_k, or the
-        exact columns) in the first rows of ``out``, which are returned."""
-        n, out = self.V.shape[1], out[:rows.stop - rows.start]
-        if k in self.exact:
-            span = slice(self.exact.index(k) * n, (self.exact.index(k) + 1) * n)
-            out.real, out.imag = self.exact_m[span, rows].T, self.exact_n[span, rows].T
-        elif rows.start // n == k:
-            i, local = self.laurent.index(k), slice(rows.start - k * n, rows.stop - k * n)
-            out.real, out.imag = self.own_m[i, local], self.own_n[i, local]
+        source curve k's columns (a dense pair block, or T_l C_lk V_k) in
+        the first rows of ``out``, which are returned."""
+        _, n, Q = self.taylor.shape
+        t, out = rows.start // n, out[:rows.stop - rows.start]
+        local = slice(rows.start - t * n, rows.stop - t * n)
+        if (t, k) in self.pairs:
+            i = self.pairs.index((t, k))
+            out.real, out.imag = self.dense_m[i, local], self.dense_n[i, local]
         else:
-            span = slice(*self.splits[self.laurent.index(k):][:2])
-            np.matmul(self.U_T[span, rows].T, self.V[span], out=out)
+            P = self.V.shape[1]
+            translated = self.C[t * Q:(t + 1) * Q, k * P:(k + 1) * P] @ self.V[k]
+            np.matmul(self.taylor[t, local], translated, out=out)
         return out
 
 
@@ -213,8 +206,8 @@ class KernelPart:
 
     @property
     def shape(self) -> tuple[int, int]:
-        size = self.store.U_T.shape[1]
-        return (size, size)
+        m, n, _ = self.store.taylor.shape
+        return (m * n, m * n)
 
     def __matmul__(self, x) -> np.ndarray:
         return self._product(np.asarray(x), False)
@@ -223,7 +216,7 @@ class KernelPart:
         return self._product(np.asarray(y).T, True).T
 
     def __array__(self, *args, **kwargs) -> np.ndarray:
-        (size, _), n = self.shape, self.store.V.shape[1]
+        (size, _), n = self.shape, self.store.taylor.shape[1]
         dense, work = np.empty(self.shape), np.empty((n, n), dtype=complex)
         for t, k in np.ndindex(size // n, size // n):
             rows = slice(t * n, (t + 1) * n)
@@ -308,63 +301,66 @@ def _kernel_blocks(jet: BoundaryJet, target: int, source: int, work: np.ndarray)
 def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     """The weighted complex kernel of a jet as a :class:`_Kernel`.
 
-    Each Laurent curve's same-curve block and each exact curve's block
-    columns come from :func:`_kernel_blocks`, in one buffer, bit for bit
-    those of the whole matrix.  With its Laurent frame a_k, r_k, curve k
-    sees the other curves' nodes at ratio rho_k = min |eta_i - a_k| / r_k
-    or more, so P_k = _laurent_terms(rho_k) terms truncate its series below
-    LAURENT_TRUNCATION on every target of the grid: V_k[p, j] = w eta'_j / A_j ((eta_j - a_k) / r_k)^p and
-    U_k[i, p] = -(A_i / pi) (eta_i - a_k)^-1 (r_k / (eta_i - a_k))^p, its
-    powers taken by recurrence in U's storage.  A curve with P_k >= n
-    keeps its exact block columns, its own block included.
+    Curve k has the Laurent frame a_k, r_k, and a pair of target curve l
+    and source curve k sees alpha = r_k / |D| and beta = r_l / |D|, with
+    D = a_l - a_k.  Its Laurent series needs P_lk = _laurent_terms(rho)
+    terms, rho = min |eta_i - a_k| / r_k over l's nodes, and the Taylor
+    translation of those terms Q_lk, with (beta / (1 - alpha))^Q_lk
+    <= LAURENT_TRUNCATION (1 - alpha - beta), the bound of its tail.  A pair
+    with alpha + beta >= 1, or whose terms reach n, is near, and its blocks
+    come from :func:`_kernel_blocks`, in one buffer, bit for bit those of
+    the whole matrix, like the same-curve blocks.  The far pairs share P
+    and Q, the largest of their terms:
+    V_k[p, j] = w eta'_j / A_j ((eta_j - a_k) / r_k)^p,
+    T_l[i, q] = -(A_i / pi) ((eta_i - a_l) / r_l)^q and
+    C_lk[q, p] = (-1)^q binom(p + q, q) (r_k / D)^p (r_l / D)^q / D, taken
+    as a running product over q of the binomial ratios (p + q) / q: each
+    partial product is an entry, at most (alpha + beta)^(p + q) / |D|, so
+    none overflows where binom(p + q, q) alone would, from p + q = 1030.
     """
     m, n, w = jet.m, jet.n, jet.weight
-    frames = []
-    for k in range(m):
-        own = slice(k * n, (k + 1) * n)
-        centre, radius, scaled = _laurent_frame(jet.eta[own])
-        distance = np.abs(jet.eta - centre)
-        distance[own] = np.inf
-        rho = float(distance.min()) / radius
-        frames.append((centre, radius, scaled, _laurent_terms(rho) if rho > 1 else n))
-    laurent = tuple(k for k in range(m) if frames[k][3] < n)
-    exact = tuple(k for k in range(m) if frames[k][3] >= n)
-    own_n = np.empty((len(laurent), n, n))
-    own_m = np.empty_like(own_n)
-    exact_n = np.empty((len(exact) * n, jet.size))
-    exact_m = np.empty_like(exact_n)
+    eta = jet.eta.reshape(m, n)
+    frames = [_laurent_frame(curve) for curve in eta]
+    centres = np.array([frame[0] for frame in frames])
+    radii = np.array([frame[1] for frame in frames])
+    rho = np.array([np.abs(eta - centre).min(axis=1) / radius
+                    for centre, radius, _ in frames]).T  # [target, source]
+    distance, off = np.abs(centres[:, None] - centres), ~np.eye(m, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, and near pairs
+        alpha, beta = radii / distance, radii[:, None] / distance
+        laurent = np.ceil(math.log(LAURENT_TRUNCATION) / -np.log(rho))
+        taylor = np.ceil(np.log(LAURENT_TRUNCATION * (1 - alpha - beta))
+                         / np.log(beta / (1 - alpha)))
+        far = off & (alpha + beta < 1) & (laurent < n) & (taylor < n)
+    P, Q = (int(terms[far].max(initial=0)) for terms in (laurent, taylor))
+    pairs = tuple((k, k) for k in range(m)) + tuple(map(tuple, np.argwhere(off & ~far).tolist()))
+    dense_n = np.empty((len(pairs), n, n))
+    dense_m = np.empty_like(dense_n)
     work = _block_buffer(n)
-    for k in range(m):
-        for t in range(m) if k in exact else (k,):
-            if k in exact:
-                span = slice(exact.index(k) * n, (exact.index(k) + 1) * n)
-                block_n, block_m = (a[span, t * n:(t + 1) * n].T for a in (exact_n, exact_m))
-            else:
-                block_n, block_m = own_n[laurent.index(k)], own_m[laurent.index(k)]
-            for rows, block, cot in _kernel_blocks(jet, t, k, work):
-                local = slice(rows.start - t * n, rows.stop - t * n)
-                np.multiply(block.imag, w, out=block_n[local])
-                np.multiply(block.real, w, out=block_m[local])
-                if cot is not None:
-                    block_m[local] += cot
-    del work, block  # not live while the factors are built
-    splits = tuple(int(s) for s in np.cumsum([0] + [frames[k][3] for k in laurent]))
-    U_T = np.empty((splits[-1], jet.size), dtype=complex)
-    V = np.empty((splits[-1], n), dtype=complex)
-    for k, first, last in zip(laurent, splits[:-1], splits[1:]):
-        centre, radius, scaled, terms = frames[k]
-        own, u, v = slice(k * n, (k + 1) * n), U_T[first:last], V[first:last]
-        if terms > 0:
-            source = w * jet.eta_d[own] / jet.coeff[own]
-            np.multiply(np.vander(scaled, terms, increasing=True).T, source, out=v)
-            offset = jet.eta - centre
-            offset[own] = radius  # rows zeroed below
-            ratio = radius / offset
-            np.multiply(jet.coeff * (-1 / (math.pi * radius)), ratio, out=u[0])
-            for p in range(1, terms):
-                np.multiply(u[p - 1], ratio, out=u[p])
-            u[:, own] = 0.0
-    return _Kernel(own_n, own_m, U_T, V, splits, laurent, exact, exact_n, exact_m)
+    for i, (t, k) in enumerate(pairs):
+        for rows, block, cot in _kernel_blocks(jet, t, k, work):
+            local = slice(rows.start - t * n, rows.stop - t * n)
+            np.multiply(block.imag, w, out=dense_n[i, local])
+            np.multiply(block.real, w, out=dense_m[i, local])
+            if cot is not None:
+                dense_m[i, local] += cot
+    del work, block  # not live while the far engine is built
+    V = np.empty((m, P, n), dtype=complex)
+    T = np.empty((m, n, Q), dtype=complex)
+    source = (w * jet.eta_d / jet.coeff).reshape(m, n)
+    coeff = (jet.coeff * (-1 / math.pi)).reshape(m, n)
+    for k, (_, _, scaled) in enumerate(frames):
+        np.multiply(np.vander(scaled, P, increasing=True).T, source[k], out=V[k])
+        np.multiply(np.vander(scaled, Q, increasing=True), coeff[k, :, None], out=T[k])
+    C = np.empty((m, Q, m, P), dtype=complex)
+    if far.any():  # in place, zero on dense pairs: 1 / D is zero there
+        inverse = np.divide(1, centres[:, None] - centres, out=np.zeros((m, m), complex), where=far)
+        p, q = np.arange(P), np.arange(1, Q)[:, None]
+        np.multiply((radii * inverse)[..., None] ** p, inverse[..., None], out=C[:, 0])
+        np.multiply((-radii[:, None] * inverse)[:, None, :, None], ((p + q) / q)[:, None],
+                    out=C[:, 1:])
+        np.cumprod(C, axis=1, out=C)
+    return _Kernel(dense_n, dense_m, pairs, V, C.reshape(m * Q, m * P), T)
 
 
 def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
@@ -414,8 +410,10 @@ class NullityReport:
     ended: "settled" (``ritz_next`` settled), "exact" (the Krylov space
     became invariant, for example by spanning the whole space),
     "saturated" (as many values counted as the block is wide, so the count
-    is only a lower bound) or "basis cap" (unsettled when the basis reached
-    its column cap).  Only the first two are conclusive.
+    is only a lower bound), "basis cap" (unsettled when the basis reached
+    its column cap) or "non-finite" (a product with N held a NaN or an
+    infinity; the figures are those of the last finite depth, NaN largest
+    if there was none).  Only the first two are conclusive.
     """
 
     nullity: int
@@ -477,28 +475,34 @@ def nullity(N, sign: int, width: int) -> NullityReport:
     r_factor = np.empty((0, 0))
     block = _new_block(basis, start)
     depth, previous = 0, (None, None)
+    ritz, count, following, largest = (), 0, None, math.nan
     while True:
         depth += 1
         image = block + sign * (N @ block)
-        basis = np.hstack((basis, block))
-        del block  # one block less live while P grows
-        image_basis, r_factor = _border(image_basis, r_factor, image)
-        ritz = np.linalg.svd(r_factor, compute_uv=False)[::-1]
-        largest = float(ritz[-1])
-        count = int(np.count_nonzero(ritz < NULLITY_TOL * largest))
-        following = float(ritz[count]) if count < ritz.size else None
-        if count >= width:
-            stop = "saturated"
-        elif (previous[0] == count and None not in (following, previous[1])
-              and abs(following - previous[1]) <= NULLITY_SETTLE * following):
-            stop = "settled"
+        if not np.isfinite(image).all():
+            stop = "non-finite"
         else:
-            # N^T image as (image^T N)^T: the operator's transpose product,
-            # and for a dense N the row-major form that BLAS runs faster
-            block = _new_block(basis, image + sign * (image.T @ N).T)
-            stop = ("exact" if block.shape[1] == 0
-                    else "basis cap" if basis.shape[1] + block.shape[1] > cap
-                    else None)
+            basis = np.hstack((basis, block))
+            del block  # one block less live while P grows
+            image_basis, r_factor = _border(image_basis, r_factor, image)
+            ritz = np.linalg.svd(r_factor, compute_uv=False)[::-1]
+            largest = float(ritz[-1])
+            count = int(np.count_nonzero(ritz < NULLITY_TOL * largest))
+            following = float(ritz[count]) if count < ritz.size else None
+            if count >= width:
+                stop = "saturated"
+            elif (previous[0] == count and None not in (following, previous[1])
+                  and abs(following - previous[1]) <= NULLITY_SETTLE * following):
+                stop = "settled"
+            else:
+                # N^T image as (image^T N)^T: the operator's transpose product,
+                # and for a dense N the row-major form that BLAS runs faster
+                normal = image + sign * (image.T @ N).T
+                block = _new_block(basis, normal) if np.isfinite(normal).all() else None
+                stop = ("non-finite" if block is None
+                        else "exact" if block.shape[1] == 0
+                        else "basis cap" if basis.shape[1] + block.shape[1] > cap
+                        else None)
         if stop is not None:
             return NullityReport(
                 nullity=count,

@@ -11,8 +11,9 @@ the assembled matrices, rational functions with poles in the holes
 as exactly known solutions, the dense SVD count of a nullity, the
 whole-matrix kernel builders that the row-block and factored assembly
 replaced (``dense_weighted_kernels``, and ``weighted_kernels`` from the
-row blocks), the bound ``factor_tolerance`` that the factored cross-curve
-entries must meet, derived from the Laurent truncation, and the region
+row blocks), the far and near curve pairs (``far_pairs``) and the bound
+``factor_tolerance`` that the translated far-pair entries must meet,
+derived from the Laurent and Taylor truncations, and the region
 validation that samples every winding, which the enclosing-disc
 screening replaced.  ``perturbed_circle`` builds the star-like curves of
 the galleries.  ``count_calls`` counts the calls of a library function
@@ -416,51 +417,100 @@ def block_heights(jet, target: int, source: int) -> list[int]:
             in _kernel_blocks(jet, target, source, _block_buffer(jet.n))]
 
 
-def factor_tolerance(jet) -> float:
-    """Largest |stored - exact| that a cross-curve entry of the weighted
-    kernel M + iN may show in the factored storage, derived apart from it.
+def _pair_ratios(eta: np.ndarray, l: int, k: int):
+    """|D|, alpha, beta and rho of target curve l and source curve k, the
+    rows l and k of the (m, n) nodes: see :func:`far_pairs`."""
+    centre, radius = eta[k].mean(), np.abs(eta[k] - eta[k].mean()).max()
+    distance = abs(eta[l].mean() - centre)
+    beta = np.abs(eta[l] - eta[l].mean()).max() / distance
+    return distance, radius / distance, beta, np.abs(eta[l] - centre).min() / radius
 
-    Source curve k has centre a_k (the mean of its nodes), radius r_k and
-    rho_k = min |eta_i - a_k| / r_k over the other curves' nodes.  Its
-    Laurent terms fall like rho_k^-p from a first term of at most
-    (1 + 1/rho_k) |K_ij| <= 2 |K_ij|, so the tail dropped after the
-    P_k terms with rho_k^-P_k <= 1e-16 is at most 2 q 1e-16 |K_ij|,
-    q = 1 / (1 - 1/rho_k), and the roundoff of P_k terms, each from at
-    most 3 P_k + 3 rounded operations, at most 2 q (3 P_k + 3) eps |K_ij|.
-    A curve that needs P_k >= n terms is stored exactly.
+
+def far_pairs(jet):
+    """(far, P, Q) as the translated storage must choose them, derived apart
+    from it: far[l, k] for target curve l and source curve k, and the
+    Laurent and Taylor terms that the far pairs share.
+
+    Curve k has centre a_k (the mean of its nodes) and radius r_k =
+    max |eta_j - a_k|; with D = a_l - a_k, alpha = r_k / |D| and
+    beta = r_l / |D|, the pair's discs are apart when alpha + beta < 1.  Its
+    Laurent series needs ceil(16 ln 10 / ln rho) terms, rho = min |eta_i - a_k| / r_k
+    over curve l's nodes, and its Taylor translation
+    ceil(ln(1e-16 (1 - alpha - beta)) / ln(beta / (1 - alpha))).  A pair
+    whose discs meet, or whose terms reach n, is near.
     """
-    n = jet.n
-    if jet.m == 1:
-        return 0.0
-    eta = jet.eta.reshape(jet.m, n)
-    kernel = np.abs(dense_complex_kernel(jet)) * jet.weight
-    worst = 0.0
-    for k in range(jet.m):
-        centre = eta[k].mean()
-        rho = np.abs(np.delete(eta, k, axis=0) - centre).min() / np.abs(eta[k] - centre).max()
-        terms = math.ceil(16 * math.log(10) / math.log(rho)) if rho > 1 else n
-        if terms >= n:
+    m, n = jet.m, jet.n
+    eta = jet.eta.reshape(m, n)
+    far, P, Q = np.zeros((m, m), dtype=bool), 0, 0
+    for l, k in np.ndindex(m, m):
+        if l == k:
             continue
-        q = 1.0 / (1.0 - 1.0 / rho)
-        relative = 2 * q * (1e-16 + (3 * terms + 3) * np.finfo(float).eps)
-        column = kernel[:, k * n:(k + 1) * n].copy()
-        column[k * n:(k + 1) * n] = 0.0
-        worst = max(worst, relative * float(column.max()))
+        _, alpha, beta, rho = _pair_ratios(eta, l, k)
+        if alpha + beta >= 1:
+            continue
+        laurent = math.ceil(16 * math.log(10) / math.log(rho))
+        taylor = math.ceil(math.log(1e-16 * (1 - alpha - beta)) / math.log(beta / (1 - alpha)))
+        if max(laurent, taylor) < n:
+            far[l, k], P, Q = True, max(P, laurent), max(Q, taylor)
+    return far, P, Q
+
+
+def factor_tolerance(jet) -> float:
+    """Largest |stored - exact| that a far-pair entry of the weighted kernel
+    M + iN may show in the translated storage, derived apart from it.
+
+    With the frames of :func:`far_pairs`, z = eta_i - a_k, zeta = eta_j - a_k
+    and y = eta_i - a_l, the entry is c_ij g, with
+    c_ij = -(A_i / pi) w eta'_j / A_j and
+    g = 1 / (z - zeta) = sum_p zeta^p / z^(p+1)
+      = sum_p sum_q binom(p + q, q) zeta^p (-y)^q / D^(p+q+1),
+    of which the storage keeps p < P and q < Q; the kept term (p, q) is at
+    most binom(p + q, q) alpha^p beta^q in units of |c_ij| / |D|.  In
+    those units the error is at most
+    - the Laurent tail sum_(p >= P) |zeta|^p / |z|^(p+1), times |D|:
+      rho^-P / (alpha (rho - 1));
+    - the Taylor tail sum_p sum_(q >= Q) binom(p + q, q) alpha^p beta^q =
+      (beta / (1 - alpha))^Q / (1 - alpha - beta);
+    - the roundoff of the kept terms: term (p, q) takes at most
+      6 p + 9 q + 14 + P + Q rounded operations (its moment 3 p + 4, its
+      translation 3 p + 6 q + 4 with D's error raised to the power
+      p + q + 1, its Taylor power 3 q + 4, two products and the P + Q
+      additions of the two sums), each within 2 eps, real or complex;
+    - the oracle's own 8 rounded operations on an entry of at most
+      1 / (1 - alpha - beta).
+    """
+    far, P, Q = far_pairs(jet)
+    m, n = jet.m, jet.n
+    eta = jet.eta.reshape(m, n)
+    target = np.abs(jet.coeff).reshape(m, n).max(axis=1) / math.pi
+    source = (np.abs(jet.eta_d / jet.coeff) * jet.weight).reshape(m, n).max(axis=1)
+    p, q = np.arange(P), np.arange(Q)[:, None]
+    binom = np.array([[float(math.comb(i + j, j)) for i in range(P)] for j in range(Q)])
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for l, k in zip(*np.nonzero(far)):
+        distance, alpha, beta, rho = _pair_ratios(eta, l, k)
+        terms = binom * alpha**p * beta**q
+        error = (rho**-P / (alpha * (rho - 1))
+                 + (beta / (1 - alpha))**Q / (1 - alpha - beta)
+                 + 2 * eps * float((terms * (6 * p + 9 * q + 14 + P + Q)).sum())
+                 + 2 * eps * 8 / (1 - alpha - beta))
+        worst = max(worst, target[l] * source[k] * error / distance)
     return worst
 
 
 def assert_stored_kernel(ops) -> float:
-    """The stored w N and M against the dense oracle: same-curve blocks bit
-    for bit, cross-curve entries within factor_tolerance.  Returns the
-    largest cross-curve error."""
-    n = ops.n
+    """The stored w N and M against the dense oracle: same-curve and near
+    pair blocks bit for bit, far-pair entries within factor_tolerance.
+    Returns the largest far-pair error."""
+    n, (far, _, _) = ops.n, far_pairs(ops.jet)
     worst = 0.0
     for stored, oracle in zip((np.asarray(ops.N), np.asarray(ops.M)),
                               dense_weighted_kernels(ops.jet)):
-        for k in range(ops.m):
-            block = slice(k * n, (k + 1) * n)
-            assert np.array_equal(stored[block, block], oracle[block, block])
-            stored[block, block] = oracle[block, block]
+        for t, k in np.ndindex(ops.m, ops.m):
+            block = (slice(t * n, (t + 1) * n), slice(k * n, (k + 1) * n))
+            if not far[t, k]:
+                assert np.array_equal(stored[block], oracle[block])
         worst = max(worst, float(np.abs(stored - oracle).max()))
     assert worst <= factor_tolerance(ops.jet), worst
     return worst

@@ -34,7 +34,7 @@ OPTIONS = {
                                           "centroids then serve",
     "rhp.solve_rhp(tol_solve=)": "the CLI passes --tol-solve",
 }
-MAX_SOURCE_LINES = 2207
+MAX_SOURCE_LINES = 2217
 # Public functions only tests call, kept as library API: harmonic_eval is
 # the documented Dirichlet field.
 TEST_ONLY_API = {"harmonic_eval"}
@@ -123,7 +123,7 @@ def test_only_discrete_reads_the_operator_storage():
                       if path.name != "discrete.py"
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in storage})
-    assert storage >= {"store", "part", "own_n", "U_T", "V", "exact_n"}
+    assert storage >= {"store", "part", "dense_n", "pairs", "V", "C", "taylor"}
     assert readers == []
 
 

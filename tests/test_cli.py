@@ -256,6 +256,42 @@ class TestVerifyPlantedDefects:
         assert entries["ok"] is False
         assert "[FAIL] nullity" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["mobius-check", "verify"])
+    def test_planted_nan_in_N_fails_every_section(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        # N[5, 70] = nan on two unit circles at +-3: a quality failure, exit
+        # 2, with the file written and each section that reads N failed,
+        # its NaN figures null
+        assemble = discrete.assemble_N
+
+        def planted(*args, **kwargs):
+            ops = assemble(*args, **kwargs)
+            dense = np.asarray(ops.N)
+            dense[5, 70] = np.nan
+            return dataclasses.replace(ops, N=dense)
+
+        monkeypatch.setattr(discrete, "assemble_N", planted)
+        region = tmp_path / "region.json"
+        region.write_text(json.dumps({"curves": [
+            {"type": "circle", "center": [x, 0.0], "radius": 1.0} for x in (-3.0, 3.0)]}))
+        out = tmp_path / "out"
+        rc = _run([command, "--region", region, "--n", 64, "--out", out])
+        report = json.loads((out / f"{command.split('-')[0]}.json").read_text())
+        mobius_section = report.get("mobius", report)
+        assert rc == 2 and report["ok"] is False
+        assert mobius_section["ok"] is False and mobius_section["max_diff_N"] is None
+        if command == "verify":
+            assert report["identity"] == {"r1_max": None, "r2_max": None,
+                                          "tolerance": 1e-8, "ok": False}
+            assert report["jump"]["residual"] is None and report["jump"]["ok"] is False
+            for key in ("I_plus_N", "I_minus_N"):
+                assert report["nullity"][key]["krylov_stop"] == "non-finite"
+                assert report["nullity"][key]["ritz_largest"] is None
+            assert report["nullity"]["ok"] is False
+            printed = capsys.readouterr().out
+            assert all(f"[FAIL] {name}" in printed
+                       for name in ("identity", "nullity", "mobius", "jump"))
+
 
 class TestIndexAndMobius:
     def test_index_report(self, inputs, tmp_path, capsys):

@@ -30,6 +30,7 @@ from helpers import (
     dense_weighted_M1,
     dense_weighted_kernels,
     factor_tolerance,
+    far_pairs,
     fft_conjugate,
     lattice16,
     traced_peak,
@@ -171,20 +172,23 @@ class TestAssembleN:
         assert np.abs(gallery_ops.apply_N(np.zeros(gallery_ops.size))).max() == 0.0
 
     def test_peak_is_the_stored_factors(self, mixed_gallery):
-        # N = 1536: the same-curve blocks and the factors, plus the row
-        # blocks that build the same-curve blocks (a complex block and its
+        # N = 1536: the dense pair blocks and the far engine, plus the row
+        # blocks that build the pair blocks (a complex block and its
         # cotangent gather, under two complex blocks) and O(N m)
-        # temporaries of the factors' build, where the dense w N and M
-        # took 2 x 8 N^2 bytes
+        # temporaries of the moments and Taylor powers (the translations
+        # are built in place), where the dense w N and M took 2 x 8 N^2 bytes
         grid = ParamGrid(512)
         coeff = ShiftedPower(CENTERS[2], 1)
         assemble_N(mixed_gallery, coeff, grid)
         peak = traced_peak(lambda: assemble_N(mixed_gallery, coeff, grid))
         store = assemble_N(mixed_gallery, coeff, grid).N.store
-        stored = sum(a.nbytes for a in (store.own_n, store.own_m, store.U_T, store.V,
-                                        store.exact_n, store.exact_m))
+        stored = sum(a.nbytes for a in _stored_arrays(store))
         size = 3 * grid.n
         assert peak <= stored + 2 * 16 * discrete.BLOCK_ENTRIES + 16 * size * 3, peak
+
+
+def _stored_arrays(store) -> list:
+    return [value for value in vars(store).values() if isinstance(value, np.ndarray)]
 
 
 def _ellipse_beside_circle(aspect: float) -> Region:
@@ -192,9 +196,9 @@ def _ellipse_beside_circle(aspect: float) -> Region:
 
 
 class TestFactoredOperators:
-    """The factored N and M against the dense oracle: products from both
-    sides, same-curve blocks bit for bit, and exact block columns where
-    the Laurent series would be slow."""
+    """The translated N and M against the dense oracle: products from both
+    sides, same-curve and near pair blocks bit for bit, and far pairs
+    within the bound of their translation."""
 
     @pytest.fixture(scope="class",
                     params=["lattice16", "mixed", "ellipse10", "close", "touching"])
@@ -204,7 +208,7 @@ class TestFactoredOperators:
             "mixed": (mixed_gallery, 128),
             "ellipse10": (_ellipse_beside_circle(10.0), 128),
             "close": (load_region(FILES["region_close.json"]), 128),
-            # two unit circles 0.05 apart: both columns exact, no factors
+            # two unit circles 0.05 apart: both pairs near, no far engine
             "touching": (Region.from_curves([circle(3.0 + 1.025j, 1.0),
                                              circle(3.0 - 1.025j, 1.0)]), 64),
         }[request.param]
@@ -229,34 +233,39 @@ class TestFactoredOperators:
                 assert error <= 1e-14 * norm.max() * np.abs(x).max()
 
     def test_stored_entries(self, case):
-        # same-curve blocks bit for bit, cross-curve entries within the
-        # bound derived from the truncation rho^-P <= 1e-16
+        # same-curve and near pair blocks bit for bit, far entries within
+        # the bound derived from the Laurent and Taylor truncations
         assert_stored_kernel(case[1])
 
     def test_slow_series_keeps_the_exact_column(self, case):
-        # the ellipse of region_close.json sees the middle circle at
-        # rho = 0.74, each touching circle the other at 1.05: their block
-        # columns are stored exactly, bit for bit, as real arrays and with
-        # no factors
+        # a pair whose discs meet keeps its exact blocks: the ellipse of
+        # region_close.json reaches over both circles, and each touching
+        # circle over the other.  They are stored bit for bit, as real
+        # arrays beside the same-curve blocks, and the far engine has no
+        # terms where no pair is far
         name, ops, (oracle_n, oracle_m) = case
         n, store = ops.n, ops.N.store
-        exact = {"close": (0,), "touching": (0, 1)}.get(name, ())
-        assert store.exact == exact
-        assert store.laurent == tuple(k for k in range(ops.m) if k not in exact)
-        assert store.exact_n.dtype == store.exact_m.dtype == np.float64
-        assert store.exact_n.shape == (len(exact) * n, ops.size)
-        assert len(store.splits) == len(store.laurent) + 1
-        for k in exact:
-            cols = slice(k * n, (k + 1) * n)
-            assert np.array_equal(np.asarray(ops.N)[:, cols], oracle_n[:, cols])
-            assert np.array_equal(np.asarray(ops.M)[:, cols], oracle_m[:, cols])
+        near = {"close": ((0, 1), (0, 2), (1, 0), (2, 0)),
+                "touching": ((0, 1), (1, 0))}.get(name, ())
+        far, P, Q = far_pairs(ops.jet)
+        assert store.pairs == tuple((k, k) for k in range(ops.m)) + near
+        assert [(t, k) for t, k in np.argwhere(~far).tolist() if t != k] == list(near)
+        assert store.dense_n.dtype == store.dense_m.dtype == np.float64
+        assert store.dense_n.shape == (ops.m + len(near), n, n)
+        assert store.V.shape == (ops.m, P, n) and store.taylor.shape == (ops.m, n, Q)
+        assert store.C.shape == (ops.m * Q, ops.m * P)
+        for t, k in near:
+            block = (slice(t * n, (t + 1) * n), slice(k * n, (k + 1) * n))
+            assert np.array_equal(np.asarray(ops.N)[block], oracle_n[block])
+            assert np.array_equal(np.asarray(ops.M)[block], oracle_m[block])
+            assert not store.C[t * Q:(t + 1) * Q, k * P:(k + 1) * P].any()
 
     def test_pair_blocks_are_the_dense_blocks(self, case):
         # every curve pair, read on a partial row block of the target
-        # curve: same-curve blocks and exact columns bit for bit, Laurent
-        # cross-curve blocks within the bound of their truncation
+        # curve: same-curve and near pair blocks bit for bit, far pairs
+        # within the bound of their translation
         _, ops, (oracle_n, oracle_m) = case
-        n, exact = ops.n, ops.N.store.exact
+        n, (far, _, _) = ops.n, far_pairs(ops.jet)
         tol = factor_tolerance(ops.jet)
         work = discrete._block_buffer(n)
         for target in range(ops.m):
@@ -265,12 +274,56 @@ class TestFactoredOperators:
                 cols = slice(source * n, (source + 1) * n)
                 block = ops.kernel_block(rows, source, work)
                 assert block.shape == (n // 2 + 3, n) and np.shares_memory(block, work)
-                if source == target or source in exact:
+                if not far[target, source]:
                     assert np.array_equal(block.imag, oracle_n[rows, cols])
                     assert np.array_equal(block.real, oracle_m[rows, cols])
                 else:
                     assert np.abs(block.imag - oracle_n[rows, cols]).max() <= tol
                     assert np.abs(block.real - oracle_m[rows, cols]).max() <= tol
+
+
+class TestTranslatedStorage:
+    """The far engine stores O(m n Q + m^2 P Q) numbers, not N x sum P_k."""
+
+    def test_lattice_storage(self):
+        # lattice16 at n = 256: the dense same-curve blocks (16.8 MB), the
+        # moments, Taylor powers and translations, 26.2 MB in all, where
+        # the N x sum P_k factor U took 35.7 of 54.7 MB
+        ops = assemble_N(lattice16(), One(), ParamGrid(256))
+        arrays = _stored_arrays(ops.N.store)
+        assert sum(a.nbytes for a in arrays) <= 30e6
+        assert all(ops.size not in a.shape for a in arrays)
+
+    def test_long_series_stay_finite(self):
+        # two unit circles 0.075 apart at n = 1024: the pair is far with
+        # P + Q above 1030, where binom(p + q, q) alone would overflow; the
+        # running product keeps every translation finite and the block
+        # within 1e-14 of the pair's largest entry
+        n = 1024
+        ops = assemble_N(Region.from_curves([circle(0.0, 1.0), circle(2.075, 1.0)]), One(),
+                         ParamGrid(n))
+        store, work = ops.N.store, discrete._block_buffer(n)
+        assert store.pairs == ((0, 0), (1, 1))
+        assert store.V.shape[1] + store.taylor.shape[2] > 1030 and np.isfinite(store.C).all()
+        for rows, block, _ in discrete._kernel_blocks(ops.jet, 0, 1, work.copy()):
+            expected = block * ops.weight
+            got = ops.kernel_block(rows, 1, work)
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_one_curve(self, dtype):
+        # m = 1: the same-curve block alone, and an empty far engine
+        ops = assemble_N(Region.from_curves([ellipse(0.5j, 2.0, 1.0)]), ShiftedPower(0.5j, 1),
+                         ParamGrid(64))
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((64, 3)).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal(x.shape)
+        store = ops.N.store
+        assert store.pairs == ((0, 0),) and store.C.size == 0
+        for operator, dense in zip((ops.N, ops.M), dense_weighted_kernels(ops.jet)):
+            for got, expected in ((operator @ x, dense @ x), (x.T @ operator, x.T @ dense)):
+                assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
 
 class TestNoDenseArray:
@@ -544,6 +597,24 @@ class TestKrylovNullity:
         dense = dense_nullity(ops.identity_plus_N())
         assert report.stop == "exact" and report.depth == 1
         assert report.nullity == dense.nullity == 1
+
+    def test_non_finite_transpose_product_stops(self, gallery_ops):
+        # N finite from the right but NaN from the left: the count keeps
+        # the first depth's Ritz values and stops inconclusive, where the
+        # SVD of the next block would meet the NaN
+        class LeftNaN:
+            __array_ufunc__ = None
+            shape = gallery_ops.N.shape
+
+            def __matmul__(self, x):
+                return gallery_ops.N @ x
+
+            def __rmatmul__(self, y):
+                return np.full((len(y), self.shape[1]), np.nan)
+
+        report = nullity(LeftNaN(), +1, 11)
+        assert report.stop == "non-finite" and not report.conclusive and report.depth == 1
+        assert np.isfinite(report.ritz_largest) and report.ritz_largest > 0
 
 
 def _elongated_region() -> Region:

@@ -7,7 +7,7 @@ import pytest
 
 from gnk import coefficient, discrete, geometry, mobius
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
-from gnk.discrete import assemble_N
+from gnk.discrete import assemble_N, operator_identity_residuals
 from gnk.errors import CenterNotInHole, ZeroCoefficient
 from gnk.geometry import MIN_DISTANCE, ParamGrid, Region, circle, load_region
 from gnk.kernels import BoundaryJet
@@ -119,19 +119,19 @@ class TestKernelInvariance:
                                                monkeypatch):
         # the differences and the scale taken block by block equal those of
         # the whole mapped matrices against the whole stored ones exactly,
-        # and those against the exact kernel within the factors' bound; the
-        # ellipse of region_close.json and both touching circles are read
-        # back from their exact block columns
+        # and those against the exact kernel within the translations' bound;
+        # the pairs of the ellipse of region_close.json and of both touching
+        # circles are read back from their dense near-pair blocks
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 100 * 32)
-        region, exact = {
+        region, near = {
             "mixed": (mixed_gallery, ()),
-            "close": (load_region(FILES["region_close.json"]), (0,)),
+            "close": (load_region(FILES["region_close.json"]), ((0, 1), (0, 2), (1, 0), (2, 0))),
             "touching": (Region.from_curves([circle(3.0 + 1.025j, 1.0),
-                                             circle(3.0 - 1.025j, 1.0)]), (0, 1)),
+                                             circle(3.0 - 1.025j, 1.0)]), ((0, 1), (1, 0))),
         }[name]
         coeff = ShiftedPower(region.hole_points[-1], 1) if power else One()
         ops = assemble_N(region, coeff, ParamGrid(100))
-        assert ops.N.store.exact == exact
+        assert ops.N.store.pairs[ops.m:] == near
         heights = block_heights(ops.jet, 1, 0)
         assert heights == [32, 32, 32, 4]
         n_hat, m_hat = dense_weighted_kernels(map_jet(region, ops.jet))
@@ -179,6 +179,22 @@ class TestKernelInvariance:
         planted[5, 70] = np.asarray(getattr(ops, part))[5, 70] + 1e-3
         report = kernel_invariance_check(dataclasses.replace(ops, **{part: planted}))
         assert getattr(report, nan_diff) == pytest.approx(1e-3 / ops.weight, rel=1e-6)
+
+    def test_planted_nan_fails_each_check(self):
+        # the same planted NaN reaches every check that reads N: the Krylov
+        # counts stop inconclusive where an SVD would meet it, and the
+        # identity residuals stay NaN, so that no gate passes on it
+        ops = assemble_N(Region.from_curves([circle(-3.0, 1.0), circle(3.0, 1.0)]), One(),
+                         ParamGrid(64))
+        planted = np.asarray(ops.N)
+        planted[5, 70] = np.nan
+        ops = dataclasses.replace(ops, N=planted)
+        assert np.isnan(kernel_invariance_check(ops).max_diff_N)
+        for report in (ops.nullity_I_plus_N(), ops.nullity_I_minus_N()):
+            assert report.stop == "non-finite" and not report.conclusive
+            assert report.depth == 1 and np.isnan(report.ritz_largest)
+        probes = np.random.default_rng(2).standard_normal((ops.size, 2))
+        assert all(np.isnan(operator_identity_residuals(ops, probes)))
 
     def test_peak_is_a_few_blocks(self, mixed_gallery):
         # N = 1536: the mapped kernel goes by in blocks, so the peak stays a
