@@ -36,9 +36,12 @@ TOL_JUMP = 1e-13
 FIELD_BLOCK = 4096
 
 
-def _floats(values) -> list[str]:
-    """Each value as repr(float(x)), the shortest text that reads back exactly."""
-    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+def _floats(values) -> np.ndarray:
+    """Each value as repr(float(x)), the shortest text that reads back exactly,
+    in an object array: each distinct bit pattern (-0.0 too) formatted once."""
+    bits, inverse = np.unique(np.ascontiguousarray(values, dtype=float).view(np.int64),
+                              return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse]
 
 
 def _write_json(path: Path, payload: dict) -> str:
@@ -245,7 +248,7 @@ def _probe_points(text: str) -> np.ndarray:
     xs = np.linspace(x0, x1, nx) if nx > 1 else np.array([x0])
     ys = np.linspace(y0, y1, ny) if ny > 1 else np.array([y0])
     grid_x, grid_y = np.meshgrid(xs, ys)
-    return (grid_x + 1j * grid_y).ravel()
+    return _require_finite((grid_x + 1j * grid_y).ravel(), "--field-grid probes")
 
 
 def _hole_mask(region, points: np.ndarray, n: int) -> np.ndarray:
@@ -264,7 +267,7 @@ def _field_blocks(points, u, holes, in_band):
     flags = np.array(["ok", "band", "hole"], dtype=object)
     for first in range(0, points.size, FIELD_BLOCK):
         part = slice(first, first + FIELD_BLOCK)
-        values = np.array(_floats(u[part]), dtype=object)
+        values = _floats(u[part])
         values[holes[part]] = ""
         yield {"x": _floats(points[part].real), "y": _floats(points[part].imag),
                "u": values, "in_band_flag": flags[in_band[part] + 2 * holes[part]]}
@@ -276,7 +279,10 @@ def run_field(args) -> int:
     ops = discrete.assemble_N(region, coeff, grid)
     solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
 
-    f, dist, turns = rhp.field_pass(ops.jet, gamma, solution.mu, points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, dist, turns = rhp.field_pass(ops.jet, gamma, solution.mu, points)
+    u, on_node = f.real, dist < MIN_DISTANCE  # on a node, the sum divides by ~0: Re f+
+    u[on_node] = solution.f_plus.real[np.abs(points[on_node, None] - ops.jet.eta).argmin(axis=1)]
     band_width = rhp.near_boundary_band(ops.jet)
     near = dist < band_width
     # the Cauchy sums of 1 count turns exactly off the band; on it the
@@ -289,7 +295,10 @@ def run_field(args) -> int:
             f"{int(in_band.sum())} probe points inside the near-boundary band "
             f"(width {band_width:.3e}) with --strict set")
 
-    _write_csv(Path(args.out) / "field.csv", _field_blocks(points, f.real, holes, in_band))
+    if not np.isfinite(u[~holes]).all():  # no NaN goes out with exit 0
+        _fail(FloatingPointError("a field value is not finite"))
+        return 2
+    _write_csv(Path(args.out) / "field.csv", _field_blocks(points, u, holes, in_band))
     return 0
 
 

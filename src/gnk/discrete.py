@@ -8,20 +8,20 @@ Wittich's alternate-point rule (Kress, Linear Integral Equations, 13.5),
 weights (2/n) cot((s_i - s_j)/2) at odd offsets i - j, exact on the
 resolved band.
 
-Neither matrix is stored whole.  Dense blocks, built by the one walk of
-the complex kernel by (target curve, source curve) blocks,
-:func:`_kernel_blocks`, in a buffer its caller owns, hold the same-curve
-pairs and the near pairs, whose holes' discs meet.  Every other pair is
-far: a one-level fast multipole method with the holes as boxes (Greengard
-& Rokhlin, J. Comput. Phys. 73, 1987) stores it as T_l C_lk V_k, the
-Laurent moments V_k of source curve k, their translation C_lk to Taylor
-coefficients about target curve l, and the Taylor powers T_l at l's nodes,
-each series truncated below 1e-16; w N = Im(T_l C_lk V_k) and
-M = Re(T_l C_lk V_k) there.  The dense blocks are real, one array per part,
-so that a product with N never reads M's entries.  ``ops.N`` and ``ops.M``
-are real-linear operators over that storage, which only this module reads,
-and ``ops.kernel_block`` reads it back by the same blocks, as the Mobius
-check does.
+Neither matrix is stored whole.  On one curve w N and w M1 sample
+analytic periodic kernels, so each same-curve block is kept as the Fourier
+band that a sub-grid of the curve's nodes resolves (Trefethen & Weideman,
+SIAM Rev. 56, 2014), and M's alternate-point circulant as its symbol.
+Dense blocks from the one walk of the kernel by (target curve, source
+curve) blocks, :func:`_kernel_blocks`, in a buffer its caller owns, hold
+the near pairs, whose holes' discs meet, and unresolved same-curve pairs.
+Every other pair is far: a one-level fast multipole method with the holes
+as boxes (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) stores it as
+T_l C_lk V_k, the Laurent moments V_k of source curve k, their translation
+C_lk to Taylor coefficients about target curve l, and the Taylor powers
+T_l at l's nodes, each series truncated below 1e-16.  ``ops.N`` and
+``ops.M`` are real-linear operators over that storage, which only this
+module reads; ``ops.kernel_block`` reads it back by the same blocks.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -44,6 +44,7 @@ from gnk.kernels import LAURENT_TRUNCATION, BoundaryJet, _laurent_frame
 # 4 MB complex block, a whole pair up to n = 512.
 BLOCK_ENTRIES = 2**18
 NULLITY_TOL = 1e-8
+BAND_NODES = 16  # the smallest sub-grid a same-curve block is sampled on
 # Block Krylov nullity count: the start block is NULLITY_MARGIN columns wider
 # than the predicted nullity and drawn from a fixed seed, so that verify's
 # output is byte-deterministic.  The count stops once the first uncounted
@@ -130,18 +131,22 @@ class DiscreteOperators:
 class _Kernel:
     """The weighted complex kernel M + iN, stored without an N^2 array.
 
-    ``dense_n[i]`` and ``dense_m[i]`` hold the n x n blocks of w N and M of
-    the curve pair ``pairs[i]`` = (target, source): the m same-curve pairs
-    first, in curve order, then the near pairs.  Every other pair (l, k) is
-    far, and its block is T_l C_lk V_k: V[k], P x n, the Laurent moments of
-    source curve k; C_lk = C[l Q:(l + 1) Q, k P:(k + 1) P], Q x P, their
-    translation to Taylor coefficients about target curve l, zero on dense
-    pairs; and T_l = taylor[l], n x Q, the Taylor powers at l's nodes.  So
-    the far engine holds m n (P + Q) + m^2 P Q numbers, and no array grows
-    like N m.  The dense blocks are real, so that a product with one part
-    reads that part only.
+    Curve ``banded[i]``'s same-curve block is a Fourier band: band[i, 0]
+    and band[i, 1] hold c_pq at (p + B, q + B), |p|, |q| <= B, of w N and
+    w M1, entry (i, j) = sum c_pq e^(i p s_i) e^(i q s_j) (waves[p + B, j]
+    = e^(i p s_j)); M there is w M1 minus the alternate-point circulant, of
+    symbol -i sgn(p).  ``dense_n[i]`` and ``dense_m[i]`` are the real n x n
+    blocks of w N and M of ``pairs[i]`` = (target, source): unbanded
+    same-curve pairs, then near pairs.  Every other pair (l, k) is far:
+    T_l C_lk V_k, with V[k] (P x n) the Laurent moments of source curve k,
+    C_lk = C[l Q:(l + 1) Q, k P:(k + 1) P] (Q x P) their translation to
+    Taylor coefficients about target curve l, zero on dense pairs, and
+    T_l = taylor[l] (n x Q) the Taylor powers at l's nodes.
     """
 
+    band: np.ndarray
+    banded: tuple[int, ...]
+    waves: np.ndarray
     dense_n: np.ndarray
     dense_m: np.ndarray
     pairs: tuple[tuple[int, int], ...]
@@ -151,15 +156,25 @@ class _Kernel:
 
     def product(self, x: np.ndarray, part, transpose: bool) -> np.ndarray:
         """A x, or A^T x, for real x of shape (N, k), A the part (np.imag
-        for w N, np.real for M) of the kernel: the same-curve blocks in one
-        batched product, each near pair on its own, and the far pairs by
-        moments, one translation and Taylor sums (in reverse order for the
-        transpose)."""
+        for w N, np.real for M): the bands (transposed for A^T) in one
+        batched product between products with the waves, or for M and wide
+        bands one rfft and one irfft; each dense pair on its own; the far
+        pairs by moments, one translation and Taylor sums (in reverse)."""
         dense = self.dense_n if part is np.imag else self.dense_m
         m, n, _ = self.taylor.shape
-        cols = x.reshape(m, n, x.shape[1])
-        out = np.matmul(dense[:m].transpose(0, 2, 1) if transpose else dense[:m], cols)
-        for (t, k), block in zip(self.pairs[m:], dense[m:]):
+        cols, curves = x.reshape(m, n, x.shape[1]), list(self.banded)
+        band, out = self.band[:, int(part is np.real)], np.zeros(cols.shape)
+        band, B = band.transpose(0, 2, 1) if transpose else band, len(self.waves) // 2
+        if part is np.imag and len(self.waves) < math.log2(n):  # few modes: no FFT
+            out[curves] = (self.waves.T @ (band @ (self.waves @ cols[curves]))).real
+        else:  # sum_j x_j e^(i q s_j), q = -B..B, is the spectrum at -q
+            spectrum = np.fft.rfft(cols[curves], axis=1)
+            moments = np.concatenate((spectrum[:, B::-1], spectrum[:, 1:B + 1].conj()), axis=1)
+            # minus M's circulant, plus it for M^T; irfft drops imaginary 0 and n / 2 terms
+            image = spectrum * ((-1j if transpose else 1j) if part is np.real else 0)
+            image[:, :B + 1] += n * (band[:, B:] @ moments)
+            out[curves] = np.fft.irfft(image, n, axis=1)
+        for (t, k), block in zip(self.pairs, dense):
             if transpose:
                 t, k, block = k, t, block.T
             out[t] += block @ cols[k]
@@ -173,12 +188,17 @@ class _Kernel:
 
     def block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
         """The stored M + iN at the target ``rows``, inside one curve, and
-        source curve k's columns (a dense pair block, or T_l C_lk V_k) in
-        the first rows of ``out``, which are returned."""
+        source curve k's columns (a band's rows, a dense pair block, or
+        T_l C_lk V_k) in the first rows of ``out``, which are returned."""
         _, n, Q = self.taylor.shape
         t, out = rows.start // n, out[:rows.stop - rows.start]
         local = slice(rows.start - t * n, rows.stop - t * n)
-        if (t, k) in self.pairs:
+        if t == k and t in self.banded:  # w M1 + i w N, then M's circulant
+            band = self.band[self.banded.index(t)]
+            np.matmul(self.waves[:, local].T @ (band[1] + 1j * band[0]), self.waves, out=out)
+            alternate = np.where(np.arange(2 * n - 1) % 2, 0.0, 2 * _cot_table(n))  # odd offsets
+            out.real += np.lib.stride_tricks.sliding_window_view(alternate, n)[local, ::-1]
+        elif (t, k) in self.pairs:
             i = self.pairs.index((t, k))
             out.real, out.imag = self.dense_m[i, local], self.dense_n[i, local]
         else:
@@ -298,6 +318,45 @@ def _kernel_blocks(jet: BoundaryJet, target: int, source: int, work: np.ndarray)
         yield rows, block, cot[first:last] if target == source else None
 
 
+def _bands(jet: BoundaryJet):
+    """(banded, band, waves) of :class:`_Kernel`: the Fourier bands of the
+    same-curve blocks that a sub-grid of n' nodes resolves, n' the even
+    divisors of n from BAND_NODES up to n / 2.  The 2-D DFT of the samples
+    of w N, and of w M plus the sub-grid's alternate-point table scaled by
+    n' / n with that table's circulant, -i sgn(p) / n at (p, -p), added
+    back (w M1), keeps |p|, |q| <= B, the largest max(|p|, |q|) of a
+    coefficient above eps times the stored block's largest entry (next to
+    the diagonal: the sub-grid's times n / n').  n' resolves the curve if
+    4 B < n', so that what aliases onto the band lies below that too."""
+    m, n, w, bands = jet.m, jet.n, jet.weight, {}
+    for size in range(BAND_NODES, n // 2 + 1, 2):
+        if n % size or len(bands) == m:
+            continue
+        coarse = BoundaryJet(*(a.reshape(m, n)[:, ::n // size].ravel() for a in (
+            jet.eta, jet.eta_d, jet.eta_dd, jet.coeff, jet.coeff_d)), m, size)
+        freq, work = np.abs(np.fft.fftfreq(size, 1 / size)).astype(int), _block_buffer(size)
+        shell, p = np.maximum.outer(freq, freq), np.arange(1 - size // 2, size // 2)
+        for k in sorted(set(range(m)) - set(bands)):
+            sample, largest = np.empty((2, size, size)), 0.0
+            for rows, block, cot in _kernel_blocks(coarse, k, k, work):
+                local = slice(rows.start - k * size, rows.stop - k * size)
+                largest = max(largest, float(np.abs(block).max()))
+                np.multiply(block.imag, w, out=sample[0, local])
+                np.multiply(block.real, w, out=sample[1, local])
+                sample[1, local] += cot * (size / n)
+            spectra = np.fft.fft2(sample) / size**2
+            spectra[1, p, -p] -= 1j * np.sign(p) / n
+            rounding = np.finfo(float).eps * largest * 2 * math.pi / size
+            B = int(shell[(np.abs(spectra) > rounding).any(axis=0)].max(initial=0))
+            if 4 * B < size:
+                keep = np.arange(-B, B + 1) % size
+                bands[k] = spectra[:, keep[:, None], keep]
+    banded, B = tuple(sorted(bands)), max((len(b[0]) // 2 for b in bands.values()), default=0)
+    band = [np.pad(bands[k], [(0, 0)] + [(B - len(bands[k][0]) // 2,) * 2] * 2) for k in banded]
+    waves = np.exp(np.outer(np.arange(-B, B + 1), np.arange(n) * (2j * math.pi / n)))
+    return banded, np.array(band).reshape(-1, 2, 2 * B + 1, 2 * B + 1), waves
+
+
 def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     """The weighted complex kernel of a jet as a :class:`_Kernel`.
 
@@ -309,7 +368,7 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     <= LAURENT_TRUNCATION (1 - alpha - beta), the bound of its tail.  A pair
     with alpha + beta >= 1, or whose terms reach n, is near, and its blocks
     come from :func:`_kernel_blocks`, in one buffer, bit for bit those of
-    the whole matrix, like the same-curve blocks.  The far pairs share P
+    the whole matrix, like unbanded same-curve blocks.  The far pairs share P
     and Q, the largest of their terms:
     V_k[p, j] = w eta'_j / A_j ((eta_j - a_k) / r_k)^p,
     T_l[i, q] = -(A_i / pi) ((eta_i - a_l) / r_l)^q and
@@ -333,10 +392,12 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
                          / np.log(beta / (1 - alpha)))
         far = off & (alpha + beta < 1) & (laurent < n) & (taylor < n)
     P, Q = (int(terms[far].max(initial=0)) for terms in (laurent, taylor))
-    pairs = tuple((k, k) for k in range(m)) + tuple(map(tuple, np.argwhere(off & ~far).tolist()))
+    banded, band, waves = _bands(jet)
+    pairs = (tuple((k, k) for k in range(m) if k not in banded)
+             + tuple(map(tuple, np.argwhere(off & ~far).tolist())))
     dense_n = np.empty((len(pairs), n, n))
     dense_m = np.empty_like(dense_n)
-    work = _block_buffer(n)
+    work = _block_buffer(n) if pairs else None
     for i, (t, k) in enumerate(pairs):
         for rows, block, cot in _kernel_blocks(jet, t, k, work):
             local = slice(rows.start - t * n, rows.stop - t * n)
@@ -344,7 +405,7 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
             np.multiply(block.real, w, out=dense_m[i, local])
             if cot is not None:
                 dense_m[i, local] += cot
-    del work, block  # not live while the far engine is built
+    work = block = None  # not live while the far engine is built
     V = np.empty((m, P, n), dtype=complex)
     T = np.empty((m, n, Q), dtype=complex)
     source = (w * jet.eta_d / jet.coeff).reshape(m, n)
@@ -360,7 +421,7 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
         np.multiply((-radii[:, None] * inverse)[:, None, :, None], ((p + q) / q)[:, None],
                     out=C[:, 1:])
         np.cumprod(C, axis=1, out=C)
-    return _Kernel(dense_n, dense_m, pairs, V, C.reshape(m * Q, m * P), T)
+    return _Kernel(band, banded, waves, dense_n, dense_m, pairs, V, C.reshape(m * Q, m * P), T)
 
 
 def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:

@@ -34,7 +34,7 @@ OPTIONS = {
                                           "centroids then serve",
     "rhp.solve_rhp(tol_solve=)": "the CLI passes --tol-solve",
 }
-MAX_SOURCE_LINES = 2217
+MAX_SOURCE_LINES = 2287
 # Public functions only tests call, kept as library API: harmonic_eval is
 # the documented Dirichlet field.
 TEST_ONLY_API = {"harmonic_eval"}
@@ -123,13 +123,15 @@ def test_only_discrete_reads_the_operator_storage():
                       if path.name != "discrete.py"
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in storage})
-    assert storage >= {"store", "part", "dense_n", "pairs", "V", "C", "taylor"}
+    assert storage >= {"store", "part", "band", "banded", "waves", "dense_n", "pairs", "V", "C",
+                       "taylor"}
     assert readers == []
 
 
 def test_one_kernel_builder():
-    # assembly, the exact columns, the Mobius check and the tests' dense
-    # copies all walk _kernel_blocks, the one function that fills entries
+    # assembly (the bands' sub-grids and the dense pairs), the Mobius check
+    # and the tests' dense copies all walk _kernel_blocks, the one function
+    # that fills entries
     callers = sorted({f"{path.stem}.{scope.name}" for path, tree in _modules()
                       for scope in ast.walk(tree)
                       if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))

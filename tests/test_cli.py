@@ -14,7 +14,7 @@ from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
-from helpers import count_calls, overlap_between_polygon_nodes, traced_peak
+from helpers import count_calls, overlap_between_polygon_nodes, rational_values, traced_peak
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
@@ -668,6 +668,57 @@ class TestEvalField:
         assert got == flag
         assert u == "" if flag == "hole" else np.isfinite(float(u))
 
+    @pytest.mark.parametrize("n, spec, probe, x", [
+        (256, "4,4,1,0,0,1", 0, 4.0), (64, "2,4,3,0,0,1", 0, 2.0), (64, "2,4,3,0,0,1", 2, 4.0)],
+        ids=["on-node-256", "beside-node-64", "on-node-64"])
+    def test_probe_on_a_node_takes_the_boundary_value(self, tmp_path, n, spec, probe, x):
+        # (4, 0) is the first circle's node s = 0, and (2, 0) lies 1.2e-16
+        # from its node s = pi: the Cauchy sum wrote nan and 1.02e14 there.
+        # Such a probe takes the node's Re f+, which the pole oracle checks
+        (tmp_path / "region.json").write_text(json.dumps(REGION))
+        (tmp_path / "poles.json").write_text(json.dumps(DATA_POLES))
+        out = tmp_path / "out"
+        rc = _run(["eval-field", "--region", tmp_path / "region.json",
+                   "--data", tmp_path / "poles.json", "--n", n, "--out", out,
+                   f"--field-grid={spec}"])
+        assert rc == 0
+        _, _, u, flag = (out / "field.csv").read_text().splitlines()[1 + probe].split(",")
+        oracle = rational_values(x, zip(CENTERS, POLE_AMPLITUDES)).real
+        assert flag == "band" and abs(float(u) - oracle) <= 1e-8
+
+    def test_non_finite_value_exits_2(self, inputs, tmp_path, monkeypatch, capsys):
+        # a non-finite value off the nodes is a quality failure, not a row
+        field_pass = rhp.field_pass
+
+        def planted(*args):
+            f, dist, turns = field_pass(*args)
+            f[0] = np.nan
+            return f, dist, turns
+
+        monkeypatch.setattr(rhp, "field_pass", planted)
+        out = tmp_path / "out"
+        rc = _run(["eval-field", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out,
+                   "--field-grid=5,6,2,5,6,2"])
+        assert rc == 2 and not (out / "field.csv").exists()
+        assert json.loads(capsys.readouterr().err)["error"] == "FloatingPointError"
+
+    @pytest.mark.parametrize("spec", ["-0.0,-0.0,1,-0.0,6,3", "-0.0,6,3,5,5,1"])
+    def test_signed_zero_and_one_point_axes(self, inputs, tmp_path, spec):
+        # each distinct bit pattern is formatted once, -0.0 apart from 0.0,
+        # into the text that repr gives each value
+        values = np.array([0.0, -0.0, 1.5, -0.0, np.nan, np.inf, -np.inf, 1e-300, 1.5, 0.1])
+        assert cli._floats(values).tolist() == [repr(float(v)) for v in values]
+        out = tmp_path / "out"
+        rc = _run(["eval-field", "--region", inputs / "region.json",
+                   "--data", inputs / "data.json", "--n", 64, "--out", out,
+                   f"--field-grid={spec}"])
+        assert rc == 0
+        rows = [line.split(",") for line in (out / "field.csv").read_text().splitlines()[1:]]
+        assert [(x, y) for x, y, _, _ in rows] == [(repr(float(z.real)), repr(float(z.imag)))
+                                                  for z in cli._probe_points(spec)]
+        assert all(u == "" or u == repr(float(u)) for _, _, u, _ in rows)
+
     def test_missing_grid_exits_1(self, inputs, tmp_path):
         rc = _run(["eval-field", "--region", inputs / "region.json",
                    "--data", inputs / "data.json", "--out", tmp_path / "o"])
@@ -676,7 +727,8 @@ class TestEvalField:
     @pytest.mark.parametrize("spec, message", [
         ("-6,6,12,-6,6", "--field-grid expects x0,x1,nx,y0,y1,ny"),
         ("-6,6,0,-6,6,12", "field grid needs at least one point per axis"),
-    ], ids=["five-parts", "nx-zero"])
+        ("-1e308,1e308,3,0,0,1", "--field-grid probes must be finite"),
+    ], ids=["five-parts", "nx-zero", "span-overflows"])
     def test_bad_grid_exits_1(self, inputs, tmp_path, capsys, spec, message):
         out = tmp_path / "o"
         rc = _run(["eval-field", "--region", inputs / "region.json",

@@ -24,6 +24,7 @@ from helpers import (
     assemble_M,
     assert_stored_kernel,
     band_limited,
+    band_tolerance,
     conjugation_matrix,
     count_calls,
     dense_nullity,
@@ -139,16 +140,19 @@ class TestConjugatePeriodic:
     def test_circulant_matrix_agrees(self, mixed_gallery):
         # every same-curve block of M is w M1 minus the spectral conjugation
         # circulant and minus the alternate-point sums, on a circle and on
-        # the mixed gallery
+        # the mixed gallery; a block stored as a band carries its own
+        # error, at most band_tolerance an entry
         rng = np.random.default_rng(6)
         circle_region = Region.from_curves([circle(0.0, 1.0)])
         for n in (8, 16, 32, 64, 128, 256):
             for region in (circle_region, mixed_gallery):
                 ops = assemble_N(region, One(), ParamGrid(n))
+                tol = band_tolerance(ops.jet) if ops.N.store.banded else 0.0
                 for conj in folded_conjugations(ops):
-                    assert np.abs(conj - conjugation_matrix(n)).max() <= 1e-13
+                    assert np.abs(conj - conjugation_matrix(n)).max() <= 1e-13 + tol
                     phi = rng.normal(size=n)
-                    assert np.abs(conj @ phi - wittich_apply(phi)).max() <= 1e-13
+                    error = np.abs(conj @ phi - wittich_apply(phi)).max()
+                    assert error <= 1e-13 + n * tol * np.abs(phi).max()
 
 
 @pytest.fixture(scope="module")
@@ -201,11 +205,13 @@ class TestFactoredOperators:
     within the bound of their translation."""
 
     @pytest.fixture(scope="class",
-                    params=["lattice16", "mixed", "ellipse10", "close", "touching"])
+                    params=["lattice16", "mixed", "ellipse10", "close", "touching", "mixed512"])
     def case(self, request, mixed_gallery):
         region, n = {
             "lattice16": (lattice16(), 64),
             "mixed": (mixed_gallery, 128),
+            # every curve banded, the widest band 46 modes a side
+            "mixed512": (mixed_gallery, 512),
             "ellipse10": (_ellipse_beside_circle(10.0), 128),
             "close": (load_region(FILES["region_close.json"]), 128),
             # two unit circles 0.05 apart: both pairs near, no far engine
@@ -215,10 +221,12 @@ class TestFactoredOperators:
         ops = assemble_N(region, ShiftedPower(region.hole_points[0], 1), ParamGrid(n))
         return request.param, ops, dense_weighted_kernels(ops.jet)
 
-    @pytest.mark.parametrize("columns", [None, 5], ids=["vector", "stacked"])
+    @pytest.mark.parametrize("columns", [None, 5, 1, 24], ids=["vector", "stacked", "k1", "k24"])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_products_match_dense(self, case, columns, dtype):
-        # within 1e-14 of the row sup-norm of the matrix applied, times sup|x|
+        # within 1e-14 of the row sup-norm of the matrix applied, times
+        # sup|x|: the dense blocks, the bands by their waves or by FFTs, and
+        # the translations, for one column and for the counts' 24
         _, ops, oracles = case
         rng = np.random.default_rng(9)
         shape = (ops.size,) if columns is None else (ops.size, columns)
@@ -248,10 +256,11 @@ class TestFactoredOperators:
         near = {"close": ((0, 1), (0, 2), (1, 0), (2, 0)),
                 "touching": ((0, 1), (1, 0))}.get(name, ())
         far, P, Q = far_pairs(ops.jet)
-        assert store.pairs == tuple((k, k) for k in range(ops.m)) + near
+        own = tuple((k, k) for k in range(ops.m) if k not in store.banded)
+        assert store.pairs == own + near
         assert [(t, k) for t, k in np.argwhere(~far).tolist() if t != k] == list(near)
         assert store.dense_n.dtype == store.dense_m.dtype == np.float64
-        assert store.dense_n.shape == (ops.m + len(near), n, n)
+        assert store.dense_n.shape == (len(own) + len(near), n, n)
         assert store.V.shape == (ops.m, P, n) and store.taylor.shape == (ops.m, n, Q)
         assert store.C.shape == (ops.m * Q, ops.m * P)
         for t, k in near:
@@ -262,10 +271,11 @@ class TestFactoredOperators:
 
     def test_pair_blocks_are_the_dense_blocks(self, case):
         # every curve pair, read on a partial row block of the target
-        # curve: same-curve and near pair blocks bit for bit, far pairs
-        # within the bound of their translation
+        # curve: dense pair blocks bit for bit, banded same-curve blocks and
+        # far pairs within the bounds of their band and translation
         _, ops, (oracle_n, oracle_m) = case
         n, (far, _, _) = ops.n, far_pairs(ops.jet)
+        banded = {(k, k) for k in ops.N.store.banded}
         tol = factor_tolerance(ops.jet)
         work = discrete._block_buffer(n)
         for target in range(ops.m):
@@ -274,24 +284,29 @@ class TestFactoredOperators:
                 cols = slice(source * n, (source + 1) * n)
                 block = ops.kernel_block(rows, source, work)
                 assert block.shape == (n // 2 + 3, n) and np.shares_memory(block, work)
-                if not far[target, source]:
+                if (target, source) in banded:
+                    bound = band_tolerance(ops.jet)
+                elif far[target, source]:
+                    bound = tol
+                else:
                     assert np.array_equal(block.imag, oracle_n[rows, cols])
                     assert np.array_equal(block.real, oracle_m[rows, cols])
-                else:
-                    assert np.abs(block.imag - oracle_n[rows, cols]).max() <= tol
-                    assert np.abs(block.real - oracle_m[rows, cols]).max() <= tol
+                    continue
+                assert np.abs(block.imag - oracle_n[rows, cols]).max() <= bound
+                assert np.abs(block.real - oracle_m[rows, cols]).max() <= bound
 
 
 class TestTranslatedStorage:
     """The far engine stores O(m n Q + m^2 P Q) numbers, not N x sum P_k."""
 
     def test_lattice_storage(self):
-        # lattice16 at n = 256: the dense same-curve blocks (16.8 MB), the
-        # moments, Taylor powers and translations, 26.2 MB in all, where
-        # the N x sum P_k factor U took 35.7 of 54.7 MB
+        # lattice16 at n = 256: one-mode bands, the moments, Taylor powers
+        # and translations, 9.4 MB in all, where the dense same-curve blocks
+        # took 16.8 of 26.2 MB and the N x sum P_k factor U 35.7 of 54.7 MB
         ops = assemble_N(lattice16(), One(), ParamGrid(256))
         arrays = _stored_arrays(ops.N.store)
-        assert sum(a.nbytes for a in arrays) <= 30e6
+        assert ops.N.store.banded == tuple(range(16)) and ops.N.store.pairs == ()
+        assert sum(a.nbytes for a in arrays) <= 12e6
         assert all(ops.size not in a.shape for a in arrays)
 
     def test_long_series_stay_finite(self):
@@ -303,7 +318,7 @@ class TestTranslatedStorage:
         ops = assemble_N(Region.from_curves([circle(0.0, 1.0), circle(2.075, 1.0)]), One(),
                          ParamGrid(n))
         store, work = ops.N.store, discrete._block_buffer(n)
-        assert store.pairs == ((0, 0), (1, 1))
+        assert store.pairs == () and store.banded == (0, 1)
         assert store.V.shape[1] + store.taylor.shape[2] > 1030 and np.isfinite(store.C).all()
         for rows, block, _ in discrete._kernel_blocks(ops.jet, 0, 1, work.copy()):
             expected = block * ops.weight
@@ -324,6 +339,60 @@ class TestTranslatedStorage:
         for operator, dense in zip((ops.N, ops.M), dense_weighted_kernels(ops.jet)):
             for got, expected in ((operator @ x, dense @ x), (x.T @ operator, x.T @ dense)):
                 assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+class TestFourierBands:
+    """Same-curve blocks as Fourier bands: sampled on the even divisors of
+    n from 16 up to n / 2, dense where none resolves them."""
+
+    @staticmethod
+    def _walked_sizes(monkeypatch, region, coeff, n):
+        sizes = []
+        walk = discrete._kernel_blocks
+
+        def recorded(jet, target, source, work):
+            sizes.append((jet.n, target, source))
+            return walk(jet, target, source, work)
+
+        monkeypatch.setattr(discrete, "_kernel_blocks", recorded)
+        return assemble_N(region, coeff, ParamGrid(n)), sizes
+
+    def test_sub_grids_are_the_even_divisors(self, monkeypatch, mixed_gallery):
+        # n = 100: sub-grids of 20 and 50 nodes.  The circle resolves on 20
+        # nodes; the ellipses, not resolved on 50, are walked whole
+        ops, sizes = self._walked_sizes(monkeypatch, mixed_gallery, One(), 100)
+        assert sizes == [(20, 0, 0), (20, 1, 1), (20, 2, 2), (50, 0, 0), (50, 2, 2),
+                         (100, 0, 0), (100, 2, 2)]
+        assert ops.N.store.banded == (1,) and ops.N.store.pairs == ((0, 0), (2, 2))
+        assert_stored_kernel(ops)
+
+    def test_no_sub_grid_keeps_the_block_dense(self, monkeypatch):
+        # n = 38 has no even divisor from 16 to 19: the circle stays dense
+        ops, sizes = self._walked_sizes(monkeypatch, Region.from_curves([circle(0.0, 1.0)]),
+                                        One(), 38)
+        assert sizes == [(38, 0, 0)]
+        assert ops.N.store.banded == () and ops.N.store.pairs == ((0, 0),)
+        assert_stored_kernel(ops)
+
+    def test_eccentric_ellipse_stays_dense(self):
+        # a/b = 100 beside a circle at n = 1024: no sub-grid resolves the
+        # ellipse, which keeps its dense block bit for bit; the circle is
+        # one band, within band_tolerance of the dense oracle
+        n = 1024
+        ops = assemble_N(_ellipse_beside_circle(100.0), One(), ParamGrid(n))
+        store, work = ops.N.store, discrete._block_buffer(n)
+        assert store.banded == (1,) and store.pairs == ((0, 0),)
+        for k in range(2):
+            curve = BoundaryJet(*(a[k * n:(k + 1) * n] for a in (
+                ops.jet.eta, ops.jet.eta_d, ops.jet.eta_dd, ops.jet.coeff, ops.jet.coeff_d)), 1, n)
+            oracle_n, oracle_m = dense_weighted_kernels(curve)
+            tol = band_tolerance(curve) if k in store.banded else 0.0
+            for first in range(0, n, len(work)):
+                rows = slice(k * n + first, k * n + first + len(work))
+                block = ops.kernel_block(rows, k, work)
+                local = slice(first, first + len(work))
+                assert np.abs(block.imag - oracle_n[local]).max() <= tol
+                assert np.abs(block.real - oracle_m[local]).max() <= tol
 
 
 class TestNoDenseArray:
