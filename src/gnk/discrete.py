@@ -157,23 +157,21 @@ class _Kernel:
     def product(self, x: np.ndarray, part, transpose: bool) -> np.ndarray:
         """A x, or A^T x, for real x of shape (N, k), A the part (np.imag
         for w N, np.real for M): the bands (transposed for A^T) in one
-        batched product between products with the waves, or for M and wide
-        bands one rfft and one irfft; each dense pair on its own; the far
-        pairs by moments, one translation and Taylor sums (in reverse)."""
+        batched product between one rfft and one irfft; each dense pair on
+        its own; the far pairs by moments, one translation and Taylor sums
+        (in reverse)."""
         dense = self.dense_n if part is np.imag else self.dense_m
         m, n, _ = self.taylor.shape
         cols, curves = x.reshape(m, n, x.shape[1]), list(self.banded)
         band, out = self.band[:, int(part is np.real)], np.zeros(cols.shape)
         band, B = band.transpose(0, 2, 1) if transpose else band, len(self.waves) // 2
-        if part is np.imag and len(self.waves) < math.log2(n):  # few modes: no FFT
-            out[curves] = (self.waves.T @ (band @ (self.waves @ cols[curves]))).real
-        else:  # sum_j x_j e^(i q s_j), q = -B..B, is the spectrum at -q
-            spectrum = np.fft.rfft(cols[curves], axis=1)
-            moments = np.concatenate((spectrum[:, B::-1], spectrum[:, 1:B + 1].conj()), axis=1)
-            # minus M's circulant, plus it for M^T; irfft drops imaginary 0 and n / 2 terms
-            image = spectrum * ((-1j if transpose else 1j) if part is np.real else 0)
-            image[:, :B + 1] += n * (band[:, B:] @ moments)
-            out[curves] = np.fft.irfft(image, n, axis=1)
+        # sum_j x_j e^(i q s_j), q = -B..B, is the spectrum at -q
+        spectrum = np.fft.rfft(cols[curves], axis=1)
+        moments = np.concatenate((spectrum[:, B::-1], spectrum[:, 1:B + 1].conj()), axis=1)
+        # minus M's circulant, plus it for M^T; irfft drops imaginary 0 and n / 2 terms
+        image = spectrum * ((-1j if transpose else 1j) if part is np.real else 0)
+        image[:, :B + 1] += n * (band[:, B:] @ moments)
+        out[curves] = np.fft.irfft(image, n, axis=1)
         for (t, k), block in zip(self.pairs, dense):
             if transpose:
                 t, k, block = k, t, block.T
