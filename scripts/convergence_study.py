@@ -52,7 +52,7 @@ def run(n_values):
                               np.sin(2 * s), np.cos(5 * s)])
         r1, r2 = operator_identity_residuals(ops, phi)
 
-        chi_res = max(np.abs(chi + ops.apply_N(chi)).max()
+        chi_res = max(np.abs(chi + ops.N @ chi).max()
                       for chi in indicator_basis(region, grid))
         print(f"{n:>5} {mu_err:>10.2e} {h_err:>10.2e} {r1:>10.2e} "
               f"{r2:>10.2e} {chi_res:>10.2e}")

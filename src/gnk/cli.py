@@ -22,14 +22,16 @@ import numpy as np
 
 from gnk import dirichlet, discrete, mobius, rhp
 from gnk.coefficient import One, index_of, load_coefficient
-from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem, TooCloseToBoundary
+from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem
 from gnk.geometry import (MIN_DISTANCE, TWO_PI, ParamGrid, _require_finite,
                           _turns_about_points, load_region, validate_region)
 
-# Mobius kernel differences are roundoff in entries as large as
-# max(1, max|M + iN|), and the jump relation, exact in the discrete algebra,
-# leaves roundoff in Plemelj values as large as max(1, sup|plemelj(+-1)|):
-# each bound applies relative to its scale.
+# The operator identities hold to TOL_IDENTITY absolute.  Mobius kernel
+# differences are roundoff in entries as large as max(1, max|M + iN|), and
+# the jump relation, exact in the discrete algebra, leaves roundoff in
+# Plemelj values as large as max(1, sup|plemelj(+-1)|): each bound applies
+# relative to its scale.
+TOL_IDENTITY = 1e-8
 TOL_INVARIANCE = 1e-12
 TOL_JUMP = 1e-13
 # Probes per block of field.csv: about 1 MB of formatted cells.
@@ -96,13 +98,12 @@ def run_solve(args, mode: str) -> int:
     ops = discrete.assemble_N(region, coeff, grid)
     index = ops.index
     if mode == "dirichlet":
-        solution = dirichlet.solve_modified_dirichlet(
-            ops, gamma, tol_solve=args.tol_solve)
+        solution = dirichlet.solve_modified_dirichlet(ops, gamma)
         h, f_plus = solution.h_raw, solution.f_boundary
         extra = {"h_constants": list(solution.h_constants),
                  "h_deviation": list(solution.h_deviation)}
     else:
-        solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
+        solution = rhp.solve_rhp(ops, gamma)
         h, f_plus = solution.h, solution.f_plus
         extra = {"minimal_norm": solution.diagnostics.minimal_norm,
                  "kappa_per_curve": list(index.kappa_per_curve),
@@ -167,8 +168,6 @@ def _nullity_entry(report, predicted: int) -> dict:
 
 
 def run_verify(args) -> int:
-    if not 0.0 <= args.tol_identity < math.inf:
-        raise ValueError(f"--tol-identity must be finite and >= 0, got {args.tol_identity!r}")
     region, grid, coeff, _ = _load_inputs(args, need_data=False)
     ops = discrete.assemble_N(region, coeff, grid)
     index = ops.index
@@ -178,10 +177,10 @@ def run_verify(args) -> int:
     probes = np.column_stack([_band_limited_samples(rng, region.m, grid.n, band)
                               for _ in range(5)])
     r1_max, r2_max = discrete.operator_identity_residuals(ops, probes)
-    identity_ok = r1_max <= args.tol_identity and r2_max <= args.tol_identity
+    identity_ok = r1_max <= TOL_IDENTITY and r2_max <= TOL_IDENTITY
 
-    # The Krylov counts set verify's peak memory (123 MB at N = 4096, with 52 MB
-    # of operators); the Mobius check's two pair buffers add 1.8 MB below it.
+    # The I + N count sets verify's traced peak (23 MB above the 11 MB held after
+    # assembly at N = 4096); the Mobius check's two pair buffers add 2.8 MB.
     mobius_section = _mobius_section(ops)
     plus = ops.nullity_I_plus_N()
     minus = ops.nullity_I_minus_N()
@@ -200,7 +199,7 @@ def run_verify(args) -> int:
         "n": grid.n,
         # a NaN residual fails its gate and is written as null
         "identity": {"r1_max": _finite(r1_max), "r2_max": _finite(r2_max),
-                     "tolerance": args.tol_identity, "ok": identity_ok},
+                     "tolerance": TOL_IDENTITY, "ok": identity_ok},
         "nullity": {
             "I_plus_N": _nullity_entry(plus, index.dim_null_I_plus_N),
             "I_minus_N": _nullity_entry(minus, index.dim_null_I_minus_N),
@@ -242,13 +241,14 @@ def _probe_points(text: str) -> np.ndarray:
         raise ValueError("--field-grid expects x0,x1,nx,y0,y1,ny")
     x0, x1, y0, y1 = _require_finite([float(parts[i]) for i in (0, 1, 3, 4)],
                                      "--field-grid bounds")
+    _require_finite([x1 - x0, y1 - y0], "--field-grid probes")  # before linspace overflows
     nx, ny = int(parts[2]), int(parts[5])
     if nx < 1 or ny < 1:
         raise ValueError("field grid needs at least one point per axis")
     xs = np.linspace(x0, x1, nx) if nx > 1 else np.array([x0])
     ys = np.linspace(y0, y1, ny) if ny > 1 else np.array([y0])
     grid_x, grid_y = np.meshgrid(xs, ys)
-    return _require_finite((grid_x + 1j * grid_y).ravel(), "--field-grid probes")
+    return (grid_x + 1j * grid_y).ravel()
 
 
 def _hole_mask(region, points: np.ndarray, n: int) -> np.ndarray:
@@ -277,23 +277,14 @@ def run_field(args) -> int:
     region, grid, coeff, gamma = _load_inputs(args, need_data=True)
     points = _probe_points(args.field_grid)
     ops = discrete.assemble_N(region, coeff, grid)
-    solution = rhp.solve_rhp(ops, gamma, tol_solve=args.tol_solve)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f, dist, turns = rhp.field_pass(ops.jet, gamma, solution.mu, points)
-    u, on_node = f.real, dist < MIN_DISTANCE  # on a node, the sum divides by ~0: Re f+
-    u[on_node] = solution.f_plus.real[np.abs(points[on_node, None] - ops.jet.eta).argmin(axis=1)]
-    band_width = rhp.near_boundary_band(ops.jet)
-    near = dist < band_width
+    solution = rhp.solve_rhp(ops, gamma)
+    f, dist, turns = rhp.field_values(ops, gamma, solution.mu, points, lambda: solution.f_plus)
+    u, near = f.real, dist < rhp.near_boundary_band(ops.jet)
     # the Cauchy sums of 1 count turns exactly off the band; on it the
     # argument steps decide
     holes = (np.rint(turns) != 0).any(axis=1)
     holes[near] = _hole_mask(region, points[near], grid.n)
     in_band = near & ~holes
-    if args.strict and in_band.any():
-        raise TooCloseToBoundary(
-            f"{int(in_band.sum())} probe points inside the near-boundary band "
-            f"(width {band_width:.3e}) with --strict set")
 
     if not np.isfinite(u[~holes]).all():  # no NaN goes out with exit 0
         _fail(FloatingPointError("a field value is not finite"))
@@ -323,13 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="gnk_out", help="output directory")
         if name in ("solve-rhp", "solve-dirichlet", "eval-field"):
             p.add_argument("--data", required=True, help="boundary data JSON file")
-            p.add_argument("--tol-solve", type=float, default=rhp.DEFAULT_SOLVE_TOL,
-                           help="residual bound relative to max(1, sup|data|)")
-        if name == "verify":
-            p.add_argument("--tol-identity", type=float, default=1e-8)
         if name == "eval-field":
-            p.add_argument("--strict", action="store_true",
-                           help="treat near-boundary probes as fatal")
             p.add_argument("--field-grid", required=True,
                            help="probe grid as x0,x1,nx,y0,y1,ny")
     return parser

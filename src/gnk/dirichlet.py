@@ -54,12 +54,7 @@ class DirichletSolution:
     diagnostics: rhp.SolveDiagnostics
 
 
-def solve_modified_dirichlet(
-    ops: DiscreteOperators,
-    gamma: np.ndarray,
-    *,
-    tol_solve: float = rhp.DEFAULT_SOLVE_TOL,
-) -> DirichletSolution:
+def solve_modified_dirichlet(ops: DiscreteOperators, gamma: np.ndarray) -> DirichletSolution:
     """Solve the modified Dirichlet problem for real data gamma.
 
     The raw correction h comes out of the operator formula and is reduced
@@ -72,7 +67,7 @@ def solve_modified_dirichlet(
     if not isinstance(ops.coeff, One):
         raise ValueError("modified Dirichlet solve requires coefficient One")
     gamma = np.asarray(gamma, dtype=float)
-    solution = rhp.solve_rhp(ops, gamma, tol_solve=tol_solve)
+    solution = rhp.solve_rhp(ops, gamma)
     h_blocks = solution.h.reshape(ops.m, ops.n)
     h_means = h_blocks.mean(axis=1)
     deviation = np.abs(h_blocks - h_means[:, None]).max(axis=1)

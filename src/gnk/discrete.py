@@ -100,9 +100,6 @@ class DiscreteOperators:
     def weight(self) -> float:
         return self.jet.weight
 
-    def apply_N(self, phi: np.ndarray) -> np.ndarray:
-        return self.N @ phi
-
     def kernel_block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
         """M + iN (w N the imaginary part) at the target ``rows``, inside one
         curve, and source curve k's columns, in the first rows of ``out``:
@@ -325,16 +322,19 @@ def _bands(jet: BoundaryJet):
     back (w M1), keeps |p|, |q| <= B, the largest max(|p|, |q|) of a
     coefficient above eps times the stored block's largest entry (next to
     the diagonal: the sub-grid's times n / n').  n' resolves the curve if
-    4 B < n', so that what aliases onto the band lies below that too."""
-    m, n, w, bands = jet.m, jet.n, jet.weight, {}
+    4 B < n', so that what aliases onto the band lies below that too; a
+    walk that finds B rules out, for that curve, the sub-grids of at most
+    4 B nodes."""
+    m, n, w, bands, ruled_out = jet.m, jet.n, jet.weight, {}, [0] * jet.m
     for size in range(BAND_NODES, n // 2 + 1, 2):
-        if n % size or len(bands) == m:
+        curves = [k for k in range(m) if k not in bands and ruled_out[k] < size]
+        if n % size or not curves:
             continue
         coarse = BoundaryJet(*(a.reshape(m, n)[:, ::n // size].ravel() for a in (
             jet.eta, jet.eta_d, jet.eta_dd, jet.coeff, jet.coeff_d)), m, size)
         freq, work = np.abs(np.fft.fftfreq(size, 1 / size)).astype(int), _block_buffer(size)
         shell, p = np.maximum.outer(freq, freq), np.arange(1 - size // 2, size // 2)
-        for k in sorted(set(range(m)) - set(bands)):
+        for k in curves:
             sample, largest = np.empty((2, size, size)), 0.0
             for rows, block, cot in _kernel_blocks(coarse, k, k, work):
                 local = slice(rows.start - k * size, rows.stop - k * size)
@@ -349,6 +349,7 @@ def _bands(jet: BoundaryJet):
             if 4 * B < size:
                 keep = np.arange(-B, B + 1) % size
                 bands[k] = spectra[:, keep[:, None], keep]
+            ruled_out[k] = 4 * B
     banded, B = tuple(sorted(bands)), max((len(b[0]) // 2 for b in bands.values()), default=0)
     band = [np.pad(bands[k], [(0, 0)] + [(B - len(bands[k][0]) // 2,) * 2] * 2) for k in banded]
     waves = np.exp(np.outer(np.arange(-B, B + 1), np.arange(n) * (2j * math.pi / n)))
@@ -450,8 +451,8 @@ def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
     product each, and N phi and M phi side by side as one more."""
     phi = np.asarray(phi).reshape(ops.size, -1)
     k = phi.shape[1]
-    images = np.hstack((ops.apply_N(phi), apply_M(ops, phi)))
-    n_images, m_images = ops.apply_N(images), apply_M(ops, images)
+    images = np.hstack((ops.N @ phi, apply_M(ops, phi)))
+    n_images, m_images = ops.N @ images, apply_M(ops, images)
     r1 = n_images[:, :k] - m_images[:, k:] - phi
     r2 = n_images[:, k:] + m_images[:, :k]
     return float(np.abs(r1).max()), float(np.abs(r2).max())

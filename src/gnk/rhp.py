@@ -26,12 +26,12 @@ import numpy as np
 
 from gnk.discrete import DiscreteOperators, apply_M
 from gnk.errors import InconsistentSystem, TooCloseToBoundary
-from gnk.geometry import (ParamGrid, Region, _as_complex, _fourier_curve, _json_array,
-                          _json_number, _json_object, _parse_json_source,
+from gnk.geometry import (MIN_DISTANCE, ParamGrid, Region, _as_complex, _fourier_curve,
+                          _json_array, _json_number, _json_object, _parse_json_source,
                           _require_finite)
 from gnk.kernels import BoundaryJet, _laurent_frame, _laurent_terms
 
-DEFAULT_SOLVE_TOL = 1e-10
+SOLVE_TOL = 1e-10  # the solve's residual gate, relative to max(1, sup|gamma|)
 # GMRES starts at mu = 0 and stops when ||r|| falls to KRYLOV_TOL ||b||, or
 # after KRYLOV_MAX_ITER products with N.  The count grows with the
 # conditioning of I - N on its range, not with n: 9-16 products on
@@ -127,18 +127,18 @@ def _gmres(N, b: np.ndarray):
     return y @ basis[:y.size], y.size
 
 
-def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
+def _solve(ops: DiscreteOperators, gamma: np.ndarray):
     """mu of (I - N) mu = -M gamma, its sup-norm residual and the GMRES
     products.
 
     The continuous equation is solvable for every gamma; a residual above
-    tol_solve times max(1, sup|gamma|) therefore signals discretization
-    failure, not theory failure.
+    SOLVE_TOL times max(1, sup|gamma|) therefore signals discretization
+    failure, not theory failure, and the remedy is a larger n.
     """
     rhs = -apply_M(ops, gamma)
     mu, iterations = _gmres(ops.N, rhs)
-    residual = _sup(mu - ops.apply_N(mu) - rhs)
-    allowed = tol_solve * max(1.0, _sup(gamma))
+    residual = _sup(mu - ops.N @ mu - rhs)
+    allowed = SOLVE_TOL * max(1.0, _sup(gamma))
     if not residual <= allowed:
         raise InconsistentSystem(
             f"integral equation residual {residual:.3e} exceeds {allowed:.3e}")
@@ -148,22 +148,19 @@ def _solve(ops: DiscreteOperators, gamma: np.ndarray, tol_solve: float):
 def compute_h(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """Correction h = (M mu - (I - N) gamma) / 2; real for real inputs."""
     gamma = np.asarray(gamma, dtype=float)
-    return (apply_M(ops, mu) - gamma + ops.apply_N(gamma)) / 2.0
+    return (apply_M(ops, mu) - gamma + ops.N @ gamma) / 2.0
 
 
 def verify_Sminus(ops: DiscreteOperators, h: np.ndarray):
     """Residuals ((I + N) h, M h); both vanish for h in the hole-side span."""
     h = np.asarray(h, dtype=float)
-    return _sup(h + ops.apply_N(h)), _sup(apply_M(ops, h))
+    return _sup(h + ops.N @ h), _sup(apply_M(ops, h))
 
 
-def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray, *,
-              tol_solve: float = DEFAULT_SOLVE_TOL) -> RHSolution:
+def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray) -> RHSolution:
     """Full pipeline: solve for mu, form h, f+ = (gamma + h + i mu) / A."""
-    if not 0.0 <= tol_solve < math.inf:
-        raise ValueError(f"tol_solve must be finite and >= 0, got {tol_solve!r}")
     gamma = np.asarray(gamma, dtype=float)
-    mu, ie_residual, iterations = _solve(ops, gamma, tol_solve)
+    mu, ie_residual, iterations = _solve(ops, gamma)
     h = compute_h(ops, gamma, mu)
     f_plus = (gamma + h + 1j * mu) / ops.jet.coeff
     r_plus, r_m = verify_Sminus(ops, h)
@@ -229,6 +226,20 @@ def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
     return f, dist, turns
 
 
+def field_values(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z, exterior):
+    """field_pass on ``ops.jet`` with the on-node rule: a probe within
+    MIN_DISTANCE of a node, where the Cauchy sum divides by zero or nearly,
+    takes the exterior boundary value f+ at the nearest node, from
+    ``exterior()``, which is called only when such a probe exists."""
+    z = np.asarray(z, dtype=complex).ravel()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f, dist, turns = field_pass(ops.jet, gamma, mu, z)
+    on_node = dist < MIN_DISTANCE
+    if on_node.any():
+        f[on_node] = exterior()[np.abs(z[on_node, None] - ops.jet.eta).argmin(axis=1)]
+    return f, dist, turns
+
+
 def cauchy_eval(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z):
     """Cauchy-type integral of (gamma + i mu)/A at points z off the boundary.
 
@@ -236,9 +247,12 @@ def cauchy_eval(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z):
     the unbounded region this is the solution f with f(inf) = 0.  No
     near-boundary correction is applied; inside the warning band the plain
     trapezoidal rule loses accuracy, so the call warns there with
-    TooCloseToBoundary, which a warning filter can turn into an error.
+    TooCloseToBoundary, which a warning filter can turn into an error.  On
+    a node it takes the exterior Plemelj value (:func:`field_values`),
+    which differs from the solve's f+ by half the solve residual.
     """
-    values, dist, _ = field_pass(ops.jet, gamma, mu, z)
+    values, dist, _ = field_values(
+        ops, gamma, mu, z, lambda: plemelj_boundary(ops, gamma, mu, +1) / ops.jet.coeff)
     band = near_boundary_band(ops.jet)
     if np.any(dist < band):
         warnings.warn(
@@ -264,7 +278,7 @@ def plemelj_boundary(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray,
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
     c = np.asarray(gamma, dtype=float) + 1j * np.asarray(mu, dtype=float)
-    return (side * c + ops.apply_N(c) - 1j * apply_M(ops, c)) / 2.0
+    return (side * c + ops.N @ c - 1j * apply_M(ops, c)) / 2.0
 
 
 def _rational_boundary(eta: np.ndarray, terms) -> np.ndarray:

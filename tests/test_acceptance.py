@@ -112,7 +112,7 @@ def test_criterion_06_s_minus_basis(three_circles, perturbed_gallery, grid128):
     for region, tol in ((three_circles, 1e-10), (perturbed_gallery, 1e-8)):
         ops = assemble_N(region, One(), grid128)
         for chi in indicator_basis(region, grid128):
-            r_plus = float(np.abs(chi + ops.apply_N(chi)).max())
+            r_plus = float(np.abs(chi + ops.N @ chi).max())
             r_m = float(np.abs(apply_M(ops, chi)).max())
             results.append((r_plus <= tol and r_m <= tol, max(r_plus, r_m), tol))
     ok = all(r[0] for r in results)

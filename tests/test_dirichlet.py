@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from gnk import coefficient
+from gnk import coefficient, rhp
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
 from gnk.dirichlet import harmonic_eval, indicator_basis, solve_modified_dirichlet
 from gnk.errors import ConstancyViolation, GnkError, TooCloseToBoundary
-from gnk.geometry import ParamGrid, Region
+from gnk.geometry import ParamGrid, Region, circle
 from gnk.rhp import cauchy_eval
 from conftest import CENTERS, oracle_boundary, oracle_terms
 from helpers import band_limited, count_calls, perturbed_circle, rational_values
@@ -33,12 +33,12 @@ class TestIndicatorBasis:
 
     def test_annihilated_by_I_plus_N(self, gallery_ops, three_circles, grid128):
         for chi in indicator_basis(three_circles, grid128):
-            assert np.abs(chi + gallery_ops.apply_N(chi)).max() <= 1e-10
+            assert np.abs(chi + gallery_ops.N @ chi).max() <= 1e-10
 
     def test_annihilated_on_perturbed_gallery(self, perturbed_gallery, grid128):
         ops = assemble_N(perturbed_gallery, One(), grid128)
         for chi in indicator_basis(perturbed_gallery, grid128):
-            assert np.abs(chi + ops.apply_N(chi)).max() <= 1e-8
+            assert np.abs(chi + ops.N @ chi).max() <= 1e-8
 
 
 class TestSolve:
@@ -157,6 +157,28 @@ class TestHarmonicEval:
             warnings.simplefilter("error", TooCloseToBoundary)
             harmonic_eval(gallery_ops, solution, z)
         assert isinstance(caught.value, TooCloseToBoundary)
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-15], ids=["on-node", "beside-node"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_probe_on_a_node_takes_the_exterior_value(self, monkeypatch, scale):
+        # two unit circles at 0 and 4, n = 64, f = 1/(z - 0.2): on node 5 the
+        # Cauchy sum divided by zero (nan), 1.1e-15 from it by nearly zero
+        # (1.4e13).  Such a probe takes the exterior Plemelj value at the
+        # node, computed only then; it still warns
+        ops = assemble_N(Region.from_curves([circle(0.0, 1.0), circle(4.0, 1.0)]), One(),
+                         ParamGrid(64))
+        solution = solve_modified_dirichlet(ops, (1 / (ops.jet.eta - 0.2)).real)
+        plemelj = count_calls(monkeypatch, rhp, "plemelj_boundary")
+        cauchy_eval(ops, solution.gamma, solution.mu, 2.0)
+        assert plemelj == []
+        z = ops.jet.eta[5] * scale
+        oracle = 1 / (z - 0.2)
+        with pytest.warns(TooCloseToBoundary):
+            value = cauchy_eval(ops, solution.gamma, solution.mu, z)
+        with pytest.warns(TooCloseToBoundary):
+            u = harmonic_eval(ops, solution, z)
+        assert abs(value - oracle) <= 1e-8 and abs(u - oracle.real) <= 1e-8
+        assert len(plemelj) == 2
 
     def test_reads_the_assembled_boundary(self, monkeypatch, gallery_ops, grid128):
         solution = solve_modified_dirichlet(gallery_ops, np.repeat((1.0, -2.0, 0.7),

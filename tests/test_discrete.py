@@ -163,17 +163,17 @@ def gallery_ops(three_circles, grid128):
 class TestAssembleN:
     def test_constant_maps_to_minus_one(self, circle_ops):
         # the constant kernel -1/(2 pi) integrates to -1 exactly
-        result = circle_ops.apply_N(np.ones(64))
+        result = circle_ops.N @ np.ones(64)
         assert np.abs(result + 1.0).max() < 1e-13
 
     def test_indicator_in_null_space_of_I_plus_N(self, gallery_ops, three_circles, grid128):
         basis = indicator_basis(three_circles, grid128)
         for j in range(3):
-            residual = basis[j] + gallery_ops.apply_N(basis[j])
+            residual = basis[j] + gallery_ops.N @ basis[j]
             assert np.abs(residual).max() <= 1e-10
 
     def test_zero_maps_to_zero(self, gallery_ops):
-        assert np.abs(gallery_ops.apply_N(np.zeros(gallery_ops.size))).max() == 0.0
+        assert np.abs(gallery_ops.N @ np.zeros(gallery_ops.size)).max() == 0.0
 
     def test_peak_is_the_stored_factors(self, mixed_gallery):
         # N = 1536: the dense pair blocks and the far engine, plus the row
@@ -343,7 +343,8 @@ class TestTranslatedStorage:
 
 class TestFourierBands:
     """Same-curve blocks as Fourier bands: sampled on the even divisors of
-    n from 16 up to n / 2, dense where none resolves them."""
+    n from 16 up to n / 2 that no earlier walk ruled out, dense where none
+    resolves them."""
 
     @staticmethod
     def _walked_sizes(monkeypatch, region, coeff, n):
@@ -374,12 +375,15 @@ class TestFourierBands:
         assert ops.N.store.banded == () and ops.N.store.pairs == ((0, 0),)
         assert_stored_kernel(ops)
 
-    def test_eccentric_ellipse_stays_dense(self):
+    def test_eccentric_ellipse_stays_dense(self, monkeypatch):
         # a/b = 100 beside a circle at n = 1024: no sub-grid resolves the
         # ellipse, which keeps its dense block bit for bit; the circle is
-        # one band, within band_tolerance of the dense oracle
+        # one band, within band_tolerance of the dense oracle.  The band a
+        # walk finds on n' nodes rules out the sub-grids of at most 4 B:
+        # 16 rules out 32, 64 rules out 128 and 256 rules out 512
         n = 1024
-        ops = assemble_N(_ellipse_beside_circle(100.0), One(), ParamGrid(n))
+        ops, sizes = self._walked_sizes(monkeypatch, _ellipse_beside_circle(100.0), One(), n)
+        assert sizes == [(16, 0, 0), (16, 1, 1), (64, 0, 0), (256, 0, 0), (n, 0, 0)]
         store, work = ops.N.store, discrete._block_buffer(n)
         assert store.banded == (1,) and store.pairs == ((0, 0),)
         for k in range(2):
@@ -422,7 +426,7 @@ class TestComplexProducts:
 
     def test_complex_products_allocate_order_N(self, large_ops):
         c = self._samples(large_ops.size)
-        for apply in (large_ops.apply_N, lambda x: apply_M(large_ops, x)):
+        for apply in (lambda x: large_ops.N @ x, lambda x: apply_M(large_ops, x)):
             apply(c)
             peak = traced_peak(lambda: apply(c))
             # a complex copy of the matrix would be 16 N^2 bytes (37.7 MB)
@@ -430,13 +434,9 @@ class TestComplexProducts:
 
     def test_complex_products_are_componentwise(self, large_ops):
         c = self._samples(large_ops.size)
-        for apply in (large_ops.apply_N, lambda x: apply_M(large_ops, x)):
+        for apply in (lambda x: large_ops.N @ x, lambda x: apply_M(large_ops, x)):
             expected = apply(c.real) + 1j * apply(c.imag)
             assert np.abs(apply(c) - expected).max() <= 1e-13 * np.abs(expected).max()
-
-    def test_real_products_keep_the_plain_call(self, large_ops):
-        phi = self._samples(large_ops.size).real
-        assert np.array_equal(large_ops.apply_N(phi), large_ops.N @ phi)
 
 
 class TestApplyM:
