@@ -17,9 +17,10 @@ from typing import Union
 import numpy as np
 
 from gnk.errors import NonConvergent, ZeroCoefficient
-from gnk.geometry import (MAX_DOUBLINGS, Curve, ParamGrid, Region, _as_complex,
-                          _fourier_curve, _json_array, _json_number, _json_object,
-                          _parse_json_source, _require_finite, _turns_about_points)
+from gnk.geometry import (MAX_DOUBLINGS, TURN_BLOCK, TWO_PI, Curve, ParamGrid, Region,
+                          _as_complex, _fourier_curve, _json_array, _json_number,
+                          _json_object, _parse_json_source, _require_finite,
+                          _turns_about_points)
 
 MIN_MODULUS = 1e-12
 
@@ -139,20 +140,30 @@ def predict_dimensions(kappa_per_curve) -> IndexReport:
 
 
 def _windings(loops, n: int) -> list[int]:
-    """Winding of each loop about 0, counted from n nodes on.  The loops read
-    A through :func:`coeff_jet`, which rejects a vanishing A, so a NaN count
-    is one that did not settle."""
-    turns = [_turns_about_points(loop, [0j], n, 0.0)[0] for loop in loops]
+    """Winding of each loop s -> (A, A') about 0.  A count starts on the
+    first grid of n 2^j nodes, j >= 0, with more than 4 max|A'/A| nodes (the
+    max over the n nodes), whose steps turn A by less than pi/2 and so
+    cannot alias, or on the n nodes when that grid would pass TURN_BLOCK
+    nodes.  The loops read A through :func:`coeff_jet`, which rejects a
+    vanishing A, so a NaN count is one that did not settle."""
+    turns = []
+    for loop in loops:
+        value, deriv = loop(np.arange(n) * (TWO_PI / n))
+        fewest, start = 4 * np.abs(deriv / value).max(), n
+        while start <= fewest and start <= TURN_BLOCK:
+            start *= 2
+        turns.append(_turns_about_points(lambda s: loop(s)[0], [0j],
+                                         n if start > TURN_BLOCK else start, 0.0)[0])
     if np.isnan(turns).any():
         raise NonConvergent(f"a winding did not settle after {MAX_DOUBLINGS} halvings")
     return [int(w) for w in turns]
 
 
 def index_of(coeff: Coefficient, region: Region, grid: ParamGrid) -> IndexReport:
-    """Winding of A about 0 along each curve, counted from the grid's nodes
-    on by argument steps, exact for any admissible coefficient."""
+    """Winding of A about 0 along each curve, counted by argument steps from
+    the grid's nodes on, refined as :func:`_windings` sets out."""
     return predict_dimensions(_windings(
-        [lambda s, k=k: coeff_jet(coeff, region, k, s)[0] for k in range(region.m)], grid.n))
+        [lambda s, k=k: coeff_jet(coeff, region, k, s) for k in range(region.m)], grid.n))
 
 
 def load_coefficient(source) -> Coefficient:

@@ -38,7 +38,7 @@ import numpy as np
 from gnk.coefficient import IndexReport, index_of
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
-from gnk.kernels import LAURENT_TRUNCATION, BoundaryJet, _laurent_frame
+from gnk.kernels import LAURENT_TRUNCATION, BoundaryJet, _laurent_frame, _laurent_terms
 
 # Kernel entries per block of one curve pair, at most n rows: 2**18 is a
 # 4 MB complex block, a whole pair up to n = 512.
@@ -386,7 +386,7 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
     distance, off = np.abs(centres[:, None] - centres), ~np.eye(m, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal, and near pairs
         alpha, beta = radii / distance, radii[:, None] / distance
-        laurent = np.ceil(math.log(LAURENT_TRUNCATION) / -np.log(rho))
+        laurent = _laurent_terms(rho)
         taylor = np.ceil(np.log(LAURENT_TRUNCATION * (1 - alpha - beta))
                          / np.log(beta / (1 - alpha)))
         far = off & (alpha + beta < 1) & (laurent < n) & (taylor < n)

@@ -31,9 +31,11 @@ MIN_DISTANCE = 1e-6
 # levels of segment halving before a turn count gives up: a step that still
 # reaches pi/2 puts its point within a 2^-20 piece of the curve
 MAX_DOUBLINGS = 20
-TURN_BLOCK = 2**16  # point-node pairs per block of a turn count
-# relative allowance for the rounding of sampled eta when an enclosing disc
-# decides a check; it only sends near-tangent cases to the sampled test
+# point-node pairs per block of a turn count, and the most nodes that an
+# index count refines its grid to
+TURN_BLOCK = 2**16
+# relative allowance for the rounding of sampled eta when two enclosing discs
+# decide a pair; it only sends near-tangent pairs to the sampled test
 DISC_SLACK = 1e-9
 
 
@@ -233,34 +235,16 @@ def _turns_about_points(loop: Callable[[np.ndarray], np.ndarray], points,
     return np.add(np.rint(turns, out=turns), 0.0, out=turns)  # + 0.0: no -0.0 counts
 
 
-def _beyond(distance: float, reach: float, scale: float) -> bool:
-    """distance > reach, with DISC_SLACK * scale to spare for rounding."""
-    return distance > reach + DISC_SLACK * scale
-
-
 def _discs_apart(a: tuple[complex, float], b: tuple[complex, float]) -> bool:
-    """True when two curves' enclosing discs a and b, (centre, radius), are disjoint.
+    """True when two curves' enclosing discs a and b, (centre, radius), are
+    disjoint, with DISC_SLACK of their scale to spare for rounding.
 
     The curves are then disjoint, so each winds 0 about the other's
     samples; _turns_about_points counts that 0 both ways unless a sample
     lies so near the other curve that its count is NaN.
     """
     (ca, ra), (cb, rb) = a, b
-    return _beyond(abs(ca - cb), ra + rb, abs(ca) + abs(cb) + ra + rb)
-
-
-def _far_outside(disc: tuple[complex, float], z: complex) -> bool:
-    """True when _turns_about_points counts 0 turns of the curve with
-    enclosing disc (centre, radius) about z on any grid, halving nothing,
-    with min_modulus MIN_DISTANCE.
-
-    Beyond sqrt(2) r from the centre the disc subtends less than pi/2 at z,
-    so every argument step stays below pi/2 and the steps cancel; beyond
-    r + MIN_DISTANCE no sample is too close.
-    """
-    c, r = disc
-    return _beyond(abs(z - c), max(math.sqrt(2.0) * r, r + MIN_DISTANCE),
-                   abs(c) + r + abs(z))
+    return abs(ca - cb) > ra + rb + DISC_SLACK * (abs(ca) + abs(cb) + ra + rb)
 
 
 def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
@@ -269,9 +253,9 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
     Failures are reported as data, not raised: orientation, smoothness and
     disjointness problems in user input should surface side by side, and
     some workflows legitimately run with individual checks failing (for
-    example a gallery region that encloses the origin).  Windings the
-    curves' enclosing discs prove to be 0 are not sampled; the reported
-    checks are the same as with every winding sampled.
+    example a gallery region that encloses the origin).  The mutual
+    windings of a pair whose enclosing discs are apart are 0 and not
+    sampled; the reported checks are the same as with every winding sampled.
     """
     checks: list[CheckResult] = []
     samples = []
@@ -334,20 +318,18 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
                 f"disjoint[{j},{k}]", cross >= MIN_DISTANCE and turns == 0, cross,
                 f"min cross-curve distance vs {MIN_DISTANCE:g}; "
                 f"max mutual winding {turns:.3f}"))
-    # each curve's count about the hole points and the origin that its
-    # enclosing disc leaves open; the rest wind 0 (see _far_outside)
-    windings = []
-    for curve, disc in zip(curves, discs):
-        points = [z for z in region.hole_points + (0j,) if not _far_outside(disc, z)]
-        windings.append(dict(zip(points, _turns_about_points(
-            lambda s: curve.jet(s)[0], points, grid.n, MIN_DISTANCE))))
-    for k, z in enumerate(region.hole_points):
-        for name, j, point, expected in (
-                [(f"orientation[{k}]", k, z, -1)]
-                + [(f"hole_point[{k}] outside curve[{j}]", j, z, 0)
+    # windings[j, k]: curve j about hole point k, and in the last column
+    # about the origin
+    points = region.hole_points + (0j,)
+    windings = np.array([_turns_about_points(lambda s: curve.jet(s)[0], points, grid.n,
+                                             MIN_DISTANCE) for curve in curves])
+    for k in range(region.m):
+        for name, j, i, expected in (
+                [(f"orientation[{k}]", k, k, -1)]
+                + [(f"hole_point[{k}] outside curve[{j}]", j, k, 0)
                    for j in range(region.m) if j != k]
-                + [(f"zero_in_region[{k}]", k, 0j, 0)]):
-            w = float(windings[j].get(point, 0.0))
+                + [(f"zero_in_region[{k}]", k, region.m, 0)]):
+            w = float(windings[j, i])
             got = "nan, too close to count" if math.isnan(w) else int(w)
             checks.append(CheckResult(name, w == expected, w, f"expected {expected}, got {got}"))
     return ValidationReport(tuple(checks))

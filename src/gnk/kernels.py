@@ -73,9 +73,9 @@ class BoundaryJet:
         return TWO_PI / self.n
 
 
-def _laurent_terms(rho: float) -> int:
-    """Terms P with rho^-P <= LAURENT_TRUNCATION, for a ratio rho > 1."""
-    return math.ceil(math.log(LAURENT_TRUNCATION) / -math.log(rho))
+def _laurent_terms(rho):
+    """Terms P with rho^-P <= LAURENT_TRUNCATION, as floats, for ratios rho > 1."""
+    return np.ceil(math.log(LAURENT_TRUNCATION) / -np.log(rho))
 
 
 def _laurent_frame(eta: np.ndarray):

@@ -123,9 +123,13 @@ def mapped_index_of(ops: discrete.DiscreteOperators) -> tuple[tuple[int, ...], i
     region, coeff = ops.region, ops.coeff
     z0 = _center(region, ops.n)
 
-    def hat_values(k: int, s: np.ndarray) -> np.ndarray:
-        return coeff_jet(coeff, region, k, s)[0] / (region.curves[k].jet(s)[0] - z0)
+    def hat_jet(k: int, s: np.ndarray):
+        """(hat A, hat A') = (A / u, (A' - hat A eta') / u), u = eta - z0."""
+        value, deriv = coeff_jet(coeff, region, k, s)
+        eta, eta_d, _ = region.curves[k].jet(s)
+        hat = value / (eta - z0)
+        return hat, (deriv - hat * eta_d) / (eta - z0)
 
-    windings = _windings([lambda s, k=k: hat_values(k, s) for k in range(region.m)], ops.n)
+    windings = _windings([lambda s, k=k: hat_jet(k, s) for k in range(region.m)], ops.n)
     hat = (windings[-1],) + tuple(windings[:-1])
     return hat, sum(windings)

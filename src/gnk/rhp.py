@@ -47,7 +47,7 @@ KRYLOV_BLOCK = 8
 # Laurent terms, truncated below kernels.LAURENT_TRUNCATION relative.
 PROBE_BLOCK = 2**19
 FAR_RHO = 2.0
-FAR_TERMS = _laurent_terms(FAR_RHO)
+FAR_TERMS = int(_laurent_terms(FAR_RHO))
 
 
 def _sup(x) -> float:

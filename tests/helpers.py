@@ -25,6 +25,8 @@ test and the Mobius substitution f_hat(w) = f(z) (z - z0).  ``capacity``
 reads the logarithmic capacity of the holes off the Dirichlet constants
 h_j, an oracle from potential theory that no planted solution can fit;
 ``lemniscate`` builds the region whose capacity is known in closed form.
+``near_zero`` places a coefficient's zero just off a circle, between grid
+nodes, where no winding count settles.
 """
 
 from __future__ import annotations
@@ -157,6 +159,15 @@ def point_winding(curve: Curve, z: complex, n: int) -> float:
     """The library's turn count of the curve about the one point z, from n
     nodes on with validation's MIN_DISTANCE: an integer, or NaN too close."""
     return float(_turns_about_points(lambda s: curve.jet(s)[0], [z], n, MIN_DISTANCE)[0])
+
+
+def near_zero(circle_curve: Curve) -> complex:
+    """A point 1e-10 outside a circle, at s = 0.7 pi / 64, between two nodes
+    of a 64-node grid: a coefficient that vanishes there keeps the argument
+    steps past it from settling."""
+    eta = circle_curve.jet(0.7 * math.pi / 64)[0]
+    outward = eta - circle_curve.centroid
+    return eta + 1e-10 * outward / abs(outward)
 
 
 def rational_values(z, terms) -> np.ndarray:

@@ -42,7 +42,7 @@ CLI_DEFAULTS = {
     "--n": "the grid size; the benchmark runs 256 and 512",
     "--out": "a path",
 }
-MAX_SOURCE_LINES = 2280
+MAX_SOURCE_LINES = 2277
 # Public functions only tests call, kept as library API: harmonic_eval is
 # the documented Dirichlet field.
 TEST_ONLY_API = {"harmonic_eval"}

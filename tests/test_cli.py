@@ -14,7 +14,8 @@ from gnk.cli import main
 from gnk.coefficient import One, ShiftedPower
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
-from helpers import count_calls, overlap_between_polygon_nodes, rational_values, traced_peak
+from helpers import (count_calls, near_zero, overlap_between_polygon_nodes, rational_values,
+                     traced_peak)
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
@@ -303,6 +304,28 @@ class TestIndexAndMobius:
         payload = json.loads((out / "index.json").read_text())
         assert payload["kappa_per_curve"] == [0, 0, -1]
         assert payload["dim_S_plus_bounds"] == [0, 1]
+
+    def test_index_report_high_power(self, tmp_path):
+        # A = (eta - 3)^24 turns past pi per step of a 32-node grid
+        region, coeff = tmp_path / "region.json", tmp_path / "coeff.json"
+        region.write_text(json.dumps({"curves": [
+            {"type": "circle", "center": [c, 0.0], "radius": 1.0} for c in (3.0, -3.0)]}))
+        coeff.write_text(json.dumps({"type": "shifted_power", "z0": [3.0, 0.0], "power": 24}))
+        out = tmp_path / "out"
+        assert _run(["index-report", "--region", region, "--coeff", coeff,
+                     "--n", 32, "--out", out]) == 0
+        assert json.loads((out / "index.json").read_text())["kappa_per_curve"] == [-24, 0]
+
+    def test_index_report_unsettled_count_exits_1(self, inputs, three_circles,
+                                                  tmp_path, capsys):
+        zero = near_zero(three_circles.curves[0])
+        coeff = tmp_path / "coeff.json"
+        coeff.write_text(json.dumps({"type": "shifted_power",
+                                     "z0": [zero.real, zero.imag], "power": 1}))
+        rc = _run(["index-report", "--region", inputs / "region.json", "--coeff", coeff,
+                   "--n", 64, "--out", tmp_path / "out"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NonConvergent"
 
     def test_mobius_check(self, inputs, tmp_path):
         out = tmp_path / "out"

@@ -13,11 +13,11 @@ from gnk.coefficient import (
     predict_dimensions,
     sample,
 )
-from gnk.errors import ZeroCoefficient
-from gnk.geometry import Curve, ParamGrid
+from gnk.errors import NonConvergent, ZeroCoefficient
+from gnk.geometry import Curve, ParamGrid, Region, circle
 from gnk.rhp import load_boundary_data
 from conftest import CENTERS
-from helpers import point_winding
+from helpers import near_zero, point_winding
 
 
 class TestCoeffJet:
@@ -90,6 +90,22 @@ class TestIndex:
         zero = three_circles.curves[0].jet(np.pi / 64)[0]
         with pytest.raises(ZeroCoefficient):
             index_of(ShiftedPower(zero, 1), three_circles, ParamGrid(64))
+
+    def test_zero_just_off_curve_does_not_settle(self, three_circles):
+        # A vanishes 1e-10 outside the first circle, between two nodes of
+        # the 64-node grid: no halving settles the steps that pass it
+        zero = near_zero(three_circles.curves[0])
+        with pytest.raises(NonConvergent):
+            index_of(ShiftedPower(zero, 1), three_circles, ParamGrid(64))
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("power", [4, 8, 12, 16, 20, 24, 32, 40, 64, 100, 300])
+    def test_high_power_does_not_alias(self, n, power):
+        # A turns by about power 2 pi / n per node step, past pi once
+        # power >= n / 2; the count starts on a grid fine enough not to wrap
+        region = Region.from_curves([circle(3.0, 1.0), circle(-3.0, 1.0)])
+        report = index_of(ShiftedPower(3.0, power), region, ParamGrid(n))
+        assert report.kappa_per_curve == (-power, 0)
 
     def test_grid_doubling_invariance(self, three_circles):
         coeff = ShiftedPower(CENTERS[2], 2)

@@ -327,15 +327,16 @@ class TestDiscScreening:
         _same_checks(validate_region(region, grid), sampled_validate_region(region, grid))
 
     def test_lattice_samples_orientation_only(self, monkeypatch, grid64):
-        # no mutual winding; one count per curve, of its own hole point
+        # no mutual winding; one count per curve, of every hole point and
+        # the origin
         counted = _counted_points(monkeypatch)
         region = lattice16()
         assert validate_region(region, grid64).ok
-        assert counted == [1] * region.m
+        assert counted == [region.m + 1] * region.m
 
     def test_reads_each_disc_once(self, monkeypatch, grid64):
         # one validation takes each curve's centroid and radius once, not
-        # once per pair or point that it screens
+        # once per pair that it screens
         region = lattice16()
         reads = []
         for name in ("centroid", "radius"):
@@ -350,10 +351,9 @@ class TestDiscScreening:
     def test_close_pair_takes_sampled_path(self, monkeypatch, grid64):
         counted = _counted_points(monkeypatch)
         assert validate_region(_close_pair(), grid64).ok
-        # both directions of the pair, 64 samples each; then the ellipse's
-        # count of both hole points and the origin, and the circle's of its
-        # own hole point
-        assert counted == [64, 64, 3, 1]
+        # both directions of the pair, 64 samples each; then each curve's
+        # count of both hole points and the origin
+        assert counted == [64, 64, 3, 3]
 
     @given(st.lists(st.integers(-8, 8), min_size=1, max_size=6, unique=True),
            st.data())

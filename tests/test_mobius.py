@@ -253,6 +253,12 @@ class TestIndexShift:
             ops = assemble_N(three_circles, coeff, grid64)
             assert mapped_index_of(ops) == index_shift(report)
 
+    def test_fast_turning_coefficient(self, three_circles, grid64):
+        # hat A turns by about 2 pi per step of the 64 nodes on the first
+        # curve; its image keeps the index -64, the outer image gains one
+        ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 64), grid64)
+        assert mapped_index_of(ops) == ((1, -64, 0), -63)
+
     def test_two_center_choices(self, three_circles, grid64):
         # shifting the center inside the same hole changes nothing
         report = index_of(One(), three_circles, grid64)
@@ -262,7 +268,8 @@ class TestIndexShift:
 
 
 class TestWindingsStartOnTheGrid:
-    """Every winding count of the Mobius layer starts on the operators' grid."""
+    """Every winding count of the Mobius layer starts on the operators' grid
+    when A turns by less than pi/2 per step of it."""
 
     @pytest.fixture
     def starts(self, monkeypatch):
