@@ -6,7 +6,10 @@
 OLD_SRC and NEW_SRC are directories holding the ``gnk`` package (a
 checkout's ``src/``).  All six subcommands run with each tree on the
 ``make_gallery.py`` inputs: the circles, mixed and close regions, the ``one`` and
-``power`` coefficients, n = 64 and 128, with the mixed data set.  Each run
+``power`` coefficients, n = 64 and 128, with the mixed data set.
+``eval-field`` also runs on the circles with its one probe at (4, 0), node
+s = 0 of the first circle, for both coefficients and sizes, so the on-node
+rule is compared too (``eval-field-node_*`` cases).  Each run
 keeps its output files plus its exit code, stdout and stderr (a Python
 warning there names a source line, so it shows as a difference).  The
 script lists every identical and differing file and exits 1 on any
@@ -39,6 +42,7 @@ COEFFS = ("one", "power")
 SIZES = (64, 128)
 READS_DATA = ("solve-rhp", "solve-dirichlet", "eval-field")
 FIELD_GRID = "--field-grid=-6,6,60,-6,6,60"
+NODE_GRID = "--field-grid=4,4,1,0,0,1"  # node s = 0 of the circles' first curve
 
 
 def cases():
@@ -51,6 +55,10 @@ def cases():
         if command == "eval-field":
             argv.append(FIELD_GRID)
         yield f"{command}_{region}_{coeff}_{n}", argv
+    for coeff, n in itertools.product(COEFFS, SIZES):
+        yield f"eval-field-node_circles_{coeff}_{n}", [
+            "eval-field", "--region", "region_circles.json", "--coeff", f"coeff_{coeff}.json",
+            "--n", str(n), "--data", "data_mixed.json", NODE_GRID]
 
 
 def run_tree(src: Path, gallery: Path, out: Path) -> None:

@@ -21,7 +21,6 @@ from gnk.coefficient import (
 )
 from gnk.dirichlet import (
     DirichletSolution,
-    harmonic_eval,
     indicator_basis,
     solve_modified_dirichlet,
 )

@@ -278,7 +278,7 @@ def run_field(args) -> int:
     points = _probe_points(args.field_grid)
     ops = discrete.assemble_N(region, coeff, grid)
     solution = rhp.solve_rhp(ops, gamma)
-    f, dist, turns = rhp.field_values(ops, gamma, solution.mu, points, lambda: solution.f_plus)
+    f, dist, turns = rhp.field_values(ops, gamma, solution.mu, points)
     u, near = f.real, dist < rhp.near_boundary_band(ops.jet)
     # the Cauchy sums of 1 count turns exactly off the band; on it the
     # argument steps decide

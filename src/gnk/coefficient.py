@@ -73,8 +73,11 @@ Coefficient = Union[One, ShiftedPower, TrigCoefficient]
 
 
 def coeff_jet(coeff: Coefficient, region: Region, k: int, s):
-    """Exact (A, A') at parameter s on curve k; raises on a vanishing A."""
-    value, deriv = coeff.jet(region, k, s)
+    """Exact (A, A') at parameter s on curve k; raises on a non-finite or
+    vanishing A."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, deriv = coeff.jet(region, k, s)
+    _require_finite((value, deriv), f"the coefficient on curve {k}")
     if np.abs(value).min() < MIN_MODULUS:
         raise ZeroCoefficient(f"|A| < {MIN_MODULUS:g} on curve {k}")
     return value, deriv

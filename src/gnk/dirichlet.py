@@ -4,8 +4,9 @@ With coefficient one the integral equation is uniquely solvable and the
 correction h is a real constant on each curve: the data gamma can always
 be shifted by per-curve constants so that gamma + h is the real boundary
 part of a function analytic in the unbounded region with f(inf) = 0.  The
-real part of the Cauchy integral then evaluates the harmonic field with
-boundary values gamma + h and zero at infinity.
+real part of the Cauchy integral, ``rhp.cauchy_eval(ops, solution.gamma,
+solution.mu, z).real``, then evaluates the harmonic field with boundary
+values gamma + h and zero at infinity.
 
 No special code path exists for A = 1; the general kernels are used with
 the derivative terms vanishing identically.  The solve runs the general
@@ -89,13 +90,3 @@ def solve_modified_dirichlet(ops: DiscreteOperators, gamma: np.ndarray) -> Diric
         f_boundary=f_boundary,
         diagnostics=solution.diagnostics,
     )
-
-
-def harmonic_eval(ops: DiscreteOperators, solution: DirichletSolution, z):
-    """Harmonic field u = Re Phi at z; boundary values gamma + h, u(inf) = 0.
-
-    ``ops`` are the operators the solution was computed with.  Inside the
-    near-boundary band it warns as :func:`rhp.cauchy_eval` does.
-    """
-    values = rhp.cauchy_eval(ops, solution.gamma, solution.mu, z)
-    return np.real(values) if np.ndim(values) else float(np.real(values))

@@ -186,11 +186,11 @@ def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
     the same sum of 1 over curve k, its winding number about z[p] (-1 inside
     the hole), exact to rounding off the near-boundary band.  Curve k lies
     within r_k of a_k, the mean of its nodes.  Where gap = |z - a_k| - r_k
-    exceeds max((FAR_RHO - 1) r_k, band), curve k's sums are its Laurent
-    series -sum_p c_p / (z - a_k)^(p+1), c_p = sum_j d_j (eta_j - a_k)^p
-    (Greengard & Rokhlin 1987), and gap bounds its distance; elsewhere they
-    sum its nodes.  So dist is exact below the band and at least the band
-    above it.  Probes go in blocks of PROBE_BLOCK / m pairs per curve.
+    exceeds max((FAR_RHO - 1) r_k, band), z is outside curve k: turns are 0,
+    f takes the Laurent series -sum_p c_p / (z - a_k)^(p+1), c_p = sum_j d_j
+    (eta_j - a_k)^p (Greengard & Rokhlin 1987), and gap bounds the distance;
+    near probes sum the nodes.  So dist is exact below the band and at least
+    the band above it.  Probes go in blocks of PROBE_BLOCK / m pairs per curve.
     """
     unit = jet.eta_d * (jet.weight / (2j * math.pi))
     density = (np.asarray(gamma) + 1j * np.asarray(mu)) / jet.coeff * unit
@@ -198,45 +198,46 @@ def field_pass(jet: BoundaryJet, gamma: np.ndarray, mu: np.ndarray, z):
     z = np.asarray(z, dtype=complex).ravel()
     f = np.zeros(z.size, dtype=complex)
     dist = np.full(z.size, np.inf)
-    turns = np.empty((z.size, jet.m))
+    turns = np.zeros((z.size, jet.m))
     rows = max(1, PROBE_BLOCK // jet.size)
     for k, eta in enumerate(jet.eta.reshape(jet.m, jet.n)):
         centre, radius, scaled = _laurent_frame(eta)
         reach = max((FAR_RHO - 1.0) * radius, near_boundary_band(jet))
         powers = np.vander(scaled, FAR_TERMS, increasing=True)
-        moments = (powers.T @ sources[k])[::-1, :, None]
+        moments = (powers.T @ sources[k])[::-1, 0]  # the (n, 2) gemm; a gemv rounds f otherwise
         for start in range(0, z.size, rows):
             block = slice(start, start + rows)
             offset = z[block] - centre
             gap = np.abs(offset) - radius
-            far = gap > reach
-            diff = eta[None, :] - z[block][~far, None]
+            far = gap > reach  # a NaN gap sums the nodes
+            near = np.flatnonzero(~far) + start
+            diff = eta[None, :] - z[near, None]
             gap[~far] = np.abs(diff).min(axis=1)
             dist[block] = np.minimum(dist[block], gap)
-            sums = np.empty((gap.size, 2), dtype=complex)
-            sums[~far] = np.reciprocal(diff, out=diff) @ sources[k]
+            sums = np.reciprocal(diff, out=diff) @ sources[k]
+            f[near] += sums[:, 0]
+            turns[near, k] = sums[:, 1].real
             ratio = radius / offset[far]
-            series = np.zeros((2, ratio.size), dtype=complex)
+            series = np.zeros(ratio.size, dtype=complex)
             for c in moments:  # Horner's rule in r_k / (z - a_k)
                 series *= ratio
                 series += c
-            sums[far] = (series / -offset[far]).T
-            f[block] += sums[:, 0]
-            turns[block, k] = sums[:, 1].real
+            f[block][far] -= series / offset[far]
     return f, dist, turns
 
 
-def field_values(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z, exterior):
+def field_values(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z):
     """field_pass on ``ops.jet`` with the on-node rule: a probe within
     MIN_DISTANCE of a node, where the Cauchy sum divides by zero or nearly,
-    takes the exterior boundary value f+ at the nearest node, from
-    ``exterior()``, which is called only when such a probe exists."""
+    takes the exterior Plemelj value plemelj_boundary(+1) / A at the
+    nearest node, computed only when such a probe exists."""
     z = np.asarray(z, dtype=complex).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         f, dist, turns = field_pass(ops.jet, gamma, mu, z)
     on_node = dist < MIN_DISTANCE
     if on_node.any():
-        f[on_node] = exterior()[np.abs(z[on_node, None] - ops.jet.eta).argmin(axis=1)]
+        exterior = plemelj_boundary(ops, gamma, mu, +1) / ops.jet.coeff
+        f[on_node] = exterior[np.abs(z[on_node, None] - ops.jet.eta).argmin(axis=1)]
     return f, dist, turns
 
 
@@ -244,15 +245,14 @@ def cauchy_eval(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z):
     """Cauchy-type integral of (gamma + i mu)/A at points z off the boundary.
 
     The boundary and A are the ones ``ops`` were assembled on.  For z in
-    the unbounded region this is the solution f with f(inf) = 0.  No
+    the unbounded region this is the solution f with f(inf) = 0, and its
+    real part, with A = 1, is the modified Dirichlet field.  No
     near-boundary correction is applied; inside the warning band the plain
     trapezoidal rule loses accuracy, so the call warns there with
     TooCloseToBoundary, which a warning filter can turn into an error.  On
-    a node it takes the exterior Plemelj value (:func:`field_values`),
-    which differs from the solve's f+ by half the solve residual.
+    a node it takes the exterior Plemelj value (:func:`field_values`).
     """
-    values, dist, _ = field_values(
-        ops, gamma, mu, z, lambda: plemelj_boundary(ops, gamma, mu, +1) / ops.jet.coeff)
+    values, dist, _ = field_values(ops, gamma, mu, z)
     band = near_boundary_band(ops.jet)
     if np.any(dist < band):
         warnings.warn(

@@ -11,11 +11,15 @@ import pytest
 
 from gnk import cli, coefficient, dirichlet, discrete, mobius, rhp
 from gnk.cli import main
-from gnk.coefficient import One, ShiftedPower
+from gnk.coefficient import One, ShiftedPower, load_coefficient
+from gnk.errors import TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
 from helpers import (count_calls, near_zero, overlap_between_polygon_nodes, rational_values,
                      traced_peak)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from make_gallery import FILES  # noqa: E402
 
 REGION = {"curves": [
     {"type": "circle", "center": [c.real, c.imag], "radius": r}
@@ -315,6 +319,22 @@ class TestIndexAndMobius:
         assert _run(["index-report", "--region", region, "--coeff", coeff,
                      "--n", 32, "--out", out]) == 0
         assert json.loads((out / "index.json").read_text())["kappa_per_curve"] == [-24, 0]
+
+    def test_index_report_non_finite_coefficient_exits_1(self, tmp_path):
+        # A = (eta - 3)^400 overflows on the circle at -3; run as a process so
+        # that a numpy warning would show in stderr beside the JSON error
+        region, coeff = tmp_path / "region.json", tmp_path / "coeff.json"
+        region.write_text(json.dumps({"curves": [
+            {"type": "circle", "center": [c, 0.0], "radius": 1.0} for c in (3.0, -3.0)]}))
+        coeff.write_text(json.dumps({"type": "shifted_power", "z0": [3.0, 0.0], "power": 400}))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gnk.cli", "index-report", "--region", str(region),
+             "--coeff", str(coeff), "--n", "64", "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "ValueError"
 
     def test_index_report_unsettled_count_exits_1(self, inputs, three_circles,
                                                   tmp_path, capsys):
@@ -698,6 +718,30 @@ class TestEvalField:
         _, _, u, flag = (out / "field.csv").read_text().splitlines()[1 + probe].split(",")
         oracle = rational_values(x, zip(CENTERS, POLE_AMPLITUDES)).real
         assert flag == "band" and abs(float(u) - oracle) <= 1e-8
+
+    def test_on_node_value_is_cauchy_evals(self, tmp_path, monkeypatch):
+        # (4, 0) is node s = 0 of the gallery's circle(3, 1); eval-field
+        # takes cauchy_eval's exterior Plemelj value there, which a run
+        # computes once, and only when a probe sits on a node
+        for name in ("region_circles.json", "coeff_power.json", "data_mixed.json"):
+            (tmp_path / name).write_text(json.dumps(FILES[name]))
+        argv = ["eval-field", "--region", tmp_path / "region_circles.json",
+                "--coeff", tmp_path / "coeff_power.json",
+                "--data", tmp_path / "data_mixed.json", "--n", 64]
+        plemelj = count_calls(monkeypatch, rhp, "plemelj_boundary")
+        assert _run([*argv, "--out", tmp_path / "off", "--field-grid=5,6,2,5,6,2"]) == 0
+        assert plemelj == []
+        assert _run([*argv, "--out", tmp_path / "on", "--field-grid=4,4,1,0,0,1"]) == 0
+        assert len(plemelj) == 1
+        _, _, u, flag = (tmp_path / "on" / "field.csv").read_text().splitlines()[1].split(",")
+        region, grid = load_region(tmp_path / "region_circles.json"), ParamGrid(64)
+        coeff = load_coefficient(tmp_path / "coeff_power.json")
+        ops = discrete.assemble_N(region, coeff, grid)
+        gamma = rhp.load_boundary_data(tmp_path / "data_mixed.json", region, coeff, grid)
+        solution = rhp.solve_rhp(ops, gamma)
+        with pytest.warns(TooCloseToBoundary):
+            value = rhp.cauchy_eval(ops, gamma, solution.mu, 4.0)
+        assert flag == "band" and u == repr(value.real)
 
     def test_non_finite_value_exits_2(self, inputs, tmp_path, monkeypatch, capsys):
         # a non-finite value off the nodes is a quality failure, not a row

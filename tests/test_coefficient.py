@@ -51,6 +51,13 @@ class TestCoeffJet:
         with pytest.raises(ZeroCoefficient):
             coeff_jet(bad, unit_circle_region, 0, 0.0)
 
+    def test_non_finite_coefficient_raises(self):
+        # (eta - 3)^400 overflows on the circle at -3: an input out of
+        # range, raised before any numpy warning and before a count runs
+        region = Region.from_curves([circle(3.0, 1.0), circle(-3.0, 1.0)])
+        with pytest.raises(ValueError, match="coefficient on curve 1 must be finite"):
+            index_of(ShiftedPower(3.0, 400), region, ParamGrid(64))
+
     def test_sample_layout(self, three_circles, grid64):
         values, derivs = sample(ShiftedPower(CENTERS[0], 1), three_circles, grid64)
         assert values.shape == (3 * 64,)

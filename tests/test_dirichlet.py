@@ -6,7 +6,7 @@ import pytest
 from gnk import coefficient, rhp
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
-from gnk.dirichlet import harmonic_eval, indicator_basis, solve_modified_dirichlet
+from gnk.dirichlet import indicator_basis, solve_modified_dirichlet
 from gnk.errors import ConstancyViolation, GnkError, TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region, circle
 from gnk.rhp import cauchy_eval
@@ -116,18 +116,19 @@ class TestHarmonicEval:
         solution = solve_modified_dirichlet(gallery_ops, f_plus.real)
         z = 5.0 + 5.0j
         expected = rational_values(z, oracle_terms()).real
-        assert abs(harmonic_eval(gallery_ops, solution, z) - expected) <= 1e-8
+        u = cauchy_eval(gallery_ops, solution.gamma, solution.mu, z).real
+        assert abs(u - expected) <= 1e-8
 
     def test_constant_data_gives_zero_field(self, three_circles, grid128, gallery_ops):
         gamma = np.repeat((1.0, -2.0, 0.7), grid128.n)
         solution = solve_modified_dirichlet(gallery_ops, gamma)
         for z in (5.0 + 5.0j, -6.0, 2.0 - 6.0j):
-            assert abs(harmonic_eval(gallery_ops, solution, z)) <= 1e-9
+            assert abs(cauchy_eval(gallery_ops, solution.gamma, solution.mu, z).real) <= 1e-9
 
     def test_decay_at_infinity(self, three_circles, grid128, gallery_ops):
         f_plus = oracle_boundary(three_circles, grid128)
         solution = solve_modified_dirichlet(gallery_ops, f_plus.real)
-        assert abs(harmonic_eval(gallery_ops, solution, 1e6)) <= 1e-5
+        assert abs(cauchy_eval(gallery_ops, solution.gamma, solution.mu, 1e6).real) <= 1e-5
 
     def test_maximum_principle_smoke(self, three_circles, grid128, gallery_ops):
         # u has boundary data gamma + h; for indicator data that sum is zero
@@ -138,24 +139,17 @@ class TestHarmonicEval:
         bound = np.abs(chi + np.repeat(solution.h_constants, grid128.n)).max()
         probes = [6.0 + 1.0j, -5.0 - 5.0j, 0.0 + 0.1j, 8.0j]
         for z in probes:
-            assert abs(harmonic_eval(gallery_ops, solution, z)) <= bound + 1e-9
-
-    def test_is_the_real_part_of_cauchy_eval(self, three_circles, grid128, gallery_ops):
-        solution = solve_modified_dirichlet(gallery_ops,
-                                            oracle_boundary(three_circles, grid128).real)
-        z = np.array([5.0 + 5.0j, -6.0, 2.0 - 6.0j, 8.0j])
-        field = cauchy_eval(gallery_ops, solution.gamma, solution.mu, z)
-        assert np.array_equal(harmonic_eval(gallery_ops, solution, z), field.real)
-        assert harmonic_eval(gallery_ops, solution, z[0]) == field[0].real
+            u = cauchy_eval(gallery_ops, solution.gamma, solution.mu, z).real
+            assert abs(u) <= bound + 1e-9
 
     def test_near_boundary_warns_or_raises(self, three_circles, gallery_ops):
         solution = solve_modified_dirichlet(gallery_ops, np.ones(gallery_ops.size))
         z = three_circles.curves[0].jet(0.0)[0] + 1e-4
         with pytest.warns(UserWarning):
-            harmonic_eval(gallery_ops, solution, z)
+            cauchy_eval(gallery_ops, solution.gamma, solution.mu, z)
         with warnings.catch_warnings(), pytest.raises(GnkError) as caught:
             warnings.simplefilter("error", TooCloseToBoundary)
-            harmonic_eval(gallery_ops, solution, z)
+            cauchy_eval(gallery_ops, solution.gamma, solution.mu, z)
         assert isinstance(caught.value, TooCloseToBoundary)
 
     @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-15], ids=["on-node", "beside-node"])
@@ -176,7 +170,7 @@ class TestHarmonicEval:
         with pytest.warns(TooCloseToBoundary):
             value = cauchy_eval(ops, solution.gamma, solution.mu, z)
         with pytest.warns(TooCloseToBoundary):
-            u = harmonic_eval(ops, solution, z)
+            u = cauchy_eval(ops, solution.gamma, solution.mu, z).real
         assert abs(value - oracle) <= 1e-8 and abs(u - oracle.real) <= 1e-8
         assert len(plemelj) == 2
 
@@ -185,5 +179,5 @@ class TestHarmonicEval:
                                                                    grid128.n))
         region_samples = count_calls(monkeypatch, Region, "sample")
         coeff_samples = count_calls(monkeypatch, coefficient, "sample")
-        harmonic_eval(gallery_ops, solution, np.array([5.0 + 5.0j, -6.0]))
+        cauchy_eval(gallery_ops, solution.gamma, solution.mu, np.array([5.0 + 5.0j, -6.0]))
         assert (region_samples, coeff_samples) == ([], [])

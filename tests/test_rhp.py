@@ -401,16 +401,28 @@ def _dense_field(jet, gamma, mu, z):
     return f, np.abs(diff).min(axis=1), turns
 
 
+def _reaches(jet):
+    """Centre a_k, radius r_k and reach max((FAR_RHO - 1) r_k, band) of
+    each curve, as field_pass takes them."""
+    eta = jet.eta.reshape(jet.m, jet.n)
+    centre = np.array([row.mean() for row in eta])
+    radius = np.abs(eta - centre[:, None]).max(axis=1)
+    return centre, radius, np.maximum((rhp.FAR_RHO - 1.0) * radius, near_boundary_band(jet))
+
+
+def _far_pairs(jet, z):
+    """(probe, curve) pairs beyond the curve's reach."""
+    centre, radius, reach = _reaches(jet)
+    return np.abs(z[:, None] - centre) - radius > reach
+
+
 def _reach_probes(jet):
     """Probes 1e-9 inside and outside each curve's reach at 64 angles, and
     half a band off 16 nodes of each curve on both sides."""
     angles = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
     band = near_boundary_band(jet)
     probes = []
-    for k, eta in enumerate(jet.eta.reshape(jet.m, jet.n)):
-        centre = eta.mean()
-        radius = np.abs(eta - centre).max()
-        reach = max((rhp.FAR_RHO - 1.0) * radius, band)
+    for k, (centre, radius, reach) in enumerate(zip(*_reaches(jet))):
         for side in (1.0 - 1e-9, 1.0 + 1e-9):
             probes.append(centre + (radius + side * reach) * angles)
         nodes = slice(k * jet.n, (k + 1) * jet.n, max(1, jet.n // 16))
@@ -431,7 +443,7 @@ class TestFieldPass:
 
     @pytest.mark.parametrize("gallery, n", [
         ("circles", 8), ("circles", 256), ("mixed", 8), ("mixed", 256),
-        ("ab10", 1024), ("ab100", 1024)])
+        ("ab10", 1024), ("ab100", 1024), ("lattice16", 64)])
     def test_far_field_matches_dense_sum(self, three_circles, mixed_gallery, gallery, n):
         # at n = 8 the band exceeds (FAR_RHO - 1) r_k and sets the reach;
         # "ab" places an ellipse of that aspect ratio beside a circle
@@ -439,7 +451,8 @@ class TestFieldPass:
             region = Region.from_curves([ellipse(0.0, 1.0, 1.0 / float(gallery[2:])),
                                          circle(2.5 + 0.5j, 0.5)])
         else:
-            region = {"circles": three_circles, "mixed": mixed_gallery}[gallery]
+            region = {"circles": three_circles, "mixed": mixed_gallery,
+                      "lattice16": lattice16()}[gallery]
         jet = BoundaryJet.from_region(region, One(), ParamGrid(n))
         rng = np.random.default_rng(n)
         gamma, mu = rng.normal(size=jet.size), rng.normal(size=jet.size)
@@ -447,27 +460,35 @@ class TestFieldPass:
         f, dist, turns = field_pass(jet, gamma, mu, z)
         f_ref, dist_ref, turns_ref = _dense_field(jet, gamma, mu, z)
         assert np.all(np.abs(f - f_ref) <= 1e-14 * np.maximum(1.0, np.abs(f_ref)))
-        assert np.all(np.abs(turns - turns_ref) <= 1e-14 * np.maximum(1.0, np.abs(turns_ref)))
+        # a probe beyond a curve's reach lies outside it, which winds 0
+        # about it; the node sum holds that 0 only to its convergence
+        far = _far_pairs(jet, z)
+        assert far.any() and not far.all()
+        assert np.all(turns[far] == 0.0)
+        near_ref = turns_ref[~far]
+        assert np.all(np.abs(turns[~far] - near_ref) <= 1e-14 * np.maximum(1.0, np.abs(near_ref)))
         band = near_boundary_band(jet)
         assert np.array_equal(dist < band, dist_ref < band)
         assert np.array_equal(dist[dist_ref < band], dist_ref[dist_ref < band])
 
     def test_peak_memory_bounded_in_probe_count(self, three_circles):
-        # N = 768: beyond the O(P) outputs f, dist and turns, the peak is one
-        # curve's near block, 24 bytes (a difference and its modulus) for
-        # each of at most PROBE_BLOCK / m pairs, plus below 1 MiB of block
-        # vectors and moments, whatever the probe count (3.0 MB measured);
-        # a temporary of 16 bytes per probe breaks that at 450^2 probes
-        jet = BoundaryJet.from_region(three_circles, One(), ParamGrid(256))
-        rng = np.random.default_rng(5)
-        gamma, mu = rng.normal(size=jet.size), rng.normal(size=jet.size)
-        for side in (50, 150, 450):
-            x = np.linspace(-6.0, 6.0, side)
-            z = (x[None, :] + 1j * x[:, None]).ravel()
-            outputs = z.size * (16 + 8 + 8 * jet.m)
-            peak = traced_peak(lambda: field_pass(jet, gamma, mu, z))
-            assert peak <= 3 * 16 * PROBE_BLOCK + outputs
-            assert peak - outputs <= 24 * PROBE_BLOCK // jet.m + 2**20
+        # N = 768 (m = 3) and 1024 (lattice16): beyond the O(P) outputs f,
+        # dist and turns, the peak is one curve's near block, 24 bytes (a
+        # difference and its modulus) for each of at most PROBE_BLOCK / m
+        # pairs, plus below 1 MiB of block vectors, near indices and
+        # moments, whatever the probe count (3.0 MB measured at m = 3); a
+        # temporary of 16 bytes per probe breaks that at 450^2 probes
+        for region, n, half in ((three_circles, 256, 6.0), (lattice16(), 64, 8.0)):
+            jet = BoundaryJet.from_region(region, One(), ParamGrid(n))
+            rng = np.random.default_rng(5)
+            gamma, mu = rng.normal(size=jet.size), rng.normal(size=jet.size)
+            for side in (50, 150, 450):
+                x = np.linspace(-half, half, side)
+                z = (x[None, :] + 1j * x[:, None]).ravel()
+                outputs = z.size * (16 + 8 + 8 * jet.m)
+                peak = traced_peak(lambda: field_pass(jet, gamma, mu, z))
+                assert peak <= 3 * 16 * PROBE_BLOCK + outputs
+                assert peak - outputs <= 24 * PROBE_BLOCK // jet.m + 2**20
 
 
 class TestPlemelj:
