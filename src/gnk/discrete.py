@@ -25,11 +25,15 @@ module reads; ``ops.kernel_block`` reads it back by the same blocks.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
-computes those indices once and the operators carry them.
+computes those indices once and the operators carry them.  Repeated
+regular-path solves on one set of operators end up with a factor of I - N
+built from the same storage (:class:`_Factor`, by Woodbury), once the GMRES
+work they spent pays for it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +64,17 @@ NULLITY_SETTLE = 1e-8
 NULLITY_MAX_COLUMNS = 1024
 NULLITY_MIN_DEPTH = 32
 DEFLATION_TOL = 1e-10
+# Ski rental for the regular-path solve: the factor of I - N is built once
+# the GMRES work spent on the operators reaches FACTOR_RENT times the
+# factor's own, both in real multiply-adds counted from the stored shapes.
+# The build's multiply-adds run in a few dense BLAS and LAPACK calls,
+# faster than GMRES's small products and Arnoldi steps, so the rate is
+# below 1.  scripts/solve_many.py measures where it places the build:
+# after 6 GMRES solves on the mixed gallery (n = 512) and 22 on the
+# 16-circle lattice (n = 256), between one and two times break-even on
+# both.  0.375 falls between the work of two successive solves on each,
+# so a few products more or fewer do not move the build.
+FACTOR_RENT = 0.375
 
 
 @dataclass(frozen=True)
@@ -73,8 +88,11 @@ class DiscreteOperators:
     Both are :class:`KernelPart` operators over one factored storage; the
     solve and the count need of ``N`` only ``shape`` and ``@``, which a
     dense array has too.  ``index`` holds the indices of the coefficient,
-    which predict the nullities of I +- N.  Assembled operators are
-    immutable and safe to share; applications and solves are pure.
+    which predict the nullities of I +- N.  Assembled operators are safe to
+    share: their arrays never change, and applications are pure.  The one
+    mutable part is the lazily built solve factor with the GMRES work it
+    waits on (:meth:`factored_solve`): two threads may both build it, and
+    either factor's results, like GMRES's, must meet the solve's gate.
     """
 
     region: Region
@@ -117,6 +135,31 @@ class DiscreteOperators:
     def identity_minus_N(self) -> np.ndarray:
         return np.eye(self.size) - np.asarray(self.N)
 
+    def factored_solve(self, rhs: np.ndarray) -> np.ndarray | None:
+        """x of (I - N) x = rhs, real of shape (N,), by the stored factor,
+        or None: for a replaced N, and until the GMRES work spent on these
+        operators (:meth:`spend_gmres`) reaches FACTOR_RENT times the
+        factor's own cost.  The first call past that builds the factor; a
+        singular B or S leaves none.  Only a nonsingular I - N may ask."""
+        store = getattr(self.N, "store", None)
+        if store is None:
+            return None
+        state = store.factor_state
+        if "factor" not in state and state["work"] >= FACTOR_RENT * _factor_madds(store):
+            try:
+                state["factor"] = _Factor(store)
+            except np.linalg.LinAlgError:
+                state["factor"] = None
+        return state["factor"].solve(rhs) if state.get("factor") else None
+
+    def spend_gmres(self, products: int) -> None:
+        """Count a GMRES solve of ``products`` products with the stored N,
+        Arnoldi included, toward building its factor."""
+        store = getattr(self.N, "store", None)
+        if store is not None:
+            store.factor_state["work"] += products * (
+                _product_madds(store) + 2 * (products + 1) * self.size)
+
     def nullity_I_minus_N(self) -> "NullityReport":
         return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN)
 
@@ -138,7 +181,11 @@ class _Kernel:
     T_l C_lk V_k, with V[k] (P x n) the Laurent moments of source curve k,
     C_lk = C[l Q:(l + 1) Q, k P:(k + 1) P] (Q x P) their translation to
     Taylor coefficients about target curve l, zero on dense pairs, and
-    T_l = taylor[l] (n x Q) the Taylor powers at l's nodes.
+    T_l = taylor[l] (n x Q) the Taylor powers at l's nodes.  ``factor_state``
+    holds the GMRES work spent on these operators ("work") and, once that
+    pays for it, the :class:`_Factor` of I - N ("factor"; None if B or S
+    is singular): the one mutable part, filled by
+    :meth:`DiscreteOperators.factored_solve`.
     """
 
     band: np.ndarray
@@ -150,6 +197,7 @@ class _Kernel:
     V: np.ndarray
     C: np.ndarray
     taylor: np.ndarray
+    factor_state: dict
 
     def product(self, x: np.ndarray, part, transpose: bool) -> np.ndarray:
         """A x, or A^T x, for real x of shape (N, k), A the part (np.imag
@@ -162,9 +210,7 @@ class _Kernel:
         cols, curves = x.reshape(m, n, x.shape[1]), list(self.banded)
         band, out = self.band[:, int(part is np.real)], np.zeros(cols.shape)
         band, B = band.transpose(0, 2, 1) if transpose else band, len(self.waves) // 2
-        # sum_j x_j e^(i q s_j), q = -B..B, is the spectrum at -q
-        spectrum = np.fft.rfft(cols[curves], axis=1)
-        moments = np.concatenate((spectrum[:, B::-1], spectrum[:, 1:B + 1].conj()), axis=1)
+        spectrum, moments = _band_moments(cols[curves], B)
         # minus M's circulant, plus it for M^T; irfft drops imaginary 0 and n / 2 terms
         image = spectrum * ((-1j if transpose else 1j) if part is np.real else 0)
         image[:, :B + 1] += n * (band[:, B:] @ moments)
@@ -244,6 +290,142 @@ class KernelPart:
             return self._product(x.real, transpose) + 1j * self._product(x.imag, transpose)
         product = self.store.product(x.reshape(len(x), -1), self.part, transpose)
         return product.reshape(x.shape)
+
+
+class _Factor:
+    """(I - N)^-1 for the stored N = D + L G, by Woodbury.
+
+    D holds the same-curve and near-pair blocks, L G the far pairs: G x is
+    C V x in real form, Re and Im per target curve, and L is the block
+    diagonal of [Im T_l, Re T_l].  B = I - D is inverted by groups of
+    curves.  A banded curve in no near pair is inverted on its band modes
+    only: with c its band of w N, N_kk = W^T c W and W W^T = n J (J the
+    flip p -> -p), so B_k^-1 = I + W^T delta W / n, delta = n c (I - n J c)^-1,
+    applied like the band of a product.  The curves that near pairs join,
+    and an unbanded curve, take one dense inverse per group.  S = I - G B^-1 L,
+    2 m Q square, is kept inverted, and a solve is u = B^-1 b, y = S^-1 G u,
+    mu = B^-1 (b + L y).  G B^-1 L takes V_k B_k^-1 L_k = V_k L_k +
+    (V_k W^T) delta (W L_k) / n on a banded curve, so no n-row B^-1 L is formed.
+    """
+
+    def __init__(self, store: _Kernel):
+        self.store, n, B = store, store.taylor.shape[1], len(store.waves) // 2
+        self.singles, self.groups = _near_groups(store)
+        c = n * store.band[[store.banded.index(k) for k in self.singles], 0]
+        delta = c @ np.linalg.inv(np.eye(2 * B + 1) - c[:, ::-1])
+        del c
+        self.inverses = [np.linalg.inv(np.eye(len(g) * n) - _dense_group(store, g))
+                         for g in self.groups]
+        schur = self._schur(delta)
+        self.delta = delta[:, B:].copy()  # the rows p = 0..B, which the band pass reads
+        del delta
+        self.schur = np.linalg.inv(schur)
+
+    def _schur(self, delta: np.ndarray) -> np.ndarray:
+        """S = I - G B^-1 L, from each group's V B^-1 L and C."""
+        store, P = self.store, self.store.V.shape[1]
+        m, n, Q = store.taylor.shape
+        schur = np.eye(2 * m * Q)
+        if not store.C.size:  # no far pair: S is empty
+            return schur
+        rows = schur.reshape(m, 2, Q, 2 * m * Q)  # target curve, Re or Im, q
+
+        def subtract(curves, Z):  # Z = V B^-1 L: |curves| P rows, 2 Q columns per curve
+            image = store.C.reshape(m * Q, m, P)[:, curves].reshape(m * Q, -1) @ Z
+            for i, k in enumerate(curves):
+                part = image[:, 2 * Q * i:2 * Q * (i + 1)].reshape(m, Q, 2 * Q)
+                rows[:, 0, :, 2 * Q * k:2 * Q * (k + 1)] -= part.real
+                rows[:, 1, :, 2 * Q * k:2 * Q * (k + 1)] -= part.imag
+
+        def taylor_parts(XT, XT_conj):  # X L_k = [X Im T_k, X Re T_k] from X T_k, X conj(T_k)
+            return np.hstack(((XT - XT_conj) / 2j, (XT + XT_conj) / 2))
+
+        for k, band in zip(self.singles, delta):
+            T, V = store.taylor[k], store.V[k]
+            WT = store.waves @ T  # W conj(T) = J conj(W T): W's rows run over -B..B
+            WL = taylor_parts(WT, WT[::-1].conj())
+            VL = taylor_parts(V @ T, (V.conj() @ T).conj())
+            subtract([k], VL + (V @ store.waves.T) @ band @ WL / n)
+        for g, inverse in zip(self.groups, self.inverses):
+            Y = np.hstack([inverse[:, i * n:(i + 1) * n]
+                           @ np.hstack((store.taylor[k].imag, store.taylor[k].real))
+                           for i, k in enumerate(g)])
+            subtract(list(g), np.vstack([store.V[k] @ Y[i * n:(i + 1) * n]
+                                         for i, k in enumerate(g)]))
+        return schur
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x of (I - N) x = b, for real b of shape (N,)."""
+        store = self.store
+        m, n, Q = store.taylor.shape
+        b = b.reshape(m, n)
+        moved = (store.C @ np.matmul(store.V, self._inverse_B(b)[..., None]).ravel()).reshape(m, Q)
+        y = (self.schur @ np.stack((moved.real, moved.imag), axis=1).ravel()).reshape(m, 2, Q)
+        far = np.matmul(store.taylor, (y[:, 0] + 1j * y[:, 1])[..., None])[..., 0].imag
+        return self._inverse_B(b + far).ravel()
+
+    def _inverse_B(self, x: np.ndarray) -> np.ndarray:
+        """B^-1 x for real x of shape (m, n)."""
+        out, n, B = x.copy(), x.shape[1], len(self.store.waves) // 2
+        if self.singles:
+            _, moments = _band_moments(x[self.singles, :, None], B)
+            out[self.singles] += np.fft.irfft(self.delta @ moments, n, axis=1)[..., 0]
+        for g, inverse in zip(self.groups, self.inverses):
+            out[list(g)] = (inverse @ x[list(g)].ravel()).reshape(len(g), n)
+        return out
+
+
+def _product_madds(store: _Kernel) -> float:
+    """Real multiply-adds of one product with the stored N, from its shapes."""
+    m, n, Q = store.taylor.shape
+    P, r = store.V.shape[1], len(store.waves)
+    bands = len(store.banded) * (4 * n * math.log2(n) + 2 * r * (r + 1))
+    return bands + len(store.pairs) * n * n + 2 * m * n * P + 4 * m * Q * (m * P + n)
+
+
+def _factor_madds(store: _Kernel) -> float:
+    """Real multiply-adds of building the :class:`_Factor` of the stored N;
+    numpy's inverse solves against the identity, 4/3 r^3 for order r."""
+    m, n, Q = store.taylor.shape
+    P, r = store.V.shape[1], len(store.waves)
+    singles, groups = _near_groups(store)
+    total = 4 / 3 * (2 * m * Q) ** 3 + len(singles) * (
+        16 / 3 * r ** 3 + 4 * n * (r * Q + 2 * P * Q + P * r) + 4 * P * r * (r + 2 * Q)
+        + 8 * m * Q * Q * P)
+    for g in groups:
+        size = len(g) * n
+        total += 4 / 3 * size ** 3 + 2 * Q * size ** 2 + 8 * P * Q * len(g) * (size + m * Q * len(g))
+    return total
+
+
+def _near_groups(store: _Kernel):
+    """(singles, groups): the banded curves in no near pair, and the other
+    curves grouped so that near pairs join them."""
+    group = list(range(store.taylor.shape[0]))
+    for t, k in store.pairs:
+        group = [group[t] if g == group[k] else g for g in group]
+    groups = [tuple(k for k, g in enumerate(group) if g == label) for label in sorted(set(group))]
+    singles = [g[0] for g in groups if len(g) == 1 and g[0] in store.banded]
+    return singles, [g for g in groups if g[0] not in singles]
+
+
+def _dense_group(store: _Kernel, curves: tuple[int, ...]) -> np.ndarray:
+    """The stored same-curve and near-pair blocks of w N among ``curves``,
+    zero on their far pairs."""
+    n = store.taylor.shape[1]
+    D, work = np.zeros((len(curves) * n,) * 2), np.empty((n, n), dtype=complex)
+    for (i, t), (j, k) in itertools.product(enumerate(curves), repeat=2):
+        if t == k or (t, k) in store.pairs:
+            D[i * n:(i + 1) * n, j * n:(j + 1) * n] = store.block(slice(t * n, (t + 1) * n),
+                                                                  k, work).imag
+    return D
+
+
+def _band_moments(cols: np.ndarray, B: int):
+    """The rfft of real cols (k, n, r) along the nodes, and the moments
+    sum_j x_j e^(i q s_j), q = -B..B: the spectrum at -q."""
+    spectrum = np.fft.rfft(cols, axis=1)
+    return spectrum, np.concatenate((spectrum[:, B::-1], spectrum[:, 1:B + 1].conj()), axis=1)
 
 
 def _cot_table(n: int) -> np.ndarray:
@@ -334,6 +516,7 @@ def _bands(jet: BoundaryJet):
             jet.eta, jet.eta_d, jet.eta_dd, jet.coeff, jet.coeff_d)), m, size)
         freq, work = np.abs(np.fft.fftfreq(size, 1 / size)).astype(int), _block_buffer(size)
         shell, p = np.maximum.outer(freq, freq), np.arange(1 - size // 2, size // 2)
+        corner = np.arange(-(size // 4), size // 4 + 1)  # holds every band with 4 B < size
         for k in curves:
             sample, largest = np.empty((2, size, size)), 0.0
             for rows, block, cot in _kernel_blocks(coarse, k, k, work):
@@ -342,13 +525,19 @@ def _bands(jet: BoundaryJet):
                 np.multiply(block.imag, w, out=sample[0, local])
                 np.multiply(block.real, w, out=sample[1, local])
                 sample[1, local] += cot * (size / n)
-            spectra = np.fft.fft2(sample) / size**2
-            spectra[1, p, -p] -= 1j * np.sign(p) / n
             rounding = np.finfo(float).eps * largest * 2 * math.pi / size
-            B = int(shell[(np.abs(spectra) > rounding).any(axis=0)].max(initial=0))
+            corners, B = [], 0
+            for part in range(2):  # one spectrum at a time: w N, then w M1
+                spectrum = np.fft.fft2(sample[part])
+                spectrum /= size**2
+                if part:
+                    spectrum[p, -p] -= 1j * np.sign(p) / n
+                B = max(B, int(shell[np.abs(spectrum) > rounding].max(initial=0)))
+                corners.append(spectrum[corner[:, None], corner])
+                del spectrum
             if 4 * B < size:
-                keep = np.arange(-B, B + 1) % size
-                bands[k] = spectra[:, keep[:, None], keep]
+                keep = np.arange(-B, B + 1) + size // 4
+                bands[k] = np.array(corners)[:, keep[:, None], keep]
             ruled_out[k] = 4 * B
     banded, B = tuple(sorted(bands)), max((len(b[0]) // 2 for b in bands.values()), default=0)
     band = [np.pad(bands[k], [(0, 0)] + [(B - len(bands[k][0]) // 2,) * 2] * 2) for k in banded]
@@ -420,7 +609,8 @@ def _factor_kernel(jet: BoundaryJet) -> _Kernel:
         np.multiply((-radii[:, None] * inverse)[:, None, :, None], ((p + q) / q)[:, None],
                     out=C[:, 1:])
         np.cumprod(C, axis=1, out=C)
-    return _Kernel(band, banded, waves, dense_n, dense_m, pairs, V, C.reshape(m * Q, m * P), T)
+    return _Kernel(band, banded, waves, dense_n, dense_m, pairs, V, C.reshape(m * Q, m * P), T,
+                   {"work": 0.0})
 
 
 def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:

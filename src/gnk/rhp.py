@@ -8,9 +8,12 @@ and dividing, f+ = (gamma + h + i mu) / A, yields boundary values of a
 function analytic in the unbounded region with f(inf) = 0; h absorbs
 exactly the part of gamma that no such function can attain, and it lies
 in the span of boundary values coming from the holes.  The solve applies
-the stored N to vectors and never forms I - N: GMRES runs for every A,
-and where the indices predict a null space of I - N, mu is the solution
-in the range of I - N, the one GMRES reaches from mu = 0.  The solve and
+the stored N to vectors: GMRES runs for every A, and where the indices
+predict a null space of I - N, mu is the solution in the range of I - N,
+the one GMRES reaches from mu = 0.  Where I - N is nonsingular, repeated
+solves on one set of operators switch to its stored factor once their
+GMRES work pays for building it; the residual gate decides every mu,
+and a factored one that fails it is solved again by GMRES.  The solve and
 everything after it read A, the indices and the boundary from the
 operators: the Cauchy integral over ``ops.jet`` extends the solution off
 the boundary, and the hole-side Plemelj value tests attainability.
@@ -57,7 +60,8 @@ def _sup(x) -> float:
 @dataclass(frozen=True)
 class SolveDiagnostics:
     """Residuals of the solve; minimal_norm says that the indices predict a
-    null space of I - N, where mu is the range-space solution."""
+    null space of I - N, where mu is the range-space solution.  iterations
+    counts GMRES's products with N, 0 where the stored factor solved it."""
 
     ie_residual: float
     h_plus_residual: float
@@ -129,16 +133,24 @@ def _gmres(N, b: np.ndarray):
 
 def _solve(ops: DiscreteOperators, gamma: np.ndarray):
     """mu of (I - N) mu = -M gamma, its sup-norm residual and the GMRES
-    products.
+    products, 0 where the operators' factor solved it.
 
-    The continuous equation is solvable for every gamma; a residual above
-    SOLVE_TOL times max(1, sup|gamma|) therefore signals discretization
-    failure, not theory failure, and the remedy is a larger n.
+    Only the regular path with a finite, nonzero right-hand side asks for
+    the factor (``ops.factored_solve``), and each GMRES solve counts its
+    work toward it (``ops.spend_gmres``).  The continuous equation is
+    solvable for every gamma; a residual above SOLVE_TOL times
+    max(1, sup|gamma|) therefore signals discretization failure, not
+    theory failure, and the remedy is a larger n.
     """
     rhs = -apply_M(ops, gamma)
-    mu, iterations = _gmres(ops.N, rhs)
-    residual = _sup(mu - ops.N @ mu - rhs)
     allowed = SOLVE_TOL * max(1.0, _sup(gamma))
+    regular = ops.index.dim_null_I_minus_N == 0 and 0.0 < _sup(rhs) < math.inf
+    mu, iterations = (ops.factored_solve(rhs) if regular else None), 0
+    residual = math.inf if mu is None else _sup(mu - ops.N @ mu - rhs)
+    if not residual <= allowed:
+        mu, iterations = _gmres(ops.N, rhs)
+        ops.spend_gmres(iterations)
+        residual = _sup(mu - ops.N @ mu - rhs)
     if not residual <= allowed:
         raise InconsistentSystem(
             f"integral equation residual {residual:.3e} exceeds {allowed:.3e}")
@@ -230,14 +242,19 @@ def field_values(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray, z):
     """field_pass on ``ops.jet`` with the on-node rule: a probe within
     MIN_DISTANCE of a node, where the Cauchy sum divides by zero or nearly,
     takes the exterior Plemelj value plemelj_boundary(+1) / A at the
-    nearest node, computed only when such a probe exists."""
+    nearest node, computed only when such a probe exists.  The nearest
+    nodes are searched in blocks of PROBE_BLOCK / m probe-node pairs, as
+    field_pass sums."""
     z = np.asarray(z, dtype=complex).ravel()
     with np.errstate(divide="ignore", invalid="ignore"):
         f, dist, turns = field_pass(ops.jet, gamma, mu, z)
-    on_node = dist < MIN_DISTANCE
-    if on_node.any():
+    on_node = np.flatnonzero(dist < MIN_DISTANCE)
+    if on_node.size:
         exterior = plemelj_boundary(ops, gamma, mu, +1) / ops.jet.coeff
-        f[on_node] = exterior[np.abs(z[on_node, None] - ops.jet.eta).argmin(axis=1)]
+        rows = max(1, PROBE_BLOCK // (ops.m * ops.size))
+        for start in range(0, on_node.size, rows):
+            block = on_node[start:start + rows]
+            f[block] = exterior[np.abs(z[block, None] - ops.jet.eta).argmin(axis=1)]
     return f, dist, turns
 
 

@@ -1,4 +1,5 @@
-"""The convergence script and the README quickstart, run as they are shipped.
+"""The convergence and solve-many scripts and the README quickstart, run as
+they are shipped.
 
 Both call the library the way a user does, so a signature change that
 breaks them fails here instead of going unnoticed.
@@ -29,6 +30,17 @@ def test_convergence_study_converges():
     mu_err = [float(row[1]) for row in rows]
     assert mu_err[0] > mu_err[1] > mu_err[2], mu_err
     assert mu_err[2] <= 1e-12, mu_err
+
+
+def test_solve_many_reports_the_build():
+    # the paths repeat on every machine: the rule reads no clock
+    proc = _run([str(ROOT / "scripts" / "solve_many.py"), "--k", "8", "--repeats", "1"])
+    assert proc.returncode == 0, proc.stderr
+    paths = {case: [line.split()[3] for line in proc.stdout.splitlines()
+                    if line.startswith(f"{case} solve")] for case in ("mixed3", "lattice16")}
+    assert paths == {"mixed3": ["gmres"] * 6 + ["factored"] * 2, "lattice16": ["gmres"] * 8}
+    assert "mixed3: factor built at solve 7, after 6 GMRES solves" in proc.stdout
+    assert "lattice16: no factor within 8 solves" in proc.stdout
 
 
 def test_readme_quickstart_runs():

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnk import coefficient, rhp
+from gnk import coefficient, discrete, rhp
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import NULLITY_TOL, apply_M, assemble_N
 from gnk.dirichlet import indicator_basis
@@ -21,6 +22,7 @@ from gnk.rhp import (
     cauchy_eval,
     compute_h,
     field_pass,
+    field_values,
     load_boundary_data,
     near_boundary_band,
     plemelj_boundary,
@@ -246,6 +248,109 @@ class TestGMRES:
         assert not solution.diagnostics.minimal_norm
         assert 0 < products < KRYLOV_MAX_ITER
         assert peak < 16 * ops.size * (products + 8)
+
+
+def _close_gallery() -> Region:
+    # the gallery's close region: the tall ellipse is near both circles
+    return Region.from_curves([ellipse(3.0, 1.0, 3.5), circle(0.5 + 2.0j, 0.6),
+                               circle(CENTERS[2], 1.2)])
+
+
+class TestFactoredSolve:
+    """The regular-path solve by the stored factor of I - N (Woodbury
+    through the bands and the far engine), which the ski-rental rule
+    builds once GMRES has spent as much work on the same operators."""
+
+    @pytest.mark.parametrize("case", [
+        "mixed-power-minus-1", "circles-one", "lattice16-one", "close-one", "ellipse30-one"])
+    def test_matches_gmres(self, case, three_circles, mixed_gallery, monkeypatch):
+        # close: near pairs join all three curves into one dense group of B;
+        # ellipse30: the ellipse's block is dense, unbanded
+        region, coeff, n = {
+            "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 256),
+            "circles-one": (three_circles, One(), 128),
+            "lattice16-one": (lattice16(), One(), 64),
+            "close-one": (_close_gallery(), One(), 128),
+            "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512),
+        }[case]
+        gamma = band_limited(np.random.default_rng(21), region.m, n, band=6)
+        reference = solve_rhp(assemble_N(region, coeff, ParamGrid(n)), gamma)
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)  # build on the first solve
+        ops = assemble_N(region, coeff, ParamGrid(n))
+        factored = solve_rhp(ops, gamma)
+        store = ops.N.store
+        if case == "close-one":
+            assert {(0, 1), (0, 2)} <= set(store.pairs)
+        if case == "ellipse30-one":
+            assert 0 not in store.banded
+        assert reference.diagnostics.iterations > 0 and factored.diagnostics.iterations == 0
+        for value, oracle in ((factored.mu, reference.mu), (factored.h, reference.h),
+                              (factored.f_plus, reference.f_plus)):
+            assert np.all(np.abs(value - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
+        assert factored.diagnostics.ie_residual <= SOLVE_TOL * max(1.0, np.abs(gamma).max())
+
+    def test_never_factors_off_the_regular_path(self, three_circles, grid64, monkeypatch):
+        # the singular path, a dense N in place of the stored one, and zero
+        # or NaN data run GMRES even where the factor is free
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
+        builds = count_calls(monkeypatch, discrete, "_Factor")
+        gamma = band_limited(np.random.default_rng(21), 3, 64, band=6)
+        singular = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
+        assert solve_rhp(singular, gamma).diagnostics.iterations > 0
+        regular = assemble_N(three_circles, One(), grid64)
+        dense = dataclasses.replace(regular, N=np.asarray(regular.N))
+        assert solve_rhp(dense, gamma).diagnostics.iterations > 0
+        data = np.zeros(regular.size)
+        assert np.abs(solve_rhp(regular, data).mu).max() == 0.0
+        data[5] = np.nan
+        with pytest.raises(InconsistentSystem):
+            solve_rhp(regular, data)
+        assert builds == []
+        assert solve_rhp(regular, gamma).diagnostics.iterations == 0
+        assert builds == ["_Factor"]
+
+    @pytest.mark.parametrize("gallery", ["circle", "circles", "mixed", "lattice16"])
+    def test_first_solve_never_factors(self, gallery, three_circles, mixed_gallery,
+                                       monkeypatch):
+        # no GMRES work is spent before it, and the factor's cost is positive
+        region = {"circle": Region.from_curves([circle(0.0, 1.0)]), "circles": three_circles,
+                  "mixed": mixed_gallery, "lattice16": lattice16()}[gallery]
+        builds = count_calls(monkeypatch, discrete, "_Factor")
+        ops = assemble_N(region, One(), ParamGrid(64))
+        gamma = band_limited(np.random.default_rng(3), region.m, 64, band=6)
+        assert solve_rhp(ops, gamma).diagnostics.iterations > 0
+        assert builds == []
+
+    def test_fresh_assemblies_repeat_bit_for_bit(self, mixed_gallery):
+        # the rule counts work from shapes and products, not from a clock
+        gammas = [band_limited(np.random.default_rng(seed), 3, 128, band=6)
+                  for seed in range(12)]
+        runs = []
+        for _ in range(2):
+            ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], -1), ParamGrid(128))
+            runs.append([solve_rhp(ops, gamma) for gamma in gammas])
+        paths = [[s.diagnostics.iterations == 0 for s in run] for run in runs]
+        assert paths[0] == paths[1]
+        assert not paths[0][0] and paths[0][-1]
+        for first, second in zip(*runs):
+            assert np.array_equal(first.mu, second.mu)
+            assert np.array_equal(first.f_plus, second.f_plus)
+
+    def test_gate_failure_reruns_gmres(self, three_circles, grid64, monkeypatch):
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
+        monkeypatch.setattr(discrete._Factor, "solve", lambda self, b: b)  # a wrong mu
+        gamma = band_limited(np.random.default_rng(21), 3, 64, band=6)
+        solution = solve_rhp(assemble_N(three_circles, One(), grid64), gamma)
+        assert solution.diagnostics.iterations > 0
+        assert solution.diagnostics.ie_residual <= SOLVE_TOL * max(1.0, np.abs(gamma).max())
+
+    def test_build_peak_is_bounded(self, mixed_gallery):
+        # n = 512, every curve banded, no near pair: the factor keeps S^-1
+        # (240 square) and the band rows of each curve's delta, 0.57 MB, and
+        # forms no n-row B^-1 L; the build peaks at 1.22 MB measured
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], -1), ParamGrid(512))
+        assert ops.N.store.banded == (0, 1, 2) and ops.N.store.pairs == ()
+        assert traced_peak(lambda: discrete._Factor(ops.N.store)) <= 1.8 * 2**20
 
 
 class TestEccentricHoles:
@@ -489,6 +594,24 @@ class TestFieldPass:
                 peak = traced_peak(lambda: field_pass(jet, gamma, mu, z))
                 assert peak <= 3 * 16 * PROBE_BLOCK + outputs
                 assert peak - outputs <= 24 * PROBE_BLOCK // jet.m + 2**20
+
+
+class TestOnNodeRule:
+    def test_peak_is_linear_in_the_node_count(self, three_circles):
+        # every node a probe: the nearest-node search runs in blocks of
+        # PROBE_BLOCK / m pairs, so beyond field_pass's own block (24 bytes
+        # a pair) the peak grows only with the O(N) outputs, series powers
+        # and Plemelj values, 1.2 KB a node measured.  A search over
+        # (on-node probes x N) pairs took 13.6, 54.1 and 216.2 MB here
+        for n in (256, 512, 1024):
+            ops = assemble_N(three_circles, One(), ParamGrid(n))
+            rng = np.random.default_rng(1)
+            gamma, mu = rng.normal(size=ops.size), rng.normal(size=ops.size)
+            z = ops.jet.eta.copy()
+            peak = traced_peak(lambda: field_values(ops, gamma, mu, z))
+            assert peak <= 24 * PROBE_BLOCK // ops.m + 2**20 + 2048 * ops.size
+            f, _, _ = field_values(ops, gamma, mu, z)
+            assert np.array_equal(f, plemelj_boundary(ops, gamma, mu, +1) / ops.jet.coeff)
 
 
 class TestPlemelj:
