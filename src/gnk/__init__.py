@@ -60,7 +60,6 @@ from gnk.mobius import (
 from gnk.rhp import (
     RHSolution,
     cauchy_eval,
-    compute_h,
     load_boundary_data,
     plemelj_boundary,
     solve_rhp,

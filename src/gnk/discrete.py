@@ -21,7 +21,8 @@ T_l C_lk V_k, the Laurent moments V_k of source curve k, their translation
 C_lk to Taylor coefficients about target curve l, and the Taylor powers
 T_l at l's nodes, each series truncated below 1e-16.  ``ops.N`` and
 ``ops.M`` are real-linear operators over that storage, which only this
-module reads; ``ops.kernel_block`` reads it back by the same blocks.
+module reads: one product applies either or both, and ``ops.apply_MN``
+both in one pass; ``ops.kernel_block`` reads it back by the same blocks.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -129,6 +130,14 @@ class DiscreteOperators:
         out.real, out.imag = np.asarray(self.M)[rows, cols], np.asarray(self.N)[rows, cols]
         return out
 
+    def apply_MN(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(M x, N x) for x of shape (N,) or (N, k): one pass over the stored
+        kernel, bit for bit the two products, which a replaced N or M takes."""
+        store = getattr(self.N, "store", None)
+        if store is None or getattr(self.M, "store", None) is not store:
+            return apply_M(self, x), self.N @ x
+        return tuple(store.product(np.asarray(x), (np.imag, np.real), False)[::-1])
+
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + np.asarray(self.N)
 
@@ -199,33 +208,39 @@ class _Kernel:
     taylor: np.ndarray
     factor_state: dict
 
-    def product(self, x: np.ndarray, part, transpose: bool) -> np.ndarray:
-        """A x, or A^T x, for real x of shape (N, k), A the part (np.imag
-        for w N, np.real for M): the bands (transposed for A^T) in one
-        batched product between one rfft and one irfft; each dense pair on
-        its own; the far pairs by moments, one translation and Taylor sums
-        (in reverse)."""
-        dense = self.dense_n if part is np.imag else self.dense_m
-        m, n, _ = self.taylor.shape
-        cols, curves = x.reshape(m, n, x.shape[1]), list(self.banded)
-        band, out = self.band[:, int(part is np.real)], np.zeros(cols.shape)
-        band, B = band.transpose(0, 2, 1) if transpose else band, len(self.waves) // 2
+    def product(self, x: np.ndarray, parts: tuple, transpose: bool) -> np.ndarray:
+        """A x, or A^T x, stacked over the parts A in ``parts`` (np.imag for w N
+        before np.real for M, as ``band`` holds them), for x of shape (N,) or
+        (N, k), complex x by parts.  The rfft, band moments and far engine run
+        once; per part run the band (transposed for A^T) in one batched
+        product, M's circulant, one irfft over the parts and the dense pairs."""
+        if np.iscomplexobj(x):
+            return (self.product(x.real, parts, transpose)
+                    + 1j * self.product(x.imag, parts, transpose))
+        kinds, (m, n, _) = [int(part is np.real) for part in parts], self.taylor.shape
+        cols = x.reshape(len(x), -1).reshape(m, n, -1)
+        curves = slice(None) if len(self.banded) == m else list(self.banded)  # all: no copy
+        band, B = self.band[:, kinds[0]:kinds[-1] + 1].swapaxes(0, 1), len(self.waves) // 2
+        band, out = band.swapaxes(2, 3) if transpose else band, np.zeros((len(kinds),) + cols.shape)
         spectrum, moments = _band_moments(cols[curves], B)
         # minus M's circulant, plus it for M^T; irfft drops imaginary 0 and n / 2 terms
-        image = spectrum * ((-1j if transpose else 1j) if part is np.real else 0)
-        image[:, :B + 1] += n * (band[:, B:] @ moments)
-        out[curves] = np.fft.irfft(image, n, axis=1)
-        for (t, k), block in zip(self.pairs, dense):
-            if transpose:
-                t, k, block = k, t, block.T
-            out[t] += block @ cols[k]
+        image = np.multiply.outer([(0, -1j if transpose else 1j)[k] for k in kinds], spectrum)
+        image[:, :, :B + 1] += n * (band[:, :, B:] @ moments)
+        out[:, curves] = np.fft.irfft(image, n, axis=2)
+        for kind, total in zip(kinds, out):
+            for (t, k), block in zip(self.pairs, self.dense_m if kind else self.dense_n):
+                if transpose:
+                    t, k, block = k, t, block.T
+                total[t] += block @ cols[k]
         if self.C.size:  # some pair is far
             first, C, last = (self.V, self.C, self.taylor)
             if transpose:
                 first, C, last = last.transpose(0, 2, 1), C.T, first.transpose(0, 2, 1)
-            moved = C @ np.matmul(first, cols).reshape(-1, x.shape[1])
-            out += part(np.matmul(last, moved.reshape(m, -1, x.shape[1])))
-        return out.reshape(x.shape)
+            moved = C @ np.matmul(first, cols).reshape(-1, cols.shape[2])
+            far = np.matmul(last, moved.reshape(m, -1, cols.shape[2]))
+            for part, total in zip(parts, out):
+                total += part(far)
+        return out.reshape((len(kinds),) + x.shape)
 
     def block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
         """The stored M + iN at the target ``rows``, inside one curve, and
@@ -271,10 +286,10 @@ class KernelPart:
         return (m * n, m * n)
 
     def __matmul__(self, x) -> np.ndarray:
-        return self._product(np.asarray(x), False)
+        return self.store.product(np.asarray(x), (self.part,), False)[0]
 
     def __rmatmul__(self, y) -> np.ndarray:
-        return self._product(np.asarray(y).T, True).T
+        return self.store.product(np.asarray(y).T, (self.part,), True)[0].T
 
     def __array__(self, *args, **kwargs) -> np.ndarray:
         (size, _), n = self.shape, self.store.taylor.shape[1]
@@ -283,13 +298,6 @@ class KernelPart:
             rows = slice(t * n, (t + 1) * n)
             dense[rows, k * n:(k + 1) * n] = self.part(self.store.block(rows, k, work))
         return np.asarray(dense, *args)
-
-    def _product(self, x: np.ndarray, transpose: bool) -> np.ndarray:
-        """A x, or A^T x, for x of shape (N,) or (N, k)."""
-        if np.iscomplexobj(x):
-            return self._product(x.real, transpose) + 1j * self._product(x.imag, transpose)
-        product = self.store.product(x.reshape(len(x), -1), self.part, transpose)
-        return product.reshape(x.shape)
 
 
 class _Factor:
@@ -637,15 +645,12 @@ def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
     """Sup-norm residuals of N^2 - M^2 = I and NM + MN = 0 on phi, samples
-    of shape (N,) or (N, k): the k columns go through N and M as one
-    product each, and N phi and M phi side by side as one more."""
+    of shape (N,) or (N, k): the k columns go through M and N in one pass,
+    and N phi and M phi side by side in one more."""
     phi = np.asarray(phi).reshape(ops.size, -1)
-    k = phi.shape[1]
-    images = np.hstack((ops.N @ phi, apply_M(ops, phi)))
-    n_images, m_images = ops.N @ images, apply_M(ops, images)
-    r1 = n_images[:, :k] - m_images[:, k:] - phi
-    r2 = n_images[:, k:] + m_images[:, :k]
-    return float(np.abs(r1).max()), float(np.abs(r2).max())
+    m_phi, n_phi = ops.apply_MN(phi)
+    (m_n, m_m), (n_n, n_m) = (np.hsplit(a, 2) for a in ops.apply_MN(np.hstack((n_phi, m_phi))))
+    return float(np.abs(n_n - m_m - phi).max()), float(np.abs(n_m + m_n).max())
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class Curve:
         coeffs = np.asarray(self.coeffs, dtype=complex).ravel()
         if powers.shape != coeffs.shape:
             raise ValueError("powers and coeffs must have equal length")
-        if len(np.unique(powers)) != len(powers):
+        if len(set(powers.tolist())) != len(powers):
             raise ValueError("duplicate Fourier powers")
         _require_finite(coeffs, "curve coefficients")
         object.__setattr__(self, "powers", powers)

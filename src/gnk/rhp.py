@@ -12,11 +12,13 @@ the stored N to vectors: GMRES runs for every A, and where the indices
 predict a null space of I - N, mu is the solution in the range of I - N,
 the one GMRES reaches from mu = 0.  Where I - N is nonsingular, repeated
 solves on one set of operators switch to its stored factor once their
-GMRES work pays for building it; the residual gate decides every mu,
-and a factored one that fails it is solved again by GMRES.  The solve and
-everything after it read A, the indices and the boundary from the
-operators: the Cauchy integral over ``ops.jet`` extends the solution off
-the boundary, and the hole-side Plemelj value tests attainability.
+GMRES work pays for building it; the residual gate decides every mu, and
+a factored one that fails it is solved again by GMRES.  Besides GMRES's
+products, a solve makes one pass over the stored kernel for each of
+gamma, mu and h, which gives both M and N of it (``ops.apply_MN``).  The
+solve and everything after it read A, the indices and the boundary from
+the operators: the Cauchy integral over ``ops.jet`` extends the solution
+off the boundary, and the hole-side Plemelj value tests attainability.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnk.discrete import DiscreteOperators, apply_M
+from gnk.discrete import DiscreteOperators
 from gnk.errors import InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import (MIN_DISTANCE, ParamGrid, Region, _as_complex, _fourier_curve,
                           _json_array, _json_number, _json_object, _parse_json_source,
@@ -132,8 +134,9 @@ def _gmres(N, b: np.ndarray):
 
 
 def _solve(ops: DiscreteOperators, gamma: np.ndarray):
-    """mu of (I - N) mu = -M gamma, its sup-norm residual and the GMRES
-    products, 0 where the operators' factor solved it.
+    """mu of (I - N) mu = -M gamma, its sup-norm residual, the GMRES
+    products (0 where the operators' factor solved it) and the correction
+    h = (M mu - (I - N) gamma) / 2, from one pass over gamma and one over mu.
 
     Only the regular path with a finite, nonzero right-hand side asks for
     the factor (``ops.factored_solve``), and each GMRES solve counts its
@@ -142,48 +145,40 @@ def _solve(ops: DiscreteOperators, gamma: np.ndarray):
     max(1, sup|gamma|) therefore signals discretization failure, not
     theory failure, and the remedy is a larger n.
     """
-    rhs = -apply_M(ops, gamma)
-    allowed = SOLVE_TOL * max(1.0, _sup(gamma))
+    (m_gamma, n_gamma), allowed = ops.apply_MN(gamma), SOLVE_TOL * max(1.0, _sup(gamma))
+    rhs = -m_gamma
     regular = ops.index.dim_null_I_minus_N == 0 and 0.0 < _sup(rhs) < math.inf
-    mu, iterations = (ops.factored_solve(rhs) if regular else None), 0
-    residual = math.inf if mu is None else _sup(mu - ops.N @ mu - rhs)
+    mu, iterations, residual = (ops.factored_solve(rhs) if regular else None), 0, math.inf
+    if mu is not None:
+        m_mu, n_mu = ops.apply_MN(mu)
+        residual = _sup(mu - n_mu - rhs)
     if not residual <= allowed:
         mu, iterations = _gmres(ops.N, rhs)
         ops.spend_gmres(iterations)
-        residual = _sup(mu - ops.N @ mu - rhs)
+        m_mu, n_mu = ops.apply_MN(mu)
+        residual = _sup(mu - n_mu - rhs)
     if not residual <= allowed:
         raise InconsistentSystem(
             f"integral equation residual {residual:.3e} exceeds {allowed:.3e}")
-    return mu, residual, iterations
-
-
-def compute_h(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Correction h = (M mu - (I - N) gamma) / 2; real for real inputs."""
-    gamma = np.asarray(gamma, dtype=float)
-    return (apply_M(ops, mu) - gamma + ops.N @ gamma) / 2.0
+    return mu, residual, iterations, (m_mu - gamma + n_gamma) / 2.0
 
 
 def verify_Sminus(ops: DiscreteOperators, h: np.ndarray):
     """Residuals ((I + N) h, M h); both vanish for h in the hole-side span."""
     h = np.asarray(h, dtype=float)
-    return _sup(h + ops.N @ h), _sup(apply_M(ops, h))
+    m_h, n_h = ops.apply_MN(h)
+    return _sup(h + n_h), _sup(m_h)
 
 
 def solve_rhp(ops: DiscreteOperators, gamma: np.ndarray) -> RHSolution:
     """Full pipeline: solve for mu, form h, f+ = (gamma + h + i mu) / A."""
     gamma = np.asarray(gamma, dtype=float)
-    mu, ie_residual, iterations = _solve(ops, gamma)
-    h = compute_h(ops, gamma, mu)
-    f_plus = (gamma + h + 1j * mu) / ops.jet.coeff
+    mu, ie_residual, iterations, h = _solve(ops, gamma)
     r_plus, r_m = verify_Sminus(ops, h)
     diagnostics = SolveDiagnostics(
-        ie_residual=ie_residual,
-        h_plus_residual=r_plus,
-        h_companion_residual=r_m,
-        minimal_norm=ops.index.dim_null_I_minus_N > 0,
-        iterations=iterations,
-    )
-    return RHSolution(gamma, mu, h, f_plus, diagnostics)
+        ie_residual=ie_residual, h_plus_residual=r_plus, h_companion_residual=r_m,
+        minimal_norm=ops.index.dim_null_I_minus_N > 0, iterations=iterations)
+    return RHSolution(gamma, mu, h, (gamma + h + 1j * mu) / ops.jet.coeff, diagnostics)
 
 
 def near_boundary_band(jet: BoundaryJet) -> float:
@@ -295,7 +290,8 @@ def plemelj_boundary(ops: DiscreteOperators, gamma: np.ndarray, mu: np.ndarray,
     if side not in (+1, -1):
         raise ValueError("side must be +1 or -1")
     c = np.asarray(gamma, dtype=float) + 1j * np.asarray(mu, dtype=float)
-    return (side * c + ops.N @ c - 1j * apply_M(ops, c)) / 2.0
+    m_c, n_c = ops.apply_MN(c)
+    return (side * c + n_c - 1j * m_c) / 2.0
 
 
 def _rational_boundary(eta: np.ndarray, terms) -> np.ndarray:

@@ -19,7 +19,8 @@ meet, derived from the oracle's own rounding, and the region
 validation that samples every winding, which the enclosing-disc
 screening replaced.  ``perturbed_circle`` builds the star-like curves of
 the galleries.  ``count_calls`` counts the calls of a library function
-under every name the package binds it to.  ``attainability_residual`` and
+under every name the package binds it to, and ``count_passes`` the passes
+over the stored kernel.  ``attainability_residual`` and
 ``transform_solution`` restate, in the tests' terms, the hole-side Plemelj
 test and the Mobius substitution f_hat(w) = f(z) (z - z0).  ``capacity``
 reads the logarithmic capacity of the holes off the Dirichlet constants
@@ -41,7 +42,7 @@ import numpy as np
 from gnk import coefficient as coefficient_mod
 from gnk.coefficient import One
 from gnk.dirichlet import solve_modified_dirichlet
-from gnk.discrete import NULLITY_TOL, _block_buffer, _kernel_blocks, assemble_N
+from gnk.discrete import NULLITY_TOL, _block_buffer, _Kernel, _kernel_blocks, assemble_N
 from gnk.errors import GnkError
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle)
@@ -313,6 +314,21 @@ def count_calls(monkeypatch, owner, name: str) -> list:
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def count_passes(monkeypatch) -> list:
+    """Wrap the one product of the stored kernel; the returned list grows by
+    the number of parts per pass over the storage, a call on real samples
+    (a complex call makes one for each of its real and imaginary parts)."""
+    passes, product = [], _Kernel.product
+
+    def counted(store, x, parts, transpose):
+        if not np.iscomplexobj(x):
+            passes.append(len(parts))
+        return product(store, x, parts, transpose)
+
+    monkeypatch.setattr(_Kernel, "product", counted)
+    return passes
 
 
 def traced_peak(call) -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from helpers import (
     band_tolerance,
     conjugation_matrix,
     count_calls,
+    count_passes,
     dense_nullity,
     dense_weighted_M1,
     dense_weighted_kernels,
@@ -439,6 +441,60 @@ class TestComplexProducts:
             assert np.abs(apply(c) - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+class TestJointPass:
+    """ops.apply_MN: M x and N x from one pass over the stored kernel, bit
+    for bit the one-part products, and M^T and N^T likewise; a replaced N
+    takes the two products."""
+
+    @pytest.fixture(scope="class", params=["mixed", "unbanded", "close", "dense-N"])
+    def ops(self, request, mixed_gallery):
+        region, n = {
+            "mixed": (mixed_gallery, 512),
+            "unbanded": (_ellipse_beside_circle(10.0), 128),
+            "close": (load_region(FILES["region_close.json"]), 128),
+            "dense-N": (mixed_gallery, 64),
+        }[request.param]
+        ops = assemble_N(region, ShiftedPower(region.hole_points[-1], -1), ParamGrid(n))
+        store = ops.N.store
+        if request.param == "mixed":  # every curve banded, every pair far
+            assert store.banded == (0, 1, 2) and store.pairs == () and store.C.size
+        if request.param == "unbanded":  # the ellipse's block is dense
+            assert store.banded == (1,) and store.pairs == ((0, 0),)
+        if request.param == "close":  # the tall ellipse is near both circles
+            assert {(0, 1), (0, 2)} <= set(store.pairs)
+        if request.param == "dense-N":
+            return dataclasses.replace(ops, N=np.asarray(ops.N))
+        return ops
+
+    @pytest.mark.parametrize("columns", [None, 1, 5], ids=["vector", "k1", "stacked"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_the_one_part_products(self, ops, columns, dtype):
+        rng = np.random.default_rng(4)
+        shape = (ops.size,) if columns is None else (ops.size, columns)
+        x = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            x += 1j * rng.standard_normal(shape)
+        m_x, n_x = ops.apply_MN(x)
+        assert m_x.shape == n_x.shape == x.shape and m_x.dtype == n_x.dtype == x.dtype
+        assert np.array_equal(m_x, ops.M @ x) and np.array_equal(n_x, ops.N @ x)
+
+    @pytest.mark.parametrize("rows", [None, 1, 5], ids=["vector", "k1", "stacked"])
+    def test_transposed_pass_matches_y_at_A(self, ops, rows):
+        # the joint pass from the left, against y @ A for each stored part
+        store = ops.M.store
+        y = np.random.default_rng(6).standard_normal(
+            (ops.size,) if rows is None else (rows, ops.size))
+        n_y, m_y = store.product(y.T, (np.imag, np.real), True)
+        assert np.array_equal(n_y.T, y @ discrete.KernelPart(store, np.imag))
+        assert np.array_equal(m_y.T, y @ ops.M)
+
+    def test_one_pass_each(self, ops, monkeypatch):
+        passes = count_passes(monkeypatch)
+        ops.apply_MN(np.ones(ops.size))
+        # beside a dense N, the stored M makes a pass of its own
+        assert passes == ([1] if isinstance(ops.N, np.ndarray) else [2])
+
+
 class TestApplyM:
     def test_circle_cos_to_minus_sin(self, circle_ops):
         s = ParamGrid(64).nodes
@@ -499,6 +555,12 @@ class TestOperatorIdentities:
 
     def test_zero_input(self, gallery_ops):
         assert operator_identity_residuals(gallery_ops, np.zeros(gallery_ops.size)) == (0.0, 0.0)
+
+    def test_two_passes(self, gallery_ops, monkeypatch):
+        # M phi with N phi, then M and N of both side by side
+        passes = count_passes(monkeypatch)
+        operator_identity_residuals(gallery_ops, np.ones((gallery_ops.size, 5)))
+        assert passes == [2, 2]
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stacked_probes_match_column_by_column(self, gallery_ops, dtype):

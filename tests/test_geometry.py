@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -82,6 +84,29 @@ class TestCurveInput:
     def test_duplicate_powers_rejected(self):
         with pytest.raises(ValueError, match="duplicate Fourier powers"):
             Curve(powers=[0, -1, 0], coeffs=[1.0, 1.0, 2.0])
+
+    def test_pipeline_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use (numpy 2.4), about 15 ms
+        # and 1 MB in every process; the duplicate check and the pipeline
+        # after it need no masked arrays
+        code = """if True:
+            import sys
+            import numpy as np
+            import gnk
+            region = gnk.load_region({"curves": [
+                {"type": "circle", "center": [3.0, 0.0], "radius": 1.0},
+                {"type": "ellipse", "center": [-2.0, 2.5], "a": 1.2, "b": 0.7}]})
+            grid = gnk.ParamGrid(64)
+            assert gnk.validate_region(region, grid).ok
+            ops = gnk.assemble_N(region, gnk.One(), grid)
+            gnk.solve_rhp(ops, np.cos(np.arange(ops.size)))
+            print("numpy.ma" in sys.modules)
+        """
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     @pytest.mark.parametrize("power", [-1.7, 0.5, math.nan, math.inf])
     def test_non_integer_power_rejected(self, power):

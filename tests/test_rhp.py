@@ -20,7 +20,6 @@ from gnk.rhp import (
     SOLVE_TOL,
     _gmres,
     cauchy_eval,
-    compute_h,
     field_pass,
     field_values,
     load_boundary_data,
@@ -30,8 +29,8 @@ from gnk.rhp import (
     verify_Sminus,
 )
 from conftest import CENTERS, POLE_AMPLITUDES, oracle_boundary, oracle_terms
-from helpers import (attainability_residual, band_limited, count_calls, lattice16,
-                     rational_values, traced_peak)
+from helpers import (attainability_residual, band_limited, count_calls, count_passes,
+                     lattice16, rational_values, traced_peak)
 
 TWO_PI = 2.0 * np.pi
 
@@ -353,6 +352,40 @@ class TestFactoredSolve:
         assert traced_peak(lambda: discrete._Factor(ops.N.store)) <= 1.8 * 2**20
 
 
+class TestPassesOverTheKernel:
+    """After the solve, solve_rhp makes one joint pass over the stored kernel
+    for each of gamma, mu and h: M gamma for the right-hand side with N gamma
+    for h, the gate's N mu with M mu for h, and both of h for its checks."""
+
+    @pytest.fixture()
+    def mixed_ops(self, mixed_gallery):
+        return assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], -1), ParamGrid(128))
+
+    def test_factored_solve_makes_three(self, mixed_ops, monkeypatch):
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)  # build on the first solve
+        passes = count_passes(monkeypatch)
+        solution = solve_rhp(mixed_ops, band_limited(np.random.default_rng(2), 3, 128, band=6))
+        assert solution.diagnostics.iterations == 0
+        assert passes == [2, 2, 2]
+
+    @pytest.mark.parametrize("power", [-1, 1], ids=["regular", "singular"])
+    def test_gmres_solve_makes_iterations_plus_three(self, mixed_gallery, power, monkeypatch):
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], power), ParamGrid(128))
+        passes = count_passes(monkeypatch)
+        solution = solve_rhp(ops, band_limited(np.random.default_rng(2), 3, 128, band=6))
+        iterations = solution.diagnostics.iterations
+        assert iterations > 0 and solution.diagnostics.minimal_norm == (power == 1)
+        assert passes == [2] + [1] * iterations + [2, 2]
+
+    def test_plemelj_boundary_makes_two(self, mixed_ops, monkeypatch):
+        # one for each of the real and imaginary parts of gamma + i mu
+        passes = count_passes(monkeypatch)
+        rng = np.random.default_rng(3)
+        plemelj_boundary(mixed_ops, rng.standard_normal(mixed_ops.size),
+                         rng.standard_normal(mixed_ops.size), -1)
+        assert passes == [2, 2]
+
+
 class TestEccentricHoles:
     """Shifted power +1 about an ellipse beside a circle: the predicted null
     singular value of I - N sits at 1.8e-9 (a/b = 30, n = 512), 6e-17
@@ -378,20 +411,29 @@ class TestEccentricHoles:
 
 
 class TestComputeH:
+    """The correction h = (M mu - (I - N) gamma) / 2 that solve_rhp forms."""
+
     def test_attainable_data_needs_no_correction(self, circle_ops):
         s = ParamGrid(64).nodes
-        h = compute_h(circle_ops, np.cos(s), np.sin(s))
+        h = solve_rhp(circle_ops, np.cos(s)).h
         assert np.abs(h).max() <= 1e-10
 
     def test_indicator_data_is_fully_absorbed(self, gallery_ops, three_circles, grid128):
+        # M chi = 0, so mu = 0 and h = -chi
         chi = indicator_basis(three_circles, grid128)[0]
-        mu = np.zeros_like(chi)
-        h = compute_h(gallery_ops, chi, mu)
-        assert np.abs(h + chi).max() <= 1e-10
+        solution = solve_rhp(gallery_ops, chi)
+        assert np.abs(solution.mu).max() <= 1e-10
+        assert np.abs(solution.h + chi).max() <= 1e-10
 
     def test_zero(self, gallery_ops):
-        size = gallery_ops.size
-        assert np.abs(compute_h(gallery_ops, np.zeros(size), np.zeros(size))).max() == 0.0
+        assert np.abs(solve_rhp(gallery_ops, np.zeros(gallery_ops.size)).h).max() == 0.0
+
+    def test_h_is_the_formula_of_the_solved_mu(self, gallery_ops):
+        rng = np.random.default_rng(12)
+        gamma = band_limited(rng, 3, 128, band=8)
+        solution = solve_rhp(gallery_ops, gamma)
+        expected = (gallery_ops.M @ solution.mu - gamma + gallery_ops.N @ gamma) / 2.0
+        assert np.array_equal(solution.h, expected)
 
     def test_h_lies_in_S_minus(self, gallery_ops):
         rng = np.random.default_rng(11)
