@@ -26,7 +26,6 @@ from gnk.dirichlet import (
 )
 from gnk.discrete import (
     DiscreteOperators,
-    apply_M,
     assemble_N,
     nullity,
     operator_identity_residuals,

@@ -19,10 +19,11 @@ Every other pair is far: a one-level fast multipole method with the holes
 as boxes (Greengard & Rokhlin, J. Comput. Phys. 73, 1987) stores it as
 T_l C_lk V_k, the Laurent moments V_k of source curve k, their translation
 C_lk to Taylor coefficients about target curve l, and the Taylor powers
-T_l at l's nodes, each series truncated below 1e-16.  ``ops.N`` and
-``ops.M`` are real-linear operators over that storage, which only this
-module reads: one product applies either or both, and ``ops.apply_MN``
-both in one pass; ``ops.kernel_block`` reads it back by the same blocks.
+T_l at l's nodes, each series truncated below 1e-16.  ``ops.kernel`` is
+that storage, which only this module reads, and ``ops.N`` and ``ops.M``
+are its two real-linear parts: one product applies either or both, and
+``ops.apply_MN`` both in one pass; ``ops.kernel_block`` reads it back by
+the same blocks.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
@@ -83,24 +84,23 @@ class DiscreteOperators:
     """Nystrom operators for one (region, coefficient, grid) triple.
 
     ``jet`` is the sampled boundary, and it owns the grid: ``n``, ``size``
-    and ``weight`` read it.  ``N`` is the weighted generalized Neumann
-    matrix w N(s_i, t_j); ``M`` the companion matrix: w M on cross-curve
-    blocks, w M1 minus the alternate-point conjugation on same-curve ones.
-    Both are :class:`KernelPart` operators over one factored storage; the
-    solve and the count need of ``N`` only ``shape`` and ``@``, which a
-    dense array has too.  ``index`` holds the indices of the coefficient,
-    which predict the nullities of I +- N.  Assembled operators are safe to
-    share: their arrays never change, and applications are pure.  The one
-    mutable part is the lazily built solve factor with the GMRES work it
-    waits on (:meth:`factored_solve`): two threads may both build it, and
-    either factor's results, like GMRES's, must meet the solve's gate.
+    and ``weight`` read it.  ``kernel`` stores the weighted complex kernel
+    M + iN once, and ``N`` and ``M`` are its parts as :class:`KernelPart`
+    operators: ``N`` the weighted generalized Neumann matrix w N(s_i, t_j),
+    ``M`` the companion matrix, w M on cross-curve blocks, w M1 minus the
+    alternate-point conjugation on same-curve ones.  ``index`` holds the
+    indices of the coefficient, which predict the nullities of I +- N.
+    Assembled operators are safe to share: their arrays never change, and
+    applications are pure.  The one mutable part is the lazily built solve
+    factor with the GMRES work it waits on (:meth:`factored_solve`): two
+    threads may both build it, and either factor's results, like GMRES's,
+    must meet the solve's gate.
     """
 
     region: Region
     coeff: object
     jet: BoundaryJet
-    N: "KernelPart"
-    M: "KernelPart"
+    kernel: "_Kernel"
     index: IndexReport
 
     @property
@@ -119,24 +119,23 @@ class DiscreteOperators:
     def weight(self) -> float:
         return self.jet.weight
 
+    @property
+    def N(self) -> "KernelPart":
+        return KernelPart(self.kernel, np.imag)
+
+    @property
+    def M(self) -> "KernelPart":
+        return KernelPart(self.kernel, np.real)
+
     def kernel_block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
         """M + iN (w N the imaginary part) at the target ``rows``, inside one
-        curve, and source curve k's columns, in the first rows of ``out``:
-        from the factored storage, or dense copies of a replaced N or M."""
-        store = getattr(self.N, "store", None)
-        if store is not None and getattr(self.M, "store", None) is store:
-            return store.block(rows, k, out)
-        cols, out = slice(k * self.n, (k + 1) * self.n), out[:rows.stop - rows.start]
-        out.real, out.imag = np.asarray(self.M)[rows, cols], np.asarray(self.N)[rows, cols]
-        return out
+        curve, and source curve k's columns, in the first rows of ``out``."""
+        return self.kernel.block(rows, k, out)
 
     def apply_MN(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M x, N x) for x of shape (N,) or (N, k): one pass over the stored
-        kernel, bit for bit the two products, which a replaced N or M takes."""
-        store = getattr(self.N, "store", None)
-        if store is None or getattr(self.M, "store", None) is not store:
-            return apply_M(self, x), self.N @ x
-        return tuple(store.product(np.asarray(x), (np.imag, np.real), False)[::-1])
+        kernel, bit for bit the two products."""
+        return tuple(self.kernel.product(np.asarray(x), (np.imag, np.real), False)[::-1])
 
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + np.asarray(self.N)
@@ -146,28 +145,23 @@ class DiscreteOperators:
 
     def factored_solve(self, rhs: np.ndarray) -> np.ndarray | None:
         """x of (I - N) x = rhs, real of shape (N,), by the stored factor,
-        or None: for a replaced N, and until the GMRES work spent on these
-        operators (:meth:`spend_gmres`) reaches FACTOR_RENT times the
-        factor's own cost.  The first call past that builds the factor; a
-        singular B or S leaves none.  Only a nonsingular I - N may ask."""
-        store = getattr(self.N, "store", None)
-        if store is None:
-            return None
-        state = store.factor_state
-        if "factor" not in state and state["work"] >= FACTOR_RENT * _factor_madds(store):
+        or None until the GMRES work spent on these operators
+        (:meth:`spend_gmres`) reaches FACTOR_RENT times the factor's own
+        cost.  The first call past that builds the factor; a singular B or
+        S leaves none.  Only a nonsingular I - N may ask."""
+        state = self.kernel.factor_state
+        if "factor" not in state and state["work"] >= FACTOR_RENT * _factor_madds(self.kernel):
             try:
-                state["factor"] = _Factor(store)
+                state["factor"] = _Factor(self.kernel)
             except np.linalg.LinAlgError:
                 state["factor"] = None
         return state["factor"].solve(rhs) if state.get("factor") else None
 
     def spend_gmres(self, products: int) -> None:
-        """Count a GMRES solve of ``products`` products with the stored N,
-        Arnoldi included, toward building its factor."""
-        store = getattr(self.N, "store", None)
-        if store is not None:
-            store.factor_state["work"] += products * (
-                _product_madds(store) + 2 * (products + 1) * self.size)
+        """Count a GMRES solve of ``products`` products with N, Arnoldi
+        included, toward building its factor."""
+        self.kernel.factor_state["work"] += products * (
+            _product_madds(self.kernel) + 2 * (products + 1) * self.size)
 
     def nullity_I_minus_N(self) -> "NullityReport":
         return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN)
@@ -271,8 +265,9 @@ class KernelPart:
     It has ``shape``, the products ``A @ x`` and ``y @ A`` on real or
     complex samples of shape (N,) or (N, k) ((k, N) on the left), and the
     dense copy ``np.asarray(A)``, built from the stored blocks, that only
-    tests take.  ``__array_ufunc__ = None`` makes numpy defer to it, so
-    ``y @ A`` calls ``__rmatmul__`` instead of copying A into an array.
+    tests and ``identity_plus_N`` / ``identity_minus_N`` take.
+    ``__array_ufunc__ = None`` makes numpy defer to it, so ``y @ A`` calls
+    ``__rmatmul__`` instead of copying A into an array.
     """
 
     __array_ufunc__ = None
@@ -627,20 +622,8 @@ def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
     these operators."""
     jet = BoundaryJet.from_region(region, coeff, grid)
     index = index_of(coeff, region, grid)
-    store = _factor_kernel(jet)
-    return DiscreteOperators(
-        region=region,
-        coeff=coeff,
-        jet=jet,
-        N=KernelPart(store, np.imag),
-        M=KernelPart(store, np.real),
-        index=index,
-    )
-
-
-def apply_M(ops: DiscreteOperators, phi: np.ndarray) -> np.ndarray:
-    """Apply the discrete companion operator to samples of shape (N,) or (N, k)."""
-    return ops.M @ phi
+    return DiscreteOperators(region=region, coeff=coeff, jet=jet, kernel=_factor_kernel(jet),
+                             index=index)
 
 
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
@@ -698,15 +681,28 @@ def _new_block(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return u[:, s > DEFLATION_TOL * np.linalg.norm(w)]
 
 
+def _append(buffer: np.ndarray, used: int, block: np.ndarray) -> np.ndarray:
+    """``buffer`` with ``block`` written in place after its first ``used``
+    columns, first copied into max(need, 2 capacity) columns if full."""
+    need = used + block.shape[1]
+    if need > buffer.shape[1]:
+        grown = np.empty((len(buffer), max(need, 2 * buffer.shape[1])))
+        grown[:, :used], buffer = buffer[:, :used], grown
+    buffer[:, used:need] = block
+    return buffer
+
+
 def _border(image_basis: np.ndarray, r_factor: np.ndarray, image: np.ndarray):
-    """(P', R') with [P R, image] = P' R', for orthonormal P: the image is
-    projected out of P twice, and the rest factored by QR borders R."""
-    w, coords = _project_out(image_basis, image)
+    """(P', R') with [P R, image] = P' R', for orthonormal P, the first
+    k columns of ``image_basis`` (R is k x k): the image is projected out
+    of P twice, and the rest factored by QR borders R and grows P."""
+    used = len(r_factor)
+    w, coords = _project_out(image_basis[:, :used], image)
     q, r_new = np.linalg.qr(w)
     del w  # one block less live while P grows
     r_factor = np.pad(r_factor, (0, len(r_new)))
     r_factor[:, -len(r_new):] = np.vstack((coords, r_new))
-    return np.hstack((image_basis, q)), r_factor
+    return _append(image_basis, used, q), r_factor
 
 
 def nullity(N, sign: int, width: int) -> NullityReport:
@@ -719,9 +715,10 @@ def nullity(N, sign: int, width: int) -> NullityReport:
     the k x k factor R of A Q = P R: each new image block is projected out
     of the orthonormal P twice and factored by QR, which borders R, so no
     SVD of an N-row array is taken.  Q and P take 8 N bytes per column
-    each.  The block width must exceed the nullity, since a block finds at
-    most as many directions of one repeated singular value as it has
-    columns.
+    each, in buffers that each block is written into (:func:`_append`),
+    copied only when full.  The block width must exceed the nullity, since
+    a block finds at most as many directions of one repeated singular value
+    as it has columns.
     """
     size = N.shape[0]
     cap = min(size, max(NULLITY_MAX_COLUMNS, NULLITY_MIN_DEPTH * width))
@@ -737,7 +734,7 @@ def nullity(N, sign: int, width: int) -> NullityReport:
         if not np.isfinite(image).all():
             stop = "non-finite"
         else:
-            basis = np.hstack((basis, block))
+            basis = _append(basis, len(r_factor), block)
             del block  # one block less live while P grows
             image_basis, r_factor = _border(image_basis, r_factor, image)
             ritz = np.linalg.svd(r_factor, compute_uv=False)[::-1]
@@ -753,10 +750,11 @@ def nullity(N, sign: int, width: int) -> NullityReport:
                 # N^T image as (image^T N)^T: the operator's transpose product,
                 # and for a dense N the row-major form that BLAS runs faster
                 normal = image + sign * (image.T @ N).T
-                block = _new_block(basis, normal) if np.isfinite(normal).all() else None
+                used = len(r_factor)  # the columns of Q and of P
+                block = _new_block(basis[:, :used], normal) if np.isfinite(normal).all() else None
                 stop = ("non-finite" if block is None
                         else "exact" if block.shape[1] == 0
-                        else "basis cap" if basis.shape[1] + block.shape[1] > cap
+                        else "basis cap" if used + block.shape[1] > cap
                         else None)
         if stop is not None:
             return NullityReport(

@@ -20,7 +20,9 @@ validation that samples every winding, which the enclosing-disc
 screening replaced.  ``perturbed_circle`` builds the star-like curves of
 the galleries.  ``count_calls`` counts the calls of a library function
 under every name the package binds it to, and ``count_passes`` the passes
-over the stored kernel.  ``attainability_residual`` and
+over the stored kernel.  ``planted`` gives operators whose store holds
+given dense w N and M, which is how the tests plant a defect in them.
+``attainability_residual`` and
 ``transform_solution`` restate, in the tests' terms, the hole-side Plemelj
 test and the Mobius substitution f_hat(w) = f(z) (z - z0).  ``capacity``
 reads the logarithmic capacity of the holes off the Dirichlet constants
@@ -32,6 +34,8 @@ nodes, where no winding count settles.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import sys
 import tracemalloc
@@ -329,6 +333,23 @@ def count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(_Kernel, "product", counted)
     return passes
+
+
+def planted(ops, N=None, M=None):
+    """``ops`` over a store that holds every curve pair as a dense block of
+    the arrays N and M (the stored w N and M where omitted): no band and no
+    far pair, so that the operators, their blocks and their factor read the
+    given entries."""
+    m, n = ops.m, ops.n
+    dense_n, dense_m = (np.asarray(stored if given is None else given)
+                        .reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n, n)
+                        for given, stored in ((N, ops.N), (M, ops.M)))
+    kernel = _Kernel(band=np.empty((0, 2, 1, 1)), banded=(), waves=np.ones((1, n)),
+                     dense_n=dense_n, dense_m=dense_m,
+                     pairs=tuple(itertools.product(range(m), repeat=2)),
+                     V=np.empty((m, 0, n)), C=np.empty((0, 0)), taylor=np.empty((m, n, 0)),
+                     factor_state={"work": 0.0})
+    return dataclasses.replace(ops, kernel=kernel)
 
 
 def traced_peak(call) -> int:

@@ -12,7 +12,7 @@ lines of ``src/gnk/*.py``, counted as ``wc -l`` counts them, stay at or
 below ``MAX_SOURCE_LINES``; a change that adds code raises the number and
 says why.  The optional flags of every CLI subcommand must equal
 ``CLI_DEFAULTS``, named the same way.  Only ``discrete.py`` reads the storage behind ``ops.N`` and
-``ops.M``; every other module goes through their products and
+``ops.M`` (``ops.kernel``); every other module goes through their products and
 ``ops.kernel_block``.  One builder makes kernel entries: ``_fill_kernel``
 has one caller, ``discrete._kernel_blocks``.
 """
@@ -42,7 +42,7 @@ CLI_DEFAULTS = {
     "--n": "the grid size; the benchmark runs 256 and 512",
     "--out": "a path",
 }
-MAX_SOURCE_LINES = 2477
+MAX_SOURCE_LINES = 2474
 # Public functions only tests call, kept as library API; none is left (the
 # Dirichlet field is cauchy_eval(...).real).
 TEST_ONLY_API: set[str] = set()
@@ -136,13 +136,13 @@ def test_test_only_api_names_public_functions():
 def test_only_discrete_reads_the_operator_storage():
     # the fields of the factored kernel and the operators' own attributes
     storage = {f.name for f in dataclasses.fields(discrete._Kernel)}
-    storage |= set(vars(discrete.KernelPart(None, None)))
+    storage |= set(vars(discrete.KernelPart(None, None))) | {"kernel"}
     readers = sorted({f"{path.stem}.{node.attr}" for path, tree in _modules()
                       if path.name != "discrete.py"
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr in storage})
-    assert storage >= {"store", "part", "band", "banded", "waves", "dense_n", "pairs", "V", "C",
-                       "taylor"}
+    assert storage >= {"kernel", "store", "part", "band", "banded", "waves", "dense_n", "pairs",
+                       "V", "C", "taylor"}
     assert readers == []
 
 

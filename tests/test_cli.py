@@ -15,8 +15,8 @@ from gnk.coefficient import One, ShiftedPower, load_coefficient
 from gnk.errors import TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region, load_region
 from conftest import CENTERS, POLE_AMPLITUDES, RADII
-from helpers import (count_calls, near_zero, overlap_between_polygon_nodes, rational_values,
-                     traced_peak)
+from helpers import (count_calls, near_zero, overlap_between_polygon_nodes, planted,
+                     rational_values, traced_peak)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 from make_gallery import FILES  # noqa: E402
@@ -207,14 +207,14 @@ def _plant_null_directions(monkeypatch, count: int) -> None:
     directions while the indices, and so the prediction, stay."""
     assemble = discrete.assemble_N
 
-    def planted(*args, **kwargs):
+    def assemble_planted(*args, **kwargs):
         ops = assemble(*args, **kwargs)
         rng = np.random.default_rng(11)
         basis, _ = np.linalg.qr(rng.standard_normal((ops.size, count)))
         dense = np.asarray(ops.N)
-        return dataclasses.replace(ops, N=dense + (basis - dense @ basis) @ basis.T)
+        return planted(ops, N=dense + (basis - dense @ basis) @ basis.T)
 
-    monkeypatch.setattr(discrete, "assemble_N", planted)
+    monkeypatch.setattr(discrete, "assemble_N", assemble_planted)
 
 
 class TestVerifyPlantedDefects:
@@ -270,13 +270,13 @@ class TestVerifyPlantedDefects:
         # its NaN figures null
         assemble = discrete.assemble_N
 
-        def planted(*args, **kwargs):
+        def assemble_planted(*args, **kwargs):
             ops = assemble(*args, **kwargs)
             dense = np.asarray(ops.N)
             dense[5, 70] = np.nan
-            return dataclasses.replace(ops, N=dense)
+            return planted(ops, N=dense)
 
-        monkeypatch.setattr(discrete, "assemble_N", planted)
+        monkeypatch.setattr(discrete, "assemble_N", assemble_planted)
         region = tmp_path / "region.json"
         region.write_text(json.dumps({"curves": [
             {"type": "circle", "center": [x, 0.0], "radius": 1.0} for x in (-3.0, 3.0)]}))

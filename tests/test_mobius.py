@@ -27,6 +27,7 @@ from helpers import (
     dense_cot_table,
     dense_weighted_kernels,
     factor_tolerance,
+    planted,
     traced_peak,
     transform_solution,
     weighted_kernels,
@@ -155,12 +156,12 @@ class TestKernelInvariance:
             assert abs(report.scale - max(1.0, np.hypot(singular, stored_n).max() / w)) <= close
 
     def test_sees_a_planted_N(self, three_circles, grid64):
-        # an ops whose N is replaced is checked on that N, as the solve and
-        # the counts use it: one changed entry shows in max_diff_N only
+        # an ops whose stored N differs is checked on that N, as the solve
+        # and the counts use it: one changed entry shows in max_diff_N only
         ops = assemble_N(three_circles, One(), grid64)
-        planted = np.asarray(ops.N)
-        planted[70, 5] += 1e-6
-        report = kernel_invariance_check(dataclasses.replace(ops, N=planted))
+        dense = np.asarray(ops.N)
+        dense[70, 5] += 1e-6
+        report = kernel_invariance_check(planted(ops, N=dense))
         assert report.max_diff_N == pytest.approx(1e-6 / ops.weight, rel=1e-6)
         assert report.max_diff_M1 == kernel_invariance_check(ops).max_diff_M1
 
@@ -173,16 +174,16 @@ class TestKernelInvariance:
         region = Region.from_curves([circle(-3.0, 1.0), circle(3.0, 1.0)])
         ops = assemble_N(region, One(), ParamGrid(64))
         clean = kernel_invariance_check(ops)
-        planted = np.asarray(getattr(ops, part))
-        planted[5, 70] = np.nan
-        report = kernel_invariance_check(dataclasses.replace(ops, **{part: planted}))
+        dense = np.asarray(getattr(ops, part))
+        dense[5, 70] = np.nan
+        report = kernel_invariance_check(planted(ops, **{part: dense}))
         nan_diff, other = (("max_diff_N", "max_diff_M1") if part == "N"
                            else ("max_diff_M1", "max_diff_N"))
         assert np.isnan(getattr(report, nan_diff)) and np.isnan(report.max_diff)
         assert getattr(report, other) == getattr(clean, other)
         assert not report.max_diff <= 1e-12 * report.scale
-        planted[5, 70] = np.asarray(getattr(ops, part))[5, 70] + 1e-3
-        report = kernel_invariance_check(dataclasses.replace(ops, **{part: planted}))
+        dense[5, 70] = np.asarray(getattr(ops, part))[5, 70] + 1e-3
+        report = kernel_invariance_check(planted(ops, **{part: dense}))
         assert getattr(report, nan_diff) == pytest.approx(1e-3 / ops.weight, rel=1e-6)
 
     def test_planted_nan_fails_each_check(self):
@@ -191,9 +192,9 @@ class TestKernelInvariance:
         # identity residuals stay NaN, so that no gate passes on it
         ops = assemble_N(Region.from_curves([circle(-3.0, 1.0), circle(3.0, 1.0)]), One(),
                          ParamGrid(64))
-        planted = np.asarray(ops.N)
-        planted[5, 70] = np.nan
-        ops = dataclasses.replace(ops, N=planted)
+        dense = np.asarray(ops.N)
+        dense[5, 70] = np.nan
+        ops = planted(ops, N=dense)
         assert np.isnan(kernel_invariance_check(ops).max_diff_N)
         for report in (ops.nullity_I_plus_N(), ops.nullity_I_minus_N()):
             assert report.stop == "non-finite" and not report.conclusive
@@ -212,19 +213,15 @@ class TestKernelInvariance:
     def test_discrete_operators_equal(self, three_circles, grid64):
         # assembled Neumann matrices agree entrywise; the companion agrees
         # through its action on test vectors
-        from gnk.discrete import DiscreteOperators, apply_M
-
         ops = assemble_N(three_circles, One(), grid64)
         mapped = map_jet(three_circles, ops.jet)
         n_hat, m_hat = weighted_kernels(mapped)
         assert np.abs(n_hat - np.asarray(ops.N)).max() <= 1e-12
 
-        mapped_ops = DiscreteOperators(
-            region=three_circles, coeff=One(), jet=mapped,
-            N=n_hat, M=m_hat, index=ops.index)
+        mapped_ops = dataclasses.replace(planted(ops, N=n_hat, M=m_hat), jet=mapped)
         rng = np.random.default_rng(21)
         phi = band_limited(rng, 3, 64, band=6)
-        assert np.abs(apply_M(mapped_ops, phi) - apply_M(ops, phi)).max() <= 1e-12
+        assert np.abs(mapped_ops.M @ phi - ops.M @ phi).max() <= 1e-12
 
 
 class TestIndexShift:
