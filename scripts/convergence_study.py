@@ -18,8 +18,7 @@ import argparse
 import numpy as np
 
 from gnk.coefficient import One
-from gnk.dirichlet import indicator_basis
-from gnk.discrete import assemble_N, operator_identity_residuals
+from gnk.discrete import assemble_N, indicator_basis, operator_identity_residuals
 from gnk.geometry import ParamGrid, Region, circle
 from gnk.rhp import solve_rhp
 

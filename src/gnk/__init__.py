@@ -21,12 +21,12 @@ from gnk.coefficient import (
 )
 from gnk.dirichlet import (
     DirichletSolution,
-    indicator_basis,
     solve_modified_dirichlet,
 )
 from gnk.discrete import (
     DiscreteOperators,
     assemble_N,
+    indicator_basis,
     nullity,
     operator_identity_residuals,
 )

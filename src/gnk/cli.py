@@ -164,7 +164,8 @@ def _nullity_entry(report, predicted: int) -> dict:
             "ritz_next": report.ritz_next,
             "ritz_largest": _finite(report.ritz_largest),
             "krylov_depth": report.depth,
-            "krylov_stop": report.stop}
+            "krylov_stop": report.stop,
+            "deflated": report.deflated}
 
 
 def run_verify(args) -> int:
@@ -179,8 +180,9 @@ def run_verify(args) -> int:
     r1_max, r2_max = discrete.operator_identity_residuals(ops, probes)
     identity_ok = r1_max <= TOL_IDENTITY and r2_max <= TOL_IDENTITY
 
-    # The I + N count sets verify's traced peak (23 MB above the 11 MB held after
-    # assembly at N = 4096); the Mobius check's two pair buffers add 2.8 MB.
+    # On the 16-circle lattice at N = 4096, 9.9 MB are held after assembly; the
+    # counts trace 12.9 MB (I + N, deflated) and 12.4 MB (I - N) above that,
+    # and the Mobius check's two pair buffers 2.8 MB.
     mobius_section = _mobius_section(ops)
     plus = ops.nullity_I_plus_N()
     minus = ops.nullity_I_minus_N()

@@ -23,22 +23,11 @@ import numpy as np
 
 from gnk import rhp
 from gnk.coefficient import One
-from gnk.discrete import DiscreteOperators
+from gnk.discrete import DiscreteOperators, indicator_basis  # indicator_basis: re-exported
 from gnk.errors import ConstancyViolation
-from gnk.geometry import ParamGrid, Region
 
 CONSTANCY_FACTOR = 1e3
 CONSTANCY_FLOOR = 1e-6
-
-
-def indicator_basis(region: Region, grid: ParamGrid) -> np.ndarray:
-    """Rows chi_j: one on curve j, zero elsewhere; shape (m, m*n).
-
-    These are the boundary values (with A = 1) of the functions equal to
-    one inside hole j and zero outside its curve, and they span the space
-    of admissible corrections h.
-    """
-    return np.repeat(np.eye(region.m), grid.n, axis=1)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ are its two real-linear parts: one product applies either or both, and
 the same blocks.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
-measured matrix-free by a block Krylov count (:func:`nullity`).  Assembly
-computes those indices once and the operators carry them.  Repeated
-regular-path solves on one set of operators end up with a factor of I - N
-built from the same storage (:class:`_Factor`, by Woodbury), once the GMRES
-work they spent pays for it.
+measured matrix-free by a block Krylov count (:func:`nullity`); for A = 1
+the per-curve constants, null vectors of I + N in theory, are checked and
+held out of its basis.  Assembly computes those indices once and the
+operators carry them.  Repeated regular-path solves on one set of operators
+end up with a factor of I - N built from the same storage (:class:`_Factor`,
+by Woodbury), once the GMRES work they spent pays for it.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gnk.coefficient import IndexReport, index_of
+from gnk.coefficient import IndexReport, One, index_of
 from gnk.errors import OddGridSize
 from gnk.geometry import ParamGrid, Region
 from gnk.kernels import LAURENT_TRUNCATION, BoundaryJet, _laurent_frame, _laurent_terms
@@ -52,7 +53,8 @@ BLOCK_ENTRIES = 2**18
 NULLITY_TOL = 1e-8
 BAND_NODES = 16  # the smallest sub-grid a same-curve block is sampled on
 # Block Krylov nullity count: the start block is NULLITY_MARGIN columns wider
-# than the predicted nullity and drawn from a fixed seed, so that verify's
+# than the predicted nullity, less the null vectors known in closed form that
+# the count holds out, and drawn from a fixed seed, so that verify's
 # output is byte-deterministic.  The count stops once the first uncounted
 # Ritz value moves by at most NULLITY_SETTLE relative between two depths.
 # It fails unsettled once the basis would outgrow NULLITY_MAX_COLUMNS
@@ -77,6 +79,12 @@ DEFLATION_TOL = 1e-10
 # both.  0.375 falls between the work of two successive solves on each,
 # so a few products more or fewer do not move the build.
 FACTOR_RENT = 0.375
+# A band system I - n J c or dense group block of B = I - D whose reciprocal
+# condition 1 / (|A|_1 |A^-1|_1) is below FACTOR_RCOND leaves no factor.  At
+# n = 512 the mixed gallery reads 1.4e-17 on curve 2 with A = (eta - z0)^+1,
+# and 0.33-0.50 on every block with (eta - z0)^-1, as do unit circles at +-3
+# with (eta - 3)^-1, (eta - 3)^-2 and (eta + 3)^-1.
+FACTOR_RCOND = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,8 +155,9 @@ class DiscreteOperators:
         """x of (I - N) x = rhs, real of shape (N,), by the stored factor,
         or None until the GMRES work spent on these operators
         (:meth:`spend_gmres`) reaches FACTOR_RENT times the factor's own
-        cost.  The first call past that builds the factor; a singular B or
-        S leaves none.  Only a nonsingular I - N may ask."""
+        cost.  The first call past that builds the factor; a singular S, or
+        a B below FACTOR_RCOND, leaves none.  Only a nonsingular I - N may
+        ask."""
         state = self.kernel.factor_state
         if "factor" not in state and state["work"] >= FACTOR_RENT * _factor_madds(self.kernel):
             try:
@@ -164,10 +173,13 @@ class DiscreteOperators:
             _product_madds(self.kernel) + 2 * (products + 1) * self.size)
 
     def nullity_I_minus_N(self) -> "NullityReport":
-        return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN)
+        return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN,
+                       np.empty((self.size, 0)))
 
     def nullity_I_plus_N(self) -> "NullityReport":
-        return nullity(self.N, +1, self.index.dim_null_I_plus_N + NULLITY_MARGIN)
+        known = (indicator_basis(self.region, ParamGrid(self.n)).T / math.sqrt(self.n)
+                 if isinstance(self.coeff, One) else np.empty((self.size, 0)))
+        return nullity(self.N, +1, self.index.dim_null_I_plus_N + NULLITY_MARGIN, known)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,9 +327,9 @@ class _Factor:
         self.store, n, B = store, store.taylor.shape[1], len(store.waves) // 2
         self.singles, self.groups = _near_groups(store)
         c = n * store.band[[store.banded.index(k) for k in self.singles], 0]
-        delta = c @ np.linalg.inv(np.eye(2 * B + 1) - c[:, ::-1])
+        delta = c @ _checked_inverse(np.eye(2 * B + 1) - c[:, ::-1])
         del c
-        self.inverses = [np.linalg.inv(np.eye(len(g) * n) - _dense_group(store, g))
+        self.inverses = [_checked_inverse(np.eye(len(g) * n) - _dense_group(store, g))
                          for g in self.groups]
         schur = self._schur(delta)
         self.delta = delta[:, B:].copy()  # the rows p = 0..B, which the band pass reads
@@ -376,6 +388,16 @@ class _Factor:
         for g, inverse in zip(self.groups, self.inverses):
             out[list(g)] = (inverse @ x[list(g)].ravel()).reshape(len(g), n)
         return out
+
+
+def _checked_inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a, or of each matrix of a stack; LinAlgError if the
+    reciprocal 1-norm condition of one is below FACTOR_RCOND."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    inverse = np.linalg.inv(a)
+    if not (norm * np.abs(inverse).sum(axis=-2).max(axis=-1) * FACTOR_RCOND <= 1).all():
+        raise np.linalg.LinAlgError("B is numerically singular")
+    return inverse
 
 
 def _product_madds(store: _Kernel) -> float:
@@ -626,6 +648,14 @@ def assemble_N(region: Region, coeff, grid: ParamGrid) -> DiscreteOperators:
                              index=index)
 
 
+def indicator_basis(region: Region, grid: ParamGrid) -> np.ndarray:
+    """Rows chi_j: one on curve j, zero elsewhere; shape (m, m*n).  With
+    A = 1 they are the boundary values of the functions equal to one in
+    hole j and zero outside it, which span the corrections h and the null
+    space of I + N."""
+    return np.repeat(np.eye(region.m), grid.n, axis=1)
+
+
 def operator_identity_residuals(ops: DiscreteOperators, phi: np.ndarray):
     """Sup-norm residuals of N^2 - M^2 = I and NM + MN = 0 on phi, samples
     of shape (N,) or (N, k): the k columns go through M and N in one pass,
@@ -651,7 +681,9 @@ class NullityReport:
     is only a lower bound), "basis cap" (unsettled when the basis reached
     its column cap) or "non-finite" (a product with N held a NaN or an
     infinity; the figures are those of the last finite depth, NaN largest
-    if there was none).  Only the first two are conclusive.
+    if there was none).  Only the first two are conclusive.  ``deflated``
+    is the number of known null vectors the count held out of its basis
+    and passed, 0 on a plain count (:func:`nullity`).
     """
 
     nullity: int
@@ -660,6 +692,7 @@ class NullityReport:
     ritz_largest: float
     depth: int
     stop: str
+    deflated: int
 
     @property
     def conclusive(self) -> bool:
@@ -705,25 +738,33 @@ def _border(image_basis: np.ndarray, r_factor: np.ndarray, image: np.ndarray):
     return _append(image_basis, used, q), r_factor
 
 
-def nullity(N, sign: int, width: int) -> NullityReport:
+def nullity(N, sign: int, width: int, known: np.ndarray) -> NullityReport:
     """Count the singular values of A = I + sign N below NULLITY_TOL times
-    the largest, by block Krylov on A^T A from a seeded start of this width.
+    the largest, by block Krylov on A^T A from a seeded start of this width,
+    less the k orthonormal columns X of ``known`` (N x k, k = 0 for none).
 
     Each depth adds one block to an orthonormal basis Q of the Krylov space,
     with one product by N and one by N^T and full reorthogonalization.  The
     Ritz values that are counted are the singular values of A Q, read off
-    the k x k factor R of A Q = P R: each new image block is projected out
-    of the orthonormal P twice and factored by QR, which borders R, so no
-    SVD of an N-row array is taken.  Q and P take 8 N bytes per column
-    each, in buffers that each block is written into (:func:`_append`),
-    copied only when full.  The block width must exceed the nullity, since
-    a block finds at most as many directions of one repeated singular value
-    as it has columns.
+    the factor R of A Q = P R: each new image block is projected out of the
+    orthonormal P twice and factored by QR, which borders R, so no SVD of
+    an N-row array is taken.  Q and P take 8 N bytes per column each, in
+    buffers that each block is written into (:func:`_append`), copied only
+    when full.  The width must exceed the nullity, since a block finds at
+    most as many directions of one repeated singular value as it has
+    columns.  Q starts after X in its buffer, so every block is projected
+    out of X too, and the k singular values of A X join the Ritz values:
+    by Weyl's bound they are those of A on [X Q] up to |A X|.  So X is
+    checked, not assumed: unless every one of the k is counted, the count
+    runs again plain, with no X (``deflated`` 0).
     """
-    size = N.shape[0]
-    cap = min(size, max(NULLITY_MAX_COLUMNS, NULLITY_MIN_DEPTH * width))
-    start = np.random.default_rng(0).standard_normal((size, min(width, size)))
-    basis = image_basis = np.empty((size, 0))
+    size, k = N.shape[0], known.shape[1]
+    image = known + sign * (N @ known) if k else known  # A X
+    held = (np.linalg.svd(image, compute_uv=False) if np.isfinite(image).all()
+            else np.full(k, np.nan))  # its singular values, NaN if it is not finite
+    cap = min(size, k + max(NULLITY_MAX_COLUMNS, NULLITY_MIN_DEPTH * (width - k)))
+    start = np.random.default_rng(0).standard_normal((size, min(width, size) - k))
+    basis, image_basis = known, np.empty((size, 0))
     r_factor = np.empty((0, 0))
     block = _new_block(basis, start)
     depth, previous = 0, (None, None)
@@ -734,10 +775,10 @@ def nullity(N, sign: int, width: int) -> NullityReport:
         if not np.isfinite(image).all():
             stop = "non-finite"
         else:
-            basis = _append(basis, len(r_factor), block)
+            basis = _append(basis, k + len(r_factor), block)
             del block  # one block less live while P grows
             image_basis, r_factor = _border(image_basis, r_factor, image)
-            ritz = np.linalg.svd(r_factor, compute_uv=False)[::-1]
+            ritz = np.sort(np.concatenate((held, np.linalg.svd(r_factor, compute_uv=False))))
             largest = float(ritz[-1])
             count = int(np.count_nonzero(ritz < NULLITY_TOL * largest))
             following = float(ritz[count]) if count < ritz.size else None
@@ -750,13 +791,15 @@ def nullity(N, sign: int, width: int) -> NullityReport:
                 # N^T image as (image^T N)^T: the operator's transpose product,
                 # and for a dense N the row-major form that BLAS runs faster
                 normal = image + sign * (image.T @ N).T
-                used = len(r_factor)  # the columns of Q and of P
+                used = k + len(r_factor)  # the columns of X and Q
                 block = _new_block(basis[:, :used], normal) if np.isfinite(normal).all() else None
                 stop = ("non-finite" if block is None
                         else "exact" if block.shape[1] == 0
                         else "basis cap" if used + block.shape[1] > cap
                         else None)
         if stop is not None:
+            if not (held < NULLITY_TOL * largest).all():  # X fails the gate
+                return nullity(N, sign, width, known[:, :0])
             return NullityReport(
                 nullity=count,
                 ritz_counted=tuple(float(v) for v in ritz[:count]),
@@ -764,5 +807,6 @@ def nullity(N, sign: int, width: int) -> NullityReport:
                 ritz_largest=largest,
                 depth=depth,
                 stop=stop,
+                deflated=k,
             )
         previous = (count, following)

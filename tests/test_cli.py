@@ -164,7 +164,7 @@ class TestVerify:
             if key == "ok":
                 continue
             assert set(entry) == {"measured", "predicted", "ritz_counted", "ritz_next",
-                                  "ritz_largest", "krylov_depth", "krylov_stop"}
+                                  "ritz_largest", "krylov_depth", "krylov_stop", "deflated"}
             assert len(entry["ritz_counted"]) == entry["measured"]
             assert max(entry["ritz_counted"], default=0.0) <= 1e-8 * entry["ritz_largest"]
             assert entry["ritz_next"] > 1e-8 * entry["ritz_largest"]
@@ -246,9 +246,10 @@ class TestVerifyPlantedDefects:
         assert report["nullity"]["ok"] is False
 
     def test_unsettled_count_exits_2(self, inputs, tmp_path, monkeypatch, capsys):
-        # a basis cap of four blocks
+        # a basis cap of three blocks: the deflated I + N count settles at
+        # depth 4 and the I - N count at depth 5
         monkeypatch.setattr(discrete, "NULLITY_MAX_COLUMNS", 0)
-        monkeypatch.setattr(discrete, "NULLITY_MIN_DEPTH", 4)
+        monkeypatch.setattr(discrete, "NULLITY_MIN_DEPTH", 3)
         out = tmp_path / "out"
         rc = _run(["verify", "--region", inputs / "region.json", "--n", 64,
                    "--out", out])

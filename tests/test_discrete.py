@@ -414,12 +414,26 @@ class TestNoDenseArray:
         assert traced_peak(ops.nullity_I_minus_N) < matrix / 2
 
     def test_count_writes_its_bases_in_place(self):
-        # lattice16 at n = 256 (N = 4096), 192 columns of Q and of P: the
-        # I + N count's traced peak was 20.79 MiB while each depth stacked
-        # Q and P into new arrays, and is 19.19 MiB with each block written
-        # into buffers that double when full
+        # lattice16 at n = 256 (N = 4096): the I + N count's traced peak was
+        # 20.79 MiB while each depth stacked Q and P into new arrays, and
+        # 19.19 MiB with each block written into buffers that double when
+        # full (192 columns of Q and of P); with the 16 per-curve constants
+        # held out of its basis it takes 80 columns and 12.3 MiB
         ops = assemble_N(lattice16(), One(), ParamGrid(256))
-        assert traced_peak(ops.nullity_I_plus_N) <= 20.0 * 2**20
+        assert traced_peak(ops.nullity_I_plus_N) <= 14.0 * 2**20
+
+    def test_deflated_count_scales_with_the_holes(self):
+        # 64 unit circles on a 4-unit lattice at n = 64 (N = 4096): the plain
+        # count takes a start block 72 columns wide to depth 9 and traces
+        # 105.8 MiB; held out of the basis, the 64 per-curve constants leave
+        # 8 columns a block, and the count traces 24.0 MiB
+        axis = [4.0 * i - 14.0 for i in range(8)]
+        ops = assemble_N(Region.from_curves([circle(complex(x, y), 1.0)
+                                             for y in axis for x in axis]),
+                         One(), ParamGrid(64))
+        reports = []
+        assert traced_peak(lambda: reports.append(ops.nullity_I_plus_N())) <= 40.0 * 2**20
+        assert (reports[0].nullity, reports[0].deflated, reports[0].stop) == (64, 64, "settled")
 
 
 class TestComplexProducts:
@@ -754,7 +768,7 @@ class TestKrylovNullity:
     def test_whole_space_is_exact(self):
         # eight nodes, twelve start columns: one block spans everything
         ops = assemble_N(Region.from_curves([circle(0.0, 1.0)]), One(), ParamGrid(8))
-        report = nullity(ops.N, +1, 12)
+        report = nullity(ops.N, +1, 12, np.empty((ops.size, 0)))
         dense = dense_nullity(ops.identity_plus_N())
         assert report.stop == "exact" and report.depth == 1
         assert report.nullity == dense.nullity == 1
@@ -773,9 +787,41 @@ class TestKrylovNullity:
             def __rmatmul__(self, y):
                 return np.full((len(y), self.shape[1]), np.nan)
 
-        report = nullity(LeftNaN(), +1, 11)
+        report = nullity(LeftNaN(), +1, 11, np.empty((gallery_ops.size, 0)))
         assert report.stop == "non-finite" and not report.conclusive and report.depth == 1
         assert np.isfinite(report.ritz_largest) and report.ritz_largest > 0
+
+
+class TestDeflatedCount:
+    """For A = 1 the I + N count holds the per-curve constants X out of its
+    basis, and counts them only if the singular values of (I + N) X pass the
+    count's own rule; otherwise it counts plain."""
+
+    @pytest.mark.parametrize("gallery", ["three_circles", "mixed_gallery"])
+    def test_one_deflates_the_constants(self, request, gallery, grid64):
+        ops = assemble_N(request.getfixturevalue(gallery), One(), grid64)
+        report = ops.nullity_I_plus_N()
+        assert (report.nullity, report.deflated) == (3, 3)
+        assert ops.nullity_I_minus_N().deflated == 0
+
+    def test_other_coefficients_count_plain(self, three_circles, grid64):
+        ops = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
+        assert ops.nullity_I_plus_N().deflated == 0
+
+    def test_planted_failure_counts_plain(self, three_circles, grid64):
+        # nodes 0 and n swapped, which moves the row sums over curves 0 and
+        # 1: I + N' = P (I + N) P has the singular values of I + N, but its
+        # null vectors are P chi_k, and |(I + N') X| = 0.25 (chi_0 - chi_1
+        # moves), so the gate refuses X and the report is the plain count's
+        ops = assemble_N(three_circles, One(), grid64)
+        swap = np.arange(ops.size)
+        swap[[0, ops.n]] = swap[[ops.n, 0]]
+        swapped = planted(ops, N=np.asarray(ops.N)[np.ix_(swap, swap)])
+        report = swapped.nullity_I_plus_N()
+        assert report.deflated == 0
+        assert report.nullity == dense_nullity(swapped.identity_plus_N()).nullity == 3
+        assert report == nullity(swapped.N, +1, 3 + discrete.NULLITY_MARGIN,
+                                 np.empty((ops.size, 0)))
 
 
 def _elongated_region() -> Region:
@@ -787,7 +833,7 @@ def _elongated_region() -> Region:
 # TestKrylovNullity, recorded from the count that took the SVD of the whole
 # (I +- N) Q at every depth: the R factor must reproduce each of them.
 _RECORDED_COUNTS = {
-    "three_circles-one": ((3, 5, "settled"), (0, 5, "settled")),
+    "three_circles-one": ((3, 4, "settled"), (0, 5, "settled")),  # I + N deflated
     "three_circles-power+1": ((2, 5, "settled"), (1, 5, "settled")),
     "three_circles-power-1": ((5, 5, "settled"), (0, 5, "settled")),
     "three_circles-power2": ((2, 5, "settled"), (3, 5, "settled")),
@@ -838,7 +884,8 @@ class TestKrylovNullityFromR:
 
         monkeypatch.setattr(discrete, "_new_block", recorded)
         predicted = ops.index.dim_null_I_plus_N if sign > 0 else ops.index.dim_null_I_minus_N
-        report = nullity(ops.N, sign, predicted + discrete.NULLITY_MARGIN)
+        report = nullity(ops.N, sign, predicted + discrete.NULLITY_MARGIN,
+                         np.empty((ops.size, 0)))
         basis = np.hstack(blocks[:report.depth])
         ritz = np.linalg.svd(basis + sign * (ops.N @ basis), compute_uv=False)[::-1]
         k = report.nullity

@@ -260,16 +260,23 @@ class TestFactoredSolve:
     builds once GMRES has spent as much work on the same operators."""
 
     @pytest.mark.parametrize("case", [
-        "mixed-power-minus-1", "circles-one", "lattice16-one", "close-one", "ellipse30-one"])
+        "mixed-power-minus-1", "circles-one", "lattice16-one", "close-one", "ellipse30-one",
+        "pair-power-minus-1", "pair-power-minus-2", "pair-left-power-minus-1"])
     def test_matches_gmres(self, case, three_circles, mixed_gallery, monkeypatch):
         # close: near pairs join all three curves into one dense group of B;
-        # ellipse30: the ellipse's block is dense, unbanded
+        # ellipse30: the ellipse's block is dense, unbanded; the pair cases
+        # are regular powers whose blocks of B read reciprocal conditions
+        # of 0.39-0.50, far above FACTOR_RCOND
+        pair = Region.from_curves([circle(3.0, 1.0), circle(-3.0, 1.0)])
         region, coeff, n = {
             "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 256),
             "circles-one": (three_circles, One(), 128),
             "lattice16-one": (lattice16(), One(), 64),
             "close-one": (_close_gallery(), One(), 128),
             "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512),
+            "pair-power-minus-1": (pair, ShiftedPower(3.0, -1), 512),
+            "pair-power-minus-2": (pair, ShiftedPower(3.0, -2), 512),
+            "pair-left-power-minus-1": (pair, ShiftedPower(-3.0, -1), 512),
         }[case]
         gamma = band_limited(np.random.default_rng(21), region.m, n, band=6)
         reference = solve_rhp(assemble_N(region, coeff, ParamGrid(n)), gamma)
@@ -331,6 +338,18 @@ class TestFactoredSolve:
         for first, second in zip(*runs):
             assert np.array_equal(first.mu, second.mu)
             assert np.array_equal(first.f_plus, second.f_plus)
+
+    @pytest.mark.parametrize("n", [128, 512], ids=["dense-group", "band"])
+    def test_numerically_singular_B_leaves_no_factor(self, mixed_gallery, n, monkeypatch):
+        # with A = (eta - z0)^+1, I - N_22 is singular to roundoff: a
+        # reciprocal condition of 7.9e-18 (curve 2's dense block, n = 128)
+        # or 1.4e-17 (its band system, n = 512), which inv does not refuse
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], 1), ParamGrid(n))
+        with pytest.raises(np.linalg.LinAlgError):
+            discrete._Factor(ops.N.store)
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
+        assert ops.factored_solve(np.ones(ops.size)) is None
+        assert ops.N.store.factor_state["factor"] is None
 
     def test_gate_failure_reruns_gmres(self, three_circles, grid64, monkeypatch):
         monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
