@@ -1,22 +1,22 @@
 #!/usr/bin/env python3
-"""Time k regular-path solves on one assembly, and where the factor is built.
+"""Time k solves on one assembly, and where the factor is built.
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/solve_many.py [--k 40] [--repeats 3]
 
-Three cases, each with the benchmark's seeded pole data (``benchmarks/inputs.py``),
+Four cases, each with the benchmark's seeded pole data (``benchmarks/inputs.py``),
 a new data set per solve: the mixed gallery with A = (eta - z0)^-1, z0 the
 last hole's centre, at n = 512 (the regular path of the ``rhp-batch-mixed3``
 workload), the 16-circle lattice with A = 1 at n = 256, and the mixed
-gallery with A = (eta - z0)^+1 at n = 512 (the workload's singular path,
-where I - N has a null space and GMRES runs every time).  Each case runs
+gallery with A = (eta - z0)^+1 and ^+2 at n = 512, where I - N has a null
+space of dimension 1 (the workload's singular path) and 3.  Each case runs
 its k solves on ``--repeats`` fresh assemblies and prints, per solve, the
-path it took (``gmres``, ``factored``, which reports 0 iterations, or
-``singular``) and its median time.  Then a summary line: the solve that
-built the factor, the build time (that solve's time less the median
-factored solve), break-even (the build time over the time a factored solve
-saves against GMRES) and the GMRES solves that ran before the build, which
-the ski-rental rule (``discrete.FACTOR_RENT``) keeps between one and two
-times break-even; or, where no factor was built, the median solve time.
+solver that ran (``gmres``, or ``factored``, which reports 0 iterations)
+and its median time.  Then a summary line: the solve that built the
+factor, the build time (that solve's time less the median factored
+solve), break-even (the build time over the time a factored solve saves
+against GMRES) and the GMRES solves that ran before the build, which the
+ski-rental rule (``discrete.FACTOR_RENT``) keeps between one and two times
+break-even; or, where no factor was built, the median solve time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import inputs  # noqa: E402
 import gnk  # noqa: E402
 
 CASES = (("mixed3", inputs.mixed3(), 512, -1), ("lattice16", inputs.lattice16(), 256, None),
-         ("mixed3-singular", inputs.mixed3(), 512, 1))
+         ("mixed3-singular", inputs.mixed3(), 512, 1),
+         ("mixed3-singular-d3", inputs.mixed3(), 512, 2))
 
 
 def run(holes, n: int, power, k: int):
@@ -50,9 +51,7 @@ def run(holes, n: int, power, k: int):
         start = time.perf_counter()
         solution = gnk.solve_rhp(ops, gamma)
         elapsed = time.perf_counter() - start
-        path = ("singular" if solution.diagnostics.minimal_norm
-                else "gmres" if solution.diagnostics.iterations else "factored")
-        steps.append((path, elapsed))
+        steps.append(("gmres" if solution.diagnostics.iterations else "factored", elapsed))
     return steps
 
 
@@ -70,8 +69,8 @@ def main() -> int:
         for i, (path, seconds) in enumerate(zip(paths, times), 1):
             print(f"{name} solve {i:3d} {path:8s} {1e3 * seconds:8.2f} ms")
         if "factored" not in paths:
-            why = "singular path" if "singular" in paths else f"no factor within {args.k} solves"
-            print(f"{name}: {why}; median solve {1e3 * statistics.median(times):.2f} ms")
+            print(f"{name}: no factor within {args.k} solves; "
+                  f"median solve {1e3 * statistics.median(times):.2f} ms")
             continue
         built = paths.index("factored")
         gmres = statistics.median(t for p, t in zip(paths, times) if p == "gmres")

@@ -29,9 +29,11 @@ The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`); for A = 1
 the per-curve constants, null vectors of I + N in theory, are checked and
 held out of its basis.  Assembly computes those indices once and the
-operators carry them.  Repeated regular-path solves on one set of operators
-end up with a factor of I - N built from the same storage (:class:`_Factor`,
-by Woodbury), once the GMRES work they spent pays for it.
+operators carry them.  Repeated solves on one set of operators end up with
+a factor of I - N built from the same storage (:class:`_Factor`, by
+Woodbury; where the indices predict a null space, of I - N + U V^T, whose
+solutions are projected onto the range), once the GMRES work they spent
+pays for it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ NULLITY_SETTLE = 1e-8
 NULLITY_MAX_COLUMNS = 1024
 NULLITY_MIN_DEPTH = 32
 DEFLATION_TOL = 1e-10
-# Ski rental for the regular-path solve: the factor of I - N is built once
+# Ski rental for the solve: the factor of I - N is built once
 # the GMRES work spent on the operators reaches FACTOR_RENT times the
 # factor's own, both in real multiply-adds counted from the stored shapes.
 # The build's multiply-adds run in a few dense BLAS and LAPACK calls,
@@ -80,10 +82,12 @@ DEFLATION_TOL = 1e-10
 # so a few products more or fewer do not move the build.
 FACTOR_RENT = 0.375
 # A band system I - n J c or dense group block of B = I - D whose reciprocal
-# condition 1 / (|A|_1 |A^-1|_1) is below FACTOR_RCOND leaves no factor.  At
-# n = 512 the mixed gallery reads 1.4e-17 on curve 2 with A = (eta - z0)^+1,
-# and 0.33-0.50 on every block with (eta - z0)^-1, as do unit circles at +-3
-# with (eta - 3)^-1, (eta - 3)^-2 and (eta + 3)^-1.
+# condition 1 / (|A|_1 |A^-1|_1) is below FACTOR_RCOND is corrected by its
+# null vectors, which must count the predicted nullity of I - N; a corrected
+# block, S or l^T Z below it leaves no factor.  At n = 512 the mixed gallery
+# reads 1.4e-17 on curve 2 with A = (eta - z0)^+1, and 0.33-0.50 on every
+# block with (eta - z0)^-1, as do unit circles at +-3 with (eta - 3)^-1,
+# (eta - 3)^-2 and (eta + 3)^-1.
 FACTOR_RCOND = 1e-8
 
 
@@ -155,13 +159,14 @@ class DiscreteOperators:
         """x of (I - N) x = rhs, real of shape (N,), by the stored factor,
         or None until the GMRES work spent on these operators
         (:meth:`spend_gmres`) reaches FACTOR_RENT times the factor's own
-        cost.  The first call past that builds the factor; a singular S, or
-        a B below FACTOR_RCOND, leaves none.  Only a nonsingular I - N may
-        ask."""
+        cost.  The first call past that builds the factor, which refuses
+        what it cannot correct (:class:`_Factor`) and then leaves none.
+        Where the indices predict a null space of I - N, x is the solution
+        in its range, as GMRES's from 0."""
         state = self.kernel.factor_state
         if "factor" not in state and state["work"] >= FACTOR_RENT * _factor_madds(self.kernel):
             try:
-                state["factor"] = _Factor(self.kernel)
+                state["factor"] = _Factor(self.kernel, self.index.dim_null_I_minus_N)
             except np.linalg.LinAlgError:
                 state["factor"] = None
         return state["factor"].solve(rhs) if state.get("factor") else None
@@ -198,8 +203,8 @@ class _Kernel:
     Taylor coefficients about target curve l, zero on dense pairs, and
     T_l = taylor[l] (n x Q) the Taylor powers at l's nodes.  ``factor_state``
     holds the GMRES work spent on these operators ("work") and, once that
-    pays for it, the :class:`_Factor` of I - N ("factor"; None if B or S
-    is singular): the one mutable part, filled by
+    pays for it, the :class:`_Factor` of I - N ("factor"; None if it
+    refused): the one mutable part, filled by
     :meth:`DiscreteOperators.factored_solve`.
     """
 
@@ -321,20 +326,62 @@ class _Factor:
     2 m Q square, is kept inverted, and a solve is u = B^-1 b, y = S^-1 G u,
     mu = B^-1 (b + L y).  G B^-1 L takes V_k B_k^-1 L_k = V_k L_k +
     (V_k W^T) delta (W L_k) / n on a banded curve, so no n-row B^-1 L is formed.
+
+    Where I - N has a predicted null space of dimension d, each block of B
+    below FACTOR_RCOND adds u v^T, its d_k real left and right null vectors
+    (on a band, c - a b^T, a = J W u / n, b = J W v / n), so that the same
+    steps factor F = I - N + U V^T (Hager, SIAM Rev. 31, 1989).  Z = F^-1 U
+    spans null(I - N), l^T = V^T F^-1 its left null space, and a solve
+    projects x = F^-1 b onto the range: mu = x - Z (l^T Z)^-1 V^T F^-1 x,
+    GMRES's mu from 0 (Brown & Walker, SIAM J. Matrix Anal. Appl. 18, 1997).
+    LinAlgError refuses unless the d_k sum to d, (I - N) Z is below
+    DEFLATION_TOL of Z, and every kept inverse is well conditioned.
     """
 
-    def __init__(self, store: _Kernel):
-        self.store, n, B = store, store.taylor.shape[1], len(store.waves) // 2
+    def __init__(self, store: _Kernel, nullity: int):
+        self.store, (m, n, _), B = store, store.taylor.shape, len(store.waves) // 2
         self.singles, self.groups = _near_groups(store)
         c = n * store.band[[store.banded.index(k) for k in self.singles], 0]
-        delta = c @ _checked_inverse(np.eye(2 * B + 1) - c[:, ::-1])
-        del c
-        self.inverses = [_checked_inverse(np.eye(len(g) * n) - _dense_group(store, g))
-                         for g in self.groups]
+        systems, corrections = np.eye(2 * B + 1) - c[:, ::-1], []
+        inverse = _inverse(systems)
+        for i in np.flatnonzero(~_well_conditioned(systems, inverse)):
+            # u v^T of real band-limited u, v is the band update W^T a b^T W,
+            # a = J W u / n and b = J W v / n
+            u, v = (_real_basis(store.waves.T @ z[::-1]) for z in _null_space(systems[i]))
+            c[i] -= (store.waves @ u)[::-1] @ (store.waves @ v)[::-1].T / n
+            inverse[i] = _checked_inverse(np.eye(2 * B + 1) - c[i, ::-1])
+            corrections.append(((self.singles[i],), u, v))
+        delta = c @ inverse
+        del c, systems, inverse
+        self.inverses = []
+        for g in self.groups:
+            block = np.eye(len(g) * n) - _dense_group(store, g)
+            inverse = _inverse(block)
+            if not _well_conditioned(block, inverse):
+                u, v = _null_space(block)
+                inverse = _checked_inverse(block + u @ v.T)
+                corrections.append((g, u, v))
+            self.inverses.append(inverse)
+            del block, inverse
+        if sum(u.shape[1] for _, u, _ in corrections) != nullity:
+            raise np.linalg.LinAlgError("the blocks of B miss the null space of I - N")
         schur = self._schur(delta)
         self.delta = delta[:, B:].copy()  # the rows p = 0..B, which the band pass reads
         del delta
-        self.schur = np.linalg.inv(schur)
+        self.schur = _checked_inverse(schur)
+        self.null = None  # (Z, (l^T Z)^-1, V) where I - N is singular
+        if nullity:
+            U, V, first = np.zeros((m * n, nullity)), np.zeros((m * n, nullity)), 0
+            for curves, u, v in corrections:
+                rows = np.concatenate([np.arange(k * n, (k + 1) * n) for k in curves])
+                U[rows, first:first + u.shape[1]], V[rows, first:first + u.shape[1]] = u, v
+                first += u.shape[1]
+            Z = np.column_stack([self._solve_F(u) for u in U.T])  # spans null(I - N)
+            residual = np.abs(Z - store.product(Z, (np.imag,), False)[0]).max()
+            if not residual <= DEFLATION_TOL * np.abs(Z).max():
+                raise np.linalg.LinAlgError("the grid does not resolve the null space of I - N")
+            lz = V.T @ np.column_stack([self._solve_F(z) for z in Z.T])  # l^T Z = V^T F^-1 Z
+            self.null = (Z, _checked_inverse(lz), V)
 
     def _schur(self, delta: np.ndarray) -> np.ndarray:
         """S = I - G B^-1 L, from each group's V B^-1 L and C."""
@@ -370,7 +417,15 @@ class _Factor:
         return schur
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x of (I - N) x = b, for real b of shape (N,)."""
+        """x of (I - N) x = b, for real b of shape (N,), in the range of I - N."""
+        x = self._solve_F(b)
+        if self.null is None:
+            return x
+        Z, project, V = self.null
+        return x - Z @ (project @ (V.T @ self._solve_F(x)))
+
+    def _solve_F(self, b: np.ndarray) -> np.ndarray:
+        """F^-1 b, for real b of shape (N,)."""
         store = self.store
         m, n, Q = store.taylor.shape
         b = b.reshape(m, n)
@@ -390,14 +445,70 @@ class _Factor:
         return out
 
 
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """The inverse of a, or of each matrix of a stack, NaN where one is
+    exactly singular."""
+    try:
+        return np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return np.array([_inverse(b) for b in a]) if a.ndim > 2 else np.full_like(a, np.nan)
+
+
+def _well_conditioned(a: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Whether the reciprocal 1-norm condition of a, or of each matrix of a
+    stack, is at least FACTOR_RCOND, both norms at least 1 (B is the
+    identity off each band system)."""
+    return _norm1(a) * _norm1(inverse) * FACTOR_RCOND <= 1
+
+
+def _norm1(x: np.ndarray) -> np.ndarray:
+    """max(1, |x|_1) of x, or of each matrix of a stack, summed over blocks
+    of BLOCK_ENTRIES: no |x| as large as x is formed."""
+    sums = np.zeros(x.shape[:-2] + x.shape[-1:])
+    rows = max(1, BLOCK_ENTRIES // max(1, x.shape[-1]))
+    for first in range(0, x.shape[-2], rows):
+        sums += np.abs(x[..., first:first + rows, :]).sum(axis=-2)
+    return np.maximum(1.0, sums.max(axis=-1, initial=0.0))
+
+
 def _checked_inverse(a: np.ndarray) -> np.ndarray:
-    """The inverse of a, or of each matrix of a stack; LinAlgError if the
-    reciprocal 1-norm condition of one is below FACTOR_RCOND."""
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    inverse = np.linalg.inv(a)
-    if not (norm * np.abs(inverse).sum(axis=-2).max(axis=-1) * FACTOR_RCOND <= 1).all():
-        raise np.linalg.LinAlgError("B is numerically singular")
+    """The inverse of a, or of each matrix of a stack; LinAlgError if one
+    is not :func:`_well_conditioned`."""
+    inverse = _inverse(a)
+    if not _well_conditioned(a, inverse).all():
+        raise np.linalg.LinAlgError("numerically singular")
     return inverse
+
+
+def _null_space(a: np.ndarray):
+    """(x, y): orthonormal left and right null vectors of a, to FACTOR_RCOND:
+    with s = max(1, |a|_1), y the columns of K = (a + s FACTOR_RCOND^2 I)^-1
+    above 1 / (s FACTOR_RCOND) by :func:`_gram_schmidt`, x as many conjugated
+    rows.  No SVD, whose LAPACK code alone would raise the peak memory."""
+    scale = float(_norm1(a))
+    inverse = np.linalg.inv(a + FACTOR_RCOND**2 * scale * np.eye(len(a)))
+    right = _gram_schmidt(inverse, 1 / (FACTOR_RCOND * scale), len(a))
+    return _gram_schmidt(inverse.conj().T, 0.0, right.shape[1]), right
+
+
+def _gram_schmidt(X: np.ndarray, limit: float, most: int) -> np.ndarray:
+    """Orthonormal columns from those of X: Gram-Schmidt on the column of
+    largest norm, projected out of X twice, while that norm exceeds limit,
+    at most ``most`` of them."""
+    X, basis = X.copy(), []
+    norms = np.linalg.norm(X, axis=0)
+    while len(basis) < most and norms.max() > limit:
+        basis.append(X[:, norms.argmax()] / norms.max())
+        for _ in range(2):
+            X -= np.outer(basis[-1], basis[-1].conj() @ X)
+        norms = np.linalg.norm(X, axis=0)
+    return np.array(basis).T.reshape(len(X), len(basis))
+
+
+def _real_basis(z: np.ndarray) -> np.ndarray:
+    """Orthonormal real columns spanning the k columns of z, whose span
+    conjugation maps to itself: the real and imaginary parts span it."""
+    return _gram_schmidt(np.hstack((z.real, z.imag)), 0.0, z.shape[1])
 
 
 def _product_madds(store: _Kernel) -> float:

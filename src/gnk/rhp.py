@@ -10,10 +10,10 @@ exactly the part of gamma that no such function can attain, and it lies
 in the span of boundary values coming from the holes.  The solve applies
 the stored N to vectors: GMRES runs for every A, and where the indices
 predict a null space of I - N, mu is the solution in the range of I - N,
-the one GMRES reaches from mu = 0.  Where I - N is nonsingular, repeated
-solves on one set of operators switch to its stored factor once their
-GMRES work pays for building it; the residual gate decides every mu, and
-a factored one that fails it is solved again by GMRES.  Besides GMRES's
+the one GMRES reaches from mu = 0.  Repeated solves on one set of
+operators switch to its stored factor once their GMRES work pays for
+building it, on either path; the residual gate decides every mu, and a
+factored one that fails it is solved again by GMRES.  Besides GMRES's
 products, a solve makes one pass over the stored kernel for each of
 gamma, mu and h, which gives both M and N of it (``ops.apply_MN``).  The
 solve and everything after it read A, the indices and the boundary from
@@ -138,17 +138,17 @@ def _solve(ops: DiscreteOperators, gamma: np.ndarray):
     products (0 where the operators' factor solved it) and the correction
     h = (M mu - (I - N) gamma) / 2, from one pass over gamma and one over mu.
 
-    Only the regular path with a finite, nonzero right-hand side asks for
-    the factor (``ops.factored_solve``), and each GMRES solve counts its
-    work toward it (``ops.spend_gmres``).  The continuous equation is
+    Only a finite, nonzero right-hand side asks for the factor
+    (``ops.factored_solve``), and each GMRES solve counts its work toward
+    it (``ops.spend_gmres``).  The continuous equation is
     solvable for every gamma; a residual above SOLVE_TOL times
     max(1, sup|gamma|) therefore signals discretization failure, not
     theory failure, and the remedy is a larger n.
     """
     (m_gamma, n_gamma), allowed = ops.apply_MN(gamma), SOLVE_TOL * max(1.0, _sup(gamma))
     rhs = -m_gamma
-    regular = ops.index.dim_null_I_minus_N == 0 and 0.0 < _sup(rhs) < math.inf
-    mu, iterations, residual = (ops.factored_solve(rhs) if regular else None), 0, math.inf
+    finite = 0.0 < _sup(rhs) < math.inf
+    mu, iterations, residual = (ops.factored_solve(rhs) if finite else None), 0, math.inf
     if mu is not None:
         m_mu, n_mu = ops.apply_MN(mu)
         residual = _sup(mu - n_mu - rhs)

@@ -42,7 +42,7 @@ CLI_DEFAULTS = {
     "--n": "the grid size; the benchmark runs 256 and 512",
     "--out": "a path",
 }
-MAX_SOURCE_LINES = 2509
+MAX_SOURCE_LINES = 2620
 # Public functions only tests call, kept as library API; none is left (the
 # Dirichlet field is cauchy_eval(...).real).
 TEST_ONLY_API: set[str] = set()

@@ -36,15 +36,16 @@ def test_solve_many_reports_the_build():
     # the paths repeat on every machine: the rule reads no clock
     proc = _run([str(ROOT / "scripts" / "solve_many.py"), "--k", "8", "--repeats", "1"])
     assert proc.returncode == 0, proc.stderr
-    cases = ("mixed3", "lattice16", "mixed3-singular")
+    cases = ("mixed3", "lattice16", "mixed3-singular", "mixed3-singular-d3")
     paths = {case: [line.split()[3] for line in proc.stdout.splitlines()
                     if line.startswith(f"{case} solve")] for case in cases}
-    assert paths == {"mixed3": ["gmres"] * 6 + ["factored"] * 2, "lattice16": ["gmres"] * 8,
-                     "mixed3-singular": ["singular"] * 8}
-    assert "mixed3: factor built at solve 7, after 6 GMRES solves" in proc.stdout
-    assert "lattice16: no factor within 8 solves; median solve" in proc.stdout
-    # the singular path never factors: its row is the median solve time
-    assert re.search(r"^mixed3-singular: singular path; median solve [0-9.]+ ms$",
+    # the singular path factors too, at the same solve as the regular one
+    built = ["gmres"] * 6 + ["factored"] * 2
+    assert paths == {"mixed3": built, "lattice16": ["gmres"] * 8, "mixed3-singular": built,
+                     "mixed3-singular-d3": built}
+    for case in ("mixed3", "mixed3-singular", "mixed3-singular-d3"):
+        assert f"{case}: factor built at solve 7, after 6 GMRES solves" in proc.stdout
+    assert re.search(r"^lattice16: no factor within 8 solves; median solve [0-9.]+ ms$",
                      proc.stdout, flags=re.M)
 
 

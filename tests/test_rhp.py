@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -255,28 +256,38 @@ def _close_gallery() -> Region:
 
 
 class TestFactoredSolve:
-    """The regular-path solve by the stored factor of I - N (Woodbury
-    through the bands and the far engine), which the ski-rental rule
-    builds once GMRES has spent as much work on the same operators."""
+    """The solve by the stored factor of I - N (Woodbury through the bands
+    and the far engine; on the singular path, of I - N + U V^T with a
+    projection onto the range), which the ski-rental rule builds once GMRES
+    has spent as much work on the same operators."""
 
     @pytest.mark.parametrize("case", [
         "mixed-power-minus-1", "circles-one", "lattice16-one", "close-one", "ellipse30-one",
-        "pair-power-minus-1", "pair-power-minus-2", "pair-left-power-minus-1"])
+        "pair-power-minus-1", "pair-power-minus-2", "pair-left-power-minus-1",
+        "mixed-power-plus-1-dense", "mixed-power-plus-1", "circles-power-plus-2",
+        "circles-power-plus-3"])
     def test_matches_gmres(self, case, three_circles, mixed_gallery, monkeypatch):
         # close: near pairs join all three curves into one dense group of B;
         # ellipse30: the ellipse's block is dense, unbanded; the pair cases
         # are regular powers whose blocks of B read reciprocal conditions
-        # of 0.39-0.50, far above FACTOR_RCOND
+        # of 0.39-0.50, far above FACTOR_RCOND.  The plus powers take the
+        # singular path: curve 2's block of B is singular, a dense group at
+        # n = 128 and a band at n = 512 on the mixed gallery, and a band
+        # with 3 and 5 null vectors on the circles
         pair = Region.from_curves([circle(3.0, 1.0), circle(-3.0, 1.0)])
-        region, coeff, n = {
-            "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 256),
-            "circles-one": (three_circles, One(), 128),
-            "lattice16-one": (lattice16(), One(), 64),
-            "close-one": (_close_gallery(), One(), 128),
-            "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512),
-            "pair-power-minus-1": (pair, ShiftedPower(3.0, -1), 512),
-            "pair-power-minus-2": (pair, ShiftedPower(3.0, -2), 512),
-            "pair-left-power-minus-1": (pair, ShiftedPower(-3.0, -1), 512),
+        region, coeff, n, null = {
+            "mixed-power-minus-1": (mixed_gallery, ShiftedPower(CENTERS[2], -1), 256, 0),
+            "circles-one": (three_circles, One(), 128, 0),
+            "lattice16-one": (lattice16(), One(), 64, 0),
+            "close-one": (_close_gallery(), One(), 128, 0),
+            "ellipse30-one": (_ellipse_and_circle(30.0), One(), 512, 0),
+            "pair-power-minus-1": (pair, ShiftedPower(3.0, -1), 512, 0),
+            "pair-power-minus-2": (pair, ShiftedPower(3.0, -2), 512, 0),
+            "pair-left-power-minus-1": (pair, ShiftedPower(-3.0, -1), 512, 0),
+            "mixed-power-plus-1-dense": (mixed_gallery, ShiftedPower(CENTERS[2], 1), 128, 1),
+            "mixed-power-plus-1": (mixed_gallery, ShiftedPower(CENTERS[2], 1), 512, 1),
+            "circles-power-plus-2": (three_circles, ShiftedPower(CENTERS[2], 2), 64, 3),
+            "circles-power-plus-3": (three_circles, ShiftedPower(CENTERS[2], 3), 64, 5),
         }[case]
         gamma = band_limited(np.random.default_rng(21), region.m, n, band=6)
         reference = solve_rhp(assemble_N(region, coeff, ParamGrid(n)), gamma)
@@ -288,29 +299,38 @@ class TestFactoredSolve:
             assert {(0, 1), (0, 2)} <= set(store.pairs)
         if case == "ellipse30-one":
             assert 0 not in store.banded
+        if case.startswith("mixed-power-plus-1"):
+            assert (2 in store.banded) == (n == 512)
         assert reference.diagnostics.iterations > 0 and factored.diagnostics.iterations == 0
+        assert ops.index.dim_null_I_minus_N == null
+        # the singular path's mu is a different sum than GMRES's: rounding
+        # of |mu| = 5.5-13 in each
+        tol = 1e-11 if null else 1e-13
         for value, oracle in ((factored.mu, reference.mu), (factored.h, reference.h),
                               (factored.f_plus, reference.f_plus)):
-            assert np.all(np.abs(value - oracle) <= 1e-13 * np.maximum(1.0, np.abs(oracle)))
+            assert np.all(np.abs(value - oracle) <= tol * np.maximum(1.0, np.abs(oracle)))
+        if null:
+            oracle = _range_space_solution(ops.identity_minus_N(), -(ops.M @ gamma))
+            assert np.abs(factored.mu - oracle).max() <= tol * max(1.0, np.abs(oracle).max())
         assert factored.diagnostics.ie_residual <= SOLVE_TOL * max(1.0, np.abs(gamma).max())
 
-    def test_never_factors_off_the_regular_path(self, three_circles, grid64, monkeypatch):
-        # the singular path, and zero or NaN data, run GMRES even where the
-        # factor is free
+    def test_never_factors_without_finite_data(self, three_circles, grid64, monkeypatch):
+        # zero or NaN data run GMRES even where the factor is free, on the
+        # regular and the singular path; finite data then factor on both
         monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
         builds = count_calls(monkeypatch, discrete, "_Factor")
         gamma = band_limited(np.random.default_rng(21), 3, 64, band=6)
-        singular = assemble_N(three_circles, ShiftedPower(CENTERS[2], 1), grid64)
-        assert solve_rhp(singular, gamma).diagnostics.iterations > 0
-        regular = assemble_N(three_circles, One(), grid64)
-        data = np.zeros(regular.size)
-        assert np.abs(solve_rhp(regular, data).mu).max() == 0.0
-        data[5] = np.nan
-        with pytest.raises(InconsistentSystem):
-            solve_rhp(regular, data)
-        assert builds == []
-        assert solve_rhp(regular, gamma).diagnostics.iterations == 0
-        assert builds == ["_Factor"]
+        for coeff in (One(), ShiftedPower(CENTERS[2], 1)):
+            ops = assemble_N(three_circles, coeff, grid64)
+            data = np.zeros(ops.size)
+            assert np.abs(solve_rhp(ops, data).mu).max() == 0.0
+            data[5] = np.nan
+            with pytest.raises(InconsistentSystem):
+                solve_rhp(ops, data)
+            assert builds == []
+            assert solve_rhp(ops, gamma).diagnostics.iterations == 0
+            assert builds == ["_Factor"]
+            builds.clear()
 
     @pytest.mark.parametrize("gallery", ["circle", "circles", "mixed", "lattice16"])
     def test_first_solve_never_factors(self, gallery, three_circles, mixed_gallery,
@@ -325,31 +345,74 @@ class TestFactoredSolve:
         assert builds == []
 
     def test_fresh_assemblies_repeat_bit_for_bit(self, mixed_gallery):
-        # the rule counts work from shapes and products, not from a clock
+        # the rule counts work from shapes and products, not from a clock,
+        # on the regular path (power -1) and the singular one (+1)
         gammas = [band_limited(np.random.default_rng(seed), 3, 128, band=6)
                   for seed in range(12)]
-        runs = []
-        for _ in range(2):
-            ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], -1), ParamGrid(128))
-            runs.append([solve_rhp(ops, gamma) for gamma in gammas])
-        paths = [[s.diagnostics.iterations == 0 for s in run] for run in runs]
-        assert paths[0] == paths[1]
-        assert not paths[0][0] and paths[0][-1]
-        for first, second in zip(*runs):
-            assert np.array_equal(first.mu, second.mu)
-            assert np.array_equal(first.f_plus, second.f_plus)
+        for power in (-1, 1):
+            runs = []
+            for _ in range(2):
+                ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], power), ParamGrid(128))
+                runs.append([solve_rhp(ops, gamma) for gamma in gammas])
+            paths = [[s.diagnostics.iterations == 0 for s in run] for run in runs]
+            assert paths[0] == paths[1]
+            assert not paths[0][0] and paths[0][-1]
+            for first, second in zip(*runs):
+                assert np.array_equal(first.mu, second.mu)
+                assert np.array_equal(first.f_plus, second.f_plus)
 
     @pytest.mark.parametrize("n", [128, 512], ids=["dense-group", "band"])
     def test_numerically_singular_B_leaves_no_factor(self, mixed_gallery, n, monkeypatch):
         # with A = (eta - z0)^+1, I - N_22 is singular to roundoff: a
         # reciprocal condition of 7.9e-18 (curve 2's dense block, n = 128)
-        # or 1.4e-17 (its band system, n = 512), which inv does not refuse
+        # or 1.4e-17 (its band system, n = 512), which inv does not refuse.
+        # Its one null vector corrects B only where the indices predict
+        # exactly one for I - N: with 0 (a regular I - N) or 2 predicted,
+        # no factor is built
         ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], 1), ParamGrid(n))
-        with pytest.raises(np.linalg.LinAlgError):
-            discrete._Factor(ops.N.store)
+        assert ops.index.dim_null_I_minus_N == 1
+        for nullity in (0, 2):
+            with pytest.raises(np.linalg.LinAlgError):
+                discrete._Factor(ops.N.store, nullity)
         monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
-        assert ops.factored_solve(np.ones(ops.size)) is None
+        regular = dataclasses.replace(ops, index=dataclasses.replace(ops.index,
+                                                                     dim_null_I_minus_N=0))
+        assert regular.factored_solve(np.ones(ops.size)) is None
         assert ops.N.store.factor_state["factor"] is None
+
+    def test_unresolved_null_space_leaves_no_factor(self, monkeypatch):
+        # a/b = 30 with A = (eta - 3)^+1 at n = 512: the ellipse's block has
+        # one singular value at 3.7e-9 of its largest, and so one null
+        # vector as predicted, but the grid lifts that of I - N to 1.8e-9:
+        # |(I - N) Z| reads 2.4e-7 of |Z|, and a factored mu would miss the
+        # gate (1.1e-7).  No factor is built, and GMRES meets the gate
+        ops = assemble_N(_ellipse_and_circle(30.0), ShiftedPower(3.0, 1), ParamGrid(512))
+        with pytest.raises(np.linalg.LinAlgError, match="does not resolve"):
+            discrete._Factor(ops.N.store, 1)
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
+        gamma = band_limited(np.random.default_rng(21), 2, 512, band=6)
+        solution = solve_rhp(ops, gamma)
+        assert ops.N.store.factor_state["factor"] is None
+        assert solution.diagnostics.iterations > 0
+        assert solution.diagnostics.ie_residual <= SOLVE_TOL * max(1.0, np.abs(gamma).max())
+
+    def test_near_singular_S_leaves_no_factor(self, mixed_gallery, monkeypatch):
+        # S reads a reciprocal condition of 0.41 here; one direction scaled
+        # by 1e-12 plants one far below FACTOR_RCOND, which inv does not refuse
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], -1), ParamGrid(512))
+        schur = discrete._Factor._schur
+
+        def planted_schur(self, delta):
+            S = schur(self, delta)
+            S[:, 0] *= 1e-12
+            return S
+
+        monkeypatch.setattr(discrete._Factor, "_schur", planted_schur)
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
+        gamma = band_limited(np.random.default_rng(21), 3, 512, band=6)
+        solution = solve_rhp(ops, gamma)
+        assert ops.N.store.factor_state["factor"] is None
+        assert solution.diagnostics.iterations > 0
 
     def test_gate_failure_reruns_gmres(self, three_circles, grid64, monkeypatch):
         monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)
@@ -362,10 +425,19 @@ class TestFactoredSolve:
     def test_build_peak_is_bounded(self, mixed_gallery):
         # n = 512, every curve banded, no near pair: the factor keeps S^-1
         # (240 square) and the band rows of each curve's delta, 0.57 MB, and
-        # forms no n-row B^-1 L; the build peaks at 1.22 MB measured
+        # forms no n-row B^-1 L; the build peaks at 1.45 MiB measured, 0.23
+        # of it |S^-1| for S's check
         ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], -1), ParamGrid(512))
         assert ops.N.store.banded == (0, 1, 2) and ops.N.store.pairs == ()
-        assert traced_peak(lambda: discrete._Factor(ops.N.store)) <= 1.8 * 2**20
+        assert traced_peak(lambda: discrete._Factor(ops.N.store, 0)) <= 1.8 * 2**20
+
+    def test_singular_build_peak_is_bounded(self, mixed_gallery):
+        # the same gallery with A = (eta - z0)^+1: curve 2's band is
+        # corrected, and the factor keeps Z and V too, N x 1 each; the
+        # build peaks at 1.46 MiB measured
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], 1), ParamGrid(512))
+        assert ops.N.store.banded == (0, 1, 2) and ops.N.store.pairs == ()
+        assert traced_peak(lambda: discrete._Factor(ops.N.store, 1)) <= 1.8 * 2**20
 
 
 class TestPassesOverTheKernel:
@@ -383,6 +455,19 @@ class TestPassesOverTheKernel:
         solution = solve_rhp(mixed_ops, band_limited(np.random.default_rng(2), 3, 128, band=6))
         assert solution.diagnostics.iterations == 0
         assert passes == [2, 2, 2]
+
+    def test_factored_singular_solve_makes_three(self, mixed_gallery, monkeypatch):
+        # the build checks (I - N) Z by one product with N; the solve's two
+        # factored solves and projection read no stored kernel
+        ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], 1), ParamGrid(128))
+        monkeypatch.setattr(discrete, "FACTOR_RENT", 0.0)  # build on the first solve
+        passes = count_passes(monkeypatch)
+        rng = np.random.default_rng(2)
+        for expected in ([2, 1, 2, 2], [2, 2, 2]):
+            solution = solve_rhp(ops, band_limited(rng, 3, 128, band=6))
+            assert solution.diagnostics.iterations == 0 and solution.diagnostics.minimal_norm
+            assert passes == expected
+            passes.clear()
 
     @pytest.mark.parametrize("power", [-1, 1], ids=["regular", "singular"])
     def test_gmres_solve_makes_iterations_plus_three(self, mixed_gallery, power, monkeypatch):
