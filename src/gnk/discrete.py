@@ -29,11 +29,11 @@ The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`); for A = 1
 the per-curve constants, null vectors of I + N in theory, are checked and
 held out of its basis.  Assembly computes those indices once and the
-operators carry them.  Repeated solves on one set of operators end up with
-a factor of I - N built from the same storage (:class:`_Factor`, by
-Woodbury; where the indices predict a null space, of I - N + U V^T, whose
-solutions are projected onto the range), once the GMRES work they spent
-pays for it.
+operators carry them.  ``ops.solve_I_minus_N`` solves I - N: by GMRES
+(:func:`_gmres`) from 0, until repeated solves on one set of operators
+have spent enough GMRES work to pay for a factor built from the same
+storage (:class:`_Factor`, by Woodbury; where the indices predict a null
+space, of I - N + U V^T, whose solutions are projected onto the range).
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ NULLITY_SETTLE = 1e-8
 NULLITY_MAX_COLUMNS = 1024
 NULLITY_MIN_DEPTH = 32
 DEFLATION_TOL = 1e-10
+# GMRES starts at mu = 0 and stops when ||r|| falls to KRYLOV_TOL ||b||, or
+# after KRYLOV_MAX_ITER products with N.  The count grows with the
+# conditioning of I - N on its range, not with n: 9-16 products on
+# well-separated holes, 71-112 at a/b = 300 (the README has the table).
+KRYLOV_TOL = 1e-15
+KRYLOV_MAX_ITER = 500
+# The GMRES basis grows by this many vectors, so its memory follows the
+# products taken, not the cap.
+KRYLOV_BLOCK = 8
 # Ski rental for the solve: the factor of I - N is built once
 # the GMRES work spent on the operators reaches FACTOR_RENT times the
 # factor's own, both in real multiply-adds counted from the stored shapes.
@@ -104,7 +113,7 @@ class DiscreteOperators:
     indices of the coefficient, which predict the nullities of I +- N.
     Assembled operators are safe to share: their arrays never change, and
     applications are pure.  The one mutable part is the lazily built solve
-    factor with the GMRES work it waits on (:meth:`factored_solve`): two
+    factor with the GMRES work it waits on (:meth:`solve_I_minus_N`): two
     threads may both build it, and either factor's results, like GMRES's,
     must meet the solve's gate.
     """
@@ -149,33 +158,42 @@ class DiscreteOperators:
         kernel, bit for bit the two products."""
         return tuple(self.kernel.product(np.asarray(x), (np.imag, np.real), False)[::-1])
 
+    # No library code calls these two dense copies; the benchmark's span
+    # table (benchmarks/spans.py EXTRA) names them, and its install fails without them.
     def identity_plus_N(self) -> np.ndarray:
         return np.eye(self.size) + np.asarray(self.N)
 
     def identity_minus_N(self) -> np.ndarray:
         return np.eye(self.size) - np.asarray(self.N)
 
-    def factored_solve(self, rhs: np.ndarray) -> np.ndarray | None:
-        """x of (I - N) x = rhs, real of shape (N,), by the stored factor,
-        or None until the GMRES work spent on these operators
-        (:meth:`spend_gmres`) reaches FACTOR_RENT times the factor's own
-        cost.  The first call past that builds the factor, which refuses
-        what it cannot correct (:class:`_Factor`) and then leaves none.
-        Where the indices predict a null space of I - N, x is the solution
-        in its range, as GMRES's from 0."""
-        state = self.kernel.factor_state
-        if "factor" not in state and state["work"] >= FACTOR_RENT * _factor_madds(self.kernel):
+    def solve_I_minus_N(self, rhs: np.ndarray, allowed: float):
+        """(mu, (M mu, N mu), products): mu of (I - N) mu = rhs, real of
+        shape (N,), its joint pass and GMRES's products with N, 0 where the
+        stored factor solved it.
+
+        Only a finite, nonzero rhs asks for the factor.  It is built at the
+        first such solve where the GMRES work spent on these operators
+        reaches FACTOR_RENT times its own cost, and a build that refuses
+        (:class:`_Factor`) leaves none.  A factored mu is kept only if
+        sup|mu - N mu - rhs| <= allowed; otherwise GMRES solves from 0 and
+        adds its products, Arnoldi included, to that work.  Where the
+        indices predict a null space of I - N, mu is the solution in its
+        range either way.  The caller judges GMRES's mu by the same gate."""
+        state, finite = self.kernel.factor_state, 0.0 < float(np.abs(rhs).max()) < math.inf
+        if finite and "factor" not in state and (
+                state["work"] >= FACTOR_RENT * _factor_madds(self.kernel)):
             try:
                 state["factor"] = _Factor(self.kernel, self.index.dim_null_I_minus_N)
             except np.linalg.LinAlgError:
                 state["factor"] = None
-        return state["factor"].solve(rhs) if state.get("factor") else None
-
-    def spend_gmres(self, products: int) -> None:
-        """Count a GMRES solve of ``products`` products with N, Arnoldi
-        included, toward building its factor."""
-        self.kernel.factor_state["work"] += products * (
-            _product_madds(self.kernel) + 2 * (products + 1) * self.size)
+        if finite and state.get("factor"):
+            mu = state["factor"].solve(rhs)
+            passes = self.apply_MN(mu)
+            if np.abs(mu - passes[1] - rhs).max() <= allowed:
+                return mu, passes, 0
+        mu, products = _gmres(self.N, rhs)
+        state["work"] += products * (_product_madds(self.kernel) + 2 * (products + 1) * self.size)
+        return mu, self.apply_MN(mu), products
 
     def nullity_I_minus_N(self) -> "NullityReport":
         return nullity(self.N, -1, self.index.dim_null_I_minus_N + NULLITY_MARGIN,
@@ -205,7 +223,7 @@ class _Kernel:
     holds the GMRES work spent on these operators ("work") and, once that
     pays for it, the :class:`_Factor` of I - N ("factor"; None if it
     refused): the one mutable part, filled by
-    :meth:`DiscreteOperators.factored_solve`.
+    :meth:`DiscreteOperators.solve_I_minus_N`.
     """
 
     band: np.ndarray
@@ -816,6 +834,52 @@ def _project_out(basis: np.ndarray, w: np.ndarray):
     w = w - basis @ first
     second = basis.T @ w
     return w - basis @ second, first + second
+
+
+def _gmres(N, b: np.ndarray):
+    """x of (I - N) x = b, and the products with N, of which it takes only
+    ``N @ x``: the operator ``ops.N``, or any matrix.
+
+    Arnoldi on I - N from x = 0 (Saad & Schultz 1986) projects each new
+    Krylov vector out of the basis twice (:func:`_project_out`); Givens
+    rotations keep the Hessenberg matrix triangular, so |g[-1]| is the
+    residual norm of the current iterate without a solve.  It stops once
+    that falls to KRYLOV_TOL ||b||, at a breakdown (the new vector
+    vanishes, so the Krylov space holds x), or after KRYLOV_MAX_ITER
+    products.  From x = 0 every iterate lies in the Krylov space of b, so
+    for a singular I - N and b in its range, x is the solution in that
+    range (Brown & Walker 1997).  A zero or non-finite b returns x = 0
+    after 0 products, for the residual gate to decide.
+    """
+    beta = float(np.linalg.norm(b))
+    if not 0.0 < beta < math.inf:
+        return np.zeros_like(b), 0
+    basis = np.empty((KRYLOV_BLOCK, b.size))
+    basis[0] = b / beta
+    columns, rotations, g = [], [], [beta]
+    for k in range(KRYLOV_MAX_ITER):
+        w = basis[k] - N @ basis[k]
+        scale = np.linalg.norm(w)
+        w, h = _project_out(basis[:k + 1].T, w)
+        h = np.append(h, last := np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        rho = math.hypot(h[k], h[k + 1])
+        c, s = h[k] / rho, h[k + 1] / rho
+        rotations.append((c, s))
+        h[k] = rho
+        columns.append(h[:k + 1])
+        g[k:] = [c * g[k], -s * g[k]]
+        if abs(g[-1]) <= KRYLOV_TOL * beta or not last > KRYLOV_TOL * scale:
+            break
+        if k + 1 == len(basis):
+            basis = np.concatenate((basis, np.empty((KRYLOV_BLOCK, b.size))))
+        basis[k + 1] = w / last
+    y = np.array(g[:-1])
+    for j in reversed(range(y.size)):  # back substitution, column by column
+        y[j] /= columns[j][j]
+        y[:j] -= y[j] * columns[j][:j]
+    return y @ basis[:y.size], y.size
 
 
 def _new_block(basis: np.ndarray, w: np.ndarray) -> np.ndarray:

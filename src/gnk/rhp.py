@@ -7,13 +7,11 @@ Solving the equation for mu, forming the real correction
 and dividing, f+ = (gamma + h + i mu) / A, yields boundary values of a
 function analytic in the unbounded region with f(inf) = 0; h absorbs
 exactly the part of gamma that no such function can attain, and it lies
-in the span of boundary values coming from the holes.  The solve applies
-the stored N to vectors: GMRES runs for every A, and where the indices
-predict a null space of I - N, mu is the solution in the range of I - N,
-the one GMRES reaches from mu = 0.  Repeated solves on one set of
-operators switch to its stored factor once their GMRES work pays for
-building it, on either path; the residual gate decides every mu, and a
-factored one that fails it is solved again by GMRES.  Besides GMRES's
+in the span of boundary values coming from the holes.  The operators
+solve I - N (``ops.solve_I_minus_N``): by GMRES, or by their stored
+factor once repeated solves pay for it; where the indices predict a null
+space of I - N, mu is the solution in its range, the one GMRES reaches
+from mu = 0.  The residual gate decides every mu.  Besides GMRES's
 products, a solve makes one pass over the stored kernel for each of
 gamma, mu and h, which gives both M and N of it (``ops.apply_MN``).  The
 solve and everything after it read A, the indices and the boundary from
@@ -37,15 +35,6 @@ from gnk.geometry import (MIN_DISTANCE, ParamGrid, Region, _as_complex, _fourier
 from gnk.kernels import BoundaryJet, _laurent_frame, _laurent_terms
 
 SOLVE_TOL = 1e-10  # the solve's residual gate, relative to max(1, sup|gamma|)
-# GMRES starts at mu = 0 and stops when ||r|| falls to KRYLOV_TOL ||b||, or
-# after KRYLOV_MAX_ITER products with N.  The count grows with the
-# conditioning of I - N on its range, not with n: 9-16 products on
-# well-separated holes, 71-112 at a/b = 300 (the README has the table).
-KRYLOV_TOL = 1e-15
-KRYLOV_MAX_ITER = 500
-# The GMRES basis grows by this many vectors, so its memory follows the
-# products taken, not the cap.
-KRYLOV_BLOCK = 8
 # Probe-node pairs per block of the field pass, shared by the m curves; a
 # few temporaries of PROBE_BLOCK / m entries are all it holds beyond its
 # O(probes) outputs.  Beyond FAR_RHO radii a curve's far field is FAR_TERMS
@@ -83,80 +72,20 @@ class RHSolution:
     diagnostics: SolveDiagnostics
 
 
-def _gmres(N, b: np.ndarray):
-    """x of (I - N) x = b, and the products with N, of which it takes only
-    ``N @ x``: the operator ``ops.N``, or any matrix.
-
-    Arnoldi on I - N from x = 0 (Saad & Schultz 1986) orthogonalizes each
-    new Krylov vector against the basis twice, as discrete._new_block does;
-    Givens rotations keep the Hessenberg matrix triangular, so |g[-1]| is
-    the residual norm of the current iterate without a solve.  It stops
-    once that falls to KRYLOV_TOL ||b||, at a breakdown (the new vector
-    vanishes, so the Krylov space holds x), or after KRYLOV_MAX_ITER
-    products.  From x = 0 every iterate lies in the Krylov space of b, so
-    for a singular I - N and b in its range, x is the solution in that
-    range (Brown & Walker 1997).  A zero or non-finite b returns x = 0
-    after 0 products, for the residual gate to decide.
-    """
-    beta = float(np.linalg.norm(b))
-    if not 0.0 < beta < math.inf:
-        return np.zeros_like(b), 0
-    basis = np.empty((KRYLOV_BLOCK, b.size))
-    basis[0] = b / beta
-    columns, rotations, g = [], [], [beta]
-    for k in range(KRYLOV_MAX_ITER):
-        w = basis[k] - N @ basis[k]
-        scale = np.linalg.norm(w)
-        h = np.zeros(k + 2)
-        for _ in range(2):
-            step = basis[:k + 1] @ w
-            w -= step @ basis[:k + 1]
-            h[:k + 1] += step
-        h[k + 1] = last = np.linalg.norm(w)
-        for i, (c, s) in enumerate(rotations):
-            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-        rho = math.hypot(h[k], h[k + 1])
-        c, s = h[k] / rho, h[k + 1] / rho
-        rotations.append((c, s))
-        h[k] = rho
-        columns.append(h[:k + 1])
-        g[k:] = [c * g[k], -s * g[k]]
-        if abs(g[-1]) <= KRYLOV_TOL * beta or not last > KRYLOV_TOL * scale:
-            break
-        if k + 1 == len(basis):
-            basis = np.concatenate((basis, np.empty((KRYLOV_BLOCK, b.size))))
-        basis[k + 1] = w / last
-    y = np.array(g[:-1])
-    for j in reversed(range(y.size)):  # back substitution, column by column
-        y[j] /= columns[j][j]
-        y[:j] -= y[j] * columns[j][:j]
-    return y @ basis[:y.size], y.size
-
-
 def _solve(ops: DiscreteOperators, gamma: np.ndarray):
     """mu of (I - N) mu = -M gamma, its sup-norm residual, the GMRES
     products (0 where the operators' factor solved it) and the correction
     h = (M mu - (I - N) gamma) / 2, from one pass over gamma and one over mu.
 
-    Only a finite, nonzero right-hand side asks for the factor
-    (``ops.factored_solve``), and each GMRES solve counts its work toward
-    it (``ops.spend_gmres``).  The continuous equation is
-    solvable for every gamma; a residual above SOLVE_TOL times
-    max(1, sup|gamma|) therefore signals discretization failure, not
-    theory failure, and the remedy is a larger n.
+    The continuous equation is solvable for every gamma; a residual above
+    SOLVE_TOL times max(1, sup|gamma|) therefore signals discretization
+    failure, not theory failure, and the remedy is a larger n.  NaN or
+    infinite data give a NaN residual, which fails the gate too.
     """
     (m_gamma, n_gamma), allowed = ops.apply_MN(gamma), SOLVE_TOL * max(1.0, _sup(gamma))
     rhs = -m_gamma
-    finite = 0.0 < _sup(rhs) < math.inf
-    mu, iterations, residual = (ops.factored_solve(rhs) if finite else None), 0, math.inf
-    if mu is not None:
-        m_mu, n_mu = ops.apply_MN(mu)
-        residual = _sup(mu - n_mu - rhs)
-    if not residual <= allowed:
-        mu, iterations = _gmres(ops.N, rhs)
-        ops.spend_gmres(iterations)
-        m_mu, n_mu = ops.apply_MN(mu)
-        residual = _sup(mu - n_mu - rhs)
+    mu, (m_mu, n_mu), iterations = ops.solve_I_minus_N(rhs, allowed)
+    residual = _sup(mu - n_mu - rhs)
     if not residual <= allowed:
         raise InconsistentSystem(
             f"integral equation residual {residual:.3e} exceeds {allowed:.3e}")

@@ -14,7 +14,10 @@ says why.  The optional flags of every CLI subcommand must equal
 ``CLI_DEFAULTS``, named the same way.  Only ``discrete.py`` reads the storage behind ``ops.N`` and
 ``ops.M`` (``ops.kernel``); every other module goes through their products and
 ``ops.kernel_block``.  One builder makes kernel entries: ``_fill_kernel``
-has one caller, ``discrete._kernel_blocks``.
+has one caller, ``discrete._kernel_blocks``.  The private names that one
+module of ``src/gnk`` reads from another, by ``from gnk.x import _y`` or
+``x._y``, must equal ``PRIVATE_IMPORTS``, grouped by the reason each
+group stays, so a new crossing fails and so does a listed one that is gone.
 """
 
 from __future__ import annotations
@@ -42,7 +45,30 @@ CLI_DEFAULTS = {
     "--n": "the grid size; the benchmark runs 256 and 512",
     "--out": "a path",
 }
-MAX_SOURCE_LINES = 2620
+MAX_SOURCE_LINES = 2613
+# (importer, private name) pairs across modules, by the reason they stay
+PRIVATE_IMPORTS = {
+    "the coefficient and boundary-data loaders read JSON with geometry's readers": {
+        ("coefficient", "geometry._as_complex"), ("coefficient", "geometry._fourier_curve"),
+        ("coefficient", "geometry._json_array"), ("coefficient", "geometry._json_number"),
+        ("coefficient", "geometry._json_object"), ("coefficient", "geometry._parse_json_source"),
+        ("rhp", "geometry._as_complex"), ("rhp", "geometry._fourier_curve"),
+        ("rhp", "geometry._json_array"), ("rhp", "geometry._json_number"),
+        ("rhp", "geometry._json_object"), ("rhp", "geometry._parse_json_source")},
+    "one finiteness check for every input array": {
+        ("cli", "geometry._require_finite"), ("coefficient", "geometry._require_finite"),
+        ("rhp", "geometry._require_finite")},
+    "one winding count about points: validation, the index, the hole mask, the Mobius centre": {
+        ("cli", "geometry._turns_about_points"), ("coefficient", "geometry._turns_about_points"),
+        ("mobius", "geometry._turns_about_points")},
+    "the mapped index counts the coefficient's windings as index_of does": {
+        ("mobius", "coefficient._windings")},
+    "the Mobius check walks the one kernel builder in its buffer": {
+        ("mobius", "discrete._block_buffer"), ("mobius", "discrete._kernel_blocks")},
+    "one Laurent frame and truncation for the far pairs and the far field": {
+        ("discrete", "kernels._laurent_frame"), ("discrete", "kernels._laurent_terms"),
+        ("rhp", "kernels._laurent_frame"), ("rhp", "kernels._laurent_terms")},
+}
 # Public functions only tests call, kept as library API; none is left (the
 # Dirichlet field is cauchy_eval(...).real).
 TEST_ONLY_API: set[str] = set()
@@ -144,6 +170,29 @@ def test_only_discrete_reads_the_operator_storage():
     assert storage >= {"kernel", "store", "part", "band", "banded", "waves", "dense_n", "pairs",
                        "V", "C", "taylor"}
     assert readers == []
+
+
+def private_imports() -> set[tuple[str, str]]:
+    """(importer, "module._name") of every private name a module of the
+    package takes from another, by ``from gnk.module import _name`` or as
+    ``module._name`` after ``from gnk import module``."""
+    found = set()
+    for path, tree in _modules():
+        modules = {}  # local name -> gnk module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "gnk":
+                modules.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gnk."):
+                found |= {(path.stem, f"{node.module[4:]}.{a.name}") for a in node.names
+                          if a.name.startswith("_")}
+        found |= {(path.stem, f"{modules[node.value.id]}.{node.attr}") for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules}
+    return found
+
+
+def test_private_imports_are_named():
+    assert private_imports() == set().union(*PRIVATE_IMPORTS.values())
 
 
 def test_one_kernel_builder():

@@ -7,7 +7,7 @@ from gnk import coefficient, rhp
 from gnk.coefficient import One, ShiftedPower
 from gnk.discrete import assemble_N
 from gnk.dirichlet import indicator_basis, solve_modified_dirichlet
-from gnk.errors import ConstancyViolation, GnkError, TooCloseToBoundary
+from gnk.errors import ConstancyViolation, GnkError, InconsistentSystem, TooCloseToBoundary
 from gnk.geometry import ParamGrid, Region, circle
 from gnk.rhp import cauchy_eval
 from conftest import CENTERS, oracle_boundary, oracle_terms
@@ -61,6 +61,15 @@ class TestSolve:
         assert np.abs(solution.mu).max() == 0.0
         assert all(h == 0.0 for h in solution.h_constants)
         assert np.abs(solution.f_boundary).max() == 0.0
+
+    def test_infinite_data_raise(self):
+        # the gate's bound is infinite too, but the residual is NaN
+        grid = ParamGrid(32)
+        ops = assemble_N(Region.from_curves([circle(0.0, 1.0), circle(4.0, 1.0)]), One(), grid)
+        gamma = np.tile(np.cos(grid.nodes), 2)
+        gamma[3] = np.inf
+        with pytest.raises(InconsistentSystem), np.errstate(invalid="ignore"):
+            solve_modified_dirichlet(ops, gamma)
 
     def test_grid_consistency(self, three_circles):
         # the same data sampled on n and 2n yields matching mu and h_j
