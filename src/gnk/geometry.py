@@ -192,7 +192,7 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a node on a point gives NaN
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # a node on a point gives NaN
 def _turns_about_points(loop: Callable[[np.ndarray], np.ndarray], points,
                         n: int, min_modulus: float) -> np.ndarray:
     """Winding numbers of the closed loop s -> loop(s), s in [0, 2 pi), about

@@ -343,6 +343,7 @@ class TestDiscScreening:
     @given(st.complex_numbers(max_magnitude=4.0), st.floats(0.1, 2.0),
            st.floats(0.1, 2.0), st.complex_numbers(max_magnitude=6.0))
     @settings(max_examples=40, deadline=None)
+    @example(-0.7 + 5e-324j, 1.0, 1.0, 0j)  # a node a subnormal off the hole point
     def test_random_pairs_equal_sampled_oracle(self, center, a, b, hole):
         # an ellipse at 1 + i and a circle anywhere, with a
         # hole point anywhere: discs apart, overlapping, or nested
@@ -437,6 +438,7 @@ class TestExactGaps:
     @given(st.floats(-6.0, 6.0), st.complex_numbers(max_magnitude=1e6),
            st.floats(0.05, 3.0), st.floats(0.05, 3.0), st.complex_numbers(max_magnitude=4.0))
     @settings(max_examples=60, deadline=None)
+    @example(0.0, 0j, 1.0, 1.0, 1 + 5e-324j)  # a hole point a subnormal off a node
     def test_random_pairs_equal_exact_table(self, power, offset, a, b, centre):
         # any scale and offset, curves apart, touching or crossing
         scale = 10.0**power
