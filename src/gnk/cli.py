@@ -181,7 +181,7 @@ def run_verify(args) -> int:
     identity_ok = r1_max <= TOL_IDENTITY and r2_max <= TOL_IDENTITY
 
     # On the 16-circle lattice at N = 4096, 9.9 MB are held after assembly; the
-    # counts trace 12.9 MB (I + N, deflated) and 12.4 MB (I - N) above that,
+    # counts trace 8.5 MB (I + N, deflated) and 7.2 MB (I - N) above that,
     # and the Mobius check's two pair buffers 2.8 MB.
     mobius_section = _mobius_section(ops)
     plus = ops.nullity_I_plus_N()

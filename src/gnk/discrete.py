@@ -828,12 +828,14 @@ class NullityReport:
         return self.stop in ("settled", "exact")
 
 
-def _project_out(basis: np.ndarray, w: np.ndarray):
-    """(v, c) with w = basis @ c + v: the orthonormal basis projected out twice."""
-    first = basis.T @ w
-    w = w - basis @ first
-    second = basis.T @ w
-    return w - basis @ second, first + second
+def _project_out(blocks: list, w: np.ndarray):
+    """(v, c) with w = [blocks] @ c + v: w projected out of each orthonormal
+    block in turn, in two passes; c stacks each block's two coefficients."""
+    coords = []
+    for block in blocks + blocks:
+        coords.append(block.T @ w)
+        w = w - block @ coords[-1]
+    return w, np.concatenate([w[:0], *map(np.add, coords[:len(blocks)], coords[len(blocks):])])
 
 
 def _gmres(N, b: np.ndarray):
@@ -860,7 +862,7 @@ def _gmres(N, b: np.ndarray):
     for k in range(KRYLOV_MAX_ITER):
         w = basis[k] - N @ basis[k]
         scale = np.linalg.norm(w)
-        w, h = _project_out(basis[:k + 1].T, w)
+        w, h = _project_out([basis[:k + 1].T], w)
         h = np.append(h, last := np.linalg.norm(w))
         for i, (c, s) in enumerate(rotations):
             h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
@@ -882,35 +884,23 @@ def _gmres(N, b: np.ndarray):
     return y @ basis[:y.size], y.size
 
 
-def _new_block(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning w with the basis projected out, twice;
+def _new_block(basis: list, w: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning w with the basis blocks projected out, twice;
     directions below DEFLATION_TOL of the norm of w are dropped."""
     u, s, _ = np.linalg.svd(_project_out(basis, w)[0], full_matrices=False)
     return u[:, s > DEFLATION_TOL * np.linalg.norm(w)]
 
 
-def _append(buffer: np.ndarray, used: int, block: np.ndarray) -> np.ndarray:
-    """``buffer`` with ``block`` written in place after its first ``used``
-    columns, first copied into max(need, 2 capacity) columns if full."""
-    need = used + block.shape[1]
-    if need > buffer.shape[1]:
-        grown = np.empty((len(buffer), max(need, 2 * buffer.shape[1])))
-        grown[:, :used], buffer = buffer[:, :used], grown
-    buffer[:, used:need] = block
-    return buffer
-
-
-def _border(image_basis: np.ndarray, r_factor: np.ndarray, image: np.ndarray):
-    """(P', R') with [P R, image] = P' R', for orthonormal P, the first
-    k columns of ``image_basis`` (R is k x k): the image is projected out
-    of P twice, and the rest factored by QR borders R and grows P."""
-    used = len(r_factor)
-    w, coords = _project_out(image_basis[:, :used], image)
+def _border(image_blocks: list, r_factor: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """R' with [P R, image] = P' R', for the orthonormal blocks P of
+    ``image_blocks`` (R is k x k): the image is projected out of P twice,
+    and the rest, factored by QR, borders R and joins the blocks as P'."""
+    w, coords = _project_out(image_blocks, image)
     q, r_new = np.linalg.qr(w)
-    del w  # one block less live while P grows
+    image_blocks.append(q)
     r_factor = np.pad(r_factor, (0, len(r_new)))
     r_factor[:, -len(r_new):] = np.vstack((coords, r_new))
-    return _append(image_basis, used, q), r_factor
+    return r_factor
 
 
 def nullity(N, sign: int, width: int, known: np.ndarray) -> NullityReport:
@@ -923,11 +913,12 @@ def nullity(N, sign: int, width: int, known: np.ndarray) -> NullityReport:
     Ritz values that are counted are the singular values of A Q, read off
     the factor R of A Q = P R: each new image block is projected out of the
     orthonormal P twice and factored by QR, which borders R, so no SVD of
-    an N-row array is taken.  Q and P take 8 N bytes per column each, in
-    buffers that each block is written into (:func:`_append`), copied only
-    when full.  The width must exceed the nullity, since a block finds at
-    most as many directions of one repeated singular value as it has
-    columns.  Q starts after X in its buffer, so every block is projected
+    an N-row array is taken.  Q and P take 8 N bytes per column each, held
+    as lists of the blocks that the SVD and QR return, so nothing is
+    allocated ahead or copied, and each block is projected out of them
+    block by block.  The width must exceed the nullity, since a block finds
+    at most as many directions of one repeated singular value as it has
+    columns.  X is the first block of Q's list, so every block is projected
     out of X too, and the k singular values of A X join the Ritz values:
     by Weyl's bound they are those of A on [X Q] up to |A X|.  So X is
     checked, not assumed: unless every one of the k is counted, the count
@@ -939,8 +930,7 @@ def nullity(N, sign: int, width: int, known: np.ndarray) -> NullityReport:
             else np.full(k, np.nan))  # its singular values, NaN if it is not finite
     cap = min(size, k + max(NULLITY_MAX_COLUMNS, NULLITY_MIN_DEPTH * (width - k)))
     start = np.random.default_rng(0).standard_normal((size, min(width, size) - k))
-    basis, image_basis = known, np.empty((size, 0))
-    r_factor = np.empty((0, 0))
+    basis, image_blocks, r_factor = [known] if k else [], [], np.empty((0, 0))
     block = _new_block(basis, start)
     depth, previous = 0, (None, None)
     ritz, count, following, largest = (), 0, None, math.nan
@@ -950,9 +940,8 @@ def nullity(N, sign: int, width: int, known: np.ndarray) -> NullityReport:
         if not np.isfinite(image).all():
             stop = "non-finite"
         else:
-            basis = _append(basis, k + len(r_factor), block)
-            del block  # one block less live while P grows
-            image_basis, r_factor = _border(image_basis, r_factor, image)
+            basis.append(block)
+            r_factor = _border(image_blocks, r_factor, image)
             ritz = np.sort(np.concatenate((held, np.linalg.svd(r_factor, compute_uv=False))))
             largest = float(ritz[-1])
             count = int(np.count_nonzero(ritz < NULLITY_TOL * largest))
@@ -967,7 +956,7 @@ def nullity(N, sign: int, width: int, known: np.ndarray) -> NullityReport:
                 # and for a dense N the row-major form that BLAS runs faster
                 normal = image + sign * (image.T @ N).T
                 used = k + len(r_factor)  # the columns of X and Q
-                block = _new_block(basis[:, :used], normal) if np.isfinite(normal).all() else None
+                block = _new_block(basis, normal) if np.isfinite(normal).all() else None
                 stop = ("non-finite" if block is None
                         else "exact" if block.shape[1] == 0
                         else "basis cap" if used + block.shape[1] > cap

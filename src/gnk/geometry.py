@@ -259,9 +259,9 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
     """
     checks: list[CheckResult] = []
     samples = []
-    # every squared-distance table reuses one n x n buffer, so no table
-    # faults in freshly mapped pages
-    table = np.empty((grid.n, grid.n))
+    # every squared-distance table is a view of one n x n buffer, so no
+    # table faults in freshly mapped pages
+    buffer = np.empty((grid.n, grid.n))
 
     def gap(a, b, same):
         """min |a_i - b_j| (i != j if same), bit for bit the complex abs.
@@ -276,6 +276,7 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
         CLI run's peak RSS, einsum 0.15 MB.
         """
         scale = 2.0 * (float(np.abs(a).max()) + float(np.abs(b).max()))**2
+        table = buffer[:a.size, :b.size]
         np.einsum("ik,kj->ij",
                   np.stack((a.real, a.imag, a.real**2 + a.imag**2, np.ones(a.size)), 1),
                   np.stack((-2.0 * b.real, -2.0 * b.imag, np.ones(b.size),
@@ -306,7 +307,12 @@ def validate_region(region: Region, grid: ParamGrid) -> ValidationReport:
     discs = [(curve.centroid, curve.radius) for curve in curves]
     for j in range(region.m):
         for k in range(j + 1, region.m):
-            cross = gap(samples[j], samples[k], False)
+            # a node is in the nearest pair only if its distance to the other
+            # curve's disc is within an attained distance; a NaN or inf reach keeps all
+            (a, (ca, ra)), (b, (cb, rb)) = (samples[j], discs[j]), (samples[k], discs[k])
+            to_b, to_a = np.abs(a - cb) - rb, np.abs(b - ca) - ra
+            reach = np.abs(a[to_b.argmin()] - b).min() + DISC_SLACK * (abs(ca) + abs(cb) + ra + rb)
+            cross = gap(a[~(to_b > reach)], b[~(to_a > reach)], False)
             # sample distance alone misses interpenetration, so also require
             # each curve's samples to wind exactly zero about the other
             turns = 0.0 if _discs_apart(discs[j], discs[k]) else float(np.abs(

@@ -80,8 +80,10 @@ def _solve(ops: DiscreteOperators, gamma: np.ndarray):
     The continuous equation is solvable for every gamma; a residual above
     SOLVE_TOL times max(1, sup|gamma|) therefore signals discretization
     failure, not theory failure, and the remedy is a larger n.  NaN or
-    infinite data give a NaN residual, which fails the gate too.
+    infinite data fail before any pass: no residual could meet the gate.
     """
+    if not np.isfinite(gamma).all():
+        raise InconsistentSystem("boundary data gamma are not finite")
     (m_gamma, n_gamma), allowed = ops.apply_MN(gamma), SOLVE_TOL * max(1.0, _sup(gamma))
     rhs = -m_gamma
     mu, (m_mu, n_mu), iterations = ops.solve_I_minus_N(rhs, allowed)

@@ -63,12 +63,12 @@ class TestSolve:
         assert np.abs(solution.f_boundary).max() == 0.0
 
     def test_infinite_data_raise(self):
-        # the gate's bound is infinite too, but the residual is NaN
+        # they raise before any pass, so no invalid value is reported
         grid = ParamGrid(32)
         ops = assemble_N(Region.from_curves([circle(0.0, 1.0), circle(4.0, 1.0)]), One(), grid)
         gamma = np.tile(np.cos(grid.nodes), 2)
         gamma[3] = np.inf
-        with pytest.raises(InconsistentSystem), np.errstate(invalid="ignore"):
+        with pytest.raises(InconsistentSystem):
             solve_modified_dirichlet(ops, gamma)
 
     def test_grid_consistency(self, three_circles):

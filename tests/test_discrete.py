@@ -413,27 +413,31 @@ class TestNoDenseArray:
         assert traced_peak(ops.nullity_I_plus_N) < matrix / 2
         assert traced_peak(ops.nullity_I_minus_N) < matrix / 2
 
-    def test_count_writes_its_bases_in_place(self):
+    def test_count_holds_its_bases_as_blocks(self):
         # lattice16 at n = 256 (N = 4096): the I + N count's traced peak was
         # 20.79 MiB while each depth stacked Q and P into new arrays, and
         # 19.19 MiB with each block written into buffers that double when
         # full (192 columns of Q and of P); with the 16 per-curve constants
-        # held out of its basis it takes 80 columns and 12.3 MiB
+        # held out of its basis it takes 80 columns and 12.3 MiB in such
+        # buffers, and about 8 MiB with Q and P kept as lists of blocks
         ops = assemble_N(lattice16(), One(), ParamGrid(256))
-        assert traced_peak(ops.nullity_I_plus_N) <= 14.0 * 2**20
+        assert traced_peak(ops.nullity_I_plus_N) <= 10.0 * 2**20
 
     def test_deflated_count_scales_with_the_holes(self):
         # 64 unit circles on a 4-unit lattice at n = 64 (N = 4096): the plain
         # count takes a start block 72 columns wide to depth 9 and traces
         # 105.8 MiB; held out of the basis, the 64 per-curve constants leave
-        # 8 columns a block, and the count traces 24.0 MiB
+        # 8 columns a block, and the count traces 24.0 MiB in buffers that
+        # double when full and 17.0 MiB as lists of blocks; the I - N count
+        # 21.3 and 12.2 MiB
         axis = [4.0 * i - 14.0 for i in range(8)]
         ops = assemble_N(Region.from_curves([circle(complex(x, y), 1.0)
                                              for y in axis for x in axis]),
                          One(), ParamGrid(64))
         reports = []
-        assert traced_peak(lambda: reports.append(ops.nullity_I_plus_N())) <= 40.0 * 2**20
+        assert traced_peak(lambda: reports.append(ops.nullity_I_plus_N())) <= 20.0 * 2**20
         assert (reports[0].nullity, reports[0].deflated, reports[0].stop) == (64, 64, "settled")
+        assert traced_peak(ops.nullity_I_minus_N) <= 16.0 * 2**20
 
 
 class TestComplexProducts:

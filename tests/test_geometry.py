@@ -446,6 +446,17 @@ class TestExactGaps:
                                      circle(offset + scale * centre, scale * 0.7)])
         _assert_exact_gaps(region, ParamGrid(64))
 
+    def test_overflowing_disc_distance_keeps_the_nodes(self):
+        # every node's distance to the second circle's centre overflows, and
+        # so does the screen's slack, which then keeps every node
+        region = Region.from_curves([circle(0.9e308, 1e300), circle(-1e308, 1.5e308)],
+                                    hole_points=[0.9e308, -1e308])
+        grid = ParamGrid(16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = (curve.jet(grid.nodes)[0] for curve in region.curves)
+            checks = {c.name: c.margin for c in validate_region(region, grid).checks}
+            assert checks["disjoint[0,1]"] == float(np.abs(a[:, None] - b).min())
+
 
 class TestRegion:
     def test_hole_points_default_to_centroids(self):

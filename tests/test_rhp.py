@@ -214,8 +214,9 @@ class TestGMRES:
         assert np.abs(x - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_no_product_without_finite_data(self, gallery_ops, monkeypatch):
-        # an infinite entry makes M gamma NaN in places (inf - inf), which
-        # numpy reports as an invalid value; the solve's answer is the raise
+        # zero data return from GMRES after 0 products; non-finite data raise
+        # before any pass over the kernel, GMRES's included, so numpy reports
+        # no invalid value (inf - inf) on the way
         products = []
         inner = discrete._gmres
 
@@ -229,9 +230,9 @@ class TestGMRES:
         assert np.abs(solve_rhp(gallery_ops, gamma).mu).max() == 0.0
         for value in (np.nan, np.inf, -np.inf):
             gamma[5] = value
-            with pytest.raises(InconsistentSystem), np.errstate(invalid="ignore"):
+            with pytest.raises(InconsistentSystem):
                 solve_rhp(gallery_ops, gamma)
-        assert products == [0, 0, 0, 0]
+        assert products == [0]
 
     def test_basis_grows_with_products_not_the_cap(self):
         # N = 4096: a basis or Hessenberg sized to KRYLOV_MAX_ITER would
