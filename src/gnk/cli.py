@@ -182,7 +182,7 @@ def run_verify(args) -> int:
 
     # On the 16-circle lattice at N = 4096, 9.9 MB are held after assembly; the
     # counts trace 8.5 MB (I + N, deflated) and 7.2 MB (I - N) above that,
-    # and the Mobius check's two pair buffers 2.8 MB.
+    # and the Mobius check 2.1 MB (one pair buffer, the mapped jet, the seeded columns).
     mobius_section = _mobius_section(ops)
     plus = ops.nullity_I_plus_N()
     minus = ops.nullity_I_minus_N()

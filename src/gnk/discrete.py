@@ -22,8 +22,7 @@ C_lk to Taylor coefficients about target curve l, and the Taylor powers
 T_l at l's nodes, each series truncated below 1e-16.  ``ops.kernel`` is
 that storage, which only this module reads, and ``ops.N`` and ``ops.M``
 are its two real-linear parts: one product applies either or both, and
-``ops.apply_MN`` both in one pass; ``ops.kernel_block`` reads it back by
-the same blocks.
+``ops.apply_MN`` both in one pass.
 
 The nullities of I +- N, which the indices of the coefficient predict, are
 measured matrix-free by a block Krylov count (:func:`nullity`); for A = 1
@@ -147,11 +146,6 @@ class DiscreteOperators:
     @property
     def M(self) -> "KernelPart":
         return KernelPart(self.kernel, np.real)
-
-    def kernel_block(self, rows: slice, k: int, out: np.ndarray) -> np.ndarray:
-        """M + iN (w N the imaginary part) at the target ``rows``, inside one
-        curve, and source curve k's columns, in the first rows of ``out``."""
-        return self.kernel.block(rows, k, out)
 
     def apply_MN(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(M x, N x) for x of shape (N,) or (N, k): one pass over the stored

@@ -21,7 +21,8 @@ screening replaced.  ``perturbed_circle`` builds the star-like curves of
 the galleries.  ``count_calls`` counts the calls of a library function
 under every name the package binds it to, and ``count_passes`` the passes
 over the stored kernel.  ``planted`` gives operators whose store holds
-given dense w N and M, which is how the tests plant a defect in them.
+given dense w N and M, which is how the tests plant a defect in them, and
+``invariance_probes`` the seeded columns that the Mobius check multiplies.
 ``attainability_residual`` and
 ``transform_solution`` restate, in the tests' terms, the hole-side Plemelj
 test and the Mobius substitution f_hat(w) = f(z) (z - z0).  ``capacity``
@@ -50,6 +51,7 @@ from gnk.discrete import NULLITY_TOL, _block_buffer, _Kernel, _kernel_blocks, as
 from gnk.errors import GnkError
 from gnk.geometry import (MIN_DISTANCE, MIN_SPEED, CheckResult, Curve, ParamGrid, Region,
                           ValidationReport, _turns_about_points, circle)
+from gnk.mobius import PROBES
 from gnk.rhp import plemelj_boundary
 
 TWO_PI = 2.0 * np.pi
@@ -350,6 +352,12 @@ def planted(ops, N=None, M=None):
                      V=np.empty((m, 0, n)), C=np.empty((0, 0)), taylor=np.empty((m, n, 0)),
                      factor_state={"work": 0.0})
     return dataclasses.replace(ops, kernel=kernel)
+
+
+def invariance_probes(size: int) -> np.ndarray:
+    """The seeded Gaussian columns X that the Mobius check applies both
+    kernels to, drawn as the check draws them."""
+    return np.random.default_rng(0).standard_normal((size, PROBES))
 
 
 def traced_peak(call) -> int:

@@ -136,7 +136,7 @@ def test_criterion_07_mobius_invariance(three_circles, perturbed_gallery,
                 shift_ok = shift_ok and direct == index_shift(index_of(coeff, region, grid))
     ok = worst <= 1e-12 and shift_ok
     _report(7, "mobius-invariance", ok,
-            f"max|N_hat-N|={worst:.3e} index_shift_exact={shift_ok}")
+            f"max|(N_hat-N)X|={worst:.3e} index_shift_exact={shift_ok}")
 
 
 def test_criterion_08_jump_relation(gallery_ops):

@@ -356,6 +356,20 @@ class TestIndexAndMobius:
         assert payload["max_diff_N"] <= 1e-12
         assert payload["index_shift"] == payload["index_direct"] == [1, 0, 0, 1]
 
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_thin_ellipse_passes(self, tmp_path, n):
+        # a thin small ellipse beside a circle, A = 1: the entrywise check read
+        # 1.2e-12 of the largest entry at n = 256 and failed; by products it
+        # reads 1.1e-13 and 1.8e-13 of max|(M + iN) X| (n = 1024 still fails)
+        region = tmp_path / "region.json"
+        region.write_text(json.dumps({"curves": [
+            {"type": "ellipse", "center": [-3.0, 3.0], "a": 0.34, "b": 0.077},
+            {"type": "circle", "center": [3.0, -2.0], "radius": 1.3}]}))
+        out = tmp_path / "out"
+        rc = _run(["mobius-check", "--region", region, "--n", n, "--out", out])
+        payload = json.loads((out / "mobius.json").read_text())
+        assert rc == 0 and payload["ok"] is True
+
     def test_planted_defect_fails_relative_gate(self, inputs, tmp_path, monkeypatch):
         # dropping the 2 eta'^2 / u^3 term of the mapped zeta'' must not hide
         # behind the scale-relative tolerance

@@ -284,7 +284,7 @@ class TestFactoredOperators:
             rows = slice(target * n + n // 2 - 3, (target + 1) * n)
             for source in range(ops.m):
                 cols = slice(source * n, (source + 1) * n)
-                block = ops.kernel_block(rows, source, work)
+                block = ops.kernel.block(rows, source, work)
                 assert block.shape == (n // 2 + 3, n) and np.shares_memory(block, work)
                 if (target, source) in banded:
                     bound = band_tolerance(ops.jet)
@@ -324,7 +324,7 @@ class TestTranslatedStorage:
         assert store.V.shape[1] + store.taylor.shape[2] > 1030 and np.isfinite(store.C).all()
         for rows, block, _ in discrete._kernel_blocks(ops.jet, 0, 1, work.copy()):
             expected = block * ops.weight
-            got = ops.kernel_block(rows, 1, work)
+            got = ops.kernel.block(rows, 1, work)
             assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -395,7 +395,7 @@ class TestFourierBands:
             tol = band_tolerance(curve) if k in store.banded else 0.0
             for first in range(0, n, len(work)):
                 rows = slice(k * n + first, k * n + first + len(work))
-                block = ops.kernel_block(rows, k, work)
+                block = ops.kernel.block(rows, k, work)
                 local = slice(first, first + len(work))
                 assert np.abs(block.imag - oracle_n[local]).max() <= tol
                 assert np.abs(block.real - oracle_m[local]).max() <= tol
@@ -527,14 +527,14 @@ class TestJointPass:
 
     def test_planted_store_reads_back_the_stored_kernel(self, ops):
         # planted(ops) holds the dense copies of the stored N and M as its
-        # blocks: bit for bit through kernel_block, and its products match
+        # blocks: bit for bit through kernel.block, and its products match
         # the dense ones to rounding
         copy, n = planted(ops), ops.n
         dense_n, dense_m = np.asarray(ops.N), np.asarray(ops.M)
         out = np.empty((n, n), dtype=complex)
         for t, k in np.ndindex(ops.m, ops.m):
             rows, cols = slice(t * n, (t + 1) * n), slice(k * n, (k + 1) * n)
-            block = copy.kernel_block(rows, k, out)
+            block = copy.kernel.block(rows, k, out)
             assert np.array_equal(block.imag, dense_n[rows, cols])
             assert np.array_equal(block.real, dense_m[rows, cols])
         x = np.random.default_rng(9).standard_normal((ops.size, 3))

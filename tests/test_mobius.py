@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gnk import coefficient, discrete, geometry, mobius
+from gnk.cli import TOL_INVARIANCE
 from gnk.coefficient import One, ShiftedPower, index_of, predict_dimensions
 from gnk.discrete import assemble_N, operator_identity_residuals
 from gnk.errors import CenterNotInHole, ZeroCoefficient
@@ -23,10 +24,10 @@ from helpers import (
     band_limited,
     band_tolerance,
     block_heights,
-    dense_complex_kernel,
-    dense_cot_table,
     dense_weighted_kernels,
     factor_tolerance,
+    invariance_probes,
+    lattice16,
     planted,
     traced_peak,
     transform_solution,
@@ -103,28 +104,31 @@ class TestKernelInvariance:
         report = kernel_invariance_check(assemble_N(three_circles, shifted, grid64))
         assert report.max_diff <= 1e-12
 
-    def test_scale_is_largest_kernel_entry(self, three_circles, grid64, monkeypatch):
-        # read back off the weighted matrices, the scale matches the largest
-        # entry of the complex kernel, singular companion included; 24 rows
-        # a block give full and partial blocks per curve pair
+    def test_scale_is_largest_product_entry(self, three_circles, grid64, monkeypatch):
+        # the scale is the largest entry of (M + iN) X, read off the whole
+        # weighted matrices, singular companion included; 24 rows a block
+        # give full and partial blocks per curve pair
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 64 * 24)
         ops = assemble_N(three_circles, ShiftedPower(CENTERS[0], 1), grid64)
         heights = block_heights(ops.jet, 0, 1)
         assert heights == [24, 24, 16]
         assert_stored_kernel(ops)
-        expected = max(1.0, np.abs(dense_complex_kernel(ops.jet)).max())
+        n_matrix, m_matrix = dense_weighted_kernels(ops.jet)
+        X = invariance_probes(ops.size)
+        expected = max(1.0, np.hypot(m_matrix @ X, n_matrix @ X).max())
         assert kernel_invariance_check(ops).scale == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("power", [0, 1], ids=["one", "power"])
     @pytest.mark.parametrize("name", ["mixed", "close", "touching"])
     def test_report_matches_whole_matrix_check(self, mixed_gallery, name, power,
                                                monkeypatch):
-        # the differences and the scale taken block by block equal those of
-        # the whole mapped matrices against the whole stored ones exactly,
-        # and those against the exact kernel within the bounds of the
-        # translations and the bands; the pairs of the ellipse of
-        # region_close.json and of both touching circles are read back from
-        # their dense near-pair blocks
+        # the differences and the scale summed block by block equal those of
+        # the whole mapped matrices against the whole stored ones, applied to
+        # the seeded columns X, within the rounding of the products, and
+        # those against the exact kernel within the bounds of the
+        # translations and the bands as well; the pairs of the ellipse of
+        # region_close.json and of both touching circles are dense near-pair
+        # blocks
         monkeypatch.setattr(discrete, "BLOCK_ENTRIES", 100 * 32)
         region, near = {
             "mixed": (mixed_gallery, ()),
@@ -138,42 +142,52 @@ class TestKernelInvariance:
         heights = block_heights(ops.jet, 1, 0)
         assert heights == [32, 32, 32, 4]
         n_hat, m_hat = dense_weighted_kernels(map_jet(region, ops.jet))
-        w = ops.weight
+        X = invariance_probes(ops.size)
         report = kernel_invariance_check(ops)
+        stored = np.asarray(ops.N), np.asarray(ops.M)
+        # summed in another order, or through a band's FFT, a product rounds
+        # within a few eps of the sum of its terms' sizes (N eps in the worst
+        # case): 1.4 eps at most here, on both sides of each difference
+        # together; 4 eps stays 2-6x below the differences themselves
+        rounding = 4 * np.finfo(float).eps * max(
+            (np.abs(a) @ np.abs(X)).max() for a in (n_hat, m_hat, *stored))
         # each stored entry lies within its own pair's bound of the exact one,
-        # so the largest difference moves by at most the largest such bound
+        # so each product moves by at most that bound times a column's sum of |X|
         bands = band_tolerance(ops.jet) if ops.N.store.banded else 0.0
-        tol = max(factor_tolerance(ops.jet), bands) / w
-        for stored_n, stored_m, close in (
-                (np.asarray(ops.N), np.asarray(ops.M), 0.0),
-                (*dense_weighted_kernels(ops.jet), tol)):
-            singular = stored_m.copy()
-            for k in range(ops.m):
-                block = slice(k * 100, (k + 1) * 100)
-                singular[block, block] -= dense_cot_table(100)
-            assert abs(report.max_diff_N - np.abs(n_hat - stored_n).max() / w) <= close
-            assert abs(report.max_diff_M1 - np.abs(m_hat - stored_m).max() / w) <= close
-            assert abs(report.scale - max(1.0, np.hypot(singular, stored_n).max() / w)) <= close
+        tol = max(factor_tolerance(ops.jet), bands) * np.abs(X).sum(axis=0).max()
+        for (stored_n, stored_m), close in ((stored, rounding),
+                                           (dense_weighted_kernels(ops.jet), rounding + tol)):
+            NX, MX = stored_n @ X, stored_m @ X
+            assert abs(report.max_diff_N - np.abs(n_hat @ X - NX).max()) <= close
+            assert abs(report.max_diff_M1 - np.abs(m_hat @ X - MX).max()) <= close
+            assert abs(report.scale - max(1.0, np.hypot(MX, NX).max())) <= close
 
     def test_sees_a_planted_N(self, three_circles, grid64):
         # an ops whose stored N differs is checked on that N, as the solve
-        # and the counts use it: one changed entry shows in max_diff_N only
+        # and the counts use it: one changed entry (i, j) shows in row i of
+        # the difference as its change times X's row j, in max_diff_N only
         ops = assemble_N(three_circles, One(), grid64)
+        X = invariance_probes(ops.size)
         dense = np.asarray(ops.N)
         dense[70, 5] += 1e-6
         report = kernel_invariance_check(planted(ops, N=dense))
-        assert report.max_diff_N == pytest.approx(1e-6 / ops.weight, rel=1e-6)
-        assert report.max_diff_M1 == kernel_invariance_check(ops).max_diff_M1
+        clean = kernel_invariance_check(planted(ops))
+        n_hat, _ = weighted_kernels(map_jet(three_circles, ops.jet))
+        diff = n_hat @ X - dense @ X
+        assert np.abs(diff[70] + 1e-6 * X[5]).max() <= 2 * clean.max_diff_N
+        assert report.max_diff_N == pytest.approx(np.abs(diff).max(), rel=1e-6)
+        assert report.max_diff_N == pytest.approx(1e-6 * np.abs(X[5]).max(), rel=1e-6)
+        assert report.max_diff_M1 == clean.max_diff_M1
 
     @pytest.mark.parametrize("part", ["N", "M"])
     def test_sees_a_planted_nan(self, part):
         # Python's max keeps its first argument against a NaN, which let a
         # NaN entry of N report the clean operators' figures; the NaN now
         # reaches its difference and max_diff, so every gate on it fails,
-        # while a finite error of 1e-3 shows as one
+        # while a finite error of 1e-3 at (5, 70) shows as 1e-3 |X[70]|
         region = Region.from_curves([circle(-3.0, 1.0), circle(3.0, 1.0)])
         ops = assemble_N(region, One(), ParamGrid(64))
-        clean = kernel_invariance_check(ops)
+        clean = kernel_invariance_check(planted(ops))
         dense = np.asarray(getattr(ops, part))
         dense[5, 70] = np.nan
         report = kernel_invariance_check(planted(ops, **{part: dense}))
@@ -184,7 +198,8 @@ class TestKernelInvariance:
         assert not report.max_diff <= 1e-12 * report.scale
         dense[5, 70] = np.asarray(getattr(ops, part))[5, 70] + 1e-3
         report = kernel_invariance_check(planted(ops, **{part: dense}))
-        assert getattr(report, nan_diff) == pytest.approx(1e-3 / ops.weight, rel=1e-6)
+        X = invariance_probes(ops.size)
+        assert getattr(report, nan_diff) == pytest.approx(1e-3 * np.abs(X[70]).max(), rel=1e-6)
 
     def test_planted_nan_fails_each_check(self):
         # the same planted NaN reaches every check that reads N: the Krylov
@@ -203,12 +218,13 @@ class TestKernelInvariance:
         assert all(np.isnan(operator_identity_residuals(ops, probes)))
 
     def test_peak_is_a_few_blocks(self, mixed_gallery):
-        # N = 1536: the mapped kernel goes by in blocks, so the peak stays a
-        # few complex blocks, below one real N x N array (8 N^2 bytes)
+        # N = 1536: the mapped kernel goes by in blocks of one buffer, so the
+        # peak stays near one complex block (1.13 measured), below one real
+        # N x N array (8 N^2 bytes); a second buffer would take it past 2
         ops = assemble_N(mixed_gallery, ShiftedPower(CENTERS[2], 1), ParamGrid(512))
         kernel_invariance_check(ops)
         peak = traced_peak(lambda: kernel_invariance_check(ops))
-        assert peak <= 4 * 16 * discrete.BLOCK_ENTRIES, peak
+        assert peak <= 1.25 * 16 * discrete.BLOCK_ENTRIES, peak
 
     def test_discrete_operators_equal(self, three_circles, grid64):
         # assembled Neumann matrices agree entrywise; the companion agrees
@@ -222,6 +238,61 @@ class TestKernelInvariance:
         rng = np.random.default_rng(21)
         phi = band_limited(rng, 3, 64, band=6)
         assert np.abs(mapped_ops.M @ phi - ops.M @ phi).max() <= 1e-12
+
+
+class TestMutantsFailTheGate:
+    """Defects planted in a modified copy of the stored kernel of lattice16 at
+    n = 64, where every pair is far or banded, fail verify's gate
+    max_diff <= TOL_INVARIANCE scale.  A wrong entry (i, j) of weight d
+    shows as d |X[j]| in row i, so the gate's reach in that entry is
+    TOL_INVARIANCE scale / |X[j]|; a tenth of it passes.  A series missing
+    its last kept term does not fail: the truncation puts that term below
+    1e-16 of the pair's entries, and 8 terms fewer still read 2.4e-14 of
+    the scale against 1.7e-14 intact, so the series lose their first term."""
+
+    @pytest.fixture(scope="class")
+    def ops(self):
+        ops = assemble_N(lattice16(), One(), ParamGrid(64))
+        assert ops.kernel.pairs == () and ops.kernel.C.size
+        return ops
+
+    @staticmethod
+    def _gate(ops) -> bool:
+        report = kernel_invariance_check(ops)
+        return bool(report.max_diff <= TOL_INVARIANCE * report.scale)
+
+    @staticmethod
+    def _mutant(ops, **fields):
+        kernel = dataclasses.replace(ops.kernel, factor_state={"work": 0.0}, **fields)
+        return dataclasses.replace(ops, kernel=kernel)
+
+    @pytest.mark.parametrize("mutation", ["ratio sign", "first Laurent term",
+                                          "first Taylor term"])
+    def test_far_engine(self, ops, mutation):
+        store, m = ops.kernel, ops.m
+        P, Q = store.V.shape[1], store.taylor.shape[2]
+        C = store.C.reshape(m, Q, m, P)
+        if mutation == "ratio sign":  # -r_l / D of the running product taken as +
+            flipped = C.copy()
+            flipped[:, 1::2] *= -1
+            fields = {"C": flipped.reshape(m * Q, m * P)}
+        elif mutation == "first Laurent term":
+            fields = {"V": store.V[:, 1:], "C": C[..., 1:].reshape(m * Q, m * (P - 1))}
+        else:
+            fields = {"taylor": store.taylor[..., 1:], "C": C[:, 1:].reshape(m * (Q - 1), m * P)}
+        assert self._gate(ops)
+        assert not self._gate(self._mutant(ops, **fields))
+
+    @pytest.mark.parametrize("part", ["N", "M"])
+    def test_one_wrong_entry(self, ops, part):
+        X = invariance_probes(ops.size)
+        clean = planted(ops)
+        reach = TOL_INVARIANCE * kernel_invariance_check(clean).scale / np.abs(X[900]).max()
+        assert self._gate(clean)
+        for factor, passes in ((10.0, False), (0.1, True)):
+            dense = np.asarray(getattr(ops, part))
+            dense[70, 900] += factor * reach
+            assert self._gate(planted(ops, **{part: dense})) is passes
 
 
 class TestIndexShift:
